@@ -17,11 +17,16 @@ class FieldError(ValueError):
     """Inadmissible field parameters or malformed scalar text."""
 
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# the least strong pseudoprime to every base above (Sorenson and Webster 2015)
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981
+    (about 3.3e24); larger n raise FieldError rather than risk a wrong answer."""
+    if n >= _MR_EXACT_BELOW:
+        raise FieldError("primality of %d is not decided exactly above 3.3e24" % n)
     if n < 2:
         return False
     for q in _MR_BASES:

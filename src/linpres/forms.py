@@ -23,9 +23,10 @@ to +1.  Every reported value depends on these conventions.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .fields import PrimeField, RationalField
-from .linalg import Matrix, _bareiss, pfaffian
+from .fields import QQ
+from .linalg import Matrix, _bareiss, clear_denominators, pfaffian
 from .multilinear import (
     RepVector,
     Space,
@@ -42,13 +43,14 @@ class FormError(ValueError):
 
 
 def _signed_sum(terms):
-    """Source text of sum(coeff * prod(v_i for i in idxs)) over integer terms."""
+    """Source text of sum(coeff * prod(v_i for i in idxs)) over integer terms,
+    with no leading unary plus (polynomials have none)."""
     parts = []
     for coeff, idxs in terms:
         mono = "*".join("v%d" % i for i in idxs)
         mag = abs(coeff)
         parts.append("%s %s" % ("-" if coeff < 0 else "+", mono if mag == 1 else "%d*%s" % (mag, mono)))
-    return " ".join(parts) or "0"
+    return " ".join(parts).lstrip("+ ") or "0"
 
 
 def _straight_line(dim, assignments, result):
@@ -66,10 +68,10 @@ def _straight_line(dim, assignments, result):
 COMPILED_DET_MAX = 6  # larger determinants go through Bareiss elimination
 
 
-def _int_det_evaluator(n, coord):
-    """Exact integer det of the n x n matrix whose (i, j) entry is coordinate
-    coord(i, j) of the input: Laplace expansion along the top row with every
-    minor on the bottom rows named once, compiled, for n <= COMPILED_DET_MAX."""
+def _det_formula(n, coord):
+    """det of the n x n matrix whose (i, j) entry is coordinate coord(i, j) of
+    the input: Laplace expansion along the top row with every minor on the
+    bottom rows named once, compiled, for n <= COMPILED_DET_MAX."""
     if n > COMPILED_DET_MAX:
 
         def fn(vals):
@@ -90,7 +92,7 @@ def _int_det_evaluator(n, coord):
                     sub = minor(cols[:k] + cols[k + 1 :])
                     terms.append("%s v%d*%s" % ("-" if k % 2 else "+", coord(r, c), sub))
                 names[cols] = "m%d" % len(assignments)
-                assignments.append((names[cols], " ".join(terms)))
+                assignments.append((names[cols], " ".join(terms).lstrip("+ ")))
         return names[cols]
 
     top = minor(tuple(range(n)))
@@ -98,20 +100,18 @@ def _int_det_evaluator(n, coord):
     return _straight_line(dim, assignments, top)
 
 
-def _modulo(fn, field):
-    """fn, with its value reduced mod p over F_p."""
-    p = field.modulus
-    if p is None:
-        return fn
-    return lambda vals: fn(vals) % p
-
-
 class InvariantForm:
-    """Base: a homogeneous invariant polynomial on one representation space."""
+    """Base: a homogeneous invariant polynomial on one representation space.
+
+    Each form defines f once, as f = constant * formula: `formula(vals)` maps
+    a coordinate list through integer coefficients and +, - and * alone, so
+    ints and polynomials both run through it, and `constant` is a rational.
+    evaluate, eval_entries and int_evaluator all derive from that pair."""
 
     line: str
     degree: int
     space: Space
+    constant = Fraction(1)
 
     def descriptor(self) -> str:
         return self.line
@@ -120,26 +120,43 @@ class InvariantForm:
         if v.space != self.space:
             raise FormError("vector in %r, form on %r" % (v.space, self.space))
 
+    def _check_field(self, field):
+        """Raise if f is not defined over the field."""
+
+    @cached_property
+    def _int_fns(self):
+        return {}
+
+    def int_evaluator(self, field):
+        """f / constant on raw coordinates, built once per field: residues in,
+        value mod p out over F_p; integers in, an exact integer out over Q."""
+        fn = self._int_fns.get(field)
+        if fn is None:
+            self._check_field(field)
+            fn, p = self.formula, field.modulus
+            if p is not None:
+                fn = lambda vals, f=fn: f(vals) % p
+            self._int_fns[field] = fn
+        return fn
+
     def evaluate(self, v: RepVector):
         """Exact value of f(v) as a field element."""
         self._check(v)
-        field = v.field
-        if isinstance(field, PrimeField):
-            fn = self.int_evaluator(field)
-            return field.of(fn([c.value for c in v.coords]))
-        if all(c.denominator == 1 for c in v.coords):
-            fn = self.int_evaluator(field)
-            return field.of(fn([c.numerator for c in v.coords]))
-        return self.eval_entries(field, list(v.coords))
+        return self._value(v.field, v.coords)
 
     def eval_entries(self, ring, entries):
-        """Evaluate on a coordinate list of ring elements (field or polynomial)."""
-        raise NotImplementedError
+        """f on a coordinate list of field elements (as evaluate) or polynomials."""
+        if ring.is_field:
+            return self._value(ring, entries)
+        value = self.formula(entries)
+        return value if self.constant == 1 else value * ring.of(self.constant)
 
-    def int_evaluator(self, field):
-        """Closure on raw coordinates: ints mod p over a prime field, exact
-        ints over the rationals (caller guarantees integral input)."""
-        raise NotImplementedError
+    def _value(self, field, coords):
+        # f is homogeneous: f(x) = f(D x) / D^deg, with D x integral over Q
+        (ints,), den = clear_denominators(field, [coords])
+        value = field.of(self.int_evaluator(field)(ints))
+        scale = self.constant / den**self.degree
+        return value if scale == 1 else value * field.of(scale)
 
     def scaling_factor(self, params: dict):
         """The exact factor by which the parametrized family member scales f."""
@@ -155,46 +172,6 @@ class InvariantForm:
         return "InvariantForm(%r)" % self.descriptor()
 
 
-def _entries_to_matrix_rows(space: Space, ring, entries):
-    """Rebuild full matrix rows (ring elements) from coordinate entries."""
-    kind = space.kind
-    if kind == "symm":
-        n = space.params["n"]
-        rows = [[None] * n for _ in range(n)]
-        k = 0
-        for i in range(n):
-            for j in range(i, n):
-                rows[i][j] = entries[k]
-                rows[j][i] = entries[k]
-                k += 1
-        return rows
-    if kind == "alt":
-        n = space.params["n"]
-        rows = [[ring.zero] * n for _ in range(n)]
-        k = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                rows[i][j] = entries[k]
-                rows[j][i] = -entries[k]
-                k += 1
-        return rows
-    if kind == "square":
-        n = space.params["n"]
-        return [entries[i * n : (i + 1) * n] for i in range(n)]
-    if kind == "rect":
-        m, n = space.params["m"], space.params["n"]
-        return [entries[i * n : (i + 1) * n] for i in range(m)]
-    raise FormError("not a matrix space")
-
-
-def _det_entries(ring, rows):
-    if getattr(ring, "is_field", False):
-        return Matrix(ring, rows).det()
-    from .linalg import det_expansion
-
-    return det_expansion(ring, rows)
-
-
 class SymmDet(InvariantForm):
     """Determinant on symmetric matrices."""
 
@@ -205,19 +182,13 @@ class SymmDet(InvariantForm):
         self.line = "symm-det:%d" % n
         self.degree = n
         self.space = Space("symm", n=n)
-        self._int_det = None
 
-    def eval_entries(self, ring, entries):
-        return _det_entries(ring, _entries_to_matrix_rows(self.space, ring, entries))
-
-    def int_evaluator(self, field):
-        if self._int_det is None:
-            n = self.n
-            index = {}
-            for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(i, n)):
-                index[i, j] = index[j, i] = k
-            self._int_det = _int_det_evaluator(n, lambda i, j: index[i, j])
-        return _modulo(self._int_det, field)
+    @cached_property
+    def formula(self):
+        index = {}
+        for k, (i, j) in enumerate((i, j) for i in range(self.n) for j in range(i, self.n)):
+            index[i, j] = index[j, i] = k
+        return _det_formula(self.n, lambda i, j: index[i, j])
 
     def scaling_factor(self, params):
         r = params["r"]
@@ -234,16 +205,10 @@ class SquareDet(InvariantForm):
         self.line = "square-det:%d" % n
         self.degree = n
         self.space = Space("square", n=n)
-        self._int_det = None
 
-    def eval_entries(self, ring, entries):
-        return _det_entries(ring, _entries_to_matrix_rows(self.space, ring, entries))
-
-    def int_evaluator(self, field):
-        if self._int_det is None:
-            n = self.n
-            self._int_det = _int_det_evaluator(n, lambda i, j: i * n + j)
-        return _modulo(self._int_det, field)
+    @cached_property
+    def formula(self):
+        return _det_formula(self.n, lambda i, j: i * self.n + j)
 
     def scaling_factor(self, params):
         return params["A"].det() * params["B"].det()
@@ -259,101 +224,80 @@ class SkewPf(InvariantForm):
         self.line = "skew-pf:%d" % n
         self.degree = n // 2
         self.space = Space("alt", n=n)
-        self._plan = None
-        self._int_pf = None
 
     def _monomial_plan(self):
-        """Pfaffian as a signed sum of products of coordinates, computed once."""
-        if self._plan is None:
-            ring = PolyRing(RationalField(), tuple("x%d" % i for i in range(self.space.dim)))
-            gens = ring.gens()
-            rows = _entries_to_matrix_rows(self.space, ring, list(gens))
-            pf = pfaffian(ring, rows)
-            plan = []
-            for key, coeff in pf.terms.items():
-                idxs = tuple(i for i, e in enumerate(key) for _ in range(e))
-                plan.append((coeff, idxs))
-            self._plan = tuple(sorted(plan, key=lambda t: t[1]))
-        return self._plan
+        """Pfaffian as a signed sum of products of coordinates, by expanding
+        it once over polynomial entries."""
+        n = self.n
+        ring = PolyRing(QQ, tuple("x%d" % i for i in range(self.space.dim)))
+        rows = [[ring.zero] * n for _ in range(n)]
+        for x, (i, j) in zip(ring.gens(), [(i, j) for i in range(n) for j in range(i + 1, n)]):
+            rows[i][j], rows[j][i] = x, -x
+        plan = []
+        for key, coeff in pfaffian(ring, rows).terms.items():
+            plan.append((int(coeff), tuple(i for i, e in enumerate(key) for _ in range(e))))
+        return sorted(plan, key=lambda t: t[1])
 
-
-    def eval_entries(self, ring, entries):
-        acc = ring.zero
-        for coeff, idxs in self._monomial_plan():
-            term = ring.of(coeff)
-            for i in idxs:
-                term = term * entries[i]
-            acc = acc + term
-        return acc
-
-    def int_evaluator(self, field):
-        if self._int_pf is None:
-            # the monomial plan compiled once to an exact integer function
-            terms = [(int(coeff), idxs) for coeff, idxs in self._monomial_plan()]
-            self._int_pf = _straight_line(self.space.dim, [], _signed_sum(terms))
-        return _modulo(self._int_pf, field)
+    @cached_property
+    def formula(self):
+        return _straight_line(self.space.dim, [], _signed_sum(self._monomial_plan()))
 
     def scaling_factor(self, params):
         r = params["r"]
         return r ** (self.n // 2) * params["P"].det()
 
 
-def _int_coefficient(s: Fraction, field):
-    """A Gram entry for an integer evaluator: its residue over F_p, a plain
-    int over Q when integral (the Fraction itself otherwise)."""
-    if field.modulus is not None:
-        return field.of(s).value
-    return s.numerator if s.denominator == 1 else s
+class _GramForm(InvariantForm):
+    """A form built from an invertible symmetric n x n matrix S (default:
+    split antidiagonal).  Its formula uses the integer matrix D S, D the least
+    common denominator of S; the constant carries the powers of 1/D."""
+
+    def __init__(self, n: int, s_entries):
+        if s_entries is None:
+            s_entries = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+        self.s_entries = tuple(tuple(Fraction(x) for x in r) for r in s_entries)
+        if self.s_entries != tuple(zip(*self.s_entries)):
+            raise FormError("S must be symmetric")
+        self.n = n
+        self._s_int, self._den = clear_denominators(QQ, self.s_entries)
+        self._grams: dict = {}
+
+    def gram(self, field) -> Matrix:
+        """S over the field, checked invertible there once."""
+        if field not in self._grams:
+            m = Matrix(field, [[field.of(x) for x in r] for r in self.s_entries])
+            if m.rank() != self.n:
+                raise FormError("S is singular over %s" % field.descriptor)
+            self._grams[field] = m
+        return self._grams[field]
+
+    _check_field = gram  # S must be invertible over every field f is used on
+
+    def _pairing(self, a, b):
+        """Source text of u^t (D S) w for u, w the n coordinates from offsets a, b."""
+        terms: dict = {}
+        for i, row in enumerate(self._s_int):
+            for j, s in enumerate(row):
+                key = tuple(sorted((a + i, b + j)))
+                terms[key] = terms.get(key, 0) + s
+        return _signed_sum([(s, key) for key, s in terms.items() if s])
 
 
-class Quadric(InvariantForm):
+class Quadric(_GramForm):
     """v^t S v for an invertible symmetric S (default: split antidiagonal)."""
 
     def __init__(self, n: int, s_entries=None):
         if n < 2:
             raise FormError("quadric needs n >= 2")
-        self.n = n
+        super().__init__(n, s_entries)
         self.line = "quadric:%d" % n
         self.degree = 2
         self.space = Space("vector", n=n)
-        if s_entries is None:
-            s_entries = [[Fraction(1) if j == n - 1 - i else Fraction(0) for j in range(n)] for i in range(n)]
-        self.s_entries = tuple(tuple(Fraction(x) for x in r) for r in s_entries)
-        if [list(r) for r in self.s_entries] != [list(r) for r in zip(*self.s_entries)]:
-            raise FormError("S must be symmetric")
+        self.constant = Fraction(1, self._den)
 
-    def gram(self, field) -> Matrix:
-        m = Matrix(field, [[field.of(x) for x in r] for r in self.s_entries])
-        if m.rank() != self.n:
-            raise FormError("S is singular over %s" % field.descriptor)
-        return m
-
-    def eval_entries(self, ring, entries):
-        acc = ring.zero
-        for i, row in enumerate(self.s_entries):
-            for j, s in enumerate(row):
-                if s:
-                    acc = acc + ring.of(s) * entries[i] * entries[j]
-        return acc
-
-    def int_evaluator(self, field):
-        self.gram(field)
-        p = field.modulus
-        terms = []
-        for i, row in enumerate(self.s_entries):
-            for j, s in enumerate(row):
-                if s:
-                    terms.append((i, j, _int_coefficient(s, field)))
-
-        def fn(vals):
-            acc = 0
-            for i, j, s in terms:
-                acc += s * vals[i] * vals[j]
-            if p is not None:
-                return int(acc) % p
-            return acc
-
-        return fn
+    @cached_property
+    def formula(self):
+        return _straight_line(self.n, [], self._pairing(0, 0))
 
 
 class CubicDisc(InvariantForm):
@@ -365,31 +309,16 @@ class CubicDisc(InvariantForm):
     def __init__(self):
         self.space = Space("cubic")
 
-    def eval_entries(self, ring, entries):
-        a0, a1, a2, a3 = entries
+    @staticmethod
+    def formula(vals):
+        a0, a1, a2, a3 = vals
         return (
             a1 * a1 * a2 * a2
-            + ring.of(18) * a0 * a1 * a2 * a3
-            - ring.of(4) * a0 * a2 * a2 * a2
-            - ring.of(4) * a1 * a1 * a1 * a3
-            - ring.of(27) * a0 * a0 * a3 * a3
+            + 18 * a0 * a1 * a2 * a3
+            - 4 * a0 * a2**3
+            - 4 * a1**3 * a3
+            - 27 * a0 * a0 * a3 * a3
         )
-
-    def int_evaluator(self, field):
-        p = field.modulus
-
-        def fn(vals):
-            a0, a1, a2, a3 = vals
-            d = (
-                a1 * a1 * a2 * a2
-                + 18 * a0 * a1 * a2 * a3
-                - 4 * a0 * a2**3
-                - 4 * a1**3 * a3
-                - 27 * a0 * a0 * a3 * a3
-            )
-            return d % p if p is not None else d
-
-        return fn
 
     def scaling_factor(self, params):
         return params["c"] ** 4 * params["g"].det() ** 6
@@ -453,22 +382,12 @@ class Wedge36(InvariantForm):
         coords[idx3[(1, 4, 5)]] = -1
         return coords
 
-    @classmethod
-    def calibration(cls) -> Fraction:
-        """The constant c0, computed once over the integers."""
-        if cls._c0 is None:
-            t = cls._compiled_trace_k2()(cls._reference_coords())
-            if t == 0:
-                raise FormError("calibration point degenerated")
-            cls._c0 = Fraction(4, t)
-        return cls._c0
-
-    @classmethod
-    def _compiled_trace_k2(cls):
-        """Exact integer tr(K_v^2), compiled once from the plan."""
-        if cls._trace_fn is None:
+    @property
+    def formula(self):
+        """tr(K_v^2), compiled once from the plan."""
+        if Wedge36._trace_fn is None:
             entries: dict = {}
-            for row, col, s, a, b in cls.plan():
+            for row, col, s, a, b in self.plan():
                 entries.setdefault((row, col), []).append((s, (a, b)))
             assignments = [("k%d%d" % rc, _signed_sum(terms)) for rc, terms in sorted(entries.items())]
             products = []
@@ -476,41 +395,15 @@ class Wedge36(InvariantForm):
                 for j in range(i, 6):
                     if (i, j) in entries and (j, i) in entries:
                         products.append("%sk%d%d*k%d%d" % ("" if i == j else "2*", i, j, j, i))
-            cls._trace_fn = _straight_line(20, assignments, " + ".join(products) or "0")
-        return cls._trace_fn
+            Wedge36._trace_fn = _straight_line(20, assignments, " + ".join(products) or "0")
+        return Wedge36._trace_fn
 
-    def eval_entries(self, ring, entries):
-        z = ring.zero
-        k = [[z] * 6 for _ in range(6)]
-        for row, col, s, a, b in self.plan():
-            term = entries[a] * entries[b]
-            if s < 0:
-                k[row][col] = k[row][col] - term
-            else:
-                k[row][col] = k[row][col] + term
-        acc = z
-        for i in range(6):
-            for j in range(6):
-                acc = acc + k[i][j] * k[j][i]
-        return ring.of(self.calibration()) * acc
-
-    def int_evaluator(self, field):
-        p = field.modulus
-        c0 = self.calibration()
-        trace = self._compiled_trace_k2()
-        if p is not None:
-            if c0.denominator % p == 0:
-                raise FormError("calibration constant undefined mod %d" % p)
-            c0p = c0.numerator * pow(c0.denominator, p - 2, p) % p
-
-        def fn(vals):
-            acc = trace(vals)
-            if p is not None:
-                return acc * c0p % p
-            r = c0 * acc
-            return r.numerator if r.denominator == 1 else r
-
-        return fn
+    @property
+    def constant(self) -> Fraction:
+        """c0, computed once over the integers."""
+        if Wedge36._c0 is None:
+            Wedge36._c0 = Fraction(4, self.formula(self._reference_coords()))
+        return Wedge36._c0
 
     def scaling_factor(self, params):
         return params["c"] ** 4 * params["g"].det() ** 2
@@ -533,19 +426,19 @@ def wedge36_pair_point(x: RepVector, y: RepVector) -> RepVector:
     return RepVector._raw(Space("wedge", d=3, n=6), field, coords)
 
 
-class Sp6Quartic(InvariantForm):
+class Sp6Quartic(Wedge36):
     """Restriction of the wedge36 quartic to the contraction kernel.
 
     Vectors are carried in ambient wedge(3, 6) coordinates; evaluation
     requires contraction by b to vanish.  The intrinsic dimension is 14.
+    The raw entry points (int_evaluator, eval_entries) skip that check.
     """
 
     line = "sp6"
-    degree = 4
     intrinsic_dim = 14
 
     def __init__(self):
-        self.space = Space("wedge", d=3, n=6)
+        super().__init__()
         self.ambient = Wedge36()
         self._kernel_cache: dict = {}
 
@@ -573,90 +466,29 @@ class Sp6Quartic(InvariantForm):
         return all(c == v.field.zero for c in sp6_contract(v, self.b_gram(v.field)))
 
     def evaluate(self, v: RepVector):
-        self._check(v)
         if not self.in_kernel(v):
             raise FormError("vector has nonzero contraction; outside the restricted space")
-        return self.ambient.evaluate(v)
-
-    def eval_entries(self, ring, entries):
-        # caller guarantees membership in the kernel
-        return self.ambient.eval_entries(ring, entries)
-
-    def int_evaluator(self, field):
-        # raw evaluator skips the membership check; used on kernel points
-        return self.ambient.int_evaluator(field)
-
-    def scaling_factor(self, params):
-        return params["c"] ** 4 * params["g"].det() ** 2
+        return super().evaluate(v)
 
 
-class Mat2n(InvariantForm):
+class Mat2n(_GramForm):
     """det(X S X^t) on 2 x n matrices, S invertible symmetric (default split)."""
 
     def __init__(self, n: int, s_entries=None):
         if n < 4:
             raise FormError("mat2n needs n >= 4")
-        self.n = n
+        super().__init__(n, s_entries)
         self.line = "mat2n:%d" % n
         self.degree = 4
         self.space = Space("rect", m=2, n=n)
-        if s_entries is None:
-            s_entries = [[Fraction(1) if j == n - 1 - i else Fraction(0) for j in range(n)] for i in range(n)]
-        self.s_entries = tuple(tuple(Fraction(x) for x in r) for r in s_entries)
-        if [list(r) for r in self.s_entries] != [list(r) for r in zip(*self.s_entries)]:
-            raise FormError("S must be symmetric")
+        self.constant = Fraction(1, self._den**2)
 
-    def gram(self, field) -> Matrix:
-        m = Matrix(field, [[field.of(x) for x in r] for r in self.s_entries])
-        if m.rank() != self.n:
-            raise FormError("S is singular over %s" % field.descriptor)
-        return m
-
-    def _pairs(self):
-        out = []
-        for j, row in enumerate(self.s_entries):
-            for k, s in enumerate(row):
-                if s:
-                    out.append((j, k, s))
-        return out
-
-    def eval_entries(self, ring, entries):
+    @cached_property
+    def formula(self):
+        # rows x0, x1 of X: det(X S X^t) = (x0 S x0)(x1 S x1) - (x0 S x1)^2
         n = self.n
-        x0 = entries[:n]
-        x1 = entries[n:]
-        m00 = ring.zero
-        m01 = ring.zero
-        m10 = ring.zero
-        m11 = ring.zero
-        for j, k, s in self._pairs():
-            c = ring.of(s)
-            m00 = m00 + c * x0[j] * x0[k]
-            m01 = m01 + c * x0[j] * x1[k]
-            m10 = m10 + c * x1[j] * x0[k]
-            m11 = m11 + c * x1[j] * x1[k]
-        return m00 * m11 - m01 * m10
-
-    def int_evaluator(self, field):
-        self.gram(field)
-        n = self.n
-        p = field.modulus
-        pairs = [(j, k, _int_coefficient(s, field)) for j, k, s in self._pairs()]
-
-        def fn(vals):
-            x0 = vals[:n]
-            x1 = vals[n:]
-            m00 = m01 = m10 = m11 = 0
-            for j, k, s in pairs:
-                m00 += s * x0[j] * x0[k]
-                m01 += s * x0[j] * x1[k]
-                m10 += s * x1[j] * x0[k]
-                m11 += s * x1[j] * x1[k]
-            d = m00 * m11 - m01 * m10
-            if p is not None:
-                return int(d) % p
-            return d
-
-        return fn
+        pairings = [("m00", self._pairing(0, 0)), ("m01", self._pairing(0, n)), ("m11", self._pairing(n, n))]
+        return _straight_line(2 * n, pairings, "m00*m11 - m01*m01")
 
     def scaling_factor(self, params):
         return (params["g1"].det() * params["mu"]) ** 2
@@ -676,7 +508,7 @@ class Hyperdet(InvariantForm):
         self.space = Space("tritensor")
 
     @staticmethod
-    def _formula(t, two, four):
+    def formula(t):
         t000, t001, t010, t011, t100, t101, t110, t111 = t
         sq = (
             t000 * t000 * t111 * t111
@@ -693,19 +525,7 @@ class Hyperdet(InvariantForm):
             + t010 * t011 * t100 * t101
         )
         quads = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
-        return sq - two * mixed + four * quads
-
-    def eval_entries(self, ring, entries):
-        return self._formula(entries, ring.of(2), ring.of(4))
-
-    def int_evaluator(self, field):
-        p = field.modulus
-
-        def fn(vals):
-            d = self._formula(vals, 2, 4)
-            return d % p if p is not None else d
-
-        return fn
+        return sq - 2 * mixed + 4 * quads
 
     def scaling_factor(self, params):
         return (params["g1"].det() * params["g2"].det() * params["g3"].det()) ** 2

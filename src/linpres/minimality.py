@@ -230,6 +230,8 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
             )
         if rng is None:
             raise MinimalityError("randomized policy needs a seeded rng")
+        if trials < 1:
+            raise MinimalityError("trials must be at least 1, got %d" % trials)
         vinv = _vandermonde_inverse(field, nodes)
         for trial in range(1, trials + 1):
             w = [field.of(rng.randint(-99, 99)) for _ in range(dim)]

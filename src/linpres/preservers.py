@@ -799,28 +799,22 @@ def _symbolic_applicable(form: InvariantForm) -> bool:
     return form.space.dim <= SYMBOLIC_DIM_LIMIT and form.degree <= 4
 
 
+def _int_matvec(rows, x, p):
+    if p is None:
+        return [sum(map(mul, row, x)) for row in rows]
+    return [sum(map(mul, row, x)) % p for row in rows]
+
+
 def _int_matmul(a, b, p):
     cols = list(zip(*b))
-    if p is None:
-        return [[sum(map(mul, row, col)) for col in cols] for row in a]
-    return [[sum(map(mul, row, col)) % p for col in cols] for row in a]
+    return [_int_matvec(cols, row, p) for row in a]
 
 
 def _sp6_int_embedding(form, field):
-    """Integer 20 x 14 kernel embedding usable for raw sampling."""
-    emb = form.kernel_basis(field)
-    if field.modulus is not None:
-        return [[x.value for x in row] for row in emb.rows]
-    import math
-
-    cols = [[emb.entry(i, j) for i in range(20)] for j in range(14)]
-    out_cols = []
-    for col in cols:
-        den = 1
-        for c in col:
-            den = den * c.denominator // math.gcd(den, c.denominator)
-        out_cols.append([int(c * den) for c in col])
-    return [list(row) for row in zip(*out_cols)]
+    """Integer 20 x 14 kernel embedding usable for raw sampling: each column
+    of the kernel basis cleared of its denominators."""
+    cols = [clear_denominators(field, [col])[0][0] for col in zip(*form.kernel_basis(field).rows)]
+    return [list(row) for row in zip(*cols)]
 
 
 def _lattice_reference(form: InvariantForm, field):
@@ -911,42 +905,24 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     if trials is None:
         trials = sz_trial_count(field, form.degree)
     p = field.modulus
-    m = element.matrix_on_space()
     bound = Fraction(form.degree, field.sz_set_size)
-    emb = _sp6_int_embedding(form, field) if sp6 else None
     # raw ints through the form's integer evaluator: residues mod p, or over
     # Q the cleared matrix D M, since f(D M x) = D^deg f(M x) by homogeneity
-    rows, den = clear_denominators(field, m.rows)
-    fn = form.int_evaluator(field)
-    if p is not None:
-        if sp6:
-            # both sides are linear in the 14 kernel coefficients
-            rows = _int_matmul(rows, emb, p)
-        for t in range(1, trials + 1):
-            if sp6:
-                c = [rng.randrange(p) for _ in range(14)]
-                x = [sum(map(mul, r, c)) % p for r in emb]
-                y = [sum(map(mul, r, c)) % p for r in rows]
-            else:
-                x = [rng.randrange(p) for _ in range(form.space.dim)]
-                y = [sum(map(mul, r, x)) % p for r in rows]
-            if fn(y) != fn(x):
-                return PreservationVerdict(False, "schwartz-zippel", t, None, [str(c) for c in x])
-        return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
+    rows, den = clear_denominators(field, element.matrix_on_space().rows)
     scale = den**form.degree
-    span = 1 << 31
+    lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
+    size = form.space.dim
     if sp6:
-        rows = _int_matmul(rows, emb, None)
+        # both sides are linear in the 14 kernel coefficients
+        emb = _sp6_int_embedding(form, field)
+        rows = _int_matmul(rows, emb, p)
+        size = 14
+    fn = form.int_evaluator(field)
     for t in range(1, trials + 1):
-        if sp6:
-            c = [rng.randrange(-span, span) for _ in range(14)]
-            x = [sum(map(mul, r, c)) for r in emb]
-            y = [sum(map(mul, r, c)) for r in rows]
-        else:
-            x = [rng.randrange(-span, span) for _ in range(form.space.dim)]
-            y = [sum(map(mul, r, x)) for r in rows]
-        if fn(y) != scale * fn(x):
-            return PreservationVerdict(False, "schwartz-zippel", t, None, [str(c) for c in x])
+        c = [rng.randrange(lo, hi) for _ in range(size)]
+        x = _int_matvec(emb, c, p) if sp6 else c
+        if fn(_int_matvec(rows, c, p)) != scale * fn(x):
+            return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v) for v in x])
     return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
 
 
@@ -1162,6 +1138,8 @@ def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -
     Deterministic report for a fixed (configuration, seed)."""
     import random as _random
 
+    if elements < 1:
+        raise PreserverError("elements must be at least 1, got %d" % elements)
     forms = corollary_forms(cid)
     rng = _random.Random(seed)
     per_cell = max(1, elements // len(forms))

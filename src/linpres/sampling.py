@@ -181,7 +181,7 @@ def go_element(field, rng, s: Matrix, mu=None, reflections=None):
         d[n - 1 - i] = mu / d[i]
     if n % 2:
         mid = n // 2
-        root = _solve_power(field, rng, 2, mu)
+        root = solve_power(field, rng, 2, mu)
         if root is None:
             raise SamplingError("similitude factor has no square root")
         d[mid] = root
@@ -235,7 +235,7 @@ def _int_kth_root(a: int, k: int):
     return lo if lo**k == a else None
 
 
-def _solve_power(field, rng, k: int, target):
+def solve_power(field, rng, k: int, target):
     """Some r with r^k == target, or None if there is none."""
     if target == field.zero:
         return None
@@ -256,7 +256,3 @@ def _solve_power(field, rng, k: int, target):
         return None
     r = Fraction(num, den)
     return field.of(-r if neg else r)
-
-
-def solve_power(field, rng, k: int, target):
-    return _solve_power(field, rng, k, target)

@@ -1,5 +1,6 @@
 """End-to-end command line behavior: reports, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 
@@ -144,6 +145,54 @@ def test_verify_out_of_scope(capsys):
 def test_verify_unknown_corollary(capsys):
     code, _, err = run(capsys, "verify", "--corollary", "nope", "--field", "Q", "--seed", "1")
     assert code == 2 and "unknown corollary" in err
+
+
+def test_verify_rejects_an_empty_sample_budget(capsys):
+    for count in ("0", "-5"):
+        code, out, err = run(capsys, "verify", "--corollary", "cubics", "--field", "Fp:7",
+                             "--seed", "1", "--elements", count)
+        assert code == 2 and out == "" and "elements" in err
+
+
+def test_minimal_randomized_rejects_zero_trials(capsys):
+    for count in ("0", "-3"):
+        code, out, err = run(capsys, "minimal", "--form", "quadric:4", "--field", "Q",
+                             "--oracle", "rrs", "--policy", "randomized", "--seed", "1",
+                             "--trials", count, "--vector", '["1","2","3","4"]')
+        assert code == 2 and out == "" and "trials" in err
+
+
+# sha256 of `verify --seed 3 --elements 8` stdout, recorded before the forms
+# were rewritten around one formula each; a change that keeps report bytes
+# keeps these digests
+VERIFY_DIGESTS = {
+    ("symm.f", "Fp:7"): "93699f8f17395b95de9533f9dbb059366d25cea6f15ba83093ae7181011cac00",
+    ("symm.f", "Q"): "0385a19319350e7a07c7ca993d5ccb149e470903a2a5924abf037b98125fa300",
+    ("skew.f", "Fp:7"): "307e61921b003a6005abe25abc958fc56a891bd9b8a1354eeaa45233eb760f28",
+    ("skew.f", "Q"): "b6e0884c7ef5898a21dc0ab896289c73c5d82c7f125bb676536e993407e65deb",
+    ("skew.f4", "Fp:7"): "622548c92e12ba1c1aee64bd2e4904179bb0d09c47d322f5523a407b78ccbb08",
+    ("skew.f4", "Q"): "5ba4514f63c78f77826f6b8116ecc2ab56b66f5d90b028b0520325b8bc7a1792",
+    ("square.f", "Fp:7"): "5ff401c19b00940c330896e55d7b63e88d3b992d4639ec16d4731b7471d15ccc",
+    ("square.f", "Q"): "8dad3c90df961f3dfe460114a476bd90c8ecdedd399553ebdc2efbaa461d2348",
+    ("cubics", "Fp:7"): "7672821d0a1ceac76ef5dec159113f9c12da7b52ba168d06317cf881e41be7ef",
+    ("cubics", "Q"): "d74dbe2ab486f635dda4805e5e810157fe08d3c23c5f011b974194777e3158b0",
+    ("SL6", "Fp:7"): "78c2b2da5efe9ec1beb688e35064353ee386d3db5636ce6d96671d117bd71664",
+    ("SL6", "Q"): "79a105813b7ee642287b6c564011afa15e5faa0f00cdaa211fba29ed6d238dec",
+    ("Sp6", "Fp:7"): "52e871326d5a0deac308aba160f1bd0afba94bfc17f7801701da0cef7d7724eb",
+    ("Sp6", "Q"): "50c20258a337d63e80090fee5c69f0d661803d37c8272e79656ecedcc1e082f4",
+    ("hyperdet", "Fp:7"): "0f1df7aa9dc30a74ab55272cd5724796de40a939fbf8d5b4a4ce5610cb2448d3",
+    ("hyperdet", "Q"): "8d0e05c4a3925807d175a9707ee9ca2df1f641d8f94ecabf8bc68c04cc3fcc67",
+    ("blackholes", "Fp:7"): "15b83335a0cbfedaa226c30c063b6e7a77bfb5ff25420ef32311e07d0ec64fed",
+    ("blackholes", "Q"): "883564a3c08e5a2e4c607b7d7be211c273e95dc2ef4be8989687a6c2f51af910",
+}
+
+
+@pytest.mark.parametrize("cid,field", sorted(VERIFY_DIGESTS))
+def test_verify_report_bytes_match_recorded_digest(capsys, cid, field):
+    code, out, _ = run(capsys, "verify", "--corollary", cid, "--field", field,
+                       "--seed", "3", "--elements", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[cid, field]
 
 
 def test_bruteforce_cases(capsys):

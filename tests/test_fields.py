@@ -27,6 +27,24 @@ def test_is_prime_larger():
     assert not is_prime(561)  # Carmichael
 
 
+def test_is_prime_rejects_strong_pseudoprime_to_bases_up_to_37():
+    n = 399165290221 * 798330580441  # strong pseudoprime to every base 2..37
+    assert n == 318665857834031151167461
+    assert not is_prime(n)
+    with pytest.raises(FieldError):
+        parse_field("Fp:%d" % n)
+
+
+def test_moduli_beyond_the_exact_primality_bound_are_rejected():
+    # bases 2..41 decide primality exactly below 3317044064679887385961981
+    assert is_prime(3317044064679887385961813)  # the largest prime below it
+    for n in (3317044064679887385961981, 2**89 - 1):
+        with pytest.raises(FieldError):
+            is_prime(n)
+        with pytest.raises(FieldError):
+            PrimeField(n)
+
+
 class TestResidue:
     def test_arithmetic_mod7(self):
         a = Residue(3, 7)

@@ -396,6 +396,48 @@ def test_mat2n_scaling():
                 assert f.evaluate(moved) == want
 
 
+def test_mat2n_matches_matrix_product_reference():
+    rng = random.Random(24)
+    s_odd = [[2, 1, 0, 0, 0], [1, 0, 0, 3, 0], [0, 0, 1, 0, 0], [0, 3, 0, 0, 1], [0, 0, 0, 1, -1]]
+    s_thirds = [[Fraction(x, 3) for x in row] for row in s_odd]
+    for n, s_entries in ((4, None), (6, None), (5, s_odd), (5, s_thirds)):
+        f = Mat2n(n, s_entries)
+        for field in (QQ, F7):
+            split = [[int(i + j == n - 1) for j in range(n)] for i in range(n)]
+            s = Matrix.from_ints(field, s_entries or split)
+            for _ in range(6):
+                x = rand_vec(rng, f.space, field)
+                xm = x.to_matrix()
+                assert f.evaluate(x) == (xm @ s @ xm.transpose()).det()
+
+
+def test_polynomial_entries_carry_the_rational_constant():
+    rng = random.Random(26)
+    s3 = [[Fraction(1, 2), 0, 1], [0, Fraction(1, 3), 0], [1, 0, 0]]
+    s4 = [[Fraction(1, 2), 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, Fraction(3, 5)]]
+    for f in (Wedge36(), Quadric(3, s3), Mat2n(4, s4)):
+        for field in (QQ, F7):
+            ring = PolyRing(field, tuple("x%d" % i for i in range(f.space.dim)))
+            sym = f.eval_entries(ring, list(ring.gens()))
+            for _ in range(3):
+                v = rand_vec(rng, f.space, field)
+                assert sym.evaluate(list(v.coords)) == f.evaluate(v)
+
+
+def test_evaluate_builds_its_evaluator_once_per_field(monkeypatch):
+    rank_calls = []
+    real_rank = Matrix.rank
+    monkeypatch.setattr(Matrix, "rank", lambda m: rank_calls.append(m) or real_rank(m))
+    rng = random.Random(25)
+    for f in (Mat2n(4), Quadric(3)):
+        for field in (QQ, F7):
+            rank_calls.clear()
+            for _ in range(5):
+                f.evaluate(rand_vec(rng, f.space, field))
+            assert len(rank_calls) == 1
+            assert f.int_evaluator(field) is f.int_evaluator(field)
+
+
 # hyperdeterminant
 
 

@@ -348,6 +348,19 @@ def test_violators_are_caught(cid, desc):
             assert verdict.counterexample is not None
 
 
+@pytest.mark.parametrize("cid,desc", [("SL6", "wedge36"), ("Sp6", "sp6"), ("skew.f", "skew-pf:8")])
+def test_sz_counterexample_is_a_witness(cid, desc):
+    form = parse_form(desc)
+    for field in (QQ, F7):
+        rng = rnd(stable_seed(cid, desc, "w"))
+        el = sample_violator(cid, form, field, rng)
+        verdict = preserves_form(el, form, policy="schwartz-zippel", rng=rng, trials=32)
+        assert not verdict.ok
+        x = RepVector(form.space, field, [field.parse(c) for c in verdict.counterexample])
+        assert [field.format(c) for c in x.coords] == verdict.counterexample
+        assert form.evaluate(el.apply(x)) != form.evaluate(x)  # sp6: x is a kernel point
+
+
 def _expanded_preserves(el, form, field):
     """Independent oracle: f(M x) - f(x) expanded over a polynomial ring."""
     ring = PolyRing(field, tuple("x%d" % i for i in range(form.space.dim)))
