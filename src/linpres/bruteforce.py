@@ -234,12 +234,11 @@ def _census_chunk(bounds):
     passing_maps = set()
     for gidx in range(lo, hi):
         g = gl2[gidx]
-        base = CubicSubstitution(f5.one, g).matrix_on_space()
-        base_rows = [[x.value for x in row] for row in base.rows]
+        base_rows, s = CubicSubstitution(f5.one, g).action()
         det2 = (g.det().value ** 2) % 5
         for c in range(1, 5):
             checked += 1
-            rows = [[(c * x) % 5 for x in row] for row in base_rows]
+            rows = [[(c * s.value * x) % 5 for x in row] for row in base_rows]
             keeps = _pair_preserves(rows, pts, vals)
             # scaling character c^4 det(g)^6 reduces to det(g)^2 over F_5
             chi_one = (pow(c, 4, 5) * pow(det2, 3, 5)) % 5 == 1

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .fields import QQ
-from .linalg import Matrix, _bareiss, clear_denominators, pfaffian
+from .linalg import Matrix, clear_denominators, det_expansion, pfaffian
 from .multilinear import (
     RepVector,
     Space,
@@ -65,7 +65,7 @@ def _straight_line(dim, assignments, result):
     return namespace["fn"]
 
 
-COMPILED_DET_MAX = 6  # larger determinants go through Bareiss elimination
+COMPILED_DET_MAX = 6  # larger determinants go through division-free expansion
 
 
 def _det_formula(n, coord):
@@ -75,7 +75,8 @@ def _det_formula(n, coord):
     if n > COMPILED_DET_MAX:
 
         def fn(vals):
-            return _bareiss([[vals[coord(i, j)] for j in range(n)] for i in range(n)])[0]
+            # the ring argument only supplies the empty determinant; n > 0 here
+            return det_expansion(None, [[vals[coord(i, j)] for j in range(n)] for i in range(n)])
 
         return fn
     assignments = []
@@ -272,6 +273,12 @@ class _GramForm(InvariantForm):
         return self._grams[field]
 
     _check_field = gram  # S must be invertible over every field f is used on
+
+    def __eq__(self, other):
+        return super().__eq__(other) and other.s_entries == self.s_entries
+
+    def __hash__(self):
+        return hash((self.descriptor(), self.s_entries))
 
     def _pairing(self, a, b):
         """Source text of u^t (D S) w for u, w the n coordinates from offsets a, b."""

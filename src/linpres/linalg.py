@@ -10,7 +10,7 @@ determinant and the recursive Pfaffian expansion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .fields import FieldError, Residue
 
@@ -248,19 +248,6 @@ def clear_denominators(field, rows):
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _int_rows(ring, rows):
-    """Rescale rows to integers; returns (int rows, list of row scale factors)."""
-    out, scales = [], []
-    for r in rows:
-        den = lcm(*(x.denominator for x in r)) if r else 1
-        num = gcd(*(int(x * den) for x in r)) if any(r) else 1
-        num = num or 1
-        scale = Fraction(den, num)
-        out.append([int(x * scale) for x in r])
-        scales.append(scale)
-    return out, scales
-
-
 def _bareiss(rows):
     """Fraction-free elimination on integer rows; returns (det, rank, sign-adjusted)."""
     m = [list(r) for r in rows]
@@ -295,14 +282,8 @@ def _bareiss(rows):
 def _det_field(ring, rows):
     n = len(rows)
     if ring.modulus is None:
-        int_rows, scales = _int_rows(ring, rows)
-        det, rank = _bareiss(int_rows)
-        if rank < n:
-            return ring.zero
-        prod = Fraction(1)
-        for s in scales:
-            prod *= s
-        return Fraction(det) / prod
+        int_rows, den = clear_denominators(ring, rows)
+        return Fraction(_bareiss(int_rows)[0], den**n)
     p = ring.modulus
     m = [[x.value for x in r] for r in rows]
     detv = 1
@@ -331,9 +312,7 @@ def _rank_field(ring, rows):
     if not rows:
         return 0
     if ring.modulus is None:
-        int_rows, _ = _int_rows(ring, rows)
-        _, rank = _bareiss(int_rows)
-        return rank
+        return _bareiss(clear_denominators(ring, rows)[0])[1]
     p = ring.modulus
     m = [[x.value for x in r] for r in rows]
     nr, nc = len(m), len(m[0])

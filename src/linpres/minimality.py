@@ -24,13 +24,12 @@ from .multilinear import (
     bilinear_bx,
     radical_dimension,
     rep_rank,
-    subsets_colex,
     wedge_annihilator_dim,
+    wedge_map_matrix,
     wedge_of_vectors,
-    wedge_with_vector,
 )
 from .polynomials import PolyRing
-from .sampling import isotropic_vector, rand_unit
+from .sampling import gsp6_element, isotropic_vector, rand_unit
 
 
 class MinimalityError(ValueError):
@@ -74,18 +73,6 @@ def _cubic_cube_witness(field, coords):
     if a2 == field.of(3) * a0 * q * q and a3 == a0 * q * q * q:
         return a0, (field.one, q)
     return None
-
-
-def _wedge_annihilator_basis(v: RepVector):
-    """Basis of {u : u wedge v = 0} as columns."""
-    n = v.space.params["n"]
-    field = v.field
-    cols = []
-    for j in range(n):
-        e = [field.zero] * n
-        e[j] = field.one
-        cols.append(wedge_with_vector(v, e).coords)
-    return Matrix(field, list(zip(*cols))).kernel()
 
 
 def _space_rank_rule(space: Space, v: RepVector):
@@ -149,9 +136,10 @@ def minimal_by_rank(target, v: RepVector) -> MinimalityVerdict:
     if base == "sp6":
         if not form.in_kernel(v):
             raise MinimalityError("vector has nonzero contraction")
-        if v.is_zero() or wedge_annihilator_dim(v) != 3:
+        # the annihilator {u : u wedge v = 0} must be a 3-space, isotropic for b
+        span = wedge_map_matrix(v).kernel()
+        if len(span) != 3:
             return MinimalityVerdict(False, "structure", None)
-        span = _wedge_annihilator_basis(v)
         b = form.b_gram(field)
         for i in range(len(span)):
             bu = b.apply(span[i])
@@ -308,13 +296,10 @@ def sample_minimal(target, field, rng) -> RepVector:
         u = _rand_nonzero_ints(field, rng, 2)
         return RepVector(space, field, [u[i] * w[j] for i in range(2) for j in range(n)])
     if base == "sp6":
-        from .multilinear import lambda_power_matrix
-        from .sampling import gsp6_element
-
+        # Lambda^3(g) e_024 = g e_0 wedge g e_2 wedge g e_4
         g, _ = gsp6_element(field, rng)
-        e024 = [field.zero] * 20
-        e024[subsets_colex(6, 3).index((0, 2, 4))] = field.one
-        coords = lambda_power_matrix(g, 3).apply(e024)
+        cols = list(zip(*g.rows))
+        coords = wedge_of_vectors(field, 6, [cols[0], cols[2], cols[4]]).coords
         return RepVector(space, field, [c * x for x in coords])
     if kind == "vector":
         return RepVector(space, field, _rand_nonzero_ints(field, rng, space.dim))

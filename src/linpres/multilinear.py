@@ -625,11 +625,11 @@ def wedge_of_vectors(field, n: int, vectors) -> RepVector:
     return RepVector._raw(Space("wedge", d=d, n=n), field, coords)
 
 
-def wedge_annihilator_dim(v: RepVector) -> int:
-    """Dimension of {u in k^n : u wedge v = 0}."""
+def wedge_map_matrix(v: RepVector) -> Matrix:
+    """Matrix of u -> u wedge v, from k^n to wedge(d + 1, n)."""
     space = v.space
     if space.kind != "wedge":
-        raise SpaceError("annihilator defined for wedge vectors")
+        raise SpaceError("wedge map defined for wedge vectors")
     n = space.params["n"]
     field = v.field
     cols = []
@@ -637,8 +637,12 @@ def wedge_annihilator_dim(v: RepVector) -> int:
         e = [field.zero] * n
         e[i] = field.one
         cols.append(wedge_with_vector(v, e).coords)
-    m = Matrix(field, list(zip(*cols)))
-    return n - m.rank()
+    return Matrix(field, list(zip(*cols)))
+
+
+def wedge_annihilator_dim(v: RepVector) -> int:
+    """Dimension of {u in k^n : u wedge v = 0}."""
+    return v.space.params["n"] - wedge_map_matrix(v).rank()
 
 
 def lambda_power_matrix(g: Matrix, d: int) -> Matrix:

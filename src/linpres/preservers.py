@@ -13,6 +13,10 @@ Families (the involution or factor permutation always acts first):
 - orthogonal-pair   X -> g1 X g2^t with g2^t S g2 = mu S on 2 x n matrices
 - generic           an arbitrary coordinate matrix (composition fallback)
 
+Each element builds its action once, as integer rows R and one field scalar
+s with coordinate matrix s R; apply, matrix_on_space, both preservation
+policies and the censuses read it.
+
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
 identity.  Both identities are exercised by the test suite.
@@ -65,14 +69,54 @@ def _parse_matrix(field, rows):
     return Matrix(field, [[field.parse(x) for x in row] for row in rows])
 
 
-def _scaled_int_matrix(field, c, den, rows) -> Matrix:
-    """(c / den) times a matrix of integers, as field elements (den = 1 over F_p)."""
+def _int_matvec(rows, x, p):
+    if p is None:
+        return [sum(map(mul, row, x)) for row in rows]
+    return [sum(map(mul, row, x)) % p for row in rows]
+
+
+def _int_matmul(a, b, p):
+    cols = list(zip(*b))
+    return [_int_matvec(cols, row, p) for row in a]
+
+
+def _action(field, rows, c, den=1):
+    """The action (R, s) of the coordinate matrix (c / den) rows, for integer
+    rows: R is reduced mod p over F_p, where den is always 1."""
+    p = field.modulus
+    if p is not None:
+        return [[x % p for x in row] for row in rows], c
+    return rows, c / den
+
+
+def _scaled(field, s, den, ints):
+    """The field elements (s / den) x for the integers x (den = 1 over F_p)."""
     if field.modulus is not None:
-        cval = c.value
-        return Matrix(field, [[field.of(cval * x) for x in row] for row in rows])
-    scale = c / den
+        sv = s.value
+        return [field.of(sv * x) for x in ints]
+    scale = s / den
     num, den = scale.numerator, scale.denominator
-    return Matrix(field, [[Fraction(num * x, den) for x in row] for row in rows])
+    return [Fraction(num * x, den) for x in ints]
+
+
+def _kron_action(field, factors, moves=None):
+    """Action of the Kronecker product of the factor matrices: row (a, b, ..)
+    and column (i, j, ..) hold f1[a][i] f2[b][j] ..; with moves, column k of
+    the product lands at column moves[k]."""
+    rows, den = [[1]], 1
+    for f in factors:
+        ints, d = clear_denominators(field, f.rows)
+        rows = [[x * y for x in r1 for y in r2] for r1 in rows for r2 in ints]
+        den *= d
+    if moves is not None:
+        moved = []
+        for row in rows:
+            out = [0] * len(row)
+            for k, x in zip(moves, row):
+                out[k] = x
+            moved.append(out)
+        rows = moved
+    return _action(field, rows, field.one, den)
 
 
 def _check_invertible(m: Matrix, what: str):
@@ -110,27 +154,37 @@ def _q0(field) -> Matrix:
 
 
 class PreserverElement:
-    """One member of a transformation family acting on a representation."""
+    """One member of a transformation family acting on a representation;
+    each family defines its action once, in _build_action."""
 
     family: str
     space: Space
     field = None
 
     def __init__(self):
+        self._action = None
         self._matrix = None
 
-    def apply(self, v: RepVector) -> RepVector:
+    def _build_action(self):
         raise NotImplementedError
 
-    def _build_matrix(self) -> Matrix:
-        cols = []
-        for j in range(self.space.dim):
-            cols.append(self.apply(RepVector.basis(self.space, self.field, j)).coords)
-        return Matrix(self.field, list(zip(*cols)))
+    def action(self):
+        """(R, s): integer rows R and a field scalar s, built once; the
+        coordinate matrix is s R."""
+        if self._action is None:
+            self._action = self._build_action()
+        return self._action
+
+    def apply(self, v: RepVector) -> RepVector:
+        rows, s = self.action()
+        field = self.field
+        (x,), den = clear_denominators(field, [v.coords])
+        return RepVector._raw(self.space, field, _scaled(field, s, den, _int_matvec(rows, x, field.modulus)))
 
     def matrix_on_space(self) -> Matrix:
         if self._matrix is None:
-            self._matrix = self._build_matrix()
+            rows, s = self.action()
+            self._matrix = Matrix(self.field, [_scaled(self.field, s, 1, row) for row in rows])
         return self._matrix
 
     def compose(self, other: "PreserverElement") -> "PreserverElement":
@@ -192,13 +246,7 @@ class Congruence(PreserverElement):
         self.p = p
         self.star = bool(star)
 
-    def apply(self, v: RepVector) -> RepVector:
-        if self.star:
-            v = RepVector._raw(self.space, self.field, hodge_star4_matrix(self.field).apply(v.coords))
-        m = (self.p @ v.to_matrix() @ self.p.transpose()).scale(self.r)
-        return RepVector.from_matrix(self.space, self.field, m.rows)
-
-    def _build_matrix(self) -> Matrix:
+    def _build_action(self):
         # column for the (i, j) basis matrix is the packed image of P E_ij P^t
         # in integers: P = E / D, so every entry is r / D^2 times an integer
         field = self.field
@@ -224,7 +272,7 @@ class Congruence(PreserverElement):
         if self.star:
             # times the star on the right: a signed column permutation
             out = [[s * row[src] for src, s in _STAR4] for row in out]
-        return _scaled_int_matrix(field, self.r, den**2, out)
+        return _action(field, out, self.r, den**2)
 
     def compose(self, other):
         if not isinstance(other, Congruence):
@@ -281,19 +329,9 @@ class Sandwich(PreserverElement):
         self.a = a
         self.b = b
 
-    def apply(self, v: RepVector) -> RepVector:
-        m = self.a @ v.to_matrix() @ self.b
-        return RepVector.from_matrix(self.space, self.field, m.rows)
-
-    def _build_matrix(self) -> Matrix:
-        # image of the (i, j) basis matrix has (a, b) entry A[a][i] B[j][b]
-        a, b = self.a.rows, self.b.rows
-        mdim, n = self.a.nrows, self.b.nrows
-        rows = []
-        for r in range(mdim):
-            for c in range(n):
-                rows.append([a[r][i] * b[j][c] for i in range(mdim) for j in range(n)])
-        return Matrix(self.field, rows)
+    def _build_action(self):
+        # A X B has (a, b) entry sum A[a][i] X[i][j] B^t[b][j]: the action is A x B^t
+        return _kron_action(self.field, (self.a, self.b.transpose()))
 
     def compose(self, other):
         if isinstance(other, Sandwich):
@@ -333,19 +371,12 @@ class TransposeSandwich(PreserverElement):
         self.a = a
         self.b = b
 
-    def apply(self, v: RepVector) -> RepVector:
-        m = self.a @ v.to_matrix().transpose() @ self.b
-        return RepVector.from_matrix(self.space, self.field, m.rows)
-
-    def _build_matrix(self) -> Matrix:
-        # image of the (i, j) basis matrix has (a, b) entry A[a][j] B[i][b]
-        a, b = self.a.rows, self.b.rows
+    def _build_action(self):
+        # A X^t B is A x B^t applied to X^t: column (j, i) of the product
+        # multiplies X[i][j], so it moves to column (i, j)
         n = self.a.nrows
-        rows = []
-        for r in range(n):
-            for c in range(n):
-                rows.append([a[r][j] * b[i][c] for i in range(n) for j in range(n)])
-        return Matrix(self.field, rows)
+        moves = [i * n + j for j in range(n) for i in range(n)]
+        return _kron_action(self.field, (self.a, self.b.transpose()), moves)
 
     def compose(self, other):
         if isinstance(other, Sandwich):
@@ -384,28 +415,22 @@ class CubicSubstitution(PreserverElement):
         self.c = c
         self.g = g
 
-    def _build_matrix(self) -> Matrix:
-        a, b = self.g.entry(0, 0), self.g.entry(0, 1)
-        c, d = self.g.entry(1, 0), self.g.entry(1, 1)
-        field = self.field
+    def _build_action(self):
+        # g = G / D: every coefficient of q o g is a cubic in G over D^3
+        (u, w), den = clear_denominators(self.field, self.g.rows)
 
         def cubemul(u, w):
             # coefficient vectors of linear forms u, w: expand u^2 w
-            out = [field.zero] * 4
+            out = [0] * 4
             for i, ui in enumerate(u):
                 for j, uj in enumerate(u):
                     for k, wk in enumerate(w):
-                        out[i + j + k] = out[i + j + k] + ui * uj * wk
+                        out[i + j + k] += ui * uj * wk
             return out
 
-        # q -> q o g sends x to ax + by and y to cx + dy; cubemul(u, w) is u^2 w
-        u, w = (a, b), (c, d)
+        # q -> q o g sends x to ax + by and y to cx + dy, u = (a, b), w = (c, d)
         cols = [cubemul(u, u), cubemul(u, w), cubemul(w, u), cubemul(w, w)]
-        rows = [[self.c * cols[j][i] for j in range(4)] for i in range(4)]
-        return Matrix(field, rows)
-
-    def apply(self, v: RepVector) -> RepVector:
-        return RepVector._raw(self.space, self.field, self.matrix_on_space().apply(v.coords))
+        return _action(self.field, [list(r) for r in zip(*cols)], self.c, den**3)
 
     def compose(self, other):
         if isinstance(other, CubicSubstitution):
@@ -442,9 +467,8 @@ class WedgePush(PreserverElement):
         self.g = g
         self.star = bool(star)
 
-    def _build_matrix(self) -> Matrix:
+    def _build_action(self):
         field = self.field
-        p = field.modulus
         # Lambda^3(g) = Lambda^3(D g) / D^3 for a common denominator D of g
         vals, den = clear_denominators(field, self.g.rows)
         # integer 3x3 minors, then the star as a signed column permutation
@@ -466,10 +490,7 @@ class WedgePush(PreserverElement):
                 comp = tuple(k for k in range(6) if k not in J)
                 moves.append((idx[comp], merge_sign(J, comp)))
             out = [[s * row[src] for src, s in moves] for row in out]
-        return _scaled_int_matrix(field, self.c, den**3, out)
-
-    def apply(self, v: RepVector) -> RepVector:
-        return RepVector._raw(self.space, self.field, self.matrix_on_space().apply(v.coords))
+        return _action(field, out, self.c, den**3)
 
     def compose(self, other):
         if isinstance(other, WedgePush):
@@ -572,44 +593,14 @@ class TriplePush(PreserverElement):
         self.gs = (g1, g2, g3)
         self.perm = perm
 
-    def apply(self, v: RepVector) -> RepVector:
-        field = self.field
-        t = v.coords
-        s = self.perm
-        permuted = [field.zero] * 8
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    src = (i, j, k)
-                    permuted[4 * i + 2 * j + k] = t[4 * src[s[0]] + 2 * src[s[1]] + src[s[2]]]
-        g1, g2, g3 = self.gs
-        out = [field.zero] * 8
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    acc = field.zero
-                    for a in range(2):
-                        for b in range(2):
-                            for c in range(2):
-                                acc = acc + g1.entry(i, a) * g2.entry(j, b) * g3.entry(k, c) * permuted[4 * a + 2 * b + c]
-                    out[4 * i + 2 * j + k] = acc
-        return RepVector._raw(self.space, field, out)
-
-    def _build_matrix(self) -> Matrix:
-        # (g1 x g2 x g3) has entry g1[i][a] g2[j][b] g3[k][c] at slots
-        # (ijk, abc); sigma sends coordinate abc of sigma T to coordinate
-        # src(abc) of T, so that column of the Kronecker product moves there
-        g1, g2, g3 = (g.rows for g in self.gs)
+    def _build_action(self):
+        # g1 x g2 x g3 has entry g1[i][a] g2[j][b] g3[k][c] at (ijk, abc);
+        # coordinate abc of sigma T is coordinate src(abc) of T, so that
+        # column of the Kronecker product moves there
         s = self.perm
         slots = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
-        src = [4 * t[s[0]] + 2 * t[s[1]] + t[s[2]] for t in slots]
-        rows = []
-        for i, j, k in slots:
-            row = [None] * 8
-            for col, (a, b, c) in zip(src, slots):
-                row[col] = g1[i][a] * g2[j][b] * g3[k][c]
-            rows.append(row)
-        return Matrix(self.field, rows)
+        moves = [4 * t[s[0]] + 2 * t[s[1]] + t[s[2]] for t in slots]
+        return _kron_action(self.field, self.gs, moves)
 
     def compose(self, other):
         if isinstance(other, TriplePush):
@@ -670,15 +661,9 @@ class OrthogonalPair(PreserverElement):
         s = form.gram(self.field)
         return self.g2.transpose() @ s @ self.g2 == s.scale(self.mu)
 
-    def apply(self, v: RepVector) -> RepVector:
-        m = self.g1 @ v.to_matrix() @ self.g2.transpose()
-        return RepVector.from_matrix(self.space, self.field, m.rows)
-
-    def _build_matrix(self) -> Matrix:
-        # the Kronecker product g1 x g2: the (i, j) basis matrix goes to the
-        # matrix with (a, b) entry g1[a][i] g2[b][j]
-        g1, g2 = self.g1.rows, self.g2.rows
-        return Matrix(self.field, [[x * y for x in r1 for y in r2] for r1 in g1 for r2 in g2])
+    def _build_action(self):
+        # g1 X g2^t has (a, b) entry sum g1[a][i] X[i][j] g2[b][j]
+        return _kron_action(self.field, (self.g1, self.g2))
 
     def compose(self, other):
         if isinstance(other, OrthogonalPair):
@@ -701,7 +686,8 @@ class OrthogonalPair(PreserverElement):
 
 
 class GenericMap(PreserverElement):
-    """An arbitrary linear coordinate map; no closed scaling character."""
+    """An arbitrary linear coordinate map; no closed scaling character.  The
+    one family whose action comes from its matrix."""
 
     family = "generic"
 
@@ -713,8 +699,9 @@ class GenericMap(PreserverElement):
         self.field = field
         self._matrix = matrix
 
-    def apply(self, v: RepVector) -> RepVector:
-        return RepVector._raw(self.space, self.field, self._matrix.apply(v.coords))
+    def _build_action(self):
+        rows, den = clear_denominators(self.field, self._matrix.rows)
+        return _action(self.field, rows, self.field.one, den)
 
     def params_json(self):
         return {"matrix": _fmt_matrix(self.field, self._matrix)}
@@ -799,17 +786,6 @@ def _symbolic_applicable(form: InvariantForm) -> bool:
     return form.space.dim <= SYMBOLIC_DIM_LIMIT and form.degree <= 4
 
 
-def _int_matvec(rows, x, p):
-    if p is None:
-        return [sum(map(mul, row, x)) for row in rows]
-    return [sum(map(mul, row, x)) % p for row in rows]
-
-
-def _int_matmul(a, b, p):
-    cols = list(zip(*b))
-    return [_int_matvec(cols, row, p) for row in a]
-
-
 def _sp6_int_embedding(form, field):
     """Integer 20 x 14 kernel embedding usable for raw sampling: each column
     of the kernel basis cleared of its denominators."""
@@ -848,8 +824,20 @@ def _lattice_reference(form: InvariantForm, field):
     return cache[field]
 
 
-def _preserves_on_lattice(m: Matrix, form: InvariantForm, field) -> bool:
-    """f(M alpha) == f(alpha) at every point of the principal simplex lattice.
+def _scaled_equality(field, s, degree):
+    """same(u, v) for raw form values u, v (residues mod p, or integers over
+    Q): whether s^degree u == v in the field, with s^degree = a / b."""
+    p = field.modulus
+    if p is not None:
+        a = pow(s.value, degree, p)
+        return lambda u, v: a * u % p == v
+    a, b = s.numerator**degree, s.denominator**degree
+    return lambda u, v: a * u == b * v
+
+
+def _preserves_on_lattice(action, form: InvariantForm, field) -> bool:
+    """f(M alpha) == f(alpha) at every point of the principal simplex lattice,
+    for the element action (R, s) with M = s R.
 
     f o M - f is homogeneous of degree d, and a homogeneous polynomial of
     degree d that vanishes on {alpha in Z>=0^n : |alpha| = d} is zero when
@@ -859,16 +847,17 @@ def _preserves_on_lattice(m: Matrix, form: InvariantForm, field) -> bool:
     if field.modulus is not None and field.modulus <= d:
         raise PreserverError("lattice check needs characteristic above the degree %d" % d)
     lattice, fn = _lattice_reference(form, field)
-    # over Q: f(D M alpha) = D^d f(M alpha), so compare against D^d f(alpha)
-    cols, den = clear_denominators(field, zip(*m.rows))
-    scale = den**d
-    # partial[k] = M alpha_k, alpha_k counting the first k indices of the
+    # f(M alpha) = s^d f(R alpha), with R alpha in integers
+    rows, s = action
+    cols = list(zip(*rows))
+    same = _scaled_equality(field, s, d)
+    # partial[k] = R alpha_k, alpha_k counting the first k indices of the
     # point: a sum of k columns, reused from the previous point where shared
     partial = [[0] * form.space.dim] + [None] * d
     for pt, shared, ref in lattice:
         for j in range(shared, d):
             partial[j + 1] = list(map(add, partial[j], cols[pt[j]]))
-        if fn(partial[d]) != scale * ref:
+        if not same(fn(partial[d]), ref):
             return False
     return True
 
@@ -897,7 +886,7 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
                 "symbolic policy handles dimension <= %d and degree <= 4; %r has dimension %d, degree %d"
                 % (SYMBOLIC_DIM_LIMIT, form.line, form.space.dim, form.degree)
             )
-        return PreservationVerdict(_preserves_on_lattice(element.matrix_on_space(), form, field), "symbolic")
+        return PreservationVerdict(_preserves_on_lattice(element.action(), form, field), "symbolic")
     if policy != "schwartz-zippel":
         raise PreserverError("unknown policy %r" % policy)
     if rng is None:
@@ -906,10 +895,9 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
         trials = sz_trial_count(field, form.degree)
     p = field.modulus
     bound = Fraction(form.degree, field.sz_set_size)
-    # raw ints through the form's integer evaluator: residues mod p, or over
-    # Q the cleared matrix D M, since f(D M x) = D^deg f(M x) by homogeneity
-    rows, den = clear_denominators(field, element.matrix_on_space().rows)
-    scale = den**form.degree
+    # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
+    rows, s = element.action()
+    same = _scaled_equality(field, s, form.degree)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
     size = form.space.dim
     if sp6:
@@ -921,7 +909,7 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     for t in range(1, trials + 1):
         c = [rng.randrange(lo, hi) for _ in range(size)]
         x = _int_matvec(emb, c, p) if sp6 else c
-        if fn(_int_matvec(rows, c, p)) != scale * fn(x):
+        if not same(fn(_int_matvec(rows, c, p)), fn(x)):
             return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v) for v in x])
     return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
 

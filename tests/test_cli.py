@@ -195,6 +195,54 @@ def test_verify_report_bytes_match_recorded_digest(capsys, cid, field):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[cid, field]
 
 
+# sha256 of `verify --policy schwartz-zippel --seed 3 --elements 8` stdout and
+# of `bruteforce` stdout, recorded before each family's action was built in
+# integers once; the auto digests above reach Schwartz-Zippel only on sp6 and
+# on cells of dimension above 10
+SZ_VERIFY_DIGESTS = {
+    ("symm.f", "Fp:7"): "8a575eacb5c840f55ab64b2f9d0937146898f1be3cde6ad0fc0f5ab73392aa96",
+    ("symm.f", "Q"): "a14a7e2aba8d8ddb6a5b586a147a331e0242b588bffdaebcec067ba3652b634f",
+    ("skew.f", "Fp:7"): "2d5d458be970ffa5541c71910e6f07b974bec35a3ca89b1b23dd28b1ed679be4",
+    ("skew.f", "Q"): "0ccc0e522310846f7b5d8323c67f535b2bec8eece9ea2a8fe8689cfce5bf347b",
+    ("skew.f4", "Fp:7"): "03f8154049aef7377c3b6ad4f7f76d891832fb7e47a3f9efd4730ef003cca282",
+    ("skew.f4", "Q"): "0c4d534de8b634752d974388434e9ff28b3d9c5ce3b514bb2a15f3c55a16aeda",
+    ("square.f", "Fp:7"): "7d5a295c7050595cc61c7349296dad263b2231aab95d343650c018761b3187c0",
+    ("square.f", "Q"): "ea11eb131ec598ab08d14bc359eb0d889e86111b8ffff38c10f04b40fa887f13",
+    ("cubics", "Fp:7"): "82fbf65b631d68f05b9426cae58dfc10cf04b938433f7e0e63368e8da7025ccb",
+    ("cubics", "Q"): "2eda00cc9f2ea793caf1f6df436adcb2b762c466f639b17b161ecaa84c7718ad",
+    ("SL6", "Fp:7"): "ddde6ccec2bb109cf0f7f641c401cb9a4d5cbce4981b884cc619c60a9f977a1d",
+    ("SL6", "Q"): "6789ef68576a6e3485f639da96b0c431d9d73cf122a9b9a0aedd5c7732126ce5",
+    ("Sp6", "Fp:7"): "9654b14dfdeb83d4bba713051d297c1b6f5b4a1266e0fb97675877a44b441e71",
+    ("Sp6", "Q"): "ee7cf1c246f1e9dc66cb9798555cde5109ba7c94973e241ef7c6a5bf8d96aac9",
+    ("hyperdet", "Fp:7"): "ce00f7cc69d0c2bcb4dc4db5668a90ba404b1fbbbbb34cbaa4b2ab6485e2bf49",
+    ("hyperdet", "Q"): "5a82712c05f7892b941933f99491dc0670714a23d7a593d905682928e99fdc23",
+    ("blackholes", "Fp:7"): "83e6333af90e3954fe8b100e54d689a836601c448e75d27aed60d33d938889b4",
+    ("blackholes", "Q"): "6958cee73d2582f872f3f1923521521b7a869961ce2de697dd6f1d8dba7d4547",
+}
+
+
+@pytest.mark.parametrize("cid,field", sorted(SZ_VERIFY_DIGESTS))
+def test_sz_verify_report_bytes_match_recorded_digest(capsys, cid, field):
+    code, out, _ = run(capsys, "verify", "--corollary", cid, "--field", field,
+                       "--policy", "schwartz-zippel", "--seed", "3", "--elements", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SZ_VERIFY_DIGESTS[cid, field]
+
+
+BRUTEFORCE_DIGESTS = {
+    "cubic-census-f5": "a09e83443dbce33dea5898723dfc7a0fcd9993cddea63386924ae43908c7e366",
+    "cubic-oracles-f5": "942f59898c153bf6207f5310ab4861b6457468b19496e465658a829627f5a866",
+    "rk1fix-symm2-f3": "e4f5a2a2b4577f1bfba7c930bb94dbc77efe2a96f86fe2104273581723d9febc",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BRUTEFORCE_DIGESTS))
+def test_bruteforce_report_bytes_match_recorded_digest(capsys, case):
+    code, out, _ = run(capsys, "bruteforce", "--case", case)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BRUTEFORCE_DIGESTS[case]
+
+
 def test_bruteforce_cases(capsys):
     code, out, err = run(capsys, "bruteforce", "--case", "rk1fix-symm2-f3")
     assert code == 0

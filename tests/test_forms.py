@@ -424,6 +424,29 @@ def test_polynomial_entries_carry_the_rational_constant():
                 assert sym.evaluate(list(v.coords)) == f.evaluate(v)
 
 
+def test_determinant_expands_over_polynomials_beyond_compiled_sizes():
+    # n = 7 runs the uncompiled determinant, which must stay division-free
+    rng = random.Random(27)
+    for f in (SymmDet(7), SquareDet(7)):
+        for field in (QQ, F7):
+            ring = PolyRing(field, tuple("x%d" % i for i in range(f.space.dim)))
+            sym = f.eval_entries(ring, list(ring.gens()))
+            for _ in range(3):
+                v = rand_vec(rng, f.space, field)
+                assert sym.evaluate(list(v.coords)) == f.evaluate(v)
+
+
+def test_gram_forms_compare_their_s():
+    identity = [[int(i == j) for j in range(3)] for i in range(3)]
+    assert Quadric(3, identity) != Quadric(3)
+    assert Mat2n(4, [[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]]) != Mat2n(4)
+    assert len({Quadric(3), Quadric(3, identity)}) == 2
+    antidiagonal = [[int(i + j == 2) for j in range(3)] for i in range(3)]
+    for a, b in ((Quadric(3, identity), Quadric(3, identity)), (Quadric(3), Quadric(3, antidiagonal)),
+                 (Mat2n(5), parse_form("mat2n:5"))):
+        assert a == b and hash(a) == hash(b)
+
+
 def test_evaluate_builds_its_evaluator_once_per_field(monkeypatch):
     rank_calls = []
     real_rank = Matrix.rank

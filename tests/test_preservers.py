@@ -1,5 +1,7 @@
 """Family algebra, star identities, preservation policies, and samplers."""
 
+import functools
+import itertools
 import json
 import random
 import zlib
@@ -10,7 +12,7 @@ import pytest
 from linpres.fields import QQ, PrimeField
 from linpres.forms import CubicDisc, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form
 from linpres.linalg import Matrix
-from linpres.multilinear import RepVector, Space
+from linpres.multilinear import RepVector, Space, lambda_power_matrix
 from linpres.preservers import (
     COROLLARY_IDS,
     Congruence,
@@ -19,7 +21,6 @@ from linpres.preservers import (
     GenericMap,
     OrthogonalPair,
     PERMS3,
-    PreserverElement,
     PreserverError,
     Sandwich,
     TriplePush,
@@ -87,7 +88,6 @@ def test_wedge_star_squares_to_minus_identity():
 
 
 def test_wedge_matrix_fast_path_matches_generic():
-    from linpres.multilinear import lambda_power_matrix
     rng = rnd(21)
     for field in (QQ, F7):
         g = invertible_matrix(field, rng, 6)
@@ -125,7 +125,86 @@ def test_wedge_star_fixes_quartic():
             assert w36.evaluate(el.apply(v)) == w36.evaluate(v)
 
 
-# apply versus coordinate matrix
+# apply and the coordinate matrix versus each family's formula
+
+
+def _form_times(zero, u, w):
+    # coefficient lists (index = power of y) of two binary forms: their product
+    out = [zero] * (len(u) + len(w) - 1)
+    for i, a in enumerate(u):
+        for j, b in enumerate(w):
+            out[i + j] = out[i + j] + a * b
+    return out
+
+
+@functools.lru_cache(maxsize=64)
+def _lambda3(g, star):
+    # Lambda^3(g), after the top-wedge star when star is set
+    m = lambda_power_matrix(g, 3)
+    return m @ hodge_star20_matrix(g.ring) if star else m
+
+
+def reference_image(el, v):
+    """The image of v, computed from the family's defining formula with
+    Matrix products, independently of the element's integer action."""
+    field, space = el.field, el.space
+    if isinstance(el, Congruence):  # r P (star X) P^t
+        if el.star:
+            v = RepVector._raw(space, field, hodge_star4_matrix(field).apply(v.coords))
+        m = (el.p @ v.to_matrix() @ el.p.transpose()).scale(el.r)
+        return RepVector.from_matrix(space, field, m.rows)
+    if isinstance(el, Sandwich):  # A X B
+        return RepVector.from_matrix(space, field, (el.a @ v.to_matrix() @ el.b).rows)
+    if isinstance(el, TransposeSandwich):  # A X^t B
+        return RepVector.from_matrix(space, field, (el.a @ v.to_matrix().transpose() @ el.b).rows)
+    if isinstance(el, CubicSubstitution):  # c (q o g), x -> ax + by, y -> cx + dy
+        (a, b), (c, d) = el.g.rows
+        x_img, y_img = [a, b], [c, d]
+        out = [field.zero] * 4
+        for k, qk in enumerate(v.coords):  # qk x^(3-k) y^k
+            term = [field.one]
+            for factor in [x_img] * (3 - k) + [y_img] * k:
+                term = _form_times(field.zero, term, factor)
+            out = [o + qk * t for o, t in zip(out, term)]
+        return RepVector._raw(space, field, [el.c * o for o in out])
+    if isinstance(el, WedgePush):  # c Lambda^3(g) (star v)
+        m = _lambda3(el.g, el.star)
+        return RepVector._raw(space, field, [el.c * x for x in m.apply(v.coords)])
+    if isinstance(el, TriplePush):  # (g1 x g2 x g3)(sigma T)
+        t, s = v.coords, el.perm
+        # slot a of sigma T carries slot sigma^-1(a) of T
+        moved = {}
+        for i in itertools.product(range(2), repeat=3):
+            moved[i] = t[4 * i[s[0]] + 2 * i[s[1]] + i[s[2]]]
+        g1, g2, g3 = (g.rows for g in el.gs)
+        out = []
+        for i, j, k in itertools.product(range(2), repeat=3):
+            acc = field.zero
+            for (a, b, c), x in moved.items():
+                acc = acc + g1[i][a] * g2[j][b] * g3[k][c] * x
+            out.append(acc)
+        return RepVector._raw(space, field, out)
+    if isinstance(el, OrthogonalPair):  # g1 X g2^t
+        return RepVector.from_matrix(space, field, (el.g1 @ v.to_matrix() @ el.g2.transpose()).rows)
+    if isinstance(el, GenericMap):
+        return RepVector._raw(space, field, el.matrix_on_space().apply(v.coords))
+    raise AssertionError("no reference for %r" % el.family)
+
+
+def check_against_reference(el, vectors):
+    field, space = el.field, el.space
+    for v in vectors:
+        assert el.apply(v) == reference_image(el, v), (el.family, field)
+    cols = [reference_image(el, RepVector.basis(space, field, j)).coords for j in range(space.dim)]
+    assert el.matrix_on_space() == Matrix(field, list(zip(*cols))), (el.family, field)
+
+
+def star_variants(el):
+    if isinstance(el, Congruence) and el.space == Space("alt", n=4):
+        return [Congruence(el.space, el.r, el.p, star) for star in (False, True)]
+    if type(el) is WedgePush:
+        return [WedgePush(el.c, el.g, star) for star in (False, True)]
+    return [el]
 
 
 @pytest.mark.parametrize("cid,desc", ALL_CELLS)
@@ -133,25 +212,49 @@ def test_apply_matches_matrix(cid, desc):
     form = parse_form(desc)
     for field in (QQ, F7):
         rng = rnd(stable_seed(cid, desc))
-        for el in sample_elements(cid, form, field, rng):
-            m = el.matrix_on_space()
-            for _ in range(3):
-                v = rand_vector(form.space, field, rng)
-                assert el.apply(v).coords == tuple(m.apply(v.coords))
+        for el in sample_elements(cid, form, field, rng) + [sample_group_element(cid, form, field, rng)]:
+            for variant in star_variants(el):
+                vectors = [rand_vector(form.space, field, rng) for _ in range(3)]
+                if field == QQ:
+                    vectors.append(vectors[0].scale(Fraction(2, 7)))
+                check_against_reference(variant, vectors)
+
+
+def _dense_rational(rng, n):
+    while True:
+        g = Matrix(QQ, [[QQ.sample(rng, 9) for _ in range(n)] for _ in range(n)])
+        if g.det() != QQ.zero:
+            return g
 
 
 def test_kronecker_builds_match_basis_images():
-    # the direct Kronecker-product builds against the generic basis-vector build
+    # the Kronecker-product builds against each family's formula
     rng = rnd(22)
     for field in (QQ, F7):
         for perm in PERMS3:
             el = TriplePush(*[invertible_matrix(field, rng, 2) for _ in range(3)], perm=perm)
-            assert el.matrix_on_space() == PreserverElement._build_matrix(el), (field, perm)
+            check_against_reference(el, [rand_vector(el.space, field, rng)])
         for n in (4, 5, 6):
             form = Mat2n(n)
             for el in (sample_group_element("blackholes", form, field, rng),
                        sample_free_element("blackholes", form, field, rng)):
-                assert el.matrix_on_space() == PreserverElement._build_matrix(el), (field, n)
+                check_against_reference(el, [rand_vector(el.space, field, rng)])
+        square, rect = Space("square", n=3), Space("rect", m=2, n=3)
+        a, b = invertible_matrix(field, rng, 3), invertible_matrix(field, rng, 3)
+        for el in (Sandwich(square, a, b), TransposeSandwich(square, a, b),
+                   Sandwich(rect, invertible_matrix(field, rng, 2), b)):
+            check_against_reference(el, [rand_vector(el.space, field, rng)])
+    # dense rational factors: every entry a fraction, several denominators
+    a, b, g2 = _dense_rational(rng, 3), _dense_rational(rng, 3), _dense_rational(rng, 4)
+    assert len({x.denominator for row in a.rows + b.rows for x in row}) > 2
+    square = Space("square", n=3)
+    els = [Sandwich(square, a, b), TransposeSandwich(square, a, b),
+           OrthogonalPair(Space("rect", m=2, n=4), _dense_rational(rng, 2), g2, Fraction(3, 2))]
+    els += [TriplePush(*[_dense_rational(rng, 2) for _ in range(3)], perm=perm) for perm in PERMS3]
+    els += [Congruence(Space("alt", n=4), Fraction(-5, 3), _dense_rational(rng, 4), star) for star in (False, True)]
+    els += [CubicSubstitution(Fraction(2, 9), _dense_rational(rng, 2))]
+    for el in els:
+        check_against_reference(el, [rand_vector(el.space, QQ, rng)])
 
 
 # composition and inverses stay inside the family and match matrix products
@@ -401,8 +504,9 @@ def test_lattice_check_needs_characteristic_above_degree():
 
     f5 = PrimeField(5)
     form = parse_form("symm-det:6")  # degree 6 >= p
+    identity = GenericMap(form.space, f5, Matrix.identity(f5, form.space.dim))
     with pytest.raises(PreserverError):
-        _preserves_on_lattice(Matrix.identity(f5, form.space.dim), form, f5)
+        _preserves_on_lattice(identity.action(), form, f5)
 
 
 def test_scales_form_matches_character():
