@@ -405,14 +405,3 @@ def pfaffian(ring, rows):
         return val
 
     return pf(tuple(range(n)))
-
-
-def mat_vec(rows, vec, ring):
-    """Apply a matrix of field elements to a vector of ring elements."""
-    out = []
-    for r in rows:
-        acc = ring.zero
-        for a, v in zip(r, vec):
-            acc = acc + a * v
-        out.append(acc)
-    return out

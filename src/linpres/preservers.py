@@ -24,6 +24,8 @@ identity.  Both identities are exercised by the test suite.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -73,6 +75,41 @@ def _int_matvec(rows, x, p):
     if p is None:
         return [sum(map(mul, row, x)) for row in rows]
     return [sum(map(mul, row, x)) % p for row in rows]
+
+
+def _slot_code(n, p):
+    """Array type code of the narrowest unsigned slot ('H', 'I', 'Q': 16, 32
+    or 64 bits) whose range holds n (p - 1)^2, or None over Q or above 2^64."""
+    if p is not None:
+        top = n * (p - 1) ** 2
+        for code in "HIQ":
+            if top >> 8 * array(code).itemsize == 0:
+                return code
+    return None
+
+
+def _matvec_kernel(rows, p):
+    """x -> R x for the integer rows R: residues mod p over F_p, exact
+    integers over Q (p None).
+
+    Over F_p, R and x must hold residues in [0, p).  Each column of R is then
+    packed once into one int of fixed-width slots, row i in slot i, so R x is
+    one big-int sum of x_j times column j, read back slot by slot.  A slot
+    holds at most n (p - 1)^2 for n columns; an entry outside [0, p) can
+    exceed that and carry silently into the next slot.  Where no slot width
+    holds the bound, the rows are multiplied one by one."""
+    code = _slot_code(len(rows[0]), p)
+    if code is None:
+        return lambda x: _int_matvec(rows, x, p)
+    order = sys.byteorder
+    cols = [int.from_bytes(array(code, col), order) for col in zip(*rows)]
+    size = len(rows) * array(code).itemsize
+
+    def matvec(x):
+        packed = sum(map(mul, x, cols)).to_bytes(size, order)
+        return [v % p for v in memoryview(packed).cast(code).tolist()]
+
+    return matvec
 
 
 def _int_matmul(a, b, p):
@@ -870,10 +907,13 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     a point set on which a nonzero homogeneous polynomial of that degree
     cannot vanish (characteristic 0 or above the degree).  The
     schwartz-zippel policy samples; a failure verdict is certain, a success
-    verdict carries the exact error bound (degree / set size)^trials.
+    verdict carries the exact error bound (degree / set size)^trials.  A
+    trials count below 1 is rejected under either policy.
     """
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
+    if trials is not None and trials < 1:
+        raise PreserverError("trials must be at least 1, got %d" % trials)
     field = element.field
     sp6 = isinstance(form, Sp6Quartic)
     if policy == "auto":
@@ -899,17 +939,18 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     rows, s = element.action()
     same = _scaled_equality(field, s, form.degree)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
+    matvec = _matvec_kernel(rows, p)
     size = form.space.dim
     if sp6:
-        # both sides are linear in the 14 kernel coefficients
-        emb = _sp6_int_embedding(form, field)
-        rows = _int_matmul(rows, emb, p)
+        # the kernel point x = E c for 14 coefficients c, reduced mod p, as
+        # R x in packed slots needs residues
+        point = _matvec_kernel(_sp6_int_embedding(form, field), p)
         size = 14
     fn = form.int_evaluator(field)
     for t in range(1, trials + 1):
         c = [rng.randrange(lo, hi) for _ in range(size)]
-        x = _int_matvec(emb, c, p) if sp6 else c
-        if not same(fn(_int_matvec(rows, c, p)), fn(x)):
+        x = point(c) if sp6 else c
+        if not same(fn(matvec(x)), fn(x)):
             return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v) for v in x])
     return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
 
@@ -920,6 +961,8 @@ def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
     field = element.field
+    if points < 1:
+        raise PreserverError("points must be at least 1, got %d" % points)
     sp6 = isinstance(form, Sp6Quartic)
     scalar = None
     checked = 0
@@ -953,6 +996,8 @@ def preserves_minimals(element: PreserverElement, target, rng, samples=100):
     """Check that the element maps sampled minimal vectors to minimal vectors.
 
     Returns (ok, counterexample_coords_or_None)."""
+    if samples < 1:
+        raise PreserverError("samples must be at least 1, got %d" % samples)
     field = element.field
     for _ in range(samples):
         v = sample_minimal(target, field, rng)

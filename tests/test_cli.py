@@ -229,6 +229,25 @@ def test_sz_verify_report_bytes_match_recorded_digest(capsys, cid, field):
     assert hashlib.sha256(out.encode()).hexdigest() == SZ_VERIFY_DIGESTS[cid, field]
 
 
+# sha256 of `verify --policy schwartz-zippel --field Fp:10007 --seed 3
+# --elements 8` stdout, recorded before the sampled policy packed R into
+# 32-bit slots over this field (sp6 then multiplies R by the reduced kernel
+# point, not by a precomputed R E)
+SZ_WIDE_FIELD_DIGESTS = {
+    "SL6": "459e431ceebb6a0f1bf1c17d0a74b92732d55b432d99fb2af37ce1c3c37e650a",
+    "Sp6": "dd04b82668103d91962751cbd52faeee64d3eba4944382166b00fd4d6bdeb423",
+    "skew.f": "6b3078b2ff33a3ca11b938ccd9664b72384efd270f0e4ad9054b91d96013fa30",
+}
+
+
+@pytest.mark.parametrize("cid", sorted(SZ_WIDE_FIELD_DIGESTS))
+def test_sz_verify_report_bytes_over_a_wide_field_match_recorded_digest(capsys, cid):
+    code, out, _ = run(capsys, "verify", "--corollary", cid, "--field", "Fp:10007",
+                       "--policy", "schwartz-zippel", "--seed", "3", "--elements", "8")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SZ_WIDE_FIELD_DIGESTS[cid]
+
+
 BRUTEFORCE_DIGESTS = {
     "cubic-census-f5": "a09e83443dbce33dea5898723dfc7a0fcd9993cddea63386924ae43908c7e366",
     "cubic-oracles-f5": "942f59898c153bf6207f5310ab4861b6457468b19496e465658a829627f5a866",

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from linpres.fields import PrimeField, QQ
-from linpres.linalg import LinAlgError, Matrix, det_expansion, mat_vec, pfaffian
+from linpres.linalg import LinAlgError, Matrix, det_expansion, pfaffian
 from linpres.polynomials import PolyRing
 
 F7 = PrimeField(7)
@@ -161,11 +161,3 @@ def test_pfaffian_rejects_bad_input():
         pfaffian(QQ, Matrix.from_ints(QQ, [[0, 1], [1, 0]]).rows)
     with pytest.raises(LinAlgError):
         pfaffian(QQ, Matrix.from_ints(QQ, [[1]]).rows)
-
-
-def test_mat_vec_over_poly_ring():
-    ring = PolyRing(QQ, ("u", "v"))
-    u, v = ring.gens()
-    rows = Matrix.from_ints(QQ, [[1, 2], [0, 3]]).rows
-    out = mat_vec(rows, [u, v], ring)
-    assert out == [u + 2 * v, 3 * v]

@@ -26,6 +26,10 @@ from linpres.preservers import (
     TriplePush,
     TransposeSandwich,
     WedgePush,
+    _int_matvec,
+    _matvec_kernel,
+    _slot_code,
+    _sp6_int_embedding,
     _symbolic_applicable,
     corollary_forms,
     canonical_corollary,
@@ -585,3 +589,114 @@ def test_sz_error_bound_recorded():
     assert verdict.error_bound == Fraction(4, 7) ** 75
     obj = verdict.to_json_obj()
     assert obj["ok"] and "error_bound" in obj
+
+
+def test_sampling_budgets_below_one_are_rejected():
+    # a verdict from no samples would be vacuous
+    form = parse_form("skew-pf:8")
+    rng = rnd(15)
+    bad = sample_violator("skew.f", form, F7, rng)
+    for policy in ("schwartz-zippel", "auto"):
+        for trials in (0, -3):
+            with pytest.raises(PreserverError, match="trials"):
+                preserves_form(bad, form, policy=policy, rng=rng, trials=trials)
+    free = sample_free_element("skew.f", form, F7, rng)
+    cubic = parse_form("cubic-disc")
+    group = sample_group_element("cubics", cubic, F7, rng)
+    for count in (0, -2):
+        with pytest.raises(PreserverError, match="points"):
+            scales_form(free, form, rng, points=count)
+        with pytest.raises(PreserverError, match="samples"):
+            preserves_minimals(group, cubic, rng, samples=count)
+
+
+# the Schwartz-Zippel matrix-vector kernel
+
+# (columns n, modulus p, expected slot type code): the largest entry of R x is
+# n (p - 1)^2, which must stay below 2^16, 2^32 or 2^64 for 'H', 'I' or 'Q';
+# the moduli around each bound are primes for n = 28 (skew-pf:8), plus the
+# points where n (p - 1)^2 equals the bound exactly (the moduli need not be
+# prime there)
+SLOT_CASES = [
+    (28, 47, "H"), (28, 53, "I"),
+    (4, 128, "H"), (4, 129, "I"), (1, 256, "H"), (1, 257, "I"),
+    (28, 12379, "I"), (28, 12391, "Q"), (28, 10007, "I"),
+    (4, 2**15, "I"), (4, 2**15 + 1, "Q"), (1, 65537, "Q"), (28, 65537, "Q"),
+    (28, 811672523, "Q"), (28, 811672541, None),
+    (4, 2**31, "Q"), (4, 2**31 + 1, None), (1, 2**32, "Q"), (1, 2**32 + 1, None),
+    (28, 2**31 - 1, None),
+]
+
+
+@pytest.mark.parametrize("n,p,code", SLOT_CASES)
+def test_matvec_kernel_at_slot_boundaries(n, p, code):
+    assert _slot_code(n, p) == code
+    rng = rnd(n * p % 100003)
+    for m in (n, 20, 1) if n > 1 else (3, 1):  # rows of R
+        worst = [[p - 1] * n for _ in range(m)]  # every slot at n (p - 1)^2
+        mixed = [[rng.choice((0, 1, p - 2, p - 1, rng.randrange(p))) for _ in range(n)] for _ in range(m)]
+        for rows in (worst, mixed):
+            matvec = _matvec_kernel(rows, p)
+            for x in ([p - 1] * n, [0] * n, [rng.randrange(p) for _ in range(n)]):
+                want = [v % p for v in _int_matvec(rows, x, None)]
+                assert matvec(x) == want, (n, p, m)
+
+
+def test_matvec_kernel_over_q_is_exact():
+    assert _slot_code(28, None) is None
+    rng = rnd(16)
+    rows = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(28)] for _ in range(20)]
+    x = [rng.randint(-(1 << 31), 1 << 31) for _ in range(28)]
+    assert _matvec_kernel(rows, None)(x) == _int_matvec(rows, x, None)
+
+
+def row_by_row_sz(el, form, rng, trials):
+    """The Schwartz-Zippel loop with one field evaluation per trial: the same
+    draws as preserves_form, and f(T x) == f(x) decided by apply and evaluate.
+    Returns (ok, trials, counterexample, error_bound)."""
+    field = el.field
+    p = field.modulus
+    lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
+    sp6 = isinstance(form, Sp6Quartic)
+    emb = _sp6_int_embedding(form, field) if sp6 else None
+    for t in range(1, trials + 1):
+        c = [rng.randrange(lo, hi) for _ in range(14 if sp6 else form.space.dim)]
+        x = [sum(e * ci for e, ci in zip(row, c)) for row in emb] if sp6 else c
+        if p is not None:
+            x = [v % p for v in x]
+        v = RepVector(form.space, field, [field.of(xi) for xi in x])
+        if form.evaluate(el.apply(v)) != form.evaluate(v):
+            return False, t, [str(xi) for xi in x], None
+    return True, trials, None, Fraction(form.degree, field.sz_set_size) ** trials
+
+
+SZ_STREAM_FIELDS = [F7, PrimeField(10007), PrimeField(65537), PrimeField(2**31 - 1), QQ]
+
+
+@pytest.mark.parametrize("field", SZ_STREAM_FIELDS, ids=lambda f: f.descriptor)
+def test_sz_matches_row_by_row_loop_and_rng_stream(field):
+    # most group samplers solve a power in O(p) time, so above p = 10007 the
+    # elements that pass every trial come from square.f and hyperdet, whose
+    # samplers solve none
+    p = field.modulus
+    small = p is None or p <= 10007
+    for cid, desc in ALL_CELLS:
+        form = parse_form(desc)
+        if desc == "mat2n:5" and not small:
+            continue  # go_element searches O(p) scalars for n = 5
+        rng = rnd(stable_seed(cid, desc, "stream"))
+        samplers = [sample_free_element, sample_violator]
+        if small or cid in ("square.f", "hyperdet"):
+            samplers.append(sample_group_element)
+        for sampler in samplers:
+            el = sampler(cid, form, field, rng)
+            for trials in (None, 32):
+                count = sz_trial_count(field, form.degree) if trials is None else trials
+                state = rng.getstate()
+                verdict = preserves_form(el, form, policy="schwartz-zippel", rng=rng, trials=trials)
+                after = rng.getstate()
+                rng.setstate(state)
+                want = row_by_row_sz(el, form, rng, count)
+                assert (verdict.ok, verdict.trials, verdict.counterexample, verdict.error_bound) == want, (
+                    cid, desc, sampler.__name__, field.descriptor)
+                assert rng.getstate() == after
