@@ -9,15 +9,11 @@ Three cases, each deterministic and exact:
 - cubic-census-f5    all 1920 substitution pairs (c, g) over F_5; the pairs
                      preserving the discriminant pointwise must be exactly the
                      960 with trivial scaling character, giving 240 maps
-
-Set PRESERVER_THREADS > 1 to split the census across processes.
 """
 
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .fields import PrimeField
@@ -222,18 +218,16 @@ def _pair_preserves(rows, pts, vals):
     return True
 
 
-def _census_chunk(bounds):
-    lo, hi = bounds
+def case_cubic_census_f5() -> CensusReport:
     f5 = PrimeField(5)
     pts, vals = _census_tables()
-    gl2 = list(enumerate_invertible(f5, 2))
+    total_g = invertible_count(5, 2)
     checked = 0
     preserving = 0
     character_one = 0
     mismatches = 0
-    passing_maps = set()
-    for gidx in range(lo, hi):
-        g = gl2[gidx]
+    maps = set()
+    for g in enumerate_invertible(f5, 2):
         base_rows, s = CubicSubstitution(f5.one, g).action()
         det2 = (g.det().value ** 2) % 5
         for c in range(1, 5):
@@ -246,31 +240,9 @@ def _census_chunk(bounds):
                 character_one += 1
             if keeps:
                 preserving += 1
-                passing_maps.add(tuple(x for row in rows for x in row))
+                maps.add(tuple(x for row in rows for x in row))
             if keeps != chi_one:
                 mismatches += 1
-    return checked, preserving, character_one, mismatches, passing_maps
-
-
-def case_cubic_census_f5(threads: int | None = None) -> CensusReport:
-    if threads is None:
-        threads = int(os.environ.get("PRESERVER_THREADS", "1"))
-    f5 = PrimeField(5)
-    total_g = invertible_count(5, 2)
-    if threads > 1:
-        step = (total_g + threads - 1) // threads
-        bounds = [(i, min(i + step, total_g)) for i in range(0, total_g, step)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_census_chunk, bounds))
-    else:
-        parts = [_census_chunk((0, total_g))]
-    checked = sum(p[0] for p in parts)
-    preserving = sum(p[1] for p in parts)
-    character_one = sum(p[2] for p in parts)
-    mismatches = sum(p[3] for p in parts)
-    maps = set()
-    for p in parts:
-        maps |= p[4]
     ok = (
         checked == 4 * total_g
         and mismatches == 0

@@ -158,10 +158,6 @@ class RationalField:
             raise FieldError("sample bound must be >= 1")
         return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
 
-    def sample_sz(self, rng: random.Random) -> Fraction:
-        """Identity-testing sample: uniform integer in [-2^31, 2^31)."""
-        return Fraction(rng.randrange(-(1 << 31), 1 << 31))
-
     @property
     def sz_set_size(self) -> int:
         return 1 << 32
@@ -237,9 +233,6 @@ class PrimeField:
     def sample(self, rng: random.Random, bound: int = 0) -> Residue:
         """Uniform over the whole field; the bound is ignored."""
         return Residue(rng.randrange(self.modulus), self.modulus)
-
-    def sample_sz(self, rng: random.Random) -> Residue:
-        return self.sample(rng)
 
     @property
     def sz_set_size(self) -> int:

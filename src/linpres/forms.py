@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .fields import QQ
-from .linalg import Matrix, clear_denominators, det_expansion, pfaffian
+from .linalg import Matrix, clear_denominators, det_expansion
 from .multilinear import (
     RepVector,
     Space,
@@ -35,7 +35,6 @@ from .multilinear import (
     standard_symplectic_gram,
     subset_index,
 )
-from .polynomials import PolyRing
 
 
 class FormError(ValueError):
@@ -216,7 +215,8 @@ class SquareDet(InvariantForm):
 
 
 class SkewPf(InvariantForm):
-    """Pfaffian on alternating matrices, Pf(standard pairing) = +1."""
+    """Pfaffian on alternating matrices, Pf(standard pairing) = +1: the signed
+    sum over the perfect matchings of the indices, compiled once."""
 
     def __init__(self, n: int):
         if n < 4 or n % 2:
@@ -227,17 +227,22 @@ class SkewPf(InvariantForm):
         self.space = Space("alt", n=n)
 
     def _monomial_plan(self):
-        """Pfaffian as a signed sum of products of coordinates, by expanding
-        it once over polynomial entries."""
+        """Pfaffian as a signed sum over the perfect matchings of 0 .. n-1,
+        expanded along the first index: pairing it with the k-th remaining
+        one contributes the sign (-1)^(k+1).  A term lists its coordinates in
+        increasing order, since each pair starts above the previous one."""
         n = self.n
-        ring = PolyRing(QQ, tuple("x%d" % i for i in range(self.space.dim)))
-        rows = [[ring.zero] * n for _ in range(n)]
-        for x, (i, j) in zip(ring.gens(), [(i, j) for i in range(n) for j in range(i + 1, n)]):
-            rows[i][j], rows[j][i] = x, -x
-        plan = []
-        for key, coeff in pfaffian(ring, rows).terms.items():
-            plan.append((int(coeff), tuple(i for i, e in enumerate(key) for _ in range(e))))
-        return sorted(plan, key=lambda t: t[1])
+        coord = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+
+        def matchings(idx):
+            if not idx:
+                yield 1, ()
+            for k in range(1, len(idx)):
+                rest = idx[1:k] + idx[k + 1 :]
+                for sign, mono in matchings(rest):
+                    yield (sign if k % 2 else -sign), (coord[idx[0], idx[k]],) + mono
+
+        return sorted(matchings(tuple(range(n))), key=lambda t: t[1])
 
     @cached_property
     def formula(self):

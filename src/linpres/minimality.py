@@ -15,9 +15,11 @@ The zero vector is never minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
+from operator import mul
 
 from .forms import InvariantForm
-from .linalg import Matrix
+from .linalg import Matrix, clear_denominators
 from .multilinear import (
     RepVector,
     Space,
@@ -28,7 +30,6 @@ from .multilinear import (
     wedge_map_matrix,
     wedge_of_vectors,
 )
-from .polynomials import PolyRing
 from .sampling import gsp6_element, isotropic_vector, rand_unit
 
 
@@ -52,10 +53,6 @@ class MinimalityVerdict:
 
 def _base_line(form: InvariantForm) -> str:
     return form.line.split(":")[0]
-
-
-def _fmt_vec(field, coords):
-    return [field.format(c) for c in coords]
 
 
 # structure oracle
@@ -160,19 +157,41 @@ RRS_THRESHOLD = {"symm-det": 1, "skew-pf": 1, "square-det": 1, "quadric": 1, "cu
 EXACT_DIM_LIMIT = 10
 
 
-def _vandermonde_inverse(field, nodes):
-    n = len(nodes)
-    v = Matrix(field, [[t**k for k in range(n)] for t in nodes])
-    return v.inv()
+def _spread_coefficients(form: InvariantForm, v: RepVector):
+    """w -> [c_0(w), ..., c_deg(w)] for integer points w, c_k(w) the
+    coefficient of t^k in f(w + t D v) up to one nonzero constant, D v the
+    integer multiple of v from clear_denominators (D = 1 over F_p).
+
+    c_k for D v is D^k times c_k for v, so each vanishes where the other
+    does.  The coefficients come from f's integer formula at t = 0 .. deg
+    through the inverse Vandermonde matrix with its denominators cleared:
+    integers over Q, residues mod p over F_p."""
+    field = v.field
+    nodes = range(form.degree + 1)
+    (dv,), _ = clear_denominators(field, [v.coords])
+    vinv = Matrix(field, [[field.of(t**k) for k in nodes] for t in nodes]).inv()
+    rows, _ = clear_denominators(field, vinv.rows)
+    fn, p = form.int_evaluator(field), field.modulus
+
+    def coefficients(w):
+        values = [fn([a + t * b for a, b in zip(w, dv)]) for t in nodes]
+        cs = [sum(map(mul, row, values)) for row in rows]
+        return cs if p is None else [c % p for c in cs]
+
+    return coefficients
 
 
 def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, trials=64) -> MinimalityVerdict:
     """Root-spread oracle: deg_t f(t v + w) <= threshold for all w.
 
-    The exact policy treats w symbolically (dimension <= 10 only) and needs
-    p > deg f over a prime field.  The randomized policy samples integer w
-    over the rationals; it is not offered over finite fields, where a bounded
-    sample cannot certify a zero identity.
+    c_k(w), the coefficient of t^k, is homogeneous of degree deg - k in w.
+    The exact policy (dimension <= 10 only) checks it on the simplex lattice
+    {alpha in Z>=0^dim : |alpha| = deg - k}, where a nonzero form of that
+    degree cannot vanish identically once p > deg f, which it requires over a
+    prime field.  It tries k = threshold + 1 .. deg in turn and names the
+    first nonzero one.  The randomized policy evaluates the same coefficients
+    at sampled integer w over the rationals; it is not offered over finite
+    fields, where a bounded sample cannot certify a zero identity.
     """
     base = _base_line(form)
     if base not in RRS_THRESHOLD:
@@ -185,7 +204,6 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
     if v.is_zero():
         return MinimalityVerdict(False, "root-spread", None)
     dim = form.space.dim
-    nodes = [field.of(j) for j in range(deg + 1)]
     if policy == "exact":
         if field.modulus is not None and field.modulus <= deg:
             raise MinimalityError(
@@ -196,19 +214,14 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
             raise MinimalityError(
                 "exact policy handles dimension <= %d, got %d" % (EXACT_DIM_LIMIT, dim)
             )
-        ring = PolyRing(field, tuple("w%d" % i for i in range(dim)))
-        gens = ring.gens()
-        values = []
-        for t in nodes:
-            entries = [gens[i] + t * v.coords[i] for i in range(dim)]
-            values.append(form.eval_entries(ring, entries))
-        vinv = _vandermonde_inverse(field, nodes)
+        coefficients = _spread_coefficients(form, v)
         for k in range(threshold + 1, deg + 1):
-            coeff = ring.zero
-            for j in range(deg + 1):
-                coeff = coeff + values[j] * vinv.entry(k, j)
-            if not coeff.is_zero():
-                return MinimalityVerdict(False, "root-spread", {"coefficient": k})
+            for pt in combinations_with_replacement(range(dim), deg - k):
+                alpha = [0] * dim
+                for i in pt:
+                    alpha[i] += 1
+                if coefficients(alpha)[k]:
+                    return MinimalityVerdict(False, "root-spread", {"coefficient": k})
         return MinimalityVerdict(True, "root-spread", None)
     if policy == "randomized":
         if field.modulus is not None:
@@ -220,21 +233,13 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
             raise MinimalityError("randomized policy needs a seeded rng")
         if trials < 1:
             raise MinimalityError("trials must be at least 1, got %d" % trials)
-        vinv = _vandermonde_inverse(field, nodes)
+        coefficients = _spread_coefficients(form, v)
         for trial in range(1, trials + 1):
-            w = [field.of(rng.randint(-99, 99)) for _ in range(dim)]
-            values = []
-            for t in nodes:
-                shifted = RepVector._raw(
-                    form.space, field, [w[i] + t * v.coords[i] for i in range(dim)]
-                )
-                values.append(form.evaluate(shifted))
+            w = [rng.randint(-99, 99) for _ in range(dim)]
+            cs = coefficients(w)
             for k in range(threshold + 1, deg + 1):
-                coeff = field.zero
-                for j in range(deg + 1):
-                    coeff = coeff + vinv.entry(k, j) * values[j]
-                if coeff != field.zero:
-                    witness = {"coefficient": k, "direction": _fmt_vec(field, w)}
+                if cs[k]:
+                    witness = {"coefficient": k, "direction": [str(x) for x in w]}
                     return MinimalityVerdict(False, "root-spread", witness, trial)
         return MinimalityVerdict(True, "root-spread", None, trials)
     raise MinimalityError("unknown policy %r" % policy)

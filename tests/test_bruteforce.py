@@ -84,12 +84,6 @@ def test_cubic_preserver_census():
     assert elapsed < 60.0
 
 
-def test_census_threads_agree():
-    solo = case_cubic_census_f5(threads=1)
-    split = case_cubic_census_f5(threads=3)
-    assert solo.to_json() == split.to_json()
-
-
 def test_report_json_shape():
     rep = CensusReport(case="x", field="Fp:5", counts={"b": 2, "a": 1}, ok=True)
     obj = json.loads(rep.to_json())

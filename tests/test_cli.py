@@ -3,9 +3,13 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import linpres
 from linpres.cli import main
 
 
@@ -304,3 +308,52 @@ def test_polarize_matches_evaluation_on_diagonal(capsys):
     code2, out2, _ = run(capsys, "eval", "--form", "hyperdet", "--field", "Fp:7",
                          "--vector", json.dumps(vec))
     assert json.loads(out)["value"] == json.loads(out2)["value"]
+
+
+# sha256 of `minimal --oracle rrs` stdout, recorded while the exact policy
+# still expanded f(w + t v) over polynomial rings.  The witnesses cover
+# k = 2 and 3: by Euler's identity deg * f(v) = grad f(v) . v, a nonzero top
+# coefficient f(v) forces a nonzero coefficient at deg - 1 (p > deg), so on
+# the cubic line k = 4 is never the smallest failing coefficient
+MINIMAL_RRS_DIGESTS = {
+    ("cubic-disc", "Q", "1,3,3,1", ()):
+        "87670d675ee849dac7cdc3cd4f95cc8b64b6c1461c7a145cc9e704ba8ee3c16d",
+    ("symm-det:4", "Fp:7", "1,2,0,0,2,4,0,0,0,0,0,0,0,0,0,0", ()):
+        "1203771b0ea6a46edf8b5460f0c2826d5b9af095caa53e5464882405d16ede3b",
+    ("skew-pf:4", "Fp:7", "0,1,2,0,6,0,0,0,5,0,0,0,0,0,0,0", ()):
+        "68d4a5b5387456a7d3a89c12dee9ff93884f36070ca54610bbf65ed8f3ff32dc",
+    ("quadric:3", "Q", "1,1,1", ()):
+        "eead7b60f7dbb8b2e40177154b2d31d41dd92997da6ed1a70eda6c3a2a81d684",
+    ("symm-det:3", "Q", "1/2,0,0,0,3,0,0,0,0", ()):
+        "df045f81b91e53fd2c28a1cdefb0084e87d209b55553e22837379f5010ffd9bb",
+    ("symm-det:4", "Fp:7", "1,0,0,0,0,2,0,0,0,0,3,0,0,0,0,4", ()):
+        "0d3395ec50185ec9336029907b58c0f4a1d2ecd0b21a689bea08d5f8eeed52c5",
+    ("skew-pf:4", "Q", "0,1/2,1/3,0,-1/2,0,0,1,-1/3,0,0,2,0,-1,-2,0", ()):
+        "72abe7ad907d4fda5e99c751ac0bd61aa2dfc184b96083a5a09158c788749a86",
+    ("cubic-disc", "Fp:7", "0,1,-1,0", ()):
+        "29f986435def9ce1b726e6bde5395fefe0d693a55cfdf5dc2340fa9023472257",
+    ("cubic-disc", "Q", "1/2,1,2/3,0", ()):
+        "ce50cb4e67879777234c1c475a448553af9f00203ba2e5d5fdd97aeb136c390d",
+    ("cubic-disc", "Q", "1/2,1,2/3,0", ("--policy", "randomized", "--seed", "5")):
+        "27756af9a0fdabb1de0b307adbd5a72e1bd6fb1badcaeda4e1925d3a8d448d16",
+    ("cubic-disc", "Q", "1,3,3,1", ("--policy", "randomized", "--seed", "5", "--trials", "16")):
+        "fb35964df45cfb2cfbe26b9fb43bfbf28e7d2e918f7466da46e078d055755a39",
+    ("symm-det:3", "Q", "1/2,0,0,0,3,0,0,0,0", ("--policy", "randomized", "--seed", "5")):
+        "cef9c30142e4556eaa0bd65b0e5389eeeba60f90b721c4e9d364cdb8019635d3",
+}
+
+
+@pytest.mark.parametrize("form,field,vec,extra", sorted(MINIMAL_RRS_DIGESTS))
+def test_minimal_rrs_report_bytes_match_recorded_digest(capsys, form, field, vec, extra):
+    code, out, _ = run(capsys, "minimal", "--form", form, "--field", field, "--oracle", "rrs",
+                       "--vector", json.dumps(vec.split(",")), *extra)
+    assert code == 0
+    digest = MINIMAL_RRS_DIGESTS[form, field, vec, extra]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_cli_paths_do_not_load_the_polynomial_ring():
+    code = "import sys, linpres.cli, linpres.bruteforce; print('linpres.polynomials' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linpres.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

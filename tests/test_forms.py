@@ -168,6 +168,24 @@ def test_pfaffian_symbolic_4x4():
     assert pf == x[0] * x[5] - x[1] * x[4] + x[2] * x[3]
 
 
+def test_pfaffian_plan_matches_polynomial_expansion():
+    from linpres.linalg import pfaffian
+
+    for n in (4, 6, 8, 10):
+        f = SkewPf(n)
+        ring = PolyRing(QQ, tuple("x%d" % i for i in range(f.space.dim)))
+        rows = [[ring.zero] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for x, (i, j) in zip(ring.gens(), pairs):
+            rows[i][j], rows[j][i] = x, -x
+        want = list(
+            (int(c), tuple(i for i, e in enumerate(key) for _ in range(e)))
+            for key, c in pfaffian(ring, rows).terms.items()
+        )
+        want.sort(key=lambda term: term[1])
+        assert f._monomial_plan() == want
+
+
 def test_pfaffian_squared_is_det():
     rng = random.Random(5)
     for field in (QQ, F7):

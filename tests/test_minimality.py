@@ -310,3 +310,66 @@ def test_fraction_coordinates_supported():
     assert minimal_by_rank(CUBIC, v).is_minimal
     assert minimal_by_rrs(CUBIC, v).is_minimal
     assert minimal_by_radical(CUBIC, v).is_minimal
+
+
+# the exact root-spread policy against the expansion it replaced
+
+
+def _rrs_by_expansion(form, v):
+    """(is_minimal, witness) of the exact root-spread oracle computed by
+    expanding f(w + t v) over a polynomial ring in w, the coefficient of t^k
+    read off by Vandermonde interpolation at t = 0 .. deg."""
+    from linpres.linalg import Matrix
+    from linpres.minimality import RRS_THRESHOLD
+    from linpres.polynomials import PolyRing
+
+    field, deg, dim = v.field, form.degree, form.space.dim
+    if v.is_zero():
+        return False, None
+    ring = PolyRing(field, tuple("w%d" % i for i in range(dim)))
+    gens = ring.gens()
+    nodes = [field.of(j) for j in range(deg + 1)]
+    values = [form.eval_entries(ring, [gens[i] + t * v.coords[i] for i in range(dim)]) for t in nodes]
+    vinv = Matrix(field, [[t**k for k in range(deg + 1)] for t in nodes]).inv()
+    for k in range(RRS_THRESHOLD[form.line.split(":")[0]] + 1, deg + 1):
+        coeff = ring.zero
+        for j in range(deg + 1):
+            coeff = coeff + values[j] * vinv.entry(k, j)
+        if not coeff.is_zero():
+            return False, {"coefficient": k}
+    return True, None
+
+
+def _rrs_test_vectors(form, field, rng):
+    """Minimal points, sums of two and three of them (higher rank or a
+    double root), sparse and dense random points, and over Q a fractional
+    rescaling of each."""
+    out = []
+    for _ in range(3):
+        a, b, c = (sample_minimal(form, field, rng) for _ in range(3))
+        out += [a, a + b, a + b + c]
+        out.append(rand_vec(rng, form.space, field, -3, 3))
+        sparse = [field.of(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(form.space.dim)]
+        out.append(RepVector(form.space, field, sparse))
+    if field == QQ:
+        out += [w.scale(Fraction(rng.randint(1, 9), rng.randint(2, 9))) for w in list(out)]
+    return out
+
+
+def test_rrs_exact_matches_polynomial_expansion():
+    rng = random.Random(31)
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    rational_s = [[0, half, third], [half, 0, 0], [third, 0, -2 * third]]
+    forms = [SymmDet(2), SymmDet(3), SymmDet(4), SkewPf(4), SquareDet(2), SquareDet(3),
+             Quadric(4), Quadric(3, rational_s), CUBIC]
+    seen = set()
+    for form in forms:
+        for field in (QQ, F5, F7):
+            for v in _rrs_test_vectors(form, field, rng):
+                got = minimal_by_rrs(form, v, policy="exact")
+                want = _rrs_by_expansion(form, v)
+                assert (got.is_minimal, got.witness) == want, (form.line, field.descriptor, v.coords)
+                seen.add((form.line.split(":")[0], want[1] and want[1]["coefficient"]))
+    # every line reaches both verdicts, and the cubic line fails at k = 3
+    assert {line for line, _ in seen} == {"symm-det", "skew-pf", "square-det", "quadric", "cubic-disc"}
+    assert {k for _, k in seen} == {None, 2, 3}
