@@ -581,36 +581,6 @@ def trilinear_t(f, x1: RepVector, x2: RepVector, x3: RepVector, gram: Matrix | N
 # wedge machinery
 
 
-def wedge_with_vector(v: RepVector, u) -> RepVector:
-    """u wedge v for u a plain vector (list or RepVector) and v in wedge(d, n)."""
-    space = v.space
-    if space.kind != "wedge":
-        raise SpaceError("wedge product needs a wedge-space vector")
-    d, n = space.params["d"], space.params["n"]
-    if d + 1 > n:
-        raise SpaceError("wedge degree would exceed the ambient dimension")
-    field = v.field
-    ucoords = u.coords if isinstance(u, RepVector) else tuple(field.of(c) for c in u)
-    if len(ucoords) != n:
-        raise SpaceError("ambient vector length mismatch")
-    idx_d, subs_d = subset_index(n, d)
-    idx_up, _ = subset_index(n, d + 1)
-    out_space = Space("wedge", d=d + 1, n=n)
-    out = [field.zero] * out_space.dim
-    for a, A in enumerate(subs_d):
-        va = v.coords[a]
-        if va == field.zero:
-            continue
-        for i in range(n):
-            if i in A:
-                continue
-            s = merge_sign((i,), A)
-            target = idx_up[tuple(sorted((i,) + A))]
-            term = ucoords[i] * va
-            out[target] = out[target] + term if s > 0 else out[target] - term
-    return RepVector._raw(out_space, field, out)
-
-
 def wedge_of_vectors(field, n: int, vectors) -> RepVector:
     """v1 wedge ... wedge vd from d ambient vectors, via d x d minors."""
     d = len(vectors)
@@ -626,18 +596,41 @@ def wedge_of_vectors(field, n: int, vectors) -> RepVector:
 
 
 def wedge_map_matrix(v: RepVector) -> Matrix:
-    """Matrix of u -> u wedge v, from k^n to wedge(d + 1, n)."""
+    """Matrix of u -> u wedge v, from k^n to wedge(d + 1, n).
+
+    e_i wedge e_A = (-1)^k e_B for B = A + {i} with i at position k of B, so
+    row B holds (-1)^k v_(B - B[k]) in column B[k] and zero elsewhere."""
     space = v.space
     if space.kind != "wedge":
         raise SpaceError("wedge map defined for wedge vectors")
-    n = space.params["n"]
+    d, n = space.params["d"], space.params["n"]
+    if d + 1 > n:
+        raise SpaceError("wedge degree would exceed the ambient dimension")
     field = v.field
-    cols = []
-    for i in range(n):
-        e = [field.zero] * n
-        e[i] = field.one
-        cols.append(wedge_with_vector(v, e).coords)
-    return Matrix(field, list(zip(*cols)))
+    coords = v.coords
+    rows = []
+    for row_spec in _wedge_map_table(n, d):
+        row = [field.zero] * n
+        for i, a, negate in row_spec:
+            row[i] = -coords[a] if negate else coords[a]
+        rows.append(row)
+    return Matrix(field, rows)
+
+
+_WEDGE_MAP_CACHE: dict = {}
+
+
+def _wedge_map_table(n: int, d: int):
+    """For each sorted (d + 1)-subset B in colex order: (B[k], index of
+    B - B[k], k odd) for k = 0..d."""
+    key = (n, d)
+    if key not in _WEDGE_MAP_CACHE:
+        idx_d, _ = subset_index(n, d)
+        _, subs_up = subset_index(n, d + 1)
+        _WEDGE_MAP_CACHE[key] = [
+            [(i, idx_d[B[:k] + B[k + 1:]], k % 2 == 1) for k, i in enumerate(B)] for B in subs_up
+        ]
+    return _WEDGE_MAP_CACHE[key]
 
 
 def wedge_annihilator_dim(v: RepVector) -> int:

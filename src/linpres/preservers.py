@@ -830,6 +830,15 @@ def _sp6_int_embedding(form, field):
     return [list(row) for row in zip(*cols)]
 
 
+def _raw_points(form, field):
+    """(k, point): a raw point of the form's space is point(c) for k integer
+    coefficients c, residues in [0, p) over F_p.  point is the identity, or
+    for sp6 the kernel point E c, reduced mod p over F_p."""
+    if isinstance(form, Sp6Quartic):
+        return form.intrinsic_dim, _matvec_kernel(_sp6_int_embedding(form, field), field.modulus)
+    return form.space.dim, lambda c: c
+
+
 def _lattice_reference(form: InvariantForm, field):
     """(lattice, integer evaluator) for the principal simplex lattice
     {alpha in Z>=0^n : |alpha| = degree}, kept on the form per field.
@@ -940,56 +949,51 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     same = _scaled_equality(field, s, form.degree)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
     matvec = _matvec_kernel(rows, p)
-    size = form.space.dim
-    if sp6:
-        # the kernel point x = E c for 14 coefficients c, reduced mod p, as
-        # R x in packed slots needs residues
-        point = _matvec_kernel(_sp6_int_embedding(form, field), p)
-        size = 14
+    size, point = _raw_points(form, field)
     fn = form.int_evaluator(field)
     for t in range(1, trials + 1):
         c = [rng.randrange(lo, hi) for _ in range(size)]
-        x = point(c) if sp6 else c
+        x = point(c)
         if not same(fn(matvec(x)), fn(x)):
             return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v) for v in x])
     return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
 
 
 def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
-    """(scalar, verdict): the constant c with f(T x) = c f(x), found at a
-    nonzero point and confirmed at several more."""
+    """The field element c with f(T x) = c f(x): s^deg fn(R x) / fn(x) for
+    the element's integer action (R, s) and the form's integer evaluator fn,
+    at `points` points where f is nonzero.  A point draws its coordinates (sp6:
+    its 14 kernel coefficients) as rng.randint(-9, 9), reduced mod p over F_p,
+    the same draws and points as a loop over field vectors.  PreserverError if
+    two ratios differ or 64 * points draws give too few nonzero values."""
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
-    field = element.field
     if points < 1:
         raise PreserverError("points must be at least 1, got %d" % points)
-    sp6 = isinstance(form, Sp6Quartic)
-    scalar = None
+    field = element.field
+    p = field.modulus
+    rows, s = element.action()
+    matvec = _matvec_kernel(rows, p)
+    size, point = _raw_points(form, field)
+    fn = form.int_evaluator(field)
+    ratio = None
     checked = 0
-    budget = 64 * points
-    while checked < points:
-        budget -= 1
-        if budget < 0:
-            raise PreserverError("could not locate enough nonzero values of f")
-        if sp6:
-            emb = form.kernel_basis(field)
-            c = [field.of(rng.randint(-9, 9)) for _ in range(14)]
-            v = RepVector(form.space, field, emb.apply(c))
-            fv = form.ambient.evaluate(v)
-            fw = form.ambient.evaluate(element.apply(v))
-        else:
-            v = RepVector(form.space, field, [field.of(rng.randint(-9, 9)) for _ in range(form.space.dim)])
-            fv = form.evaluate(v)
-            fw = form.evaluate(element.apply(v))
-        if fv == field.zero:
+    for _ in range(64 * points):
+        c = [rng.randint(-9, 9) for _ in range(size)]
+        x = point([v % p for v in c] if p is not None else c)
+        fv = fn(x)
+        if fv == 0:
             continue
-        ratio = fw / fv
-        if scalar is None:
-            scalar = ratio
-        elif ratio != scalar:
+        # the factor s^deg is common to every ratio, so compare without it
+        r = field.of(fn(matvec(x))) / field.of(fv)
+        if ratio is None:
+            ratio = r
+        elif r != ratio:
             raise PreserverError("map does not scale the form by a constant")
         checked += 1
-    return scalar
+        if checked == points:
+            return s**form.degree * ratio
+    raise PreserverError("could not locate enough nonzero values of f")
 
 
 def preserves_minimals(element: PreserverElement, target, rng, samples=100):

@@ -22,8 +22,8 @@ from linpres.multilinear import (
     symplectic_pair,
     wedge_annihilator_dim,
     wedge_complement_star_matrix,
+    wedge_map_matrix,
     wedge_of_vectors,
-    wedge_with_vector,
     lambda_power_matrix,
 )
 
@@ -263,7 +263,8 @@ class TestWedge:
             w = [rng.randint(-4, 4) for _ in range(6)]
             z = [rng.randint(-4, 4) for _ in range(6)]
             uv = wedge_of_vectors(QQ, 6, [w, z])
-            assert wedge_with_vector(uv, u) == wedge_of_vectors(QQ, 6, [u, w, z])
+            u_uv = wedge_map_matrix(uv).apply([QQ.of(c) for c in u])
+            assert tuple(u_uv) == wedge_of_vectors(QQ, 6, [u, w, z]).coords
 
     def test_annihilator_dims(self):
         idx, _ = subset_index(6, 3)
@@ -294,6 +295,41 @@ class TestWedge:
     def test_complement_star_squares_to_minus_one(self):
         st = wedge_complement_star_matrix(QQ, 6, 3)
         assert st @ st == Matrix.identity(QQ, 20).scale(QQ.of(-1))
+
+
+def unit_vector_images(v):
+    """The matrix of u -> u wedge v column by column: e_i wedge v for each
+    unit vector e_i, summed term by term in field arithmetic."""
+    d, n = v.space.params["d"], v.space.params["n"]
+    field = v.field
+    idx_up, _ = subset_index(n, d + 1)
+    _, subs_d = subset_index(n, d)
+    cols = []
+    for i in range(n):
+        out = [field.zero] * len(idx_up)
+        for a, A in enumerate(subs_d):
+            if i in A:
+                continue
+            target = idx_up[tuple(sorted((i,) + A))]
+            term = field.one * v.coords[a]
+            out[target] = out[target] + term if merge_sign((i,), A) > 0 else out[target] - term
+        cols.append(out)
+    return Matrix(field, [list(row) for row in zip(*cols)])
+
+
+def test_wedge_map_matrix_matches_unit_vector_images():
+    rng = random.Random(16)
+    for field, draw in ((QQ, lambda: Fraction(rng.randint(-5, 5), rng.randint(1, 4))), (F7, lambda: F7.of(rng.randrange(7)))):
+        for n in (4, 5, 6):
+            for d in (1, 2, 3):
+                space = Space("wedge", d=d, n=n)
+                dense = RepVector(space, field, [draw() for _ in range(space.dim)])
+                sparse = RepVector(space, field, [draw() if rng.random() < 0.3 else field.zero for _ in range(space.dim)])
+                for v in (dense, sparse, RepVector.zero(space, field)):
+                    for _ in range(3):
+                        v_basis = RepVector.basis(space, field, rng.randrange(space.dim))
+                        for w in (v, v_basis, v - v_basis.scale(field.of(2))):
+                            assert wedge_map_matrix(w) == unit_vector_images(w), (field.descriptor, n, d, w.coords)
 
 
 class TestContraction:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from linpres.fields import QQ, PrimeField
-from linpres.forms import CubicDisc, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form
+from linpres.forms import CubicDisc, InvariantForm, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form
 from linpres.linalg import Matrix
 from linpres.multilinear import RepVector, Space, lambda_power_matrix
 from linpres.preservers import (
@@ -700,3 +700,97 @@ def test_sz_matches_row_by_row_loop_and_rng_stream(field):
                 assert (verdict.ok, verdict.trials, verdict.counterexample, verdict.error_bound) == want, (
                     cid, desc, sampler.__name__, field.descriptor)
                 assert rng.getstate() == after
+
+
+# the character law on integers
+
+
+def field_loop_scales(el, form, rng, points=4):
+    """scales_form on field objects: RepVector points, apply and evaluate,
+    with the same draws and checks."""
+    field = el.field
+    sp6 = isinstance(form, Sp6Quartic)
+    scalar = None
+    checked = 0
+    budget = 64 * points
+    while checked < points:
+        budget -= 1
+        if budget < 0:
+            raise PreserverError("could not locate enough nonzero values of f")
+        if sp6:
+            emb = form.kernel_basis(field)
+            c = [field.of(rng.randint(-9, 9)) for _ in range(14)]
+            v = RepVector(form.space, field, emb.apply(c))
+            fv = form.ambient.evaluate(v)
+            fw = form.ambient.evaluate(el.apply(v))
+        else:
+            v = RepVector(form.space, field, [field.of(rng.randint(-9, 9)) for _ in range(form.space.dim)])
+            fv = form.evaluate(v)
+            fw = form.evaluate(el.apply(v))
+        if fv == field.zero:
+            continue
+        ratio = fw / fv
+        if scalar is None:
+            scalar = ratio
+        elif ratio != scalar:
+            raise PreserverError("map does not scale the form by a constant")
+        checked += 1
+    return scalar
+
+
+class ZeroForm(InvariantForm):
+    line = "zero"
+    degree = 2
+    space = Space("vector", n=2)
+
+    @staticmethod
+    def formula(vals):
+        return 0
+
+
+def _outcome(fn, *args):
+    try:
+        value = fn(*args)
+    except PreserverError as exc:
+        return "raised", str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("field", [F7, PrimeField(10007), QQ], ids=lambda f: f.descriptor)
+def test_scales_form_matches_field_loop_and_rng_stream(field):
+    # over Q the sp6 points are E c for the kernel basis E itself, whose
+    # entries are integers, so the integer embedding must be E
+    sp6 = Sp6Quartic()
+    assert _sp6_int_embedding(sp6, QQ) == [list(row) for row in sp6.kernel_basis(QQ).rows]
+    for cid, desc in ALL_CELLS:
+        form = parse_form(desc)
+        rng = rnd(stable_seed(cid, desc, "scales"))
+        dim = form.space.dim
+        elements = [sampler(cid, form, field, rng) for _ in range(2)
+                    for sampler in (sample_free_element, sample_group_element, sample_violator)]
+        # a map from no family, which scales by no constant, and the zero map
+        elements.append(GenericMap(form.space, field, Matrix(field, [[field.sample(rng, 3) for _ in range(dim)]
+                                                                     for _ in range(dim)])))
+        elements.append(GenericMap(form.space, field, Matrix(field, [[field.zero] * dim for _ in range(dim)])))
+        outcomes = []
+        for el in elements:
+            for points in (1, 4):
+                state = rng.getstate()
+                got = _outcome(scales_form, el, form, rng, points)
+                after = rng.getstate()
+                rng.setstate(state)
+                want = _outcome(field_loop_scales, el, form, rng, points)
+                assert got == want, (cid, desc, el.family, points)
+                assert rng.getstate() == after, (cid, desc, el.family, points)
+                outcomes.append(got[0])
+        # one point cannot tell a constant apart; four do, and the zero map scales by 0
+        assert outcomes[-3:] == ["raised", type(field.zero), type(field.zero)], (cid, desc)
+    # a form that vanishes everywhere spends the whole budget of 64 * points draws
+    zero = ZeroForm()
+    identity = GenericMap(zero.space, field, Matrix.identity(field, 2))
+    rng = rnd(17)
+    got = _outcome(scales_form, identity, zero, rng, 3)
+    after = rng.getstate()
+    rng = rnd(17)
+    assert got == _outcome(field_loop_scales, identity, zero, rng, 3) == ("raised", "could not locate enough nonzero values of f")
+    assert rng.getstate() == after
