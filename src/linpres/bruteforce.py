@@ -52,28 +52,16 @@ def enumerate_invertible(field, dim: int):
         )
     rows_pool = _lex_vectors(p, dim)
 
-    def reduce_against(vec, basis):
-        v = list(vec)
-        for pivot, b in basis:
-            c = v[pivot]
-            if c:
-                v = [(v[k] - c * b[k]) % p for k in range(dim)]
-        return v
-
-    def recurse(chosen, basis):
+    def recurse(chosen):
         if len(chosen) == dim:
             yield Matrix.from_ints(field, chosen)
             return
         for vec in rows_pool:
-            red = reduce_against(vec, basis)
-            pivot = next((k for k, c in enumerate(red) if c), None)
-            if pivot is None:
-                continue
-            inv = pow(red[pivot], p - 2, p)
-            norm = [(c * inv) % p for c in red]
-            yield from recurse(chosen + [vec], basis + [(pivot, norm)])
+            grown = chosen + [vec]
+            if Matrix.from_ints(field, grown).rank() == len(grown):
+                yield from recurse(grown)
 
-    yield from recurse([], [])
+    yield from recurse([])
 
 
 def _lex_vectors(p: int, dim: int):

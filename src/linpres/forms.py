@@ -453,6 +453,7 @@ class Sp6Quartic(Wedge36):
         super().__init__()
         self.ambient = Wedge36()
         self._kernel_cache: dict = {}
+        self._int_kernel_cache: dict = {}  # preservers._sp6_int_embedding
 
     def b_gram(self, field) -> Matrix:
         return standard_symplectic_gram(field, 6)

@@ -1,8 +1,9 @@
 """Exact dense linear algebra over scalar fields and polynomial rings.
 
-Field algorithms: fraction-free Bareiss elimination over the rationals for
-determinant and rank (controls coefficient swell), plain elimination over
-prime fields, Gauss-Jordan for inverse/solve/kernel.  Ring algorithms
+Over a field, determinant, rank, inverse, solve and kernel all read one row
+reduction (`_reduce`) of the integer rows that `clear_denominators` returns:
+residues mod p over F_p, fraction-free Bareiss elimination over the
+rationals (every division exact, no coefficient swell).  Ring algorithms
 (polynomial entries) are division-free: memoized minor expansion for the
 determinant and the recursive Pfaffian expansion.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .fields import FieldError, Residue
+from .fields import Residue
 
 
 class LinAlgError(ValueError):
@@ -132,17 +133,16 @@ class Matrix:
         if self._det is None:
             if not self.is_square:
                 raise LinAlgError("determinant of a non-square matrix")
-            if self.nrows == 0:
-                d = self.ring.one
-            elif getattr(self.ring, "is_field", False):
-                d = _det_field(self.ring, self.rows)
+            if getattr(self.ring, "is_field", False):
+                ints, den = clear_denominators(self.ring, self.rows)
+                d = _quotient(self.ring, _reduce(ints, self.ring.modulus)[2], den**self.nrows)
             else:
                 d = det_expansion(self.ring, self.rows)
             object.__setattr__(self, "_det", d)
         return self._det
 
     def rank(self):
-        return _rank_field(self.ring, self.rows)
+        return len(_reduce(clear_denominators(self.ring, self.rows)[0], self.ring.modulus)[1])
 
     def inv(self):
         if not self.is_square:
@@ -150,10 +150,7 @@ class Matrix:
         n = self.nrows
         aug = [list(r) + [self.ring.one if i == j else self.ring.zero for j in range(n)]
                for i, r in enumerate(self.rows)]
-        red = _gauss_jordan(self.ring, aug, n)
-        if red is None:
-            raise LinAlgError("singular matrix")
-        return Matrix(self.ring, [r[n:] for r in red])
+        return Matrix(self.ring, _solve_block(self.ring, aug, n))
 
     def solve(self, b):
         """Solve self @ x = b for square nonsingular self."""
@@ -163,44 +160,21 @@ class Matrix:
         if len(b) != n:
             raise LinAlgError("vector length mismatch")
         aug = [list(r) + [bv] for r, bv in zip(self.rows, b)]
-        red = _gauss_jordan(self.ring, aug, n)
-        if red is None:
-            raise LinAlgError("singular matrix")
-        return [r[n] for r in red]
+        return [row[0] for row in _solve_block(self.ring, aug, n)]
 
     def kernel(self):
         """Basis of the right null space {v : self @ v = 0}."""
         ring = self.ring
-        m, n = self.nrows, self.ncols
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        rank = 0
-        for col in range(n):
-            piv = None
-            for i in range(rank, m):
-                if rows[i][col] != ring.zero:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = ring.inv(rows[rank][col])
-            rows[rank] = [inv * x for x in rows[rank]]
-            for i in range(m):
-                if i != rank and rows[i][col] != ring.zero:
-                    c = rows[i][col]
-                    rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-            pivots.append(col)
-            rank += 1
-            if rank == m:
-                break
-        free = [j for j in range(n) if j not in pivots]
+        n = self.ncols
+        red, pivots, _ = _reduce(clear_denominators(ring, self.rows)[0], ring.modulus, clear_above=True)
         basis = []
-        for j in free:
+        for j in range(n):
+            if j in pivots:
+                continue
             v = [ring.zero] * n
             v[j] = ring.one
-            for r, pc in enumerate(pivots):
-                v[pc] = -rows[r][j]
+            for row, pc in zip(red, pivots):
+                v[pc] = _quotient(ring, -row[j], row[pc])
             basis.append(v)
         return basis
 
@@ -218,26 +192,6 @@ class Matrix:
         return "Matrix(%r)" % (list(list(r) for r in self.rows),)
 
 
-def _gauss_jordan(ring, aug, n):
-    """Reduce [A | B] with A n-by-n to [I | A^-1 B]; None if A is singular."""
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if aug[i][col] != ring.zero:
-                piv = i
-                break
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = ring.inv(aug[col][col])
-        aug[col] = [inv * x for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != ring.zero:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
-    return aug
-
-
 def clear_denominators(field, rows):
     """(integer rows, D) with rows == integer rows / D, D the least common
     denominator.  Over F_p the integer rows are the raw residues and D = 1."""
@@ -248,93 +202,81 @@ def clear_denominators(field, rows):
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
-def _bareiss(rows):
-    """Fraction-free elimination on integer rows; returns (det, rank, sign-adjusted)."""
-    m = [list(r) for r in rows]
-    nr, nc = len(m), len(m[0]) if m else 0
-    prev = 1
-    sign = 1
-    rank = 0
-    for col in range(nc):
-        if rank == nr:
+def _reduce(m, p, width=None, clear_above=False):
+    """The one row reduction behind det, rank, inv, solve and kernel.
+
+    Reduces the integer rows m in place, as clear_denominators returns them:
+    residues over F_p, integers over Q (p None).  Pivots are taken in the
+    first width columns (all by default), and each pivot column is cleared
+    below the pivot, and above it too when clear_above is set.  Over F_p the
+    entries stay residues mod p, and each pivot row is scaled to 1 when
+    clear_above is set.  Over Q it is fraction-free (Bareiss 1968): with pivot
+    pv, row i becomes (pv row_i - row_i[col] pivot_row) divided by the
+    previous pivot, a division that is always exact; with clear_above every
+    pivot entry ends equal to the last pivot.  Either way, row r divided by
+    its pivot entry is row r of the reduced echelon form of m.
+
+    Returns (m, pivot columns, det), where det is the determinant of m (mod p
+    over F_p) when m is square and width is its size, and 0 otherwise.
+    """
+    nr = len(m)
+    if width is None:
+        width = len(m[0]) if m else 0
+    pivots = []
+    sign, acc = 1, 1  # acc: the last pivot over Q, the product of the pivots over F_p
+    for col in range(width):
+        r = len(pivots)
+        if r == nr:
             break
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col]:
-                piv = i
+        for piv in range(r, nr):
+            if m[piv][col]:
                 break
-        if piv is None:
+        else:
             continue
-        if piv != rank:
-            m[rank], m[piv] = m[piv], m[rank]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        pv = m[rank][col]
-        for i in range(rank + 1, nr):
-            for j in range(col + 1, nc):
-                m[i][j] = (pv * m[i][j] - m[i][col] * m[rank][j]) // prev
-            m[i][col] = 0
-        prev = pv
-        rank += 1
-    det = sign * prev if rank == nr and nr == nc else 0
-    return det, rank
+        top = m[r]
+        pv = top[col]
+        others = range(nr) if clear_above else range(r + 1, nr)
+        if p is None:
+            for i in others:
+                if i != r:
+                    c = m[i][col]
+                    m[i] = [(pv * a - c * b) // acc for a, b in zip(m[i], top)]
+            acc = pv
+        else:
+            acc = acc * pv % p
+            inv = pow(pv, p - 2, p)
+            if clear_above:
+                top = m[r] = [a * inv % p for a in top]
+                inv = 1
+            for i in others:
+                c = m[i][col]
+                if c and i != r:
+                    f = c * inv % p
+                    m[i] = [(a - f * b) % p for a, b in zip(m[i], top)]
+        pivots.append(col)
+    if len(pivots) < nr or width != nr:
+        return m, pivots, 0
+    return m, pivots, sign * acc
 
 
-def _det_field(ring, rows):
-    n = len(rows)
-    if ring.modulus is None:
-        int_rows, den = clear_denominators(ring, rows)
-        return Fraction(_bareiss(int_rows)[0], den**n)
-    p = ring.modulus
-    m = [[x.value for x in r] for r in rows]
-    detv = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            return ring.zero
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            detv = -detv
-        pv = m[col][col]
-        detv = detv * pv % p
-        inv = pow(pv, p - 2, p)
-        for i in range(col + 1, n):
-            if m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
-    return Residue(detv, p)
+def _quotient(field, a, b):
+    """a / b as a field element for integers a, b.  Over F_p, b is 1 at every
+    call: D = 1 there, and _reduce scales each pivot to 1 when it clears
+    above it."""
+    if field.modulus is None:
+        return Fraction(a, b)
+    return Residue(a, field.modulus)
 
 
-def _rank_field(ring, rows):
-    if not rows:
-        return 0
-    if ring.modulus is None:
-        return _bareiss(clear_denominators(ring, rows)[0])[1]
-    p = ring.modulus
-    m = [[x.value for x in r] for r in rows]
-    nr, nc = len(m), len(m[0])
-    rank = 0
-    for col in range(nc):
-        if rank == nr:
-            break
-        piv = None
-        for i in range(rank, nr):
-            if m[i][col] % p:
-                piv = i
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        inv = pow(m[rank][col], p - 2, p)
-        for i in range(rank + 1, nr):
-            if m[i][col]:
-                f = m[i][col] * inv % p
-                m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
-        rank += 1
-    return rank
+def _solve_block(field, aug, n):
+    """Rows of A^-1 B, for aug = [A | B] with A n-by-n; LinAlgError if A is singular."""
+    red, pivots, _ = _reduce(clear_denominators(field, aug)[0], field.modulus, n, clear_above=True)
+    if len(pivots) < n:
+        raise LinAlgError("singular matrix")
+    return [[_quotient(field, x, row[pc]) for x in row[n:]] for row, pc in zip(red, pivots)]
 
 
 def det_expansion(ring, rows):

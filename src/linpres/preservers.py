@@ -51,7 +51,6 @@ from .sampling import (
     rand_unit,
     scale_column,
     solve_power,
-    unimodular_matrix,
 )
 
 
@@ -825,9 +824,13 @@ def _symbolic_applicable(form: InvariantForm) -> bool:
 
 def _sp6_int_embedding(form, field):
     """Integer 20 x 14 kernel embedding usable for raw sampling: each column
-    of the kernel basis cleared of its denominators."""
-    cols = [clear_denominators(field, [col])[0][0] for col in zip(*form.kernel_basis(field).rows)]
-    return [list(row) for row in zip(*cols)]
+    of the kernel basis cleared of its denominators, built once per field and
+    kept on the form beside its kernel basis."""
+    cache = form._int_kernel_cache
+    if field not in cache:
+        cols = [clear_denominators(field, [col])[0][0] for col in zip(*form.kernel_basis(field).rows)]
+        cache[field] = [list(row) for row in zip(*cols)]
+    return cache[field]
 
 
 def _raw_points(form, field):
@@ -1089,12 +1092,7 @@ def sample_group_element(cid: str, form: InvariantForm, field, rng) -> Preserver
     for _ in range(256):
         if cid in ("symm.f", "skew.f", "skew.f4"):
             n = space.params["n"]
-            if field.modulus is None:
-                p = unimodular_matrix(field, rng, n)
-                if rng.randrange(2):
-                    p = scale_column(p, rng.randrange(n), field.of(-1))
-            else:
-                p = invertible_matrix(field, rng, n)
+            p = invertible_matrix(field, rng, n)
             if space.kind == "symm":
                 target = field.one / (p.det() ** 2)
                 r = solve_power(field, rng, n, target)
@@ -1171,15 +1169,18 @@ CONVENTIONS = {
 
 def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -> dict:
     """Check sampled scaling-character-one elements against every form of the
-    corollary; `elements` is the total budget, split across the forms.
+    corollary; `elements` is the total budget, split evenly across the forms,
+    so it must be at least the number of forms.
     Deterministic report for a fixed (configuration, seed)."""
     import random as _random
 
-    if elements < 1:
-        raise PreserverError("elements must be at least 1, got %d" % elements)
     forms = corollary_forms(cid)
+    if elements < len(forms):
+        raise PreserverError(
+            "elements must be at least the number of forms (%d), got %d" % (len(forms), elements)
+        )
     rng = _random.Random(seed)
-    per_cell = max(1, elements // len(forms))
+    per_cell = elements // len(forms)
     cells = []
     all_ok = True
     for form in forms:

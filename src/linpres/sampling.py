@@ -37,12 +37,10 @@ def _int_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def unimodular_matrix(field, rng, n: int, words=None) -> Matrix:
-    """Product of elementary transvections; determinant exactly one."""
-    if words is None:
-        words = 3 * n
+def unimodular_matrix(field, rng, n: int) -> Matrix:
+    """Product of 3n elementary transvections; determinant exactly one."""
     rows = _int_identity(n)
-    for _ in range(words):
+    for _ in range(3 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
         if i == j:
@@ -52,7 +50,7 @@ def unimodular_matrix(field, rng, n: int, words=None) -> Matrix:
     return Matrix(field, [[field.of(x) for x in row] for row in rows])
 
 
-def invertible_matrix(field, rng, n: int, bound=4) -> Matrix:
+def invertible_matrix(field, rng, n: int) -> Matrix:
     """Invertible matrix; dense entries over a prime field, a transvection
     word over the rationals."""
     if isinstance(field, PrimeField):
@@ -102,19 +100,23 @@ def _similitude_times(field, d, g, den):
     return Matrix(field, [[di * Fraction(x, den) for x in row] for di, row in zip(d, g)])
 
 
-def gsp6_element(field, rng, mu=None, transvections=8):
+GSP6_TRANSVECTIONS = 8
+ISOTROPIC_TRIES = 512
+
+
+def gsp6_element(field, rng):
     """(g, mu) with g^t b g = mu b for the standard pairing on k^6.
 
-    Over the rationals mu defaults to one; over a prime field to a random unit.
-    g is a product of symplectic transvections v -> v + lam b(v, u) u, each
-    applied as the rank-one update g + lam (g u)(b u)^T, then a diagonal
-    similitude.
+    Over the rationals mu is one; over a prime field a random unit.  g is a
+    product of GSP6_TRANSVECTIONS symplectic transvections
+    v -> v + lam b(v, u) u, each applied as the rank-one update
+    g + lam (g u)(b u)^T, then a diagonal similitude.
     """
     from .multilinear import standard_symplectic_gram
 
     b, _ = clear_denominators(field, standard_symplectic_gram(field, 6).rows)
     g, den = _int_identity(6), 1
-    for _ in range(transvections):
+    for _ in range(GSP6_TRANSVECTIONS):
         u = [rng.randint(-2, 2) for _ in range(6)]
         if all(field.of(x) == field.zero for x in u):
             continue
@@ -122,11 +124,7 @@ def gsp6_element(field, rng, mu=None, transvections=8):
         if lam == field.zero:
             continue
         g, den = _rank_one_update(field, g, den, u, lam, [sum(map(mul, row, u)) for row in b])
-    if mu is None:
-        if isinstance(field, RationalField):
-            mu = field.one
-        else:
-            mu = rand_unit(field, rng)
+    mu = field.one if isinstance(field, RationalField) else rand_unit(field, rng)
     d = [mu, field.one, mu, field.one, mu, field.one]
     return _similitude_times(field, d, g, den), mu
 
@@ -137,12 +135,11 @@ def _is_antidiagonal(s: Matrix) -> bool:
     return all(s.entry(i, j) == z for i in range(n) for j in range(n) if i + j != n - 1)
 
 
-def go_element(field, rng, s: Matrix, mu=None, reflections=None):
-    """(g, mu) with g^t s g = mu s, via reflections and, for antidiagonal s,
-    a diagonal similitude.  For other s only mu = 1 is produced."""
+def go_element(field, rng, s: Matrix):
+    """(g, mu) with g^t s g = mu s, via 2n reflections and, for antidiagonal
+    s, a diagonal similitude.  For other s only mu = 1 is produced."""
     n = s.nrows
-    if reflections is None:
-        reflections = 2 * n
+    reflections = 2 * n
     # s = s_int / D; the reflection in u only needs s_int u and u^T s_int u
     s_int, _ = clear_denominators(field, s.rows)
     g, den = _int_identity(n), 1
@@ -161,17 +158,14 @@ def go_element(field, rng, s: Matrix, mu=None, reflections=None):
         g, den = _rank_one_update(field, g, den, u, -field.of(2) / q, su)
         done += 1
     if not _is_antidiagonal(s):
-        if mu is not None and mu != field.one:
-            raise SamplingError("similitudes implemented for antidiagonal s only")
         return _similitude_times(field, [field.one] * n, g, den), field.one
-    if mu is None:
-        if isinstance(field, RationalField):
-            mu = field.of(rng.choice([1, -1])) if n % 2 == 0 else field.one
-        elif n % 2 == 0:
-            mu = rand_unit(field, rng)
-        else:
-            root = rand_unit(field, rng)
-            mu = root * root
+    if isinstance(field, RationalField):
+        mu = field.of(rng.choice([1, -1])) if n % 2 == 0 else field.one
+    elif n % 2 == 0:
+        mu = rand_unit(field, rng)
+    else:
+        root = rand_unit(field, rng)
+        mu = root * root
     d = [None] * n
     for i in range(n // 2):
         if isinstance(field, RationalField):
@@ -188,12 +182,13 @@ def go_element(field, rng, s: Matrix, mu=None, reflections=None):
     return _similitude_times(field, d, g, den), mu
 
 
-def isotropic_vector(field, rng, s: Matrix, tries=512):
-    """Nonzero v with v^t s v = 0; solves one coordinate linearly."""
+def isotropic_vector(field, rng, s: Matrix):
+    """Nonzero v with v^t s v = 0, within ISOTROPIC_TRIES draws; solves one
+    coordinate linearly."""
     n = s.nrows
     z = field.zero
     free = [i for i in range(n) if s.entry(i, i) == z]
-    for _ in range(tries):
+    for _ in range(ISOTROPIC_TRIES):
         if free:
             last = rng.choice(free)
             v = [field.of(rng.randint(-4, 4)) for _ in range(n)]

@@ -158,6 +158,18 @@ def test_verify_rejects_an_empty_sample_budget(capsys):
         assert code == 2 and out == "" and "elements" in err
 
 
+def test_verify_rejects_a_budget_below_the_number_of_forms(capsys):
+    # symm.f has three forms: a budget of 1 or 2 would check 3 elements
+    for count in ("1", "2"):
+        code, out, err = run(capsys, "verify", "--corollary", "symm.f", "--field", "Fp:7",
+                             "--seed", "1", "--elements", count)
+        assert code == 2 and out == ""
+        assert "number of forms (3)" in err
+    code, out, _ = run(capsys, "verify", "--corollary", "symm.f", "--field", "Fp:7",
+                       "--seed", "1", "--elements", "3")
+    assert code == 0 and json.loads(out)["elements_per_form"] == 1
+
+
 def test_minimal_randomized_rejects_zero_trials(capsys):
     for count in ("0", "-3"):
         code, out, err = run(capsys, "minimal", "--form", "quadric:4", "--field", "Q",

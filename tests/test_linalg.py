@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -161,3 +162,204 @@ def test_pfaffian_rejects_bad_input():
         pfaffian(QQ, Matrix.from_ints(QQ, [[0, 1], [1, 0]]).rows)
     with pytest.raises(LinAlgError):
         pfaffian(QQ, Matrix.from_ints(QQ, [[1]]).rows)
+
+
+# Reference eliminations, one per operation: plain elimination on residues
+# over F_p and Bareiss on cleared integers over Q for det and rank, and
+# Gauss-Jordan on field elements for inv, solve and kernel.  linalg reads all
+# five from one row reduction; these pin it value for value.
+
+
+def _ref_gauss_jordan(ring, aug, n):
+    for col in range(n):
+        piv = next((i for i in range(col, n) if aug[i][col] != ring.zero), None)
+        if piv is None:
+            return None
+        aug[col], aug[piv] = aug[piv], aug[col]
+        inv = ring.inv(aug[col][col])
+        aug[col] = [inv * x for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != ring.zero:
+                c = aug[i][col]
+                aug[i] = [x - c * y for x, y in zip(aug[i], aug[col])]
+    return aug
+
+
+def _ref_bareiss(m):
+    m = [list(r) for r in m]
+    nr, nc = len(m), len(m[0]) if m else 0
+    prev, sign, rank = 1, 1, 0
+    for col in range(nc):
+        if rank == nr:
+            break
+        piv = next((i for i in range(rank, nr) if m[i][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
+        pv = m[rank][col]
+        for i in range(rank + 1, nr):
+            for j in range(col + 1, nc):
+                m[i][j] = (pv * m[i][j] - m[i][col] * m[rank][j]) // prev
+            m[i][col] = 0
+        prev = pv
+        rank += 1
+    return (sign * prev if rank == nr and nr == nc else 0), rank
+
+
+def _ref_cleared(rows):
+    den = 1
+    for r in rows:
+        for x in r:
+            den = den * x.denominator // gcd(den, x.denominator)
+    return [[x.numerator * (den // x.denominator) for x in r] for r in rows], den
+
+
+def _ref_det(ring, rows):
+    n = len(rows)
+    if n == 0:
+        return ring.one
+    if ring.modulus is None:
+        ints, den = _ref_cleared(rows)
+        return Fraction(_ref_bareiss(ints)[0], den**n)
+    p = ring.modulus
+    m = [[x.value for x in r] for r in rows]
+    detv = 1
+    for col in range(n):
+        piv = next((i for i in range(col, n) if m[i][col] % p), None)
+        if piv is None:
+            return ring.zero
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            detv = -detv
+        detv = detv * m[col][col] % p
+        inv = pow(m[col][col], p - 2, p)
+        for i in range(col + 1, n):
+            f = m[i][col] * inv % p
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[col])]
+    return ring.of(detv)
+
+
+def _ref_rank(ring, rows):
+    if not rows:
+        return 0
+    if ring.modulus is None:
+        return _ref_bareiss(_ref_cleared(rows)[0])[1]
+    p = ring.modulus
+    m = [[x.value for x in r] for r in rows]
+    rank = 0
+    for col in range(len(m[0])):
+        if rank == len(m):
+            break
+        piv = next((i for i in range(rank, len(m)) if m[i][col] % p), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        inv = pow(m[rank][col], p - 2, p)
+        for i in range(rank + 1, len(m)):
+            f = m[i][col] * inv % p
+            m[i] = [(a - f * b) % p for a, b in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def _ref_inv(ring, rows):
+    n = len(rows)
+    aug = [list(r) + [ring.one if i == j else ring.zero for j in range(n)] for i, r in enumerate(rows)]
+    red = _ref_gauss_jordan(ring, aug, n)
+    return None if red is None else [r[n:] for r in red]
+
+
+def _ref_solve(ring, rows, b):
+    n = len(rows)
+    red = _ref_gauss_jordan(ring, [list(r) + [bv] for r, bv in zip(rows, b)], n)
+    return None if red is None else [r[n] for r in red]
+
+
+def _ref_kernel(ring, rows):
+    m, n = len(rows), len(rows[0]) if rows else 0
+    rows = [list(r) for r in rows]
+    pivots = []
+    for col in range(n):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, m) if rows[i][col] != ring.zero), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = ring.inv(rows[rank][col])
+        rows[rank] = [inv * x for x in rows[rank]]
+        for i in range(m):
+            if i != rank and rows[i][col] != ring.zero:
+                c = rows[i][col]
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        if len(pivots) == m:
+            break
+    basis = []
+    for j in (j for j in range(n) if j not in pivots):
+        v = [ring.zero] * n
+        v[j] = ring.one
+        for r, pc in enumerate(pivots):
+            v[pc] = -rows[r][j]
+        basis.append(v)
+    return basis
+
+
+def _reference_cases(ring, rng, count):
+    """Random rank-deficient, rectangular, zero, 1x1 and (over Q) fractional matrices."""
+
+    def scalar():
+        if ring.modulus is None and rng.random() < 0.4:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+        return ring.of(rng.randint(-9, 9))
+
+    def dense(m, n):
+        return [[ring.of(scalar()) for _ in range(n)] for _ in range(m)]
+
+    yield [[ring.zero]]
+    yield [[ring.of(3)]]
+    yield [[ring.zero] * 3 for _ in range(3)]
+    yield [[ring.zero] * 4 for _ in range(2)]
+    for _ in range(count):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        kind = rng.randrange(3)
+        if kind == 0:
+            yield dense(m, m)
+        elif kind == 1:
+            yield dense(m, n)
+        else:
+            # rank at most r: an m x r times an r x n product, some rows repeated
+            r = rng.randint(0, min(m, n))
+            rows = (Matrix(ring, dense(m, r)) @ Matrix(ring, dense(r, n))).rows if r else dense(m, n)
+            rows = [list(x) for x in rows]
+            if r == 0:
+                rows = [[ring.zero] * n for _ in range(m)]
+            if m > 1 and rng.random() < 0.5:
+                rows[rng.randrange(m)] = list(rows[0])
+            yield rows
+
+
+@pytest.mark.parametrize("ring", [QQ, PrimeField(5), F7, PrimeField(10007)], ids=lambda r: r.descriptor)
+def test_elimination_matches_reference(ring):
+    rng = random.Random(10 + (ring.modulus or 0))
+    singular = 0
+    for rows in _reference_cases(ring, rng, 300):
+        A = Matrix(ring, rows)
+        assert A.rank() == _ref_rank(ring, A.rows)
+        assert A.kernel() == _ref_kernel(ring, A.rows)
+        if not A.is_square:
+            continue
+        assert A.det() == _ref_det(ring, A.rows)
+        expected = _ref_inv(ring, A.rows)
+        b = [ring.of(rng.randint(-9, 9)) for _ in range(A.nrows)]
+        if expected is None:
+            singular += 1
+            with pytest.raises(LinAlgError):
+                A.inv()
+            with pytest.raises(LinAlgError):
+                A.solve(b)
+            continue
+        assert A.inv() == Matrix(ring, expected)
+        assert A.solve(b) == _ref_solve(ring, A.rows, b)
+    assert singular > 0
