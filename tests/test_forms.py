@@ -1,5 +1,6 @@
 """Invariant forms: frozen values, classical identities, scaling laws."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -27,8 +28,10 @@ from linpres.multilinear import (
     Space,
     bilinear_bx,
     lambda_power_matrix,
+    merge_sign,
     polarize4,
     sp6_contract,
+    subset_index,
     symplectic_pair,
     trilinear_t,
     wedge_of_vectors,
@@ -278,8 +281,56 @@ def test_cubic_disc_detects_repeated_roots():
 # wedge36
 
 
+def wedge36_plan():
+    """Entries of the contraction endomorphism K_v: list of (row, col, sign, a, b)
+    with K[row][col] = sum sign * v_a * v_b."""
+    idx3, subs3 = subset_index(6, 3)
+    plan = []
+    for i in range(6):
+        for A in subs3:
+            if i not in A:
+                continue
+            pos = A.index(i)
+            c1 = -1 if pos % 2 else 1
+            rest = tuple(x for x in A if x != i)
+            for B in subs3:
+                if set(B) & set(rest):
+                    continue
+                s2 = merge_sign(rest, B)
+                five = tuple(sorted(rest + B))
+                (j,) = tuple(x for x in range(6) if x not in five)
+                s3 = merge_sign(five, (j,))
+                plan.append((j, i, c1 * s2 * s3, idx3[A], idx3[B]))
+    return plan
+
+
+def trace_k_squared(plan, v):
+    """tr(K_v^2), the wedge36 quartic before its constant, from the plan."""
+    k = [[0] * 6 for _ in range(6)]
+    for row, col, s, a, b in plan:
+        k[row][col] += s * v[a] * v[b]
+    return sum(k[i][j] * k[j][i] for i in range(6) for j in range(6))
+
+
 def test_wedge36_plan_size():
-    assert len(Wedge36.plan()) == 240
+    assert len(wedge36_plan()) == 240
+
+
+def test_wedge36_formula_is_trace_of_k_squared_on_the_simplex_lattice():
+    # both sides are quartic forms in 20 variables over Q; a quartic that
+    # vanishes at all C(23, 4) = 8855 points alpha in Z>=0^20 with |alpha| = 4
+    # is zero, so equality there is equality as polynomials
+    plan = wedge36_plan()
+    formula = Wedge36().formula
+    assert Sp6Quartic().formula is formula
+    points = 0
+    for pt in itertools.combinations_with_replacement(range(20), 4):
+        alpha = [0] * 20
+        for i in pt:
+            alpha[i] += 1
+        assert formula(alpha) == trace_k_squared(plan, alpha), pt
+        points += 1
+    assert points == 8855
 
 
 def test_wedge36_reference_value():

@@ -794,3 +794,32 @@ def test_scales_form_matches_field_loop_and_rng_stream(field):
     rng = rnd(17)
     assert got == _outcome(field_loop_scales, identity, zero, rng, 3) == ("raised", "could not locate enough nonzero values of f")
     assert rng.getstate() == after
+
+
+# verdicts that hold on any random stream
+
+
+VERDICT_FIELDS = [F7, PrimeField(10007), QQ]
+
+
+@pytest.mark.parametrize("field", VERDICT_FIELDS, ids=lambda f: f.descriptor)
+def test_group_elements_pass_and_violators_are_caught_with_witnesses(field):
+    # what a run reports at a fixed seed depends on the stream; that group
+    # elements pass, violators fail and a counterexample x has f(T x) != f(x)
+    # does not
+    for cid, desc in ALL_CELLS:
+        form = parse_form(desc)
+        rng = rnd(stable_seed(cid, desc, "verdicts"))
+        for _ in range(4):
+            el = sample_group_element(cid, form, field, rng)
+            assert el.constraint_satisfied(form), (cid, desc)
+            for policy in ("auto", "schwartz-zippel"):
+                verdict = preserves_form(el, form, policy=policy, rng=rng)
+                assert verdict.ok and verdict.counterexample is None, (cid, desc, policy)
+            bad = sample_violator(cid, form, field, rng)
+            assert not bad.constraint_satisfied(form), (cid, desc)
+            verdict = preserves_form(bad, form, policy="schwartz-zippel", rng=rng)
+            assert not verdict.ok and verdict.error_bound is None, (cid, desc)
+            assert 1 <= verdict.trials <= sz_trial_count(field, form.degree)
+            v = RepVector(form.space, field, [field.of(int(x)) for x in verdict.counterexample])
+            assert form.evaluate(bad.apply(v)) != form.evaluate(v), (cid, desc)
