@@ -24,13 +24,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 
 from .fields import QQ
 from .linalg import Matrix, clear_denominators, det_expansion
 from .multilinear import (
     RepVector,
     Space,
-    merge_sign,
     sp6_contract,
     standard_symplectic_gram,
     subset_index,
@@ -336,52 +336,51 @@ class CubicDisc(InvariantForm):
         return params["c"] ** 4 * params["g"].det() ** 6
 
 
-def _wedge36_plan():
-    """Entries of the contraction endomorphism K_v: list of (row, col, sign, a, b)
-    with K[row][col] = sum sign * v_a * v_b."""
-    idx3, subs3 = subset_index(6, 3)
-    plan = []
-    for i in range(6):
-        for A in subs3:
-            if i not in A:
-                continue
-            pos = A.index(i)
-            c1 = -1 if pos % 2 else 1
-            rest = tuple(x for x in A if x != i)
-            for B in subs3:
-                if set(B) & set(rest):
-                    continue
-                s2 = merge_sign(rest, B)
-                five = tuple(sorted(rest + B))
-                (j,) = tuple(x for x in range(6) if x not in five)
-                s3 = merge_sign(five, (j,))
-                plan.append((j, i, c1 * s2 * s3, idx3[A], idx3[B]))
-    return tuple(plan)
+def _wedge36_formula():
+    """The quartic as the Freudenthal quartic of wedge^3 k^6 = k + M3 + M3 + k
+    (Brown 1969): with a = e012, b = e345, A[i][j] = e_{i+1, i+2, 3+j} and
+    B[i][j] = e_{i, 3+(j+1), 3+(j+2)} (indices cyclic in 0..2, each basis
+    3-vector sorted with its sign) and M# the adjugate of M,
+
+        6 [(ab - tr(A B^t))^2 + 4 (a det B + b det A - tr(A# B#^t))],
+
+    which equals tr(K_v^2) as an integer polynomial, compiled."""
+    idx3, _ = subset_index(6, 3)
+    assignments = []
+    for i, j in product(range(3), repeat=2):
+        for m, t in (("a", ((i + 1) % 3, (i + 2) % 3, 3 + j)), ("b", (i, 3 + (j + 1) % 3, 3 + (j + 2) % 3))):
+            inversions = (t[0] > t[1]) + (t[1] > t[2]) + (t[0] > t[2])
+            assignments.append(("%s%d%d" % (m, i, j), "-" * (inversions % 2) + "v%d" % idx3[tuple(sorted(t))]))
+    for m in "ab":
+        for i, j in product(range(3), repeat=2):
+            # m#[i][j] is the cofactor of entry (j, i)
+            r, s, c, d = (j + 1) % 3, (j + 2) % 3, (i + 1) % 3, (i + 2) % 3
+            assignments.append(("%s_%d%d" % (m, i, j), "{0}{1}{2}*{0}{3}{4} - {0}{1}{4}*{0}{3}{2}".format(m, r, c, s, d)))
+        assignments.append(("det_" + m, " + ".join("%s0%d*%s_%d0" % (m, j, m, j) for j in range(3))))
+    a, b = "v%d" % idx3[0, 1, 2], "v%d" % idx3[3, 4, 5]
+    pairs = list(product(range(3), repeat=2))
+    assignments.append(("q", "%s*%s - (%s)" % (a, b, " + ".join("a%d%d*b%d%d" % (i, j, i, j) for i, j in pairs))))
+    adj = " + ".join("a_%d%d*b_%d%d" % (i, j, i, j) for i, j in pairs)
+    return _straight_line(20, assignments, "6*(q*q + 4*(%s*det_b + %s*det_a - (%s)))" % (a, b, adj))
 
 
 class Wedge36(InvariantForm):
     """The quartic invariant on wedge^3 of k^6.
 
-    Built from the contraction endomorphism K_v(u) = ((u-contraction of v)
-    wedge v) read through the top-wedge trivialization; f = c0 * tr(K_v^2)
-    with c0 calibrated once so the reference point below evaluates to 4.
+    f = c0 * tr(K_v^2) for the contraction endomorphism K_v(u) = ((u-contraction
+    of v) wedge v) read through the top-wedge trivialization, evaluated as the
+    equal Freudenthal quartic (_wedge36_formula); c0 is calibrated once so the
+    reference point below evaluates to 4.
     """
 
     line = "wedge36"
     degree = 4
 
-    _plan = None
-    _trace_fn = None
+    _formula = None
     _c0: Fraction | None = None
 
     def __init__(self):
         self.space = Space("wedge", d=3, n=6)
-
-    @classmethod
-    def plan(cls):
-        if cls._plan is None:
-            cls._plan = _wedge36_plan()
-        return cls._plan
 
     @classmethod
     def _reference_coords(cls):
@@ -396,19 +395,10 @@ class Wedge36(InvariantForm):
 
     @property
     def formula(self):
-        """tr(K_v^2), compiled once from the plan."""
-        if Wedge36._trace_fn is None:
-            entries: dict = {}
-            for row, col, s, a, b in self.plan():
-                entries.setdefault((row, col), []).append((s, (a, b)))
-            assignments = [("k%d%d" % rc, _signed_sum(terms)) for rc, terms in sorted(entries.items())]
-            products = []
-            for i in range(6):
-                for j in range(i, 6):
-                    if (i, j) in entries and (j, i) in entries:
-                        products.append("%sk%d%d*k%d%d" % ("" if i == j else "2*", i, j, j, i))
-            Wedge36._trace_fn = _straight_line(20, assignments, " + ".join(products) or "0")
-        return Wedge36._trace_fn
+        """tr(K_v^2) as the Freudenthal quartic, compiled once."""
+        if Wedge36._formula is None:
+            Wedge36._formula = _wedge36_formula()
+        return Wedge36._formula
 
     @property
     def constant(self) -> Fraction:
