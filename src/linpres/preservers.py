@@ -51,6 +51,8 @@ from .sampling import (
     rand_unit,
     scale_column,
     solve_power,
+    unimodular_matrix,
+    uniform_ints,
 )
 
 
@@ -955,8 +957,7 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     size, point = _raw_points(form, field)
     fn = form.int_evaluator(field)
     for t in range(1, trials + 1):
-        c = [rng.randrange(lo, hi) for _ in range(size)]
-        x = point(c)
+        x = point(uniform_ints(rng, lo, hi, size))
         if not same(fn(matvec(x)), fn(x)):
             return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v) for v in x])
     return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
@@ -966,9 +967,10 @@ def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
     """The field element c with f(T x) = c f(x): s^deg fn(R x) / fn(x) for
     the element's integer action (R, s) and the form's integer evaluator fn,
     at `points` points where f is nonzero.  A point draws its coordinates (sp6:
-    its 14 kernel coefficients) as rng.randint(-9, 9), reduced mod p over F_p,
-    the same draws and points as a loop over field vectors.  PreserverError if
-    two ratios differ or 64 * points draws give too few nonzero values."""
+    its 14 kernel coefficients) uniformly from [-9, 9] with uniform_ints,
+    reduced mod p over F_p, the same draws and points as a loop over field
+    vectors.  PreserverError if two ratios differ or 64 * points draws give
+    too few nonzero values."""
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
     if points < 1:
@@ -982,7 +984,7 @@ def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
     ratio = None
     checked = 0
     for _ in range(64 * points):
-        c = [rng.randint(-9, 9) for _ in range(size)]
+        c = uniform_ints(rng, -9, 10, size)
         x = point([v % p for v in c] if p is not None else c)
         fv = fn(x)
         if fv == 0:
@@ -1092,13 +1094,17 @@ def sample_group_element(cid: str, form: InvariantForm, field, rng) -> Preserver
     for _ in range(256):
         if cid in ("symm.f", "skew.f", "skew.f4"):
             n = space.params["n"]
-            p = invertible_matrix(field, rng, n)
             if space.kind == "symm":
-                target = field.one / (p.det() ** 2)
-                r = solve_power(field, rng, n, target)
+                p = invertible_matrix(field, rng, n)
+                r = solve_power(field, rng, n, field.one / (p.det() ** 2))
             else:
-                target = field.one / p.det()
-                r = solve_power(field, rng, n // 2, target)
+                # over Q det P = -1 would need r^(n/2) = -1, which has no
+                # rational root for even n/2: draw det P = 1 there
+                if field.modulus is None and n // 2 % 2 == 0:
+                    p = unimodular_matrix(field, rng, n)
+                else:
+                    p = invertible_matrix(field, rng, n)
+                r = solve_power(field, rng, n // 2, field.one / p.det())
             if r is None:
                 continue
             star = cid == "skew.f4" and bool(rng.randrange(2))

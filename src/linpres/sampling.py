@@ -7,7 +7,11 @@ randomness.  Over the rationals, matrix samplers favor small integer entries
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import cache
+from math import gcd
 from operator import mul
 
 from .fields import PrimeField, RationalField
@@ -17,6 +21,42 @@ from .multilinear import RepVector, Space
 
 class SamplingError(RuntimeError):
     """A sampler exhausted its resample budget."""
+
+
+@cache
+def _byte_table(width):
+    """bytes.translate arguments for a width of at most 256: a byte maps to
+    itself mod width, and bytes at or above the largest multiple of width
+    below 256 are deleted."""
+    return bytes(b % width for b in range(256)), bytes(range(256 // width * width, 256))
+
+
+def uniform_ints(rng, lo: int, hi: int, size: int) -> list:
+    """size independent integers, each exactly uniform on [lo, hi).
+
+    A width hi - lo of at most 256 reads bytes of rng.randbytes; a width up
+    to 2^64 reads 16-, 32- or 64-bit slots of one rng.getrandbits.  A byte or
+    slot at or above the largest multiple of the width below its range is
+    rejected and drawn again, so every kept value maps to each residue from
+    equally many preimages.  Wider ranges call rng.randrange per value."""
+    width = hi - lo
+    if width <= 256:
+        table, delete = _byte_table(width)
+        buf = b""
+        while len(buf) < size:
+            buf += rng.randbytes(size - len(buf)).translate(table, delete)
+        return [b + lo for b in buf] if lo else list(buf)
+    out: list = []
+    for code in "HIQ":
+        nbytes = array(code).itemsize
+        if width <= 1 << 8 * nbytes:
+            limit = (1 << 8 * nbytes) // width * width
+            while len(out) < size:
+                need = size - len(out)
+                slots = rng.getrandbits(8 * nbytes * need).to_bytes(nbytes * need, sys.byteorder)
+                out += [x % width + lo for x in memoryview(slots).cast(code).tolist() if x < limit]
+            return out
+    return [rng.randrange(lo, hi) for _ in range(size)]
 
 
 def rand_vector(space: Space, field, rng, bound=9, nonzero=False) -> RepVector:
@@ -55,7 +95,8 @@ def invertible_matrix(field, rng, n: int) -> Matrix:
     word over the rationals."""
     if isinstance(field, PrimeField):
         while True:
-            m = Matrix(field, [[field.sample(rng) for _ in range(n)] for _ in range(n)])
+            entries = uniform_ints(rng, 0, field.modulus, n * n)
+            m = Matrix.from_ints(field, [entries[i : i + n] for i in range(0, n * n, n)])
             if m.det() != field.zero:
                 return m
     m = unimodular_matrix(field, rng, n)
@@ -174,11 +215,8 @@ def go_element(field, rng, s: Matrix):
             d[i] = rand_unit(field, rng)
         d[n - 1 - i] = mu / d[i]
     if n % 2:
-        mid = n // 2
-        root = solve_power(field, rng, 2, mu)
-        if root is None:
-            raise SamplingError("similitude factor has no square root")
-        d[mid] = root
+        # odd n: the middle entry squares to mu, which is root^2 (or 1 over Q)
+        d[n // 2] = field.one if isinstance(field, RationalField) else root
     return _similitude_times(field, d, g, den), mu
 
 
@@ -230,17 +268,85 @@ def _int_kth_root(a: int, k: int):
     return lo if lo**k == a else None
 
 
+def _prime_factors(n: int) -> list:
+    out, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            out.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    return out + [n] if n > 1 else out
+
+
+def _prime_root(u: int, q: int, p: int, rho: int) -> int:
+    """A q-th root of the q-th power residue u mod p, for a prime q dividing
+    p - 1 and rho a q-th power non-residue (Adleman, Manders and Miller 1977).
+
+    With p - 1 = q^e s, q not dividing s, and d = q^-1 mod s: x = u^d has
+    x^q = u w for w = u^(q d - 1) in the order-q^e subgroup, which z = rho^s
+    generates.  Then w^-1 = z^L with q | L, by digits of L base q
+    (Pohlig-Hellman), and (x z^(L/q))^q = u."""
+    e, s = 0, p - 1
+    while s % q == 0:
+        s //= q
+        e += 1
+    d = pow(q, -1, s)  # 0 when s = 1
+    y = pow(u, -(q * d - 1), p)  # w^-1
+    z = pow(rho, s, p)
+    z_inv = pow(z, -1, p)
+    top = pow(z, q ** (e - 1), p)  # order q
+    log = 0
+    for i in range(e):
+        h = pow(y * pow(z_inv, log, p) % p, q ** (e - 1 - i), p)
+        log += next(digit for digit in range(q) if pow(top, digit, p) == h) * q**i
+    return pow(u, d, p) * pow(z, log // q, p) % p
+
+
+def _root_mod_p(t: int, k: int, p: int):
+    """(r, omega, g) with r^k = t mod p and omega a primitive g-th root of
+    unity, g = gcd(k, p - 1), so that the k-th roots of t are r omega^j for
+    0 <= j < g; None when the unit t is no k-th power.  O(polylog p) for
+    fixed k.
+
+    With k = g k' and p - 1 = g m', a g-th root r of u = t^a for
+    a = k'^-1 mod m' has r^k = t^(a k') = t, as t^m' = 1.  Since g divides
+    p - 1, r comes from one prime-order root at a time: each root of a g-th
+    power is still a power of the remaining degree."""
+    m = p - 1
+    g = gcd(k, m)
+    if pow(t, m // g, p) != 1:
+        return None
+    r = pow(t, pow(k // g, -1, m // g), p)
+    omega = 1
+    for q in _prime_factors(g):
+        rho = 2  # the least q-th power non-residue
+        while pow(rho, m // q, p) == 1:
+            rho += 1
+        qe = 1
+        while g % (qe * q) == 0:
+            r = _prime_root(r, q, p, rho)
+            qe *= q
+        # rho^(m / q^e) has order exactly q^e, for q^e the power of q in g
+        omega = omega * pow(rho, m // qe, p) % p
+    return r, omega, g
+
+
 def solve_power(field, rng, k: int, target):
-    """Some r with r^k == target, or None if there is none."""
+    """Some r with r^k == target, or None if there is none.  Over F_p the
+    root is uniform among all k-th roots of target: a fixed root times a
+    root of unity drawn with one rng.randrange when there are several."""
     if target == field.zero:
         return None
     if isinstance(field, PrimeField):
-        units = list(field.units())
-        rng.shuffle(units)
-        for r in units:
-            if r**k == target:
-                return r
-        return None
+        p = field.modulus
+        found = _root_mod_p(target.value, k, p)
+        if found is None:
+            return None
+        r, omega, g = found
+        if g > 1:
+            r = r * pow(omega, rng.randrange(g), p) % p
+        return field.of(r)
     t = Fraction(target)
     neg = t < 0
     if neg and k % 2 == 0:

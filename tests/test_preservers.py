@@ -47,7 +47,7 @@ from linpres.preservers import (
     verify_corollary,
 )
 from linpres.polynomials import PolyRing
-from linpres.sampling import invertible_matrix, rand_vector
+from linpres.sampling import invertible_matrix, rand_vector, unimodular_matrix, uniform_ints
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -652,7 +652,8 @@ def test_matvec_kernel_over_q_is_exact():
 
 def row_by_row_sz(el, form, rng, trials):
     """The Schwartz-Zippel loop with one field evaluation per trial: the same
-    draws as preserves_form, and f(T x) == f(x) decided by apply and evaluate.
+    draws as preserves_form (one uniform_ints call per trial), and
+    f(T x) == f(x) decided by apply and evaluate.
     Returns (ok, trials, counterexample, error_bound)."""
     field = el.field
     p = field.modulus
@@ -660,7 +661,7 @@ def row_by_row_sz(el, form, rng, trials):
     sp6 = isinstance(form, Sp6Quartic)
     emb = _sp6_int_embedding(form, field) if sp6 else None
     for t in range(1, trials + 1):
-        c = [rng.randrange(lo, hi) for _ in range(14 if sp6 else form.space.dim)]
+        c = uniform_ints(rng, lo, hi, 14 if sp6 else form.space.dim)
         x = [sum(e * ci for e, ci in zip(row, c)) for row in emb] if sp6 else c
         if p is not None:
             x = [v % p for v in x]
@@ -675,20 +676,10 @@ SZ_STREAM_FIELDS = [F7, PrimeField(10007), PrimeField(65537), PrimeField(2**31 -
 
 @pytest.mark.parametrize("field", SZ_STREAM_FIELDS, ids=lambda f: f.descriptor)
 def test_sz_matches_row_by_row_loop_and_rng_stream(field):
-    # most group samplers solve a power in O(p) time, so above p = 10007 the
-    # elements that pass every trial come from square.f and hyperdet, whose
-    # samplers solve none
-    p = field.modulus
-    small = p is None or p <= 10007
     for cid, desc in ALL_CELLS:
         form = parse_form(desc)
-        if desc == "mat2n:5" and not small:
-            continue  # go_element searches O(p) scalars for n = 5
         rng = rnd(stable_seed(cid, desc, "stream"))
-        samplers = [sample_free_element, sample_violator]
-        if small or cid in ("square.f", "hyperdet"):
-            samplers.append(sample_group_element)
-        for sampler in samplers:
+        for sampler in (sample_free_element, sample_violator, sample_group_element):
             el = sampler(cid, form, field, rng)
             for trials in (None, 32):
                 count = sz_trial_count(field, form.degree) if trials is None else trials
@@ -719,12 +710,12 @@ def field_loop_scales(el, form, rng, points=4):
             raise PreserverError("could not locate enough nonzero values of f")
         if sp6:
             emb = form.kernel_basis(field)
-            c = [field.of(rng.randint(-9, 9)) for _ in range(14)]
+            c = [field.of(x) for x in uniform_ints(rng, -9, 10, 14)]
             v = RepVector(form.space, field, emb.apply(c))
             fv = form.ambient.evaluate(v)
             fw = form.ambient.evaluate(el.apply(v))
         else:
-            v = RepVector(form.space, field, [field.of(rng.randint(-9, 9)) for _ in range(form.space.dim)])
+            v = RepVector(form.space, field, [field.of(x) for x in uniform_ints(rng, -9, 10, form.space.dim)])
             fv = form.evaluate(v)
             fw = form.evaluate(el.apply(v))
         if fv == field.zero:
@@ -823,3 +814,30 @@ def test_group_elements_pass_and_violators_are_caught_with_witnesses(field):
             assert 1 <= verdict.trials <= sz_trial_count(field, form.degree)
             v = RepVector(form.space, field, [field.of(int(x)) for x in verdict.counterexample])
             assert form.evaluate(bad.apply(v)) != form.evaluate(v), (cid, desc)
+
+
+def test_rational_skew_group_elements_need_no_redraw(monkeypatch):
+    # r^(n/2) = 1 / det P: for even n/2 only det P = 1 has a rational root, so
+    # each element is one unimodular draw; for odd n/2, det P = -1 stays
+    import linpres.preservers as preservers
+
+    calls = []
+
+    def counted(field, rng, n):
+        calls.append(n)
+        return unimodular_matrix(field, rng, n)
+
+    monkeypatch.setattr(preservers, "unimodular_matrix", counted)
+    monkeypatch.setattr(preservers, "invertible_matrix", lambda *args: pytest.fail("det P may be -1"))
+    rng = rnd(23)
+    for cid, desc in (("skew.f4", "skew-pf:4"), ("skew.f", "skew-pf:8")):
+        form = parse_form(desc)
+        del calls[:]
+        for _ in range(20):
+            assert sample_group_element(cid, form, QQ, rng).constraint_satisfied(form)
+        assert calls == [form.space.params["n"]] * 20, cid
+    monkeypatch.undo()
+    form = parse_form("skew-pf:6")
+    elements = [sample_group_element("skew.f", form, QQ, rng) for _ in range(20)]
+    assert all(el.constraint_satisfied(form) for el in elements)
+    assert {el.p.det() for el in elements} == {QQ.of(1), QQ.of(-1)}

@@ -1,6 +1,9 @@
 """Samplers must satisfy their exact postconditions."""
 
 import random
+import sys
+from array import array
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from linpres.sampling import (
     rand_vector,
     solve_power,
     unimodular_matrix,
+    uniform_ints,
 )
 
 F7 = PrimeField(7)
@@ -69,10 +73,11 @@ def test_go_similitude_relation():
 
 def test_go_odd_dimension():
     rng = random.Random(4)
-    s = split_symmetric_gram(F7, 5)
-    for _ in range(4):
-        g, mu = go_element(F7, rng, s)
-        assert g.transpose() @ s @ g == s.scale(mu)
+    for field in (F7, PrimeField(65537), QQ):
+        s = split_symmetric_gram(field, 5)
+        for _ in range(4):
+            g, mu = go_element(field, rng, s)
+            assert g.transpose() @ s @ g == s.scale(mu)
 
 
 def test_go_non_antidiagonal_keeps_form():
@@ -116,6 +121,44 @@ def test_solve_power():
     assert solve_power(QQ, rng, 2, QQ.of(-4)) is None
     assert solve_power(QQ, rng, 3, QQ.of(Fraction(8, 27))) == QQ.of(Fraction(2, 3))
     assert solve_power(QQ, rng, 2, QQ.of(2)) is None
+    # far beyond any search over the units: 2^61 - 1 and a prime with 2^20 | p - 1
+    for p in (2**61 - 1, 7340033):
+        field = PrimeField(p)
+        for k in (2, 3, 4):
+            for _ in range(20):
+                t = field.of(rng.randrange(1, p)) ** k
+                assert solve_power(field, rng, k, t) ** k == t
+    assert solve_power(PrimeField(7340033), rng, 2, PrimeField(7340033).of(3)) is None
+
+
+class FixedDraw:
+    """An rng whose randrange always returns j; records the ranges asked."""
+
+    def __init__(self, j):
+        self.j = j
+        self.ranges = []
+
+    def randrange(self, n):
+        self.ranges.append(n)
+        return self.j
+
+
+@pytest.mark.parametrize("p", [13, 31, 37])
+def test_solve_power_draws_every_root_equally_often(p):
+    # every k a group sampler asks for: n for symm-det:n, n/2 for skew-pf:n,
+    # 4 for cubics, SL6 and Sp6; the one draw picks each root exactly once
+    field = PrimeField(p)
+    for k in (2, 3, 4):
+        for t in range(1, p):
+            roots = sorted(r for r in range(1, p) if pow(r, k, p) == t)
+            probe = FixedDraw(0)
+            first = solve_power(field, probe, k, field.of(t))
+            if not roots:
+                assert first is None and probe.ranges == [], (p, k, t)
+                continue
+            assert probe.ranges == ([len(roots)] if len(roots) > 1 else []), (p, k, t)
+            got = [solve_power(field, FixedDraw(j), k, field.of(t)).value for j in range(len(roots))]
+            assert sorted(got) == roots, (p, k, t)
 
 
 def test_seeded_determinism():
@@ -139,3 +182,60 @@ def test_rand_vector_nonzero():
     sp = Space("cubic")
     for _ in range(20):
         assert not rand_vector(sp, F7, rng, nonzero=True).is_zero()
+
+
+class ScriptedBits:
+    """An rng that hands out a fixed block of bytes first and zero bytes
+    after it, and records every request in bits."""
+
+    def __init__(self, block: bytes):
+        self.block = block
+        self.requests = []
+
+    def _take(self, n):
+        out, self.block = self.block[:n], self.block[n:]
+        return out + bytes(n - len(out))
+
+    def randbytes(self, n):
+        self.requests.append(8 * n)
+        return self._take(n)
+
+    def getrandbits(self, k):
+        self.requests.append(k)
+        return int.from_bytes(self._take(k // 8), sys.byteorder)
+
+
+@pytest.mark.parametrize("lo,hi,code", [(0, 7, "B"), (-9, 10, "B"), (0, 10007, "H"), (0, 65537, "I")])
+def test_uniform_ints_give_every_value_equally_many_preimages(lo, hi, code):
+    width = hi - lo
+    bits = 8 * array(code).itemsize
+    limit = max(range(0, (1 << bits) + 1, width))  # largest multiple of width in range
+    if bits <= 16:
+        slots = list(range(1 << bits))  # every byte or 16-bit slot value
+    else:
+        # 2^32 slots are too many to list: both ends, where the rejection starts
+        slots = list(range(3 * width)) + list(range(limit - 3 * width, 1 << bits))
+    rng = ScriptedBits(array(code, slots).tobytes())
+    out = uniform_ints(rng, lo, hi, len(slots))
+    kept = [x for x in slots if x < limit]
+    assert len(out) == len(slots)
+    # the rejected slots are drawn again, once, from the zero block
+    assert rng.requests == [bits * len(slots), bits * (len(slots) - len(kept))]
+    assert out[len(kept):] == [lo] * (len(slots) - len(kept))
+    assert out[: len(kept)] == [x % width + lo for x in kept]
+    if bits <= 16:
+        assert Counter(out[: len(kept)]) == {v: limit // width for v in range(lo, hi)}
+
+
+def test_uniform_ints_over_the_rational_sample_set_reject_nothing():
+    # Q samples [-2^31, 2^31): every 32-bit slot is kept, as x - 2^31
+    slots = list(range(1 << 16)) + list(range((1 << 32) - (1 << 16), 1 << 32))
+    rng = ScriptedBits(array("I", slots).tobytes())
+    assert uniform_ints(rng, -(1 << 31), 1 << 31, len(slots)) == [x - (1 << 31) for x in slots]
+    assert rng.requests == [32 * len(slots)]
+
+
+def test_uniform_ints_beyond_64_bits_fall_back_to_randrange():
+    a, b = random.Random(5), random.Random(5)
+    assert uniform_ints(a, -3, 1 << 70, 6) == [b.randrange(-3, 1 << 70) for _ in range(6)]
+    assert uniform_ints(a, 0, 7, 0) == [] and a.getstate() == b.getstate()
