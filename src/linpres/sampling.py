@@ -200,6 +200,7 @@ def go_element(field, rng, s: Matrix):
         done += 1
     if not _is_antidiagonal(s):
         return _similitude_times(field, [field.one] * n, g, den), field.one
+    root = field.one  # the middle entry for odd n, with root^2 = mu
     if isinstance(field, RationalField):
         mu = field.of(rng.choice([1, -1])) if n % 2 == 0 else field.one
     elif n % 2 == 0:
@@ -215,8 +216,7 @@ def go_element(field, rng, s: Matrix):
             d[i] = rand_unit(field, rng)
         d[n - 1 - i] = mu / d[i]
     if n % 2:
-        # odd n: the middle entry squares to mu, which is root^2 (or 1 over Q)
-        d[n // 2] = field.one if isinstance(field, RationalField) else root
+        d[n // 2] = root
     return _similitude_times(field, d, g, den), mu
 
 
@@ -268,17 +268,6 @@ def _int_kth_root(a: int, k: int):
     return lo if lo**k == a else None
 
 
-def _prime_factors(n: int) -> list:
-    out, q = [], 2
-    while q * q <= n:
-        if n % q == 0:
-            out.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    return out + [n] if n > 1 else out
-
-
 def _prime_root(u: int, q: int, p: int, rho: int) -> int:
     """A q-th root of the q-th power residue u mod p, for a prime q dividing
     p - 1 and rho a q-th power non-residue (Adleman, Manders and Miller 1977).
@@ -318,14 +307,17 @@ def _root_mod_p(t: int, k: int, p: int):
     if pow(t, m // g, p) != 1:
         return None
     r = pow(t, pow(k // g, -1, m // g), p)
-    omega = 1
-    for q in _prime_factors(g):
+    omega, rest = 1, g
+    for q in range(2, g + 1):
+        if rest % q:
+            continue  # q is prime here: its smaller factors left rest already
         rho = 2  # the least q-th power non-residue
         while pow(rho, m // q, p) == 1:
             rho += 1
         qe = 1
-        while g % (qe * q) == 0:
+        while rest % q == 0:
             r = _prime_root(r, q, p, rho)
+            rest //= q
             qe *= q
         # rho^(m / q^e) has order exactly q^e, for q^e the power of q in g
         omega = omega * pow(rho, m // qe, p) % p
