@@ -50,6 +50,7 @@ from .sampling import (
     invertible_matrix,
     rand_unit,
     scale_column,
+    slot_code,
     solve_power,
     unimodular_matrix,
     uniform_ints,
@@ -79,14 +80,9 @@ def _int_matvec(rows, x, p):
 
 
 def _slot_code(n, p):
-    """Array type code of the narrowest unsigned slot ('H', 'I', 'Q': 16, 32
-    or 64 bits) whose range holds n (p - 1)^2, or None over Q or above 2^64."""
-    if p is not None:
-        top = n * (p - 1) ** 2
-        for code in "HIQ":
-            if top >> 8 * array(code).itemsize == 0:
-                return code
-    return None
+    """The narrowest slot type that holds n (p - 1)^2, the largest entry of
+    R x for n columns (sampling.slot_code), or None over Q or above 2^64."""
+    return None if p is None else slot_code(n * (p - 1) ** 2)
 
 
 def _matvec_kernel(rows, p):

@@ -23,6 +23,18 @@ class SamplingError(RuntimeError):
     """A sampler exhausted its resample budget."""
 
 
+_SLOT_BYTES = {code: array(code).itemsize for code in "HIQ"}
+
+
+def slot_code(top: int):
+    """Array type code of the narrowest unsigned slot ('H', 'I', 'Q': 16, 32
+    or 64 bits) that holds every integer in [0, top], or None above 2^64 - 1."""
+    for code, nbytes in _SLOT_BYTES.items():
+        if top >> 8 * nbytes == 0:
+            return code
+    return None
+
+
 @cache
 def _byte_table(width):
     """bytes.translate arguments for a width of at most 256: a byte maps to
@@ -46,17 +58,17 @@ def uniform_ints(rng, lo: int, hi: int, size: int) -> list:
         while len(buf) < size:
             buf += rng.randbytes(size - len(buf)).translate(table, delete)
         return [b + lo for b in buf] if lo else list(buf)
+    code = slot_code(width - 1)
+    if code is None:
+        return [rng.randrange(lo, hi) for _ in range(size)]
+    nbytes = _SLOT_BYTES[code]
+    limit = (1 << 8 * nbytes) // width * width
     out: list = []
-    for code in "HIQ":
-        nbytes = array(code).itemsize
-        if width <= 1 << 8 * nbytes:
-            limit = (1 << 8 * nbytes) // width * width
-            while len(out) < size:
-                need = size - len(out)
-                slots = rng.getrandbits(8 * nbytes * need).to_bytes(nbytes * need, sys.byteorder)
-                out += [x % width + lo for x in memoryview(slots).cast(code).tolist() if x < limit]
-            return out
-    return [rng.randrange(lo, hi) for _ in range(size)]
+    while len(out) < size:
+        need = size - len(out)
+        slots = rng.getrandbits(8 * nbytes * need).to_bytes(nbytes * need, sys.byteorder)
+        out += [x % width + lo for x in memoryview(slots).cast(code).tolist() if x < limit]
+    return out
 
 
 def rand_vector(space: Space, field, rng, bound=9, nonzero=False) -> RepVector:
