@@ -242,10 +242,6 @@ class PrimeField:
         for v in range(self.modulus):
             yield Residue(v, self.modulus)
 
-    def units(self):
-        for v in range(1, self.modulus):
-            yield Residue(v, self.modulus)
-
     def format(self, x: Residue) -> str:
         return str(x.value)
 

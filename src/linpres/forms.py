@@ -442,6 +442,7 @@ class Sp6Quartic(Wedge36):
     def __init__(self):
         super().__init__()
         self.ambient = Wedge36()
+        self._contraction_cache: dict = {}
         self._kernel_cache: dict = {}
         self._int_kernel_cache: dict = {}  # preservers._sp6_int_embedding
 
@@ -465,8 +466,14 @@ class Sp6Quartic(Wedge36):
         return self._kernel_cache[field]
 
     def in_kernel(self, v: RepVector) -> bool:
+        """Contraction by b kills v; each contraction matrix row is kept per
+        field as its nonzero entries."""
         self._check(v)
-        return all(c == v.field.zero for c in sp6_contract(v, self.b_gram(v.field)))
+        field, zero = v.field, v.field.zero
+        if field not in self._contraction_cache:
+            rows = self.contraction_matrix(field).rows
+            self._contraction_cache[field] = [[(j, c) for j, c in enumerate(row) if c != zero] for row in rows]
+        return all(sum((c * v.coords[j] for j, c in row), zero) == zero for row in self._contraction_cache[field])
 
     def evaluate(self, v: RepVector):
         if not self.in_kernel(v):

@@ -28,6 +28,7 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations_with_replacement
 from operator import add, mul
 
@@ -43,13 +44,11 @@ from .multilinear import (
     wedge_complement_star_matrix,
 )
 from .sampling import (
-    SamplingError,
     forced_det_matrix,
     go_element,
     gsp6_element,
     invertible_matrix,
     rand_unit,
-    scale_column,
     slot_code,
     solve_power,
     unimodular_matrix,
@@ -805,6 +804,7 @@ class PreservationVerdict:
         return obj
 
 
+@cache
 def sz_trial_count(field, degree: int) -> int:
     """Smallest t with (degree / set_size)^t <= 2^-60, by exact comparison."""
     size = field.sz_set_size
@@ -1041,112 +1041,74 @@ def corollary_forms(cid: str) -> list[InvariantForm]:
     return [parse_form(d) for d in _COROLLARY_FORMS[cid]]
 
 
-def _free_invertible(field, rng, n: int) -> Matrix:
-    """Invertible with unconstrained determinant; rational matrices get a
-    scaled column so the determinant is not stuck at +-1."""
-    g = invertible_matrix(field, rng, n)
-    if field.modulus is None and rng.randrange(2):
-        g = scale_column(g, rng.randrange(n), rand_unit(field, rng, 3))
-    return g
+def _draw(cid: str, form: InvariantForm, field, rng):
+    """(k, need, build): one family member's matrix draws, with its free
+    parameter t left open.  build(t) makes the member, and any draws after
+    t; its scaling character is one exactly when t^k == need.  t is the
+    scalar for the congruence, cubic and wedge families, and the
+    determinant of the last matrix factor for square.f, hyperdet and
+    blackholes."""
+    space = form.space
+    if cid in ("symm.f", "skew.f", "skew.f4"):
+        n = space.params["n"]
+        symm = space.kind == "symm"
+        # on alternating matrices over Q, det P = -1 would need r^(n/2) = -1,
+        # which has no rational root for even n/2: draw det P = 1 there
+        if not symm and field.modulus is None and n // 2 % 2 == 0:
+            p = unimodular_matrix(field, rng, n)
+        else:
+            p = invertible_matrix(field, rng, n)
+        k, need = (n, field.one / (p.det() ** 2)) if symm else (n // 2, field.one / p.det())
+        return k, need, lambda r: Congruence(space, r, p, cid == "skew.f4" and bool(rng.randrange(2)))
+    if cid == "square.f":
+        n = space.params["n"]
+        a = invertible_matrix(field, rng, n)
+
+        def build(t):
+            b = forced_det_matrix(field, rng, n, t)
+            return (TransposeSandwich if rng.randrange(2) else Sandwich)(space, a, b)
+
+        return 1, field.one / a.det(), build
+    if cid == "cubics":
+        g = invertible_matrix(field, rng, 2)
+        return 4, field.one / (g.det() ** 6), lambda c: CubicSubstitution(c, g)
+    if cid == "SL6":
+        g = invertible_matrix(field, rng, 6)
+        return 4, field.one / (g.det() ** 2), lambda c: WedgePush(c, g, bool(rng.randrange(2)))
+    if cid == "Sp6":
+        g, mu = gsp6_element(field, rng)
+        return 4, field.one / (g.det() ** 2), lambda c: GSp6Push(c, g, mu)
+    if cid == "hyperdet":
+        g1 = invertible_matrix(field, rng, 2)
+        g2 = invertible_matrix(field, rng, 2)
+        sign = field.of(rng.choice([1, -1]))
+        return 1, sign / (g1.det() * g2.det()), lambda t: TriplePush(
+            g1, g2, forced_det_matrix(field, rng, 2, t), perm=PERMS3[rng.randrange(6)])
+    if cid == "blackholes":
+        g2, mu = go_element(field, rng, form.gram(field))
+        sign = field.of(rng.choice([1, -1]))
+        return 1, sign / mu, lambda t: OrthogonalPair(space, forced_det_matrix(field, rng, 2, t), g2, mu)
+    raise PreserverError("no sampler for corollary %r" % cid)
+
+
+def _sample(cid: str, form: InvariantForm, field, rng, pick):
+    """build(t) for the first draw where t = pick(k, need) is not None."""
+    for _ in range(256):
+        k, need, build = _draw(cid, form, field, rng)
+        t = pick(k, need)
+        if t is not None:
+            return build(t)
+    raise PreserverError("constrained sampling stalled for corollary %r" % cid)
 
 
 def sample_free_element(cid: str, form: InvariantForm, field, rng) -> PreserverElement:
     """Unconstrained family member: the scaling character may be anything."""
-    space = form.space
-    if cid == "symm.f" or cid == "skew.f" or cid == "skew.f4":
-        n = space.params["n"]
-        p = _free_invertible(field, rng, n)
-        r = rand_unit(field, rng, 3)
-        star = cid == "skew.f4" and bool(rng.randrange(2))
-        return Congruence(space, r, p, star)
-    if cid == "square.f":
-        n = space.params["n"]
-        a = _free_invertible(field, rng, n)
-        b = _free_invertible(field, rng, n)
-        if rng.randrange(2):
-            return TransposeSandwich(space, a, b)
-        return Sandwich(space, a, b)
-    if cid == "cubics":
-        return CubicSubstitution(rand_unit(field, rng, 3), _free_invertible(field, rng, 2))
-    if cid == "SL6":
-        return WedgePush(rand_unit(field, rng, 3), _free_invertible(field, rng, 6), bool(rng.randrange(2)))
-    if cid == "Sp6":
-        g, mu = gsp6_element(field, rng)
-        return GSp6Push(rand_unit(field, rng, 3), g, mu)
-    if cid == "hyperdet":
-        gs = [_free_invertible(field, rng, 2) for _ in range(3)]
-        return TriplePush(*gs, perm=PERMS3[rng.randrange(6)])
-    if cid == "blackholes":
-        s = form.gram(field)
-        g2, mu = go_element(field, rng, s)
-        g1 = _free_invertible(field, rng, 2)
-        return OrthogonalPair(space, g1, g2, mu)
-    raise PreserverError("no sampler for corollary %r" % cid)
+    return _sample(cid, form, field, rng, lambda k, need: rand_unit(field, rng, 3))
 
 
 def sample_group_element(cid: str, form: InvariantForm, field, rng) -> PreserverElement:
-    """Family member with scaling character exactly one."""
-    space = form.space
-    for _ in range(256):
-        if cid in ("symm.f", "skew.f", "skew.f4"):
-            n = space.params["n"]
-            if space.kind == "symm":
-                p = invertible_matrix(field, rng, n)
-                r = solve_power(field, rng, n, field.one / (p.det() ** 2))
-            else:
-                # over Q det P = -1 would need r^(n/2) = -1, which has no
-                # rational root for even n/2: draw det P = 1 there
-                if field.modulus is None and n // 2 % 2 == 0:
-                    p = unimodular_matrix(field, rng, n)
-                else:
-                    p = invertible_matrix(field, rng, n)
-                r = solve_power(field, rng, n // 2, field.one / p.det())
-            if r is None:
-                continue
-            star = cid == "skew.f4" and bool(rng.randrange(2))
-            return Congruence(space, r, p, star)
-        if cid == "square.f":
-            n = space.params["n"]
-            a = invertible_matrix(field, rng, n)
-            b = forced_det_matrix(field, rng, n, field.one / a.det())
-            if rng.randrange(2):
-                return TransposeSandwich(space, a, b)
-            return Sandwich(space, a, b)
-        if cid == "cubics":
-            g = invertible_matrix(field, rng, 2)
-            c = solve_power(field, rng, 4, field.one / (g.det() ** 6))
-            if c is None:
-                continue
-            return CubicSubstitution(c, g)
-        if cid == "SL6":
-            g = invertible_matrix(field, rng, 6)
-            c = solve_power(field, rng, 4, field.one / (g.det() ** 2))
-            if c is None:
-                continue
-            return WedgePush(c, g, bool(rng.randrange(2)))
-        if cid == "Sp6":
-            g, mu = gsp6_element(field, rng)
-            c = solve_power(field, rng, 4, field.one / (g.det() ** 2))
-            if c is None:
-                continue
-            return GSp6Push(c, g, mu)
-        if cid == "hyperdet":
-            g1 = invertible_matrix(field, rng, 2)
-            g2 = invertible_matrix(field, rng, 2)
-            sign = field.of(rng.choice([1, -1]))
-            g3 = forced_det_matrix(field, rng, 2, sign / (g1.det() * g2.det()))
-            return TriplePush(g1, g2, g3, perm=PERMS3[rng.randrange(6)])
-        if cid == "blackholes":
-            s = form.gram(field)
-            g2, mu = go_element(field, rng, s)
-            sign = field.of(rng.choice([1, -1]))
-            try:
-                g1 = forced_det_matrix(field, rng, 2, sign / mu)
-            except SamplingError:
-                continue
-            return OrthogonalPair(space, g1, g2, mu)
-        raise PreserverError("no sampler for corollary %r" % cid)
-    raise PreserverError("constrained sampling stalled for corollary %r" % cid)
+    """Family member with scaling character exactly one: t solves t^k = need."""
+    return _sample(cid, form, field, rng, lambda k, need: solve_power(field, rng, k, need))
 
 
 def sample_violator(cid: str, form: InvariantForm, field, rng) -> PreserverElement:

@@ -146,7 +146,6 @@ class TestPrimeField:
     def test_elements_units(self):
         F5 = PrimeField(5)
         assert [e.value for e in F5.elements()] == [0, 1, 2, 3, 4]
-        assert [e.value for e in F5.units()] == [1, 2, 3, 4]
 
     def test_inv(self):
         F7 = PrimeField(7)

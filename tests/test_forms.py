@@ -428,6 +428,18 @@ def test_sp6_kernel_dimension_and_eval():
             assert f.evaluate(v) == amb.evaluate(v)
 
 
+def test_sp6_in_kernel_matches_contraction():
+    # in_kernel reads cached contraction rows; sp6_contract is the reference
+    f = Sp6Quartic()
+    rng = random.Random(12)
+    for field in (QQ, F7):
+        vectors = [RepVector.basis(f.space, field, i) for i in range(20)]
+        vectors += [RepVector(f.space, field, [field.of(c) for c in vals]) for vals in sp6_int_kernel_points(rng, 3)]
+        vectors += [RepVector(f.space, field, [field.sample(rng, 3) for _ in range(20)]) for _ in range(3)]
+        for v in vectors:
+            assert f.in_kernel(v) == all(c == field.zero for c in sp6_contract(v, f.b_gram(field)))
+
+
 # mat2n
 
 

@@ -1,6 +1,7 @@
 """Family algebra, star identities, preservation policies, and samplers."""
 
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -841,3 +842,91 @@ def test_rational_skew_group_elements_need_no_redraw(monkeypatch):
     elements = [sample_group_element("skew.f", form, QQ, rng) for _ in range(20)]
     assert all(el.constraint_satisfied(form) for el in elements)
     assert {el.p.det() for el in elements} == {QQ.of(1), QQ.of(-1)}
+
+
+# the group stream
+
+
+def group_stream_digest(cid, desc, field):
+    """sha256 over 20 sample_group_element draws, as sorted-key JSON, and the
+    rng state after them."""
+    form = parse_form(desc)
+    rng = rnd(stable_seed(cid, desc, "group-stream"))
+    h = hashlib.sha256()
+    for _ in range(20):
+        h.update(json.dumps(sample_group_element(cid, form, field, rng).to_json_obj(), sort_keys=True).encode())
+    h.update(repr(rng.getstate()).encode())
+    return h.hexdigest()
+
+
+DIGEST_FIELDS = {f.descriptor: f for f in (F7, PrimeField(10007), QQ)}
+
+
+# recorded before the free and group samplers became one draw per corollary:
+# a group element is drawn exactly as before, so no digest may change
+GROUP_STREAM_DIGESTS = {
+    ("symm.f", "symm-det:2", "Fp:7"): "a8f803c944f4690a2ba077abd5d99d5690cfd3858210963c2ba09bfa39fe1d47",
+    ("symm.f", "symm-det:2", "Fp:10007"): "730a04ec213719eaadfc92e295368e933e9808522921cad9b275ee2c656c3a78",
+    ("symm.f", "symm-det:2", "Q"): "7a4101fb4659400ab4d8945aa0938c377a95361bc0cf528a24058dbd2c130c4a",
+    ("symm.f", "symm-det:3", "Fp:7"): "50f6f2665c5956ea7c64280e28ee3c3779fc12cde7d8c64f245244c45e15d6c9",
+    ("symm.f", "symm-det:3", "Fp:10007"): "191b309fab735923a67c04f5e75ad453e8b62f9c3fc37c0e0e16ebeaf5507fff",
+    ("symm.f", "symm-det:3", "Q"): "3c4ca75fbe44bb2e3d179252b8cc65b95298dd17971a5bbadefeae9b4b5a9268",
+    ("symm.f", "symm-det:4", "Fp:7"): "493b2d67e474fb5af233fd064ff1cd27d8136017ffd5f8e2cb99d660cfddeec1",
+    ("symm.f", "symm-det:4", "Fp:10007"): "cc5d503b2ae54ee99a60924632933454abeb1e32ede319fcc0ecbfa9eb14ea45",
+    ("symm.f", "symm-det:4", "Q"): "d9239e9ab4975597978f983eb8158fa1311f85833bda8ae992bd458a429f8179",
+    ("skew.f", "skew-pf:6", "Fp:7"): "ba8de1992955f7e801c3402054e57ae8580071737cb9da01d810eecc1514e567",
+    ("skew.f", "skew-pf:6", "Fp:10007"): "2d9cd0ddbf2b68149ea45be0014a0d2c66a4f1422b0303f3964d6de6ad2debf5",
+    ("skew.f", "skew-pf:6", "Q"): "bd3a0ba28325935fa3ff129d4486bcadc37f827915649ef710d166da42da969a",
+    ("skew.f", "skew-pf:8", "Fp:7"): "3182b467aa2168e23a624f56ddfd6ff934deabc4e5fb49c3c95867b7bae96d3e",
+    ("skew.f", "skew-pf:8", "Fp:10007"): "c574117ae6b02d3537636d2734a30c444b7202c93f684336144f50842af31531",
+    ("skew.f", "skew-pf:8", "Q"): "c522ddb491d5d4d98a9722780ff8a391ff8cf4af89fae8f95e5d540e51b24dbf",
+    ("skew.f4", "skew-pf:4", "Fp:7"): "5d762229b42033d95023d2c4741b1378dcdd59b815d7d20475d2b6a5fa6d8c7b",
+    ("skew.f4", "skew-pf:4", "Fp:10007"): "933c32993deeaeb180af15ee9b467cba9c0dd51b7bae6c1c85f2684f8151dfbd",
+    ("skew.f4", "skew-pf:4", "Q"): "ef620d683c7b1442be2e7c1a1f407513d272895ddb935f44178fcb8a19055a3e",
+    ("square.f", "square-det:2", "Fp:7"): "5a91cbf300efa37012626f5d7fc21431c2dc62f1bba5a5cd38838b5c509dfa71",
+    ("square.f", "square-det:2", "Fp:10007"): "3c80bdf5a53255141d0d346e79cc3e7f2d618f06b24b57ce9604949ece9e0f8d",
+    ("square.f", "square-det:2", "Q"): "95164380ee20aaf917a396bd2f580ca29c143a3254ff6c3ed55f0ca758d179ba",
+    ("square.f", "square-det:3", "Fp:7"): "99e9be796c796be94c4eb18635f814e1e829b32b56012d2db5d9aa41cfd2f8be",
+    ("square.f", "square-det:3", "Fp:10007"): "8834bc3f8cdcfde455e663ed1a1bfb890abed38cddbe4d5190089ea3e416e916",
+    ("square.f", "square-det:3", "Q"): "34ee6b6f0c474ef9de97f958310566c5931a8d4fd93df294f1ed19d74ff1f2d0",
+    ("square.f", "square-det:4", "Fp:7"): "288c748bd1299403cc9a11e87f10cc8a69910901931876afee8e7183fe038a3f",
+    ("square.f", "square-det:4", "Fp:10007"): "11781e87c2a7ae256c301ac32fe5b74153187aebacde24be2d1ef68d80502112",
+    ("square.f", "square-det:4", "Q"): "106d8b3bb42dfddaa169a9557a5316fe6ee0e0e769832d9d232839c7a8561d3c",
+    ("cubics", "cubic-disc", "Fp:7"): "19d7c440fbbbb31791cd87057a76e5769da1afc26e703aa1e590024d33ec8af2",
+    ("cubics", "cubic-disc", "Fp:10007"): "f8b9ef6872fe80c763279aa7267602da358ea822f8e27d62893068443cf367f4",
+    ("cubics", "cubic-disc", "Q"): "687923da333e92cc153530cf6d4ff69d1df20b59a330a7dc16cf38f5a24ad94c",
+    ("SL6", "wedge36", "Fp:7"): "171805ed15bfab6bd29e093d02aea7eab164ab3dc7fcee991fffe35caacd879c",
+    ("SL6", "wedge36", "Fp:10007"): "af087fe518e0a5cfd6a88fd8cf13e904cb2cd4690ed020a4ca46dfd0221d6a5f",
+    ("SL6", "wedge36", "Q"): "21fff30b0e0289a8c6215d83d421ab042be4ccb6114c31f4e9e77b95e68c498e",
+    ("Sp6", "sp6", "Fp:7"): "c1a6c27b0366a54b900629d42129bdabb83eb373786654b825a51907d60bd05b",
+    ("Sp6", "sp6", "Fp:10007"): "f7d5c1a1ace2c4757cae6098b8806464886c82654bf022623d718d2314fb3ee2",
+    ("Sp6", "sp6", "Q"): "4e1230485559ba2334a08aa172467f5a5f9af9691e212979f308550cab8e07dd",
+    ("hyperdet", "hyperdet", "Fp:7"): "31647d811a072185602e6beceebe91fdb6e7a6b6477613d2d8b0466e2d3c6c09",
+    ("hyperdet", "hyperdet", "Fp:10007"): "33e28b79d239379317a5e35af1404ff0fe9d3b603ab623a22ded6c139912c694",
+    ("hyperdet", "hyperdet", "Q"): "553a120d38c56c06fb281273ae36050055a417a618cb2c39f5b9bacd955e300e",
+    ("blackholes", "mat2n:4", "Fp:7"): "3a7c9948be1f660cddef4bb5e5941b29d35522f30e77f3e9fb02fd55bd271cb5",
+    ("blackholes", "mat2n:4", "Fp:10007"): "a7b426ef2a228aa1e75c19d2919dfffa8398c72ea2d3cd9691709daea89a6e62",
+    ("blackholes", "mat2n:4", "Q"): "1f8e9af988a3d36cf30ac79faf1cca1fd340ddcc245bcf46234db3770626cc11",
+    ("blackholes", "mat2n:5", "Fp:7"): "0de41c21cb814ae753e252dec31adfe2aa7a6c167ba993e1ee84c97479607ba0",
+    ("blackholes", "mat2n:5", "Fp:10007"): "dac5ad640257e0f65f04abedaeba34571221c5deb8ad5291305528462548ee86",
+    ("blackholes", "mat2n:5", "Q"): "af37e9a1cf022099ee5f1ed1908103abaab3a88d945998f6fb0c964f427c5ed8",
+    ("blackholes", "mat2n:6", "Fp:7"): "2ec019bc969f5db3161fd09c08b28606acf36f231d60ea9817fedff5894716e5",
+    ("blackholes", "mat2n:6", "Fp:10007"): "a273693cd4f453bafeab7ae25ada9516b02e845b97c661f90e2c5c00ee72337b",
+    ("blackholes", "mat2n:6", "Q"): "807b47d8daddaf33b53aa1a9021542f5b983891aee71953c909b27f6f71c596f",
+}
+
+
+@pytest.mark.parametrize("cid,desc,field", sorted(GROUP_STREAM_DIGESTS))
+def test_group_stream_matches_recorded_digest(cid, desc, field):
+    assert group_stream_digest(cid, desc, DIGEST_FIELDS[field]) == GROUP_STREAM_DIGESTS[cid, desc, field]
+
+
+@pytest.mark.parametrize("field", [F7, QQ], ids=lambda f: f.descriptor)
+def test_free_elements_scale_by_more_than_a_sign(field):
+    # over Q the matrix draws alone have det +-1; a free element's character
+    # must still range beyond +-1
+    for cid, desc in ALL_CELLS:
+        form = parse_form(desc)
+        rng = rnd(stable_seed(cid, desc, "free"))
+        factors = {sample_free_element(cid, form, field, rng).scaling_factor(form) for _ in range(20)}
+        assert factors - {field.one, -field.one}, (cid, desc, field.descriptor)
