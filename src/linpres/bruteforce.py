@@ -7,8 +7,10 @@ Three cases, each deterministic and exact:
 - cubic-oracles-f5   all 625 binary cubics over F_5; the three minimality
                      oracles must agree pointwise and count 24 minimal points
 - cubic-census-f5    all 1920 substitution pairs (c, g) over F_5; the pairs
-                     preserving the discriminant pointwise must be exactly the
-                     960 with trivial scaling character, giving 240 maps
+                     preserving the discriminant, an identity of degree 4
+                     checked on its 35 simplex lattice points (exact, as
+                     4 < p = 5), must be exactly the 960 with trivial
+                     scaling character, giving 240 maps
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .forms import CubicDisc
 from .linalg import Matrix
 from .minimality import minimal_by_radical, minimal_by_rank, minimal_by_rrs
 from .multilinear import RepVector, Space
-from .preservers import CubicSubstitution
+from .preservers import CubicSubstitution, preserves_form
 
 
 class BruteForceError(RuntimeError):
@@ -182,33 +184,9 @@ def case_cubic_oracles_f5() -> CensusReport:
 # discriminant preserver census over F_5
 
 
-def _census_tables():
-    f5 = PrimeField(5)
-    disc = CubicDisc().int_evaluator(f5)
-    pts = []
-    vals = []
-    for code in range(625):
-        coords = [(code // 5**k) % 5 for k in (3, 2, 1, 0)]
-        pts.append(coords)
-        vals.append(disc(coords))
-    return pts, vals
-
-
-def _pair_preserves(rows, pts, vals):
-    for idx, pt in enumerate(pts):
-        y = [
-            sum(rows[i][k] * pt[k] for k in range(4)) % 5
-            for i in range(4)
-        ]
-        yidx = ((y[0] * 5 + y[1]) * 5 + y[2]) * 5 + y[3]
-        if vals[yidx] != vals[idx]:
-            return False
-    return True
-
-
 def case_cubic_census_f5() -> CensusReport:
     f5 = PrimeField(5)
-    pts, vals = _census_tables()
+    form = CubicDisc()
     total_g = invertible_count(5, 2)
     checked = 0
     preserving = 0
@@ -216,19 +194,19 @@ def case_cubic_census_f5() -> CensusReport:
     mismatches = 0
     maps = set()
     for g in enumerate_invertible(f5, 2):
-        base_rows, s = CubicSubstitution(f5.one, g).action()
         det2 = (g.det().value ** 2) % 5
         for c in range(1, 5):
             checked += 1
-            rows = [[(c * s.value * x) % 5 for x in row] for row in base_rows]
-            keeps = _pair_preserves(rows, pts, vals)
+            el = CubicSubstitution(f5.of(c), g)
+            keeps = preserves_form(el, form, "symbolic").ok
             # scaling character c^4 det(g)^6 reduces to det(g)^2 over F_5
             chi_one = (pow(c, 4, 5) * pow(det2, 3, 5)) % 5 == 1
             if chi_one:
                 character_one += 1
             if keeps:
                 preserving += 1
-                maps.add(tuple(x for row in rows for x in row))
+                rows, s = el.action()
+                maps.add(tuple(s.value * x % 5 for row in rows for x in row))
             if keeps != chi_one:
                 mismatches += 1
     ok = (

@@ -23,11 +23,14 @@ to +1.  Every reported value depends on these conventions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
-from itertools import product
+from functools import cache, cached_property
+from itertools import combinations_with_replacement, product
+from math import comb
+from operator import add
+from types import SimpleNamespace
 
 from .fields import QQ
-from .linalg import Matrix, clear_denominators, det_expansion
+from .linalg import Matrix, clear_denominators, det_expansion, pfaffian
 from .multilinear import (
     RepVector,
     Space,
@@ -65,6 +68,10 @@ def _straight_line(dim, assignments, result):
 
 
 COMPILED_DET_MAX = 6  # larger determinants go through division-free expansion
+# Larger Pfaffians, too: one compiled expression of (n - 1)!! terms overflows
+# the compiler's recursion limit at n = 12 (10,395 terms); n = 10 (945) compiles.
+COMPILED_PF_MAX = 10
+_INTS = SimpleNamespace(zero=0, one=1)  # the ring linalg.pfaffian reads
 
 
 def _det_formula(n, coord):
@@ -98,6 +105,51 @@ def _det_formula(n, coord):
     top = minor(tuple(range(n)))
     dim = 1 + max(coord(i, j) for i in range(n) for j in range(n))
     return _straight_line(dim, assignments, top)
+
+
+LATTICE_POINT_LIMIT = 10**5
+
+
+@cache
+def _lattice_points(n, d):
+    """The points of the principal simplex lattice {alpha in Z>=0^n :
+    |alpha| = d} in lexicographic order, as (shared, pt): pt the sorted tuple
+    of the indices alpha counts with multiplicity, shared the length of its
+    prefix in common with the previous point.  The next point raises one
+    entry of pt and repeats it to the end, so shared is where that run
+    starts."""
+    return tuple((pt.index(pt[-1]) if d else 0, pt) for pt in combinations_with_replacement(range(n), d))
+
+
+def simplex_lattice(fn, cols, d, modulus, error):
+    """[fn(sum_i alpha_i cols[i]) for each point alpha of the principal
+    simplex lattice of degree d on n = len(cols) coordinates], in
+    lexicographic order, the sums in integers; each point reuses the sums
+    over its shared prefix.
+
+    A homogeneous polynomial of degree d that vanishes on this lattice is
+    zero in characteristic 0 or above d (the lattice is unisolvent for
+    degree d; Nicolaides 1972, Chung & Yao 1977), so an identity of degree d
+    checked at these points holds exactly.  Raises `error` when the
+    characteristic (modulus, None for 0) is at most d or the lattice has
+    more than LATTICE_POINT_LIMIT points."""
+    if modulus is not None and modulus <= d:
+        raise error("the lattice check needs characteristic above the degree %d" % d)
+    n = len(cols)
+    count = comb(n + d - 1, d)
+    if count > LATTICE_POINT_LIMIT:
+        raise error(
+            "the degree-%d simplex lattice on %d coordinates has %d points, above the bound of %d"
+            % (d, n, count, LATTICE_POINT_LIMIT)
+        )
+    # partial[j] sums the columns of the first j entries of the point
+    partial = [[0] * len(cols[0])] + [None] * d
+    values = []
+    for shared, pt in _lattice_points(n, d):
+        for j in range(shared, d):
+            partial[j + 1] = list(map(add, partial[j], cols[pt[j]]))
+        values.append(fn(partial[d]))
+    return values
 
 
 class InvariantForm:
@@ -246,7 +298,20 @@ class SkewPf(InvariantForm):
 
     @cached_property
     def formula(self):
-        return _straight_line(self.space.dim, [], _signed_sum(self._monomial_plan()))
+        """The plan compiled for n <= COMPILED_PF_MAX, else linalg.pfaffian's
+        division-free expansion."""
+        n = self.n
+        if n <= COMPILED_PF_MAX:
+            return _straight_line(self.space.dim, [], _signed_sum(self._monomial_plan()))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+        def fn(vals):
+            rows = [[0] * n for _ in range(n)]
+            for x, (i, j) in zip(vals, pairs):
+                rows[i][j], rows[j][i] = x, -x
+            return pfaffian(_INTS, rows)
+
+        return fn
 
     def scaling_factor(self, params):
         r = params["r"]

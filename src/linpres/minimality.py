@@ -15,10 +15,9 @@ The zero vector is never minimal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from operator import mul
 
-from .forms import InvariantForm
+from .forms import InvariantForm, simplex_lattice
 from .linalg import Matrix, clear_denominators
 from .multilinear import (
     RepVector,
@@ -154,8 +153,6 @@ def minimal_by_rank(target, v: RepVector) -> MinimalityVerdict:
 
 RRS_THRESHOLD = {"symm-det": 1, "skew-pf": 1, "square-det": 1, "quadric": 1, "cubic-disc": 2}
 
-EXACT_DIM_LIMIT = 10
-
 
 def _spread_coefficients(form: InvariantForm, v: RepVector):
     """w -> [c_0(w), ..., c_deg(w)] for integer points w, c_k(w) the
@@ -185,13 +182,14 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
     """Root-spread oracle: deg_t f(t v + w) <= threshold for all w.
 
     c_k(w), the coefficient of t^k, is homogeneous of degree deg - k in w.
-    The exact policy (dimension <= 10 only) checks it on the simplex lattice
-    {alpha in Z>=0^dim : |alpha| = deg - k}, where a nonzero form of that
+    The exact policy checks it on the simplex lattice {alpha in Z>=0^dim :
+    |alpha| = deg - k} (forms.simplex_lattice), where a nonzero form of that
     degree cannot vanish identically once p > deg f, which it requires over a
-    prime field.  It tries k = threshold + 1 .. deg in turn and names the
-    first nonzero one.  The randomized policy evaluates the same coefficients
-    at sampled integer w over the rationals; it is not offered over finite
-    fields, where a bounded sample cannot certify a zero identity.
+    prime field; a lattice above LATTICE_POINT_LIMIT points is refused.  It
+    tries k = threshold + 1 .. deg in turn and names the first nonzero one.
+    The randomized policy evaluates the same coefficients at sampled integer
+    w over the rationals; it is not offered over finite fields, where a
+    bounded sample cannot certify a zero identity.
     """
     base = _base_line(form)
     if base not in RRS_THRESHOLD:
@@ -210,18 +208,12 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
                 "exact interpolation needs p > deg f; p = %d is too small for degree %d"
                 % (field.modulus, deg)
             )
-        if dim > EXACT_DIM_LIMIT:
-            raise MinimalityError(
-                "exact policy handles dimension <= %d, got %d" % (EXACT_DIM_LIMIT, dim)
-            )
         coefficients = _spread_coefficients(form, v)
+        units = [[int(i == j) for j in range(dim)] for i in range(dim)]
         for k in range(threshold + 1, deg + 1):
-            for pt in combinations_with_replacement(range(dim), deg - k):
-                alpha = [0] * dim
-                for i in pt:
-                    alpha[i] += 1
-                if coefficients(alpha)[k]:
-                    return MinimalityVerdict(False, "root-spread", {"coefficient": k})
+            ck = simplex_lattice(lambda alpha: coefficients(alpha)[k], units, deg - k, field.modulus, MinimalityError)
+            if any(ck):
+                return MinimalityVerdict(False, "root-spread", {"coefficient": k})
         return MinimalityVerdict(True, "root-spread", None)
     if policy == "randomized":
         if field.modulus is not None:

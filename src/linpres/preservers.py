@@ -29,10 +29,9 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
-from operator import add, mul
+from operator import mul
 
-from .forms import InvariantForm, Sp6Quartic, parse_form
+from .forms import InvariantForm, Sp6Quartic, parse_form, simplex_lattice
 from .linalg import LinAlgError, Matrix, clear_denominators
 from .minimality import minimal_by_rank, sample_minimal
 from .multilinear import (
@@ -60,7 +59,7 @@ class PreserverError(ValueError):
     """Invalid family parameters or an unusable policy request."""
 
 
-SYMBOLIC_DIM_LIMIT = 10
+SYMBOLIC_DIM_LIMIT = 10  # auto's routing only; the verify digests pin each cell's policy
 SZ_ERROR_EXPONENT = 60  # certify identity failure probability <= 2^-60
 
 
@@ -816,10 +815,6 @@ def sz_trial_count(field, degree: int) -> int:
     return t
 
 
-def _symbolic_applicable(form: InvariantForm) -> bool:
-    return form.space.dim <= SYMBOLIC_DIM_LIMIT and form.degree <= 4
-
-
 def _sp6_int_embedding(form, field):
     """Integer 20 x 14 kernel embedding usable for raw sampling: each column
     of the kernel basis cleared of its denominators, built once per field and
@@ -832,42 +827,24 @@ def _sp6_int_embedding(form, field):
 
 
 def _raw_points(form, field):
-    """(k, point): a raw point of the form's space is point(c) for k integer
-    coefficients c, residues in [0, p) over F_p.  point is the identity, or
-    for sp6 the kernel point E c, reduced mod p over F_p."""
+    """(k, E): a raw point of the form's space is E c for k integer
+    coefficients c (residues in [0, p) over F_p when E c goes through
+    _matvec_kernel), or c itself where E is None.  For sp6, E is the integer
+    kernel embedding and k = 14."""
     if isinstance(form, Sp6Quartic):
-        return form.intrinsic_dim, _matvec_kernel(_sp6_int_embedding(form, field), field.modulus)
-    return form.space.dim, lambda c: c
+        return form.intrinsic_dim, _sp6_int_embedding(form, field)
+    return form.space.dim, None
 
 
 def _lattice_reference(form: InvariantForm, field):
-    """(lattice, integer evaluator) for the principal simplex lattice
-    {alpha in Z>=0^n : |alpha| = degree}, kept on the form per field.
-
-    The lattice lists (point, shared, f(alpha)) in lexicographic order: a
-    point is the sorted tuple of the coordinates alpha counts with
-    multiplicity, and shared is the length of its prefix in common with the
-    previous point."""
-    cache = getattr(form, "_symbolic_cache", None)
-    if cache is None:
-        cache = {}
-        form._symbolic_cache = cache
+    """f(E alpha) at each point alpha of the degree-deg simplex lattice on the
+    raw coefficients (_raw_points; E alpha is alpha where E is None), in
+    lattice order, kept on the form per field."""
+    cache = form.__dict__.setdefault("_lattice_cache", {})
     if field not in cache:
-        dim = form.space.dim
-        fn = form.int_evaluator(field)
-        lattice = []
-        prev = None
-        for pt in combinations_with_replacement(range(dim), form.degree):
-            shared = 0
-            if prev is not None:
-                while pt[shared] == prev[shared]:
-                    shared += 1
-            alpha = [0] * dim
-            for i in pt:
-                alpha[i] += 1
-            lattice.append((pt, shared, fn(alpha)))
-            prev = pt
-        cache[field] = (lattice, fn)
+        k, emb = _raw_points(form, field)
+        cols = [[int(i == j) for j in range(k)] for i in range(k)] if emb is None else list(zip(*emb))
+        cache[field] = simplex_lattice(form.int_evaluator(field), cols, form.degree, field.modulus, PreserverError)
     return cache[field]
 
 
@@ -882,76 +859,48 @@ def _scaled_equality(field, s, degree):
     return lambda u, v: a * u == b * v
 
 
-def _preserves_on_lattice(action, form: InvariantForm, field) -> bool:
-    """f(M alpha) == f(alpha) at every point of the principal simplex lattice,
-    for the element action (R, s) with M = s R.
-
-    f o M - f is homogeneous of degree d, and a homogeneous polynomial of
-    degree d that vanishes on {alpha in Z>=0^n : |alpha| = d} is zero when
-    the characteristic is 0 or above d (the lattice is unisolvent for
-    polynomials of degree d on the simplex), so the check is exact."""
-    d = form.degree
-    if field.modulus is not None and field.modulus <= d:
-        raise PreserverError("lattice check needs characteristic above the degree %d" % d)
-    lattice, fn = _lattice_reference(form, field)
-    # f(M alpha) = s^d f(R alpha), with R alpha in integers
-    rows, s = action
-    cols = list(zip(*rows))
-    same = _scaled_equality(field, s, d)
-    # partial[k] = R alpha_k, alpha_k counting the first k indices of the
-    # point: a sum of k columns, reused from the previous point where shared
-    partial = [[0] * form.space.dim] + [None] * d
-    for pt, shared, ref in lattice:
-        for j in range(shared, d):
-            partial[j + 1] = list(map(add, partial[j], cols[pt[j]]))
-        if not same(fn(partial[d]), ref):
-            return False
-    return True
-
-
 def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto", rng=None, trials=None) -> PreservationVerdict:
     """Does f(T x) == f(x) identically?
 
-    The symbolic policy is exact (dimension <= 10, degree <= 4): it compares
-    f(T alpha) with f(alpha) at every alpha in Z>=0^n with |alpha| = degree,
-    a point set on which a nonzero homogeneous polynomial of that degree
-    cannot vanish (characteristic 0 or above the degree).  The
-    schwartz-zippel policy samples; a failure verdict is certain, a success
-    verdict carries the exact error bound (degree / set size)^trials.  A
-    trials count below 1 is rejected under either policy.
+    The symbolic policy is exact: with T = s R and raw points E c (_raw_points),
+    it compares s^deg f(R E alpha) with f(E alpha) at every point alpha of the
+    simplex lattice of the raw coefficients (forms.simplex_lattice), which
+    needs characteristic 0 or above the degree and at most
+    forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy samples; a failure
+    verdict is certain, a success verdict carries the exact error bound
+    (degree / set size)^trials.  auto is symbolic up to dimension
+    SYMBOLIC_DIM_LIMIT and schwartz-zippel above.  A trials count below 1 is
+    rejected under either policy.
     """
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
     if trials is not None and trials < 1:
         raise PreserverError("trials must be at least 1, got %d" % trials)
     field = element.field
-    sp6 = isinstance(form, Sp6Quartic)
-    if policy == "auto":
-        policy = "symbolic" if _symbolic_applicable(form) and not sp6 else "schwartz-zippel"
-    if policy == "symbolic":
-        if sp6:
-            raise PreserverError("the restricted quartic needs sampled kernel points; use schwartz-zippel")
-        if not _symbolic_applicable(form):
-            raise PreserverError(
-                "symbolic policy handles dimension <= %d and degree <= 4; %r has dimension %d, degree %d"
-                % (SYMBOLIC_DIM_LIMIT, form.line, form.space.dim, form.degree)
-            )
-        return PreservationVerdict(_preserves_on_lattice(element.action(), form, field), "symbolic")
-    if policy != "schwartz-zippel":
-        raise PreserverError("unknown policy %r" % policy)
-    if rng is None:
-        raise PreserverError("schwartz-zippel policy needs a seeded rng")
-    if trials is None:
-        trials = sz_trial_count(field, form.degree)
     p = field.modulus
-    bound = Fraction(form.degree, field.sz_set_size)
-    # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
+    if policy == "auto":
+        policy = "symbolic" if form.space.dim <= SYMBOLIC_DIM_LIMIT else "schwartz-zippel"
+    if policy not in ("symbolic", "schwartz-zippel"):
+        raise PreserverError("unknown policy %r" % policy)
+    if policy == "schwartz-zippel" and rng is None:
+        raise PreserverError("schwartz-zippel policy needs a seeded rng")
     rows, s = element.action()
     same = _scaled_equality(field, s, form.degree)
+    size, emb = _raw_points(form, field)
+    fn = form.int_evaluator(field)
+    if policy == "symbolic":
+        refs = _lattice_reference(form, field)
+        if emb is not None:
+            rows = _int_matmul(rows, emb, p)
+        values = simplex_lattice(fn, list(zip(*rows)), form.degree, p, PreserverError)
+        return PreservationVerdict(all(map(same, values, refs)), "symbolic")
+    if trials is None:
+        trials = sz_trial_count(field, form.degree)
+    bound = Fraction(form.degree, field.sz_set_size)
+    # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
     matvec = _matvec_kernel(rows, p)
-    size, point = _raw_points(form, field)
-    fn = form.int_evaluator(field)
+    point = (lambda c: c) if emb is None else _matvec_kernel(emb, p)
     for t in range(1, trials + 1):
         x = point(uniform_ints(rng, lo, hi, size))
         if not same(fn(matvec(x)), fn(x)):
@@ -975,7 +924,8 @@ def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
     p = field.modulus
     rows, s = element.action()
     matvec = _matvec_kernel(rows, p)
-    size, point = _raw_points(form, field)
+    size, emb = _raw_points(form, field)
+    point = (lambda c: c) if emb is None else _matvec_kernel(emb, p)
     fn = form.int_evaluator(field)
     ratio = None
     checked = 0

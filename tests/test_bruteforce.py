@@ -2,6 +2,7 @@
 
 import json
 import time
+from operator import mul
 
 import pytest
 
@@ -17,7 +18,9 @@ from linpres.bruteforce import (
     run_case,
 )
 from linpres.fields import QQ, PrimeField
+from linpres.forms import CubicDisc
 from linpres.linalg import Matrix
+from linpres.preservers import CubicSubstitution, preserves_form
 
 F3 = PrimeField(3, allow_small=True)
 F5 = PrimeField(5)
@@ -82,6 +85,24 @@ def test_cubic_preserver_census():
         "preserving_pairs": 960,
     }
     assert elapsed < 60.0
+
+
+def test_cubic_census_lattice_matches_every_point():
+    # p = 5 is deg + 1, the edge of the lattice theorem: compare with f(T x) == f(x) at all 625 points
+    form = CubicDisc()
+    disc = form.int_evaluator(F5)
+    pts = [[code // 5**k % 5 for k in (3, 2, 1, 0)] for code in range(625)]
+    vals = {tuple(x): disc(x) for x in pts}
+    pairs = 0
+    for g in enumerate_invertible(F5, 2):
+        for c in range(1, 5):
+            el = CubicSubstitution(F5.of(c), g)
+            rows, s = el.action()
+            pointwise = all(vals[tuple(s.value * sum(map(mul, row, x)) % 5 for row in rows)] == vals[tuple(x)]
+                            for x in pts)
+            assert preserves_form(el, form, "symbolic").ok == pointwise, (c, g)
+            pairs += 1
+    assert pairs == 1920
 
 
 def test_report_json_shape():

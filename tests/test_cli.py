@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -72,6 +73,31 @@ def test_eval_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--form", "cubic-disc", "--field", "Q", "--vector", "not json")
     assert code == 2 and "JSON" in err
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_eval_large_pfaffian(capsys, n):
+    # above the compiled sizes the Pfaffian runs by expansion
+    from linpres.fields import QQ
+    from linpres.linalg import pfaffian
+
+    pairing = [[0] * n for _ in range(n)]
+    for k in range(0, n, 2):
+        pairing[k][k + 1], pairing[k + 1][k] = 1, -1
+    code, out, _ = run(capsys, "eval", "--form", "skew-pf:%d" % n, "--field", "Q",
+                       "--vector", json.dumps([str(x) for row in pairing for x in row]))
+    assert code == 0
+    assert json.loads(out)["value"] == "1"
+    rng = random.Random(n)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rng.randint(-9, 9)
+            rows[j][i] = -rows[i][j]
+    code, out, _ = run(capsys, "eval", "--form", "skew-pf:%d" % n, "--field", "Q",
+                       "--vector", json.dumps([str(x) for row in rows for x in row]))
+    assert code == 0
+    assert json.loads(out)["value"] == str(pfaffian(QQ, rows))
 
 
 def test_eval_sp6_needs_kernel_point(capsys):
@@ -362,6 +388,30 @@ def test_minimal_rrs_report_bytes_match_recorded_digest(capsys, form, field, vec
     assert code == 0
     digest = MINIMAL_RRS_DIGESTS[form, field, vec, extra]
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cid", ["SL6", "Sp6", "skew.f"])
+@pytest.mark.parametrize("field", ["Fp:7", "Q"])
+def test_verify_symbolic_covers_every_cell(capsys, cid, field):
+    code, out, _ = run(capsys, "verify", "--corollary", cid, "--field", field, "--seed", "3",
+                       "--elements", "2", "--policy", "symbolic")
+    assert code == 0
+    cells = json.loads(out)["cells"]
+    assert cells and all(cell["policy"] == "symbolic" and cell["failures"] == 0 for cell in cells)
+
+
+def test_minimal_rrs_lattice_point_bound(capsys):
+    # skew-pf:8 (dimension 28) walks 406 points at k = 2; symm-det:7 would walk 201,376
+    e01 = ["0"] * 64
+    e01[1], e01[8] = "1", "-1"
+    code, out, _ = run(capsys, "minimal", "--form", "skew-pf:8", "--field", "Fp:7", "--oracle", "rrs",
+                       "--vector", json.dumps(e01))
+    assert code == 0
+    assert json.loads(out)["verdict"]["is_minimal"] is True
+    e00 = ["1"] + ["0"] * 48
+    code, _, err = run(capsys, "minimal", "--form", "symm-det:7", "--field", "Q", "--oracle", "rrs",
+                       "--vector", json.dumps(e00))
+    assert code == 2 and "201376 points, above the bound of 100000" in err
 
 
 def test_cli_paths_do_not_load_the_polynomial_ring():

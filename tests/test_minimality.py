@@ -260,15 +260,25 @@ def test_rrs_exact_needs_large_enough_p():
         minimal_by_rrs(CUBIC, v, policy="exact")
 
 
-def test_rrs_exact_dimension_guard():
-    f = SkewPf(6)
+def test_rrs_exact_point_bound():
+    # symm-det:7 would walk C(32, 5) = 201,376 points at k = 2
+    f = SymmDet(7)
     v = sample_minimal(f, QQ, random.Random(9))
-    with pytest.raises(MinimalityError):
+    with pytest.raises(MinimalityError, match="bound"):
         minimal_by_rrs(f, v, policy="exact")
-    # dimension 10 is still allowed
-    g = SymmDet(4)
-    w = sample_minimal(g, QQ, random.Random(10))
-    assert minimal_by_rrs(g, w, policy="exact").is_minimal
+    # dimension alone is no bar: skew-pf:6 and :8 (dimension 15 and 28)
+    rng = random.Random(10)
+    for n in (6, 8):
+        f = SkewPf(n)
+        for field in (QQ, F7):
+            minimal = sample_minimal(f, field, rng)
+            pair = minimal + sample_minimal(f, field, rng)  # rank 4 unless the planes meet
+            for v in (minimal, pair):
+                exact = minimal_by_rrs(f, v, policy="exact")
+                assert exact.is_minimal == minimal_by_rank(f, v).is_minimal
+                if field is QQ:
+                    assert exact.is_minimal == minimal_by_rrs(f, v, policy="randomized", rng=rng).is_minimal
+            assert minimal_by_rrs(f, minimal, policy="exact").is_minimal
 
 
 def test_oracle_domain_errors():
