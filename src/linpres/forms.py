@@ -3,14 +3,14 @@ scaling character.
 
 Supported lines (CLI descriptors):
 
-- "symm-det:n"  determinant on symmetric n x n matrices, degree n;
-- "skew-pf:n"   Pfaffian on alternating n x n matrices (n even >= 4), degree n/2;
-- "square-det:n" determinant on all n x n matrices, degree n;
-- "quadric:n"   v^t S v on k^n for an invertible symmetric S, degree 2;
+- "symm-det:n"  determinant on symmetric n x n matrices (2 <= n <= 15), degree n;
+- "skew-pf:n"   Pfaffian on alternating n x n matrices (n even, 4 <= n <= 20), degree n/2;
+- "square-det:n" determinant on all n x n matrices (2 <= n <= 15), degree n;
+- "quadric:n"   v^t S v on k^n for an invertible symmetric S (2 <= n <= 150), degree 2;
 - "cubic-disc"  discriminant of a binary cubic form, degree 4;
 - "wedge36"     the quartic invariant on wedge^3 of k^6;
 - "sp6"         its restriction to the kernel of contraction by a symplectic form;
-- "mat2n:n"     det(X S X^t) on 2 x n matrices (n >= 4), degree 4;
+- "mat2n:n"     det(X S X^t) on 2 x n matrices (4 <= n <= 140), degree 4;
 - "hyperdet"    the 2x2x2 hyperdeterminant, degree 4.
 
 Conventions fixed here (the underlying theory determines f only up to a
@@ -507,7 +507,6 @@ class Sp6Quartic(Wedge36):
     def __init__(self):
         super().__init__()
         self.ambient = Wedge36()
-        self._contraction_cache: dict = {}
         self._kernel_cache: dict = {}
         self._int_kernel_cache: dict = {}  # preservers._sp6_int_embedding
 
@@ -530,15 +529,21 @@ class Sp6Quartic(Wedge36):
             self._kernel_cache[field] = Matrix(field, list(zip(*ker)))
         return self._kernel_cache[field]
 
+    @cached_property
+    def _contraction_rows(self):
+        # nonzero (column, integer) entries; b is integral, so they serve every field
+        return [[(j, int(c)) for j, c in enumerate(row) if c] for row in self.contraction_matrix(QQ).rows]
+
+    def contracts_to_zero(self, x, p) -> bool:
+        """Contraction by b kills the vector with integer coordinates x
+        (residues over F_p, a nonzero multiple D v over Q, p None)."""
+        sums = (sum(c * x[j] for j, c in row) for row in self._contraction_rows)
+        return not any(t % p if p is not None else t for t in sums)
+
     def in_kernel(self, v: RepVector) -> bool:
-        """Contraction by b kills v; each contraction matrix row is kept per
-        field as its nonzero entries."""
+        """Contraction by b kills v."""
         self._check(v)
-        field, zero = v.field, v.field.zero
-        if field not in self._contraction_cache:
-            rows = self.contraction_matrix(field).rows
-            self._contraction_cache[field] = [[(j, c) for j, c in enumerate(row) if c != zero] for row in rows]
-        return all(sum((c * v.coords[j] for j, c in row), zero) == zero for row in self._contraction_cache[field])
+        return self.contracts_to_zero(clear_denominators(v.field, [v.coords])[0][0], v.field.modulus)
 
     def evaluate(self, v: RepVector):
         if not self.in_kernel(v):
@@ -606,16 +611,20 @@ class Hyperdet(InvariantForm):
         return (params["g1"].det() * params["g2"].det() * params["g3"].det()) ** 2
 
 
+# (factory, largest n for a sized line): one point of each line at its
+# largest n took 0.08-0.1 s to parse and evaluate over Q in one process
+# (Python 3.11, 2-core x86), and the determinant and Pfaffian expansions
+# grow 2-3.5x with each further step of n
 _FORM_FACTORIES = {
-    "symm-det": (SymmDet, True),
-    "skew-pf": (SkewPf, True),
-    "square-det": (SquareDet, True),
-    "quadric": (Quadric, True),
-    "cubic-disc": (CubicDisc, False),
-    "wedge36": (Wedge36, False),
-    "sp6": (Sp6Quartic, False),
-    "mat2n": (Mat2n, True),
-    "hyperdet": (Hyperdet, False),
+    "symm-det": (SymmDet, 15),
+    "skew-pf": (SkewPf, 20),
+    "square-det": (SquareDet, 15),
+    "quadric": (Quadric, 150),
+    "cubic-disc": (CubicDisc, None),
+    "wedge36": (Wedge36, None),
+    "sp6": (Sp6Quartic, None),
+    "mat2n": (Mat2n, 140),
+    "hyperdet": (Hyperdet, None),
 }
 
 
@@ -630,14 +639,16 @@ def parse_form(descriptor: str) -> InvariantForm:
     entry = _FORM_FACTORIES.get(name)
     if entry is None:
         raise FormError("unknown form %r (known: %s)" % (descriptor, ", ".join(form_descriptors())))
-    factory, wants_n = entry
-    if wants_n:
+    factory, max_n = entry
+    if max_n is not None:
         if not sep:
             raise FormError("form %r needs a size, e.g. %r" % (name, name + ":4"))
         try:
             n = int(arg)
         except ValueError as exc:
             raise FormError("bad size %r" % arg) from exc
+        if n > max_n:
+            raise FormError("form %r takes sizes up to %d, got %d" % (name, max_n, n))
         return factory(n)
     if sep:
         raise FormError("form %r takes no size" % name)

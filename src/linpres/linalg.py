@@ -142,7 +142,7 @@ class Matrix:
         return self._det
 
     def rank(self):
-        return len(_reduce(clear_denominators(self.ring, self.rows)[0], self.ring.modulus)[1])
+        return int_rank(clear_denominators(self.ring, self.rows)[0], self.ring.modulus)
 
     def inv(self):
         if not self.is_square:
@@ -202,15 +202,32 @@ def clear_denominators(field, rows):
     return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
 
 
+def scaled(field, s, den, ints):
+    """The field elements (s / den) x for the integers x and a field element
+    s: the inverse of clear_denominators (den = 1 over F_p)."""
+    if field.modulus is not None:
+        sv = s.value
+        return [field.of(sv * x) for x in ints]
+    scale = s / den
+    num, den = scale.numerator, scale.denominator
+    return [Fraction(num * x, den) for x in ints]
+
+
+def int_rank(m, p):
+    """Rank of the integer rows m over F_p or Q (p None), reducing m in place."""
+    return len(_reduce(m, p)[1])
+
+
 def _reduce(m, p, width=None, clear_above=False):
     """The one row reduction behind det, rank, inv, solve and kernel.
 
     Reduces the integer rows m in place, as clear_denominators returns them:
-    residues over F_p, integers over Q (p None).  Pivots are taken in the
-    first width columns (all by default), and each pivot column is cleared
-    below the pivot, and above it too when clear_above is set.  Over F_p the
-    entries stay residues mod p, and each pivot row is scaled to 1 when
-    clear_above is set.  Over Q it is fraction-free (Bareiss 1968): with pivot
+    residues over F_p (integers strictly between -p and p also do), integers
+    over Q (p None).  Pivots are taken in the first width columns (all by
+    default), and each pivot column is cleared below the pivot, and above it
+    too when clear_above is set.  Over F_p the entries stay residues mod p,
+    and each pivot row is scaled to 1 when clear_above is set.  Over Q it is
+    fraction-free (Bareiss 1968): with pivot
     pv, row i becomes (pv row_i - row_i[col] pivot_row) divided by the
     previous pivot, a division that is always exact; with clear_above every
     pivot entry ends equal to the last pivot.  Either way, row r divided by

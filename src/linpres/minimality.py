@@ -9,24 +9,28 @@
   polarizing f twice at v has radical of dimension dim - 1 exactly on the
   minimal cone.
 
-The zero vector is never minimal.
+The structure oracle reads each line's rule on integer coordinates: residues
+over F_p, D v over Q for D the least common denominator.  Every rule is
+homogeneous and the cone is closed under nonzero scalars, so any nonzero
+multiple of v, D v or the image R x under a map s R, gets v's verdict.  The
+zero vector is never minimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import mul
 
 from .forms import InvariantForm, simplex_lattice
-from .linalg import Matrix, clear_denominators
+from .linalg import Matrix, clear_denominators, int_rank, scaled
 from .multilinear import (
     RepVector,
     Space,
     bilinear_bx,
+    full_rows,
     radical_dimension,
-    rep_rank,
-    wedge_annihilator_dim,
-    wedge_map_matrix,
+    wedge_map_rows,
     wedge_of_vectors,
 )
 from .sampling import gsp6_element, isotropic_vector, rand_unit
@@ -56,97 +60,96 @@ def _base_line(form: InvariantForm) -> str:
 
 # structure oracle
 
-
-def _cubic_cube_witness(field, coords):
-    """(c, (p, q)) with coords = c * (p^3, 3p^2q, 3pq^2, q^3), else None."""
-    a0, a1, a2, a3 = coords
-    z = field.zero
-    if a0 == z:
-        if a1 == z and a2 == z and a3 != z:
-            return a3, (z, field.one)
-        return None
-    q = a1 / (field.of(3) * a0)
-    if a2 == field.of(3) * a0 * q * q and a3 == a0 * q * q * q:
-        return a0, (field.one, q)
-    return None
+# the three 2 x 4 flattenings of a 2x2x2 tensor, as coordinate indices
+_FLATTENINGS = (((0, 1, 2, 3), (4, 5, 6, 7)), ((0, 1, 4, 5), (2, 3, 6, 7)), ((0, 2, 4, 6), (1, 3, 5, 7)))
 
 
-def _space_rank_rule(space: Space, v: RepVector):
-    kind = space.kind
-    field = v.field
-    if v.is_zero():
-        return False, None
+def _is_cube(x, p):
+    """x = c (s^3, 3 s^2 t, 3 s t^2, t^3) for some c != 0 and (s, t): with
+    a0 = 0 only a3 may be nonzero; otherwise t / s = a1 / (3 a0), which with
+    its denominators cleared reads 3 a0 a2 = a1^2 and 27 a0^2 a3 = a1^3."""
+    a0, a1, a2, a3 = x
+    if not a0:
+        return not a1 and not a2 and bool(a3)
+    checks = (3 * a0 * a2 - a1 * a1, 27 * a0 * a0 * a3 - a1 * a1 * a1)
+    return not any(e % p if p is not None else e for e in checks)
+
+
+def _cubic_witness(field, coords):
+    """(c, (s, t)) of a cube c (s x + t y)^3, in the verdict's format."""
+    a0, a1, _, a3 = coords
+    z, one = field.zero, field.one
+    c, root = (a3, (z, one)) if a0 == z else (a0, (one, a1 / (field.of(3) * a0)))
+    return {"scale": field.format(c), "root": [field.format(r) for r in root]}
+
+
+@cache
+def structure_rule(target, field):
+    """x -> whether the vector with integer coordinates x lies on the minimal
+    cone of the target (a form, or a bare space carrying no invariant) over
+    the field; x holds residues in [0, p) over F_p and any nonzero multiple
+    of the vector, such as D v, over Q."""
+    p = field.modulus
+    if isinstance(target, InvariantForm):
+        base, space = _base_line(target), target.space
+        if base == "quadric":
+            fn = target.int_evaluator(field)
+            return lambda x: any(x) and fn(x) == 0
+        if base == "mat2n":
+            rank_one, n, s = structure_rule(space, field), target.n, target._s_int
+
+            def isotropic_rank_one(x):
+                # rank one, and its nonzero row w isotropic: w^t (D S) w = 0
+                if not rank_one(x):
+                    return False
+                target.gram(field)  # S must be invertible over the field
+                w = x[:n] if any(x[:n]) else x[n:]
+                q = sum(a * sum(map(mul, row, w)) for a, row in zip(w, s))
+                return not (q % p if p is not None else q)
+
+            return isotropic_rank_one
+        if base == "sp6":
+            decomposable = structure_rule(space, field)
+
+            def lagrangian(x):
+                # u1 ^ u2 ^ u3 has contraction b(u1, u2) u3 - b(u1, u3) u2
+                # + b(u2, u3) u1, zero only for an isotropic span: past the
+                # contraction test, decomposable means Lagrangian
+                if not target.contracts_to_zero(x, p):
+                    raise MinimalityError("vector has nonzero contraction")
+                return decomposable(x)
+
+            return lagrangian
+        return structure_rule(space, field)
+    space, kind = target, target.kind
     if kind == "vector":
-        return True, None
-    if kind in ("symm", "square", "rect"):
-        return rep_rank(v) == 1, None
-    if kind == "alt":
-        return rep_rank(v) == 2, None
+        return any
+    if kind in ("symm", "square", "rect", "alt"):
+        rank = 2 if kind == "alt" else 1
+        return lambda x: any(x) and int_rank(full_rows(space, x, 0), p) == rank
     if kind == "wedge":
-        return wedge_annihilator_dim(v) == space.params["d"], None
+        # the annihilator {u : u ^ v = 0} has dimension d, n - d the rank
+        rank = space.params["n"] - space.params["d"]
+        return lambda x: any(x) and int_rank(wedge_map_rows(space, x, 0), p) == rank
     if kind == "cubic":
-        w = _cubic_cube_witness(field, v.coords)
-        if w is None:
-            return False, None
-        c, (p, q) = w
-        return True, {"scale": field.format(c), "root": [field.format(p), field.format(q)]}
+        return lambda x: any(x) and _is_cube(x, p)
     if kind == "tritensor":
-        t = v.coords
-        flats = [
-            [[t[0], t[1], t[2], t[3]], [t[4], t[5], t[6], t[7]]],
-            [[t[0], t[1], t[4], t[5]], [t[2], t[3], t[6], t[7]]],
-            [[t[0], t[2], t[4], t[6]], [t[1], t[3], t[5], t[7]]],
-        ]
-        ok = all(Matrix(field, rows).rank() == 1 for rows in flats)
-        return ok, None
+        return lambda x: any(x) and all(int_rank([[x[i] for i in r] for r in flat], p) == 1 for flat in _FLATTENINGS)
     raise MinimalityError("no structure rule for space %r" % space)
 
 
 def minimal_by_rank(target, v: RepVector) -> MinimalityVerdict:
     """Structure oracle.  The target is a form, or a bare space for the
     representations carrying no invariant (e.g. generic rectangular matrices)."""
-    if isinstance(target, Space):
-        if v.space != target:
-            raise MinimalityError("vector in %r, target %r" % (v.space, target))
-        ok, witness = _space_rank_rule(target, v)
-        return MinimalityVerdict(ok, "structure", witness)
-    form = target
-    if v.space != form.space:
-        raise MinimalityError("vector in %r, form on %r" % (v.space, form.space))
+    space = target if isinstance(target, Space) else target.space
+    if v.space != space:
+        what = "target" if space is target else "form on"
+        raise MinimalityError("vector in %r, %s %r" % (v.space, what, space))
     field = v.field
-    base = _base_line(form)
-    if base == "quadric":
-        ok = not v.is_zero() and form.evaluate(v) == field.zero
-        return MinimalityVerdict(ok, "structure", None)
-    if base == "mat2n":
-        if v.is_zero() or rep_rank(v) != 1:
-            return MinimalityVerdict(False, "structure", None)
-        rows = v.to_matrix().rows
-        w = rows[0] if any(c != field.zero for c in rows[0]) else rows[1]
-        s = form.gram(field)
-        sw = s.apply(w)
-        q = field.zero
-        for a, b in zip(w, sw):
-            q = q + a * b
-        return MinimalityVerdict(q == field.zero, "structure", None)
-    if base == "sp6":
-        if not form.in_kernel(v):
-            raise MinimalityError("vector has nonzero contraction")
-        # the annihilator {u : u wedge v = 0} must be a 3-space, isotropic for b
-        span = wedge_map_matrix(v).kernel()
-        if len(span) != 3:
-            return MinimalityVerdict(False, "structure", None)
-        b = form.b_gram(field)
-        for i in range(len(span)):
-            bu = b.apply(span[i])
-            for j in range(i + 1, len(span)):
-                acc = field.zero
-                for a, c in zip(span[j], bu):
-                    acc = acc + a * c
-                if acc != field.zero:
-                    return MinimalityVerdict(False, "structure", None)
-        return MinimalityVerdict(True, "structure", None)
-    return minimal_by_rank(form.space, v)
+    (x,), _ = clear_denominators(field, [v.coords])
+    ok = structure_rule(target, field)(x)
+    witness = _cubic_witness(field, v.coords) if ok and v.space.kind == "cubic" else None
+    return MinimalityVerdict(ok, "structure", witness)
 
 
 # root-spread oracle
@@ -270,77 +273,77 @@ def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
 # minimal-orbit samplers
 
 
-def _rand_nonzero_ints(field, rng, k, lo=-4, hi=4):
+def _reduced(ints, p):
+    return ints if p is None else [x % p for x in ints]
+
+
+def _rand_nonzero_ints(rng, k, p, lo=-4, hi=4):
+    """k integers from [lo, hi], drawn again until one is nonzero in the
+    field; residues mod p over F_p."""
     while True:
-        v = [field.of(rng.randint(lo, hi)) for _ in range(k)]
-        if any(x != field.zero for x in v):
+        v = _reduced([rng.randint(lo, hi) for _ in range(k)], p)
+        if any(v):
             return v
 
 
 def sample_minimal(target, field, rng) -> RepVector:
-    """A uniform-ish nonzero point of the minimal cone for the target line."""
+    """A uniform-ish nonzero point of the minimal cone for the target line,
+    built as integers x over a denominator D and scaled once to (c / D) x."""
     form = target if isinstance(target, InvariantForm) else None
     space = target.space if form is not None else target
     base = _base_line(form) if form is not None else None
     kind = space.kind
+    p = field.modulus
     c = rand_unit(field, rng, 4)
+    one = field.one
+
+    def vector(s, ints, den=1):
+        return RepVector._raw(space, field, scaled(field, s, den, ints))
+
     if base == "quadric":
-        v = isotropic_vector(field, rng, form.gram(field))
-        return RepVector(space, field, [c * x for x in v])
+        (w,), den = clear_denominators(field, [isotropic_vector(field, rng, form.gram(field))])
+        return vector(c, w, den)
     if base == "mat2n":
         n = space.params["n"]
-        w = isotropic_vector(field, rng, form.gram(field))
-        u = _rand_nonzero_ints(field, rng, 2)
-        return RepVector(space, field, [u[i] * w[j] for i in range(2) for j in range(n)])
+        (w,), den = clear_denominators(field, [isotropic_vector(field, rng, form.gram(field))])
+        u = _rand_nonzero_ints(rng, 2, p)
+        return vector(one, [u[i] * w[j] for i in range(2) for j in range(n)], den)
     if base == "sp6":
         # Lambda^3(g) e_024 = g e_0 wedge g e_2 wedge g e_4
         g, _ = gsp6_element(field, rng)
         cols = list(zip(*g.rows))
-        coords = wedge_of_vectors(field, 6, [cols[0], cols[2], cols[4]]).coords
-        return RepVector(space, field, [c * x for x in coords])
+        return wedge_of_vectors(field, 6, [cols[0], cols[2], cols[4]], c)
     if kind == "vector":
-        return RepVector(space, field, _rand_nonzero_ints(field, rng, space.dim))
+        return vector(one, _rand_nonzero_ints(rng, space.dim, p))
     if kind == "symm":
         n = space.params["n"]
-        u = _rand_nonzero_ints(field, rng, n)
-        rows = [[c * u[i] * u[j] for j in range(n)] for i in range(n)]
-        return RepVector.from_matrix(space, field, rows)
+        u = _rand_nonzero_ints(rng, n, p)
+        return vector(c, [u[i] * u[j] for i in range(n) for j in range(i, n)])
     if kind == "alt":
         n = space.params["n"]
         while True:
-            u = _rand_nonzero_ints(field, rng, n)
-            w = _rand_nonzero_ints(field, rng, n)
-            rows = [[c * (u[i] * w[j] - u[j] * w[i]) for j in range(n)] for i in range(n)]
-            v = RepVector.from_matrix(space, field, rows)
-            if not v.is_zero():
-                return v
+            u, w = _rand_nonzero_ints(rng, n, p), _rand_nonzero_ints(rng, n, p)
+            ints = _reduced([u[i] * w[j] - u[j] * w[i] for i in range(n) for j in range(i + 1, n)], p)
+            if any(ints):
+                return vector(c, ints)
     if kind in ("square", "rect"):
         m = space.params.get("m", space.params["n"])
         n = space.params["n"]
-        u = _rand_nonzero_ints(field, rng, m)
-        w = _rand_nonzero_ints(field, rng, n)
-        return RepVector(space, field, [c * u[i] * w[j] for i in range(m) for j in range(n)])
+        u, w = _rand_nonzero_ints(rng, m, p), _rand_nonzero_ints(rng, n, p)
+        return vector(c, [u[i] * w[j] for i in range(m) for j in range(n)])
     if kind == "wedge":
         d, n = space.params["d"], space.params["n"]
         while True:
-            vecs = [_rand_nonzero_ints(field, rng, n) for _ in range(d)]
-            if Matrix(field, vecs).rank() == d:
-                return wedge_of_vectors(field, n, vecs).scale(c)
+            # the wedge is nonzero exactly when the d vectors are independent
+            v = wedge_of_vectors(field, n, [_rand_nonzero_ints(rng, n, p) for _ in range(d)], c)
+            if not v.is_zero():
+                return v
     if kind == "cubic":
-        p = field.of(rng.randint(-3, 3))
-        q = field.of(rng.randint(-3, 3))
-        if p == field.zero and q == field.zero:
-            p = field.one
-        three = field.of(3)
-        return RepVector(
-            space, field, [c * p * p * p, c * three * p * p * q, c * three * p * q * q, c * q * q * q]
-        )
+        s, t = _reduced([rng.randint(-3, 3), rng.randint(-3, 3)], p)
+        if not s and not t:
+            s = 1
+        return vector(c, [s * s * s, 3 * s * s * t, 3 * s * t * t, t * t * t])
     if kind == "tritensor":
-        u = _rand_nonzero_ints(field, rng, 2)
-        w = _rand_nonzero_ints(field, rng, 2)
-        x = _rand_nonzero_ints(field, rng, 2)
-        return RepVector(
-            space, field, [u[i] * w[j] * x[k] for i in range(2) for j in range(2) for k in range(2)]
-        )
+        u, w, x = (_rand_nonzero_ints(rng, 2, p) for _ in range(3))
+        return vector(one, [u[i] * w[j] * x[k] for i in range(2) for j in range(2) for k in range(2)])
     raise MinimalityError("no minimal-orbit sampler for %r" % space)
-

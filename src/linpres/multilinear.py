@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 from .fields import FieldError
-from .linalg import LinAlgError, Matrix
+from .linalg import LinAlgError, Matrix, clear_denominators, int_rank, scaled
 
 
 class SpaceError(ValueError):
@@ -230,64 +231,27 @@ class RepVector:
 
     @classmethod
     def from_matrix(cls, space, field, rows):
-        """Build from full matrix entries, validating the symmetry tag."""
+        """Build from full matrix entries, validating the symmetry tag: the
+        rows must be the full matrix of their own coordinates."""
         kind = space.kind
         rows = [[field.of(x) for x in r] for r in rows]
-        m = len(rows)
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise SpaceError("ragged matrix")
-        if kind in ("symm", "alt", "square"):
-            if (m, n) != (space.params["n"],) * 2:
-                raise SpaceError("matrix shape mismatch")
-        elif kind == "rect":
-            if (m, n) != (space.params["m"], space.params["n"]):
-                raise SpaceError("matrix shape mismatch")
-        else:
+        if kind not in ("symm", "alt", "square", "rect"):
             raise SpaceError("space %r is not a matrix kind" % kind)
-        if kind == "symm":
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rows[i][j] != rows[j][i]:
-                        raise SpaceError("matrix is not symmetric")
-            coords = [rows[i][j] for i, j in _symm_pairs(n)]
-        elif kind == "alt":
-            for i in range(n):
-                if rows[i][i] != field.zero:
-                    raise SpaceError("alternating matrix needs zero diagonal")
-                for j in range(i + 1, n):
-                    if rows[i][j] != -rows[j][i]:
-                        raise SpaceError("matrix is not alternating")
-            coords = [rows[i][j] for i, j in _alt_pairs(n)]
-        else:
-            coords = [x for r in rows for x in r]
+        if (len(rows), n) != (space.params.get("m", space.params["n"]), space.params["n"]):
+            raise SpaceError("matrix shape mismatch")
+        if kind in ("square", "rect"):
+            return cls._raw(space, field, [x for r in rows for x in r])
+        coords = [rows[i][j] for i, j in (_symm_pairs(n) if kind == "symm" else _alt_pairs(n))]
+        if full_rows(space, coords, field.zero) != rows:
+            raise SpaceError("matrix is not %s" % ("symmetric" if kind == "symm" else "alternating"))
         return cls._raw(space, field, coords)
 
     def to_matrix(self) -> Matrix:
         """Full matrix form for matrix kinds."""
-        kind = self.space.kind
-        field = self.field
-        if kind == "symm":
-            n = self.space.params["n"]
-            rows = [[field.zero] * n for _ in range(n)]
-            for c, (i, j) in zip(self.coords, _symm_pairs(n)):
-                rows[i][j] = c
-                rows[j][i] = c
-        elif kind == "alt":
-            n = self.space.params["n"]
-            rows = [[field.zero] * n for _ in range(n)]
-            for c, (i, j) in zip(self.coords, _alt_pairs(n)):
-                rows[i][j] = c
-                rows[j][i] = -c
-        elif kind == "square":
-            n = self.space.params["n"]
-            rows = [list(self.coords[i * n : (i + 1) * n]) for i in range(n)]
-        elif kind == "rect":
-            m, n = self.space.params["m"], self.space.params["n"]
-            rows = [list(self.coords[i * n : (i + 1) * n]) for i in range(m)]
-        else:
-            raise SpaceError("space %r is not a matrix kind" % kind)
-        return Matrix(field, rows)
+        return Matrix(self.field, full_rows(self.space, self.coords, self.field.zero))
 
     # JSON round trip
 
@@ -330,9 +294,28 @@ class RepVector:
         return cls.from_json_obj(obj, field)
 
 
+def full_rows(space: Space, coords, zero):
+    """Rows of the full matrix of a matrix-kind vector from its coordinates:
+    field elements, or integers with zero = 0."""
+    kind = space.kind
+    if kind in ("square", "rect"):
+        n = space.params["n"]
+        return [list(coords[i : i + n]) for i in range(0, len(coords), n)]
+    if kind not in ("symm", "alt"):
+        raise SpaceError("space %r is not a matrix kind" % kind)
+    n = space.params["n"]
+    rows = [[zero] * n for _ in range(n)]
+    for c, (i, j) in zip(coords, _symm_pairs(n) if kind == "symm" else _alt_pairs(n)):
+        rows[i][j] = c
+        rows[j][i] = c if kind == "symm" else -c
+    return rows
+
+
 def rep_rank(v: RepVector) -> int:
-    """Exact matrix rank of a matrix-kind vector."""
-    return v.to_matrix().rank()
+    """Exact matrix rank of a matrix-kind vector, read on its integer
+    coordinates as the structure oracle reads it."""
+    (x,), _ = clear_denominators(v.field, [v.coords])
+    return int_rank(full_rows(v.space, x, 0), v.field.modulus)
 
 
 class BilinearGram:
@@ -363,30 +346,25 @@ class BilinearGram:
     def rank(self) -> int:
         return self.matrix.rank()
 
-    def pair(self, u, w):
-        ring = self.matrix.ring
-        acc = ring.zero
-        for i, row in enumerate(self.matrix.rows):
-            for j, s in enumerate(row):
-                if s != ring.zero:
-                    acc = acc + u[i] * s * w[j]
-        return acc
-
 
 def radical_dimension(b: BilinearGram) -> int:
     """Dimension of {v : b(v, w) = 0 for all w}."""
     return b.n - b.rank()
 
 
-def standard_symplectic_gram(field, n: int) -> Matrix:
-    """Nondegenerate skew form pairing coordinates (0,1), (2,3), ..."""
+@cache
+def standard_symplectic_ints(n: int):
+    """Integer Gram rows of the nondegenerate skew form pairing coordinates
+    (0,1), (2,3), ...: row i holds (-1)^i at column i ^ 1.  The same
+    integers serve every field."""
     if n % 2:
         raise SpaceError("symplectic form needs even dimension")
-    rows = [[field.zero] * n for _ in range(n)]
-    for k in range(0, n, 2):
-        rows[k][k + 1] = field.one
-        rows[k + 1][k] = -field.one
-    return Matrix(field, rows)
+    return tuple(tuple((j == i ^ 1) * (-1) ** i for j in range(n)) for i in range(n))
+
+
+def standard_symplectic_gram(field, n: int) -> Matrix:
+    """The standard skew form over the field."""
+    return Matrix.from_ints(field, standard_symplectic_ints(n))
 
 
 def split_symmetric_gram(field, n: int) -> Matrix:
@@ -581,40 +559,49 @@ def trilinear_t(f, x1: RepVector, x2: RepVector, x3: RepVector, gram: Matrix | N
 # wedge machinery
 
 
-def wedge_of_vectors(field, n: int, vectors) -> RepVector:
-    """v1 wedge ... wedge vd from d ambient vectors, via d x d minors."""
-    d = len(vectors)
-    cols = [[field.of(c) for c in v] for v in vectors]
-    if any(len(c) != n for c in cols):
+def wedge_of_vectors(field, n: int, vectors, c=None) -> RepVector:
+    """c v1 wedge ... wedge vd (c = 1 by default) from d ambient vectors of
+    field elements or integers: the d x d minors of the vectors cleared of
+    their denominators, each minor on rows B of the first k + 1 vectors
+    expanded along vector k, then scaled by c / D^d once."""
+    if any(len(v) != n for v in vectors):
         raise SpaceError("ambient vector length mismatch")
+    d = len(vectors)
+    ints, den = clear_denominators(field, [[field.of(a) for a in v] for v in vectors])
+    minors = {(): 1}
+    for k, v in enumerate(ints):
+        minors = {
+            B: sum((v[i] if (k - t) % 2 == 0 else -v[i]) * minors[B[:t] + B[t + 1 :]] for t, i in enumerate(B))
+            for B in combinations(range(n), k + 1)
+        }
     _, subs = subset_index(n, d)
-    coords = []
-    for A in subs:
-        sub = Matrix(field, [[cols[j][i] for j in range(d)] for i in A])
-        coords.append(sub.det())
+    coords = scaled(field, field.one if c is None else c, den**d, [minors[A] for A in subs])
     return RepVector._raw(Space("wedge", d=d, n=n), field, coords)
 
 
-def wedge_map_matrix(v: RepVector) -> Matrix:
-    """Matrix of u -> u wedge v, from k^n to wedge(d + 1, n).
+def wedge_map_rows(space: Space, coords, zero):
+    """Rows of u -> u wedge v, from k^n to wedge(d + 1, n), for the
+    coordinates of v: field elements, or integers with zero = 0.
 
     e_i wedge e_A = (-1)^k e_B for B = A + {i} with i at position k of B, so
     row B holds (-1)^k v_(B - B[k]) in column B[k] and zero elsewhere."""
-    space = v.space
     if space.kind != "wedge":
         raise SpaceError("wedge map defined for wedge vectors")
     d, n = space.params["d"], space.params["n"]
     if d + 1 > n:
         raise SpaceError("wedge degree would exceed the ambient dimension")
-    field = v.field
-    coords = v.coords
     rows = []
     for row_spec in _wedge_map_table(n, d):
-        row = [field.zero] * n
+        row = [zero] * n
         for i, a, negate in row_spec:
             row[i] = -coords[a] if negate else coords[a]
         rows.append(row)
-    return Matrix(field, rows)
+    return rows
+
+
+def wedge_map_matrix(v: RepVector) -> Matrix:
+    """Matrix of u -> u wedge v, from k^n to wedge(d + 1, n)."""
+    return Matrix(v.field, wedge_map_rows(v.space, v.coords, v.field.zero))
 
 
 _WEDGE_MAP_CACHE: dict = {}
@@ -634,8 +621,10 @@ def _wedge_map_table(n: int, d: int):
 
 
 def wedge_annihilator_dim(v: RepVector) -> int:
-    """Dimension of {u in k^n : u wedge v = 0}."""
-    return v.space.params["n"] - wedge_map_matrix(v).rank()
+    """Dimension of {u in k^n : u wedge v = 0}, read on the integer
+    coordinates of v as the structure oracle reads it."""
+    (x,), _ = clear_denominators(v.field, [v.coords])
+    return v.space.params["n"] - int_rank(wedge_map_rows(v.space, x, 0), v.field.modulus)
 
 
 def lambda_power_matrix(g: Matrix, d: int) -> Matrix:

@@ -32,13 +32,13 @@ from functools import cache
 from operator import mul
 
 from .forms import InvariantForm, Sp6Quartic, parse_form, simplex_lattice
-from .linalg import LinAlgError, Matrix, clear_denominators
-from .minimality import minimal_by_rank, sample_minimal
+from .linalg import LinAlgError, Matrix, clear_denominators, scaled
+from .minimality import sample_minimal, structure_rule
 from .multilinear import (
     RepVector,
     Space,
     merge_sign,
-    standard_symplectic_gram,
+    standard_symplectic_ints,
     subset_index,
     wedge_complement_star_matrix,
 )
@@ -121,16 +121,6 @@ def _action(field, rows, c, den=1):
     return rows, c / den
 
 
-def _scaled(field, s, den, ints):
-    """The field elements (s / den) x for the integers x (den = 1 over F_p)."""
-    if field.modulus is not None:
-        sv = s.value
-        return [field.of(sv * x) for x in ints]
-    scale = s / den
-    num, den = scale.numerator, scale.denominator
-    return [Fraction(num * x, den) for x in ints]
-
-
 def _kron_action(field, factors, moves=None):
     """Action of the Kronecker product of the factor matrices: row (a, b, ..)
     and column (i, j, ..) hold f1[a][i] f2[b][j] ..; with moves, column k of
@@ -211,12 +201,12 @@ class PreserverElement:
         rows, s = self.action()
         field = self.field
         (x,), den = clear_denominators(field, [v.coords])
-        return RepVector._raw(self.space, field, _scaled(field, s, den, _int_matvec(rows, x, field.modulus)))
+        return RepVector._raw(self.space, field, scaled(field, s, den, _int_matvec(rows, x, field.modulus)))
 
     def matrix_on_space(self) -> Matrix:
         if self._matrix is None:
             rows, s = self.action()
-            self._matrix = Matrix(self.field, [_scaled(self.field, s, 1, row) for row in rows])
+            self._matrix = Matrix(self.field, [scaled(self.field, s, 1, row) for row in rows])
         return self._matrix
 
     def compose(self, other: "PreserverElement") -> "PreserverElement":
@@ -561,18 +551,17 @@ class GSp6Push(WedgePush):
     family = "sp6-push"
 
     def __init__(self, c, g: Matrix, mu=None):
-        field = g.ring
-        b = standard_symplectic_gram(field, 6)
-        # g^t b g in integers: with g = G / D it is G^t b G / D^2
-        gi, den = clear_denominators(field, g.rows)
-        bi, _ = clear_denominators(field, b.rows)
+        field, b = g.ring, standard_symplectic_ints(6)
         p = field.modulus
-        lhs_int = _int_matmul(_int_matmul([list(c) for c in zip(*gi)], bi, p), gi, p)
-        inv = field.one / field.of(den * den)
-        lhs = Matrix(field, [[field.of(x) * inv for x in row] for row in lhs_int])
+        # g^t b g = mu b for g = G / D reads G^t b G = mu D^2 b: with mu = a / m
+        # (m = 1 over F_p), m G^t b G = a D^2 b in integers, mod p over F_p
+        gi, den = clear_denominators(field, g.rows)
+        lhs = _int_matmul(_int_matmul([list(c) for c in zip(*gi)], b, p), gi, p)
         if mu is None:
-            mu = lhs.entry(0, 1)
-        if mu == field.zero or lhs != b.scale(mu):
+            mu = field.of(lhs[0][1]) / field.of(den * den)
+        a, m = (mu.value, 1) if p is not None else (mu.numerator * den * den, mu.denominator)
+        diffs = (m * x - a * y for lrow, brow in zip(lhs, b) for x, y in zip(lrow, brow))
+        if mu == field.zero or any(e % p if p is not None else e for e in diffs):
             raise PreserverError("g is not a symplectic similitude")
         super().__init__(c, g, star=False)
         self.mu = mu
@@ -927,7 +916,7 @@ def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
     size, emb = _raw_points(form, field)
     point = (lambda c: c) if emb is None else _matvec_kernel(emb, p)
     fn = form.int_evaluator(field)
-    ratio = None
+    first = None
     checked = 0
     for _ in range(64 * points):
         c = uniform_ints(rng, -9, 10, size)
@@ -935,29 +924,35 @@ def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
         fv = fn(x)
         if fv == 0:
             continue
-        # the factor s^deg is common to every ratio, so compare without it
-        r = field.of(fn(matvec(x))) / field.of(fv)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
+        # s^deg is common to every ratio, so compare g / fv for g = fn(R x)
+        # with the first point's g0 / f0 as the integer g f0 - g0 fv (mod p)
+        g = fn(matvec(x))
+        if first is None:
+            first = g, fv
+        elif (e := g * first[1] - first[0] * fv) and (p is None or e % p):
             raise PreserverError("map does not scale the form by a constant")
         checked += 1
         if checked == points:
-            return s**form.degree * ratio
+            return s**form.degree * field.of(first[0]) / field.of(first[1])
     raise PreserverError("could not locate enough nonzero values of f")
 
 
 def preserves_minimals(element: PreserverElement, target, rng, samples=100):
     """Check that the element maps sampled minimal vectors to minimal vectors.
 
-    Returns (ok, counterexample_coords_or_None)."""
+    The image of v = x / D under s R is (s / D) R x, so the target's
+    structure rule reads R x.  Returns (ok, counterexample_coords_or_None)."""
     if samples < 1:
         raise PreserverError("samples must be at least 1, got %d" % samples)
+    if element.space != (target if isinstance(target, Space) else target.space):
+        raise PreserverError("element and target act on different spaces")
     field = element.field
+    rows, _ = element.action()
+    is_minimal = structure_rule(target, field)
     for _ in range(samples):
         v = sample_minimal(target, field, rng)
-        w = element.apply(v)
-        if not minimal_by_rank(target, w).is_minimal:
+        (x,), _ = clear_denominators(field, [v.coords])
+        if not is_minimal(_int_matvec(rows, x, field.modulus)):
             return False, [field.format(c) for c in v.coords]
     return True, None
 

@@ -15,8 +15,8 @@ from math import gcd
 from operator import mul
 
 from .fields import PrimeField, RationalField
-from .linalg import Matrix, clear_denominators
-from .multilinear import RepVector, Space
+from .linalg import Matrix, clear_denominators, scaled
+from .multilinear import RepVector, Space, standard_symplectic_ints
 
 
 class SamplingError(RuntimeError):
@@ -148,9 +148,7 @@ def _rank_one_update(field, g, den, u, coef, v):
 
 def _similitude_times(field, d, g, den):
     """diag(d) (g / den) as a Matrix."""
-    if field.modulus is not None:
-        return Matrix(field, [[field.of(di.value * x) for x in row] for di, row in zip(d, g)])
-    return Matrix(field, [[di * Fraction(x, den) for x in row] for di, row in zip(d, g)])
+    return Matrix(field, [scaled(field, di, den, row) for di, row in zip(d, g)])
 
 
 GSP6_TRANSVECTIONS = 8
@@ -165,9 +163,7 @@ def gsp6_element(field, rng):
     v -> v + lam b(v, u) u, each applied as the rank-one update
     g + lam (g u)(b u)^T, then a diagonal similitude.
     """
-    from .multilinear import standard_symplectic_gram
-
-    b, _ = clear_denominators(field, standard_symplectic_gram(field, 6).rows)
+    b = standard_symplectic_ints(6)
     g, den = _int_identity(6), 1
     for _ in range(GSP6_TRANSVECTIONS):
         u = [rng.randint(-2, 2) for _ in range(6)]
@@ -234,33 +230,28 @@ def go_element(field, rng, s: Matrix):
 
 def isotropic_vector(field, rng, s: Matrix):
     """Nonzero v with v^t s v = 0, within ISOTROPIC_TRIES draws; solves one
-    coordinate linearly."""
+    coordinate linearly.  The draws are integers read through D s, which has
+    the same isotropic vectors; the solved coordinate is the one division."""
     n = s.nrows
-    z = field.zero
-    free = [i for i in range(n) if s.entry(i, i) == z]
+    s_int, _ = clear_denominators(field, s.rows)
+    free = [i for i in range(n) if not s_int[i][i]]
     for _ in range(ISOTROPIC_TRIES):
-        if free:
-            last = rng.choice(free)
-            v = [field.of(rng.randint(-4, 4)) for _ in range(n)]
-            v[last] = z
-            sv = s.apply(v)
-            lin = sv[last] * field.of(2)
-            if lin == z:
+        last = rng.choice(free) if free else None
+        v = [rng.randint(-4, 4) for _ in range(n)]
+        if last is not None:
+            v[last] = 0
+        sv = [sum(map(mul, row, v)) for row in s_int]
+        q = field.of(sum(map(mul, v, sv)))
+        w = [field.of(x) for x in v]
+        if last is not None:
+            lin = field.of(2 * sv[last])
+            if lin == field.zero:
                 continue
-            q = None
-            for a, b in zip(v, sv):
-                q = a * b if q is None else q + a * b
-            v[last] = -q / lin
-            if any(x != z for x in v):
-                return v
-        else:
-            v = [field.of(rng.randint(-4, 4)) for _ in range(n)]
-            sv = s.apply(v)
-            q = None
-            for a, b in zip(v, sv):
-                q = a * b if q is None else q + a * b
-            if q == z and any(x != z for x in v):
-                return v
+            w[last] = -q / lin
+        elif q != field.zero:
+            continue
+        if any(x != field.zero for x in w):
+            return w
     raise SamplingError("no isotropic vector found")
 
 

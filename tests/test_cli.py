@@ -12,6 +12,7 @@ import pytest
 
 import linpres
 from linpres.cli import main
+from linpres.forms import parse_form
 
 
 def run(capsys, *argv):
@@ -73,6 +74,16 @@ def test_eval_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--form", "cubic-disc", "--field", "Q", "--vector", "not json")
     assert code == 2 and "JSON" in err
+
+
+@pytest.mark.parametrize("line, largest", [("symm-det", 15), ("skew-pf", 20), ("square-det", 15),
+                                           ("quadric", 150), ("mat2n", 140)])
+def test_sized_lines_refuse_sizes_above_their_bound(capsys, line, largest):
+    # the expansions behind large determinants and Pfaffians would not finish
+    assert parse_form("%s:%d" % (line, largest)).line == "%s:%d" % (line, largest)
+    code, out, err = run(capsys, "eval", "--form", "%s:%d" % (line, 2 * largest), "--field", "Q", "--vector", "[]")
+    assert code == 2 and out == ""
+    assert "form %r takes sizes up to %d, got %d" % (line, largest, 2 * largest) in err
 
 
 @pytest.mark.parametrize("n", [12, 14])

@@ -1,11 +1,12 @@
 """Minimality oracles: hand-checked points, pairwise agreement, errors."""
 
+import hashlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from linpres.fields import QQ, PrimeField
+from linpres.fields import QQ, PrimeField, parse_field
 from linpres.forms import (
     CubicDisc,
     Hyperdet,
@@ -16,13 +17,16 @@ from linpres.forms import (
     SquareDet,
     SymmDet,
     Wedge36,
+    parse_form,
 )
+from linpres.linalg import clear_denominators
 from linpres.minimality import (
     MinimalityError,
     minimal_by_radical,
     minimal_by_rank,
     minimal_by_rrs,
     sample_minimal,
+    structure_rule,
 )
 from linpres.multilinear import RepVector, Space
 
@@ -383,3 +387,98 @@ def test_rrs_exact_matches_polynomial_expansion():
     # every line reaches both verdicts, and the cubic line fails at k = 3
     assert {line for line, _ in seen} == {"symm-det", "skew-pf", "square-det", "quadric", "cubic-disc"}
     assert {k for _, k in seen} == {None, 2, 3}
+
+
+# integer structure rules
+
+
+# sha256 of 10 sample_minimal draws (to_json lines) from random.Random(12),
+# then 64 more bits of the stream, so the draws and their count are pinned;
+# recorded before the samplers moved to integer coordinates
+SAMPLE_MINIMAL_DIGESTS = {
+    ("symm-det:3", "Q"): "b7d9f962fd546d94df26818be7a0e72e90790cc51b9183ec28fb1c353d580a65",
+    ("symm-det:3", "Fp:7"): "76e66b7c6e9a2077ee24a677b0ca54297b082a8d8226b3ada86df6278fd0438c",
+    ("skew-pf:6", "Q"): "4ac9fe63c504f319d08b1cae22c2a71f889750d7127bfdb97b5e3642e539771c",
+    ("skew-pf:6", "Fp:7"): "80782f30cba487944b4367679e6606349b624864ad2e9747077b56e13128a159",
+    ("square-det:3", "Q"): "6a31ce50fe164e8771d731169eb10eabc5cc96dea9b7e3cd6257f9f5b781b7e0",
+    ("square-det:3", "Fp:7"): "fc52717e2b3ee6455c7f7c64254ad5034fd6bfa2561043427e1a9e8ebab295f2",
+    ("quadric:4", "Q"): "931105cee86f6a4951baa385472082724544f84064c5c243aa9ca6e9069e6eb3",
+    ("quadric:4", "Fp:7"): "31bda1c13de981f402f1b31b227997e7ad1f5e9b245f3373d29c33cc4ab5e1b1",
+    ("cubic-disc", "Q"): "1426498b4a283188b7badbdf8b03d7a2bd95e2cad0f3d11545975f50fe459170",
+    ("cubic-disc", "Fp:7"): "441063f9d87dfd042de7b6027e5a697457bfba3d1fe9085fa587098a97c4ded7",
+    ("wedge36", "Q"): "5c534ed2cc90a33f09b327aaff6b30fba13b761e3e1b6afacdaba43ffc12ae54",
+    ("wedge36", "Fp:7"): "f4dba2fdd4a493dcf59b202ccf22b3d00d68e19cfae3e90276c57e45e3afcfd7",
+    ("sp6", "Q"): "d7f638ea7da6a846c74e396380859dd1f39c076a4380c272e6d67ec98a549068",
+    ("sp6", "Fp:7"): "74e3be26ec7d233cb026a5a24dc14578bdd023f7d11e21e4bc7c156f45835c57",
+    ("mat2n:5", "Q"): "7aba2c6280f7521a33d26b6efc3f618a64cc6d9a418297eff1fa239f2512b94d",
+    ("mat2n:5", "Fp:7"): "55fb4d80443ac17621607f7263e0b81e635b91af09850171cd4a123c74f25ef3",
+    ("hyperdet", "Q"): "493291a0babb2efaa210dfd61c0af84e2e8015289ce1d872a07aa00a31cbdbba",
+    ("hyperdet", "Fp:7"): "212d0f9cc164da11f736447182c198a55a1825627cacdddf0b627a4696fad3a8",
+    ("rect:2x4", "Q"): "6d9359c654b72b378532918993d70180a864afb49a0b2b60ad323eb9b4acac41",
+    ("rect:2x4", "Fp:7"): "e4ea3ca13aae0ac35d3567d22362260d74e2466e50a68c9343105708ba2ef911",
+    ("wedge:2x5", "Q"): "d6f320b5b891cfaa1ff5a105e20e4e126500f5e8be6cdc99b91ce96d44b06757",
+    ("wedge:2x5", "Fp:7"): "031f31e3d25788a2dc4e7791a828f11be0137b7db7a280ecd79af46d67aafce3",
+}
+_BARE_SPACES = {"rect:2x4": Space("rect", m=2, n=4), "wedge:2x5": Space("wedge", d=2, n=5)}
+
+
+@pytest.mark.parametrize("line, field", sorted(SAMPLE_MINIMAL_DIGESTS))
+def test_sample_minimal_draw_stream_is_pinned(line, field):
+    target = _BARE_SPACES.get(line) or parse_form(line)
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for _ in range(10):
+        h.update(sample_minimal(target, parse_field(field), rng).to_json().encode() + b"\n")
+    h.update(b"%d" % rng.getrandbits(64))
+    assert h.hexdigest() == SAMPLE_MINIMAL_DIGESTS[line, field]
+
+
+# tensors of rank one in one flattening only, and rank-one 2 x 4 matrices
+# with one zero row (isotropic only in the last), which random points and
+# sums of minimal points almost never hit
+_EDGE_POINTS = {
+    "hyperdet": [(1, 0, 0, 1, 0, 0, 0, 0), (1, 0, 0, 0, 0, 1, 0, 0), (1, 0, 0, 0, 0, 0, 1, 0)],
+    "mat2n:4": [(1, 0, 0, 1, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0, 0, 1), (0, 0, 0, 0, 1, 0, 0, 0)],
+}
+
+
+def _agreement_vectors(form, field, rng):
+    """Minimal points, sums of two (off the cone unless the two meet), random
+    points (inside the contraction kernel for sp6) and the edge points."""
+    if isinstance(form, Sp6Quartic):
+        emb = form.kernel_basis(field)
+        random_points = [RepVector(form.space, field, emb.apply([field.of(rng.randint(-2, 2)) for _ in range(14)]))
+                         for _ in range(3)]
+    else:
+        random_points = [rand_vec(rng, form.space, field, -3, 3) for _ in range(3)]
+    out = random_points + [vec(form.space, field, e) for e in _EDGE_POINTS.get(form.line, ())]
+    for _ in range(3):
+        a, b = sample_minimal(form, field, rng), sample_minimal(form, field, rng)
+        out += [a, a + b]
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F7], ids=lambda f: f.descriptor)
+def test_integer_structure_rule_matches_the_other_oracles(field):
+    """The structure rule on integer coordinates against the root-spread
+    lattice check and the radical oracle, which share no code with it; the
+    rule also gives every nonzero integer multiple the same verdict."""
+    rng = random.Random(field.descriptor)
+    rrs_lines = [SymmDet(3), SymmDet(4), SkewPf(4), SkewPf(6), SquareDet(3), Quadric(4), CUBIC]
+    radical_lines = [CUBIC, Wedge36(), Sp6Quartic(), Mat2n(4), Mat2n(5), Hyperdet()]
+    seen = set()
+    for form in rrs_lines + radical_lines:
+        rule = structure_rule(form, field)
+        for v in _agreement_vectors(form, field, rng):
+            got = minimal_by_rank(form, v).is_minimal
+            if form in rrs_lines:
+                assert got == minimal_by_rrs(form, v, policy="exact").is_minimal, (form.line, v.coords)
+            if form in radical_lines:
+                assert got == minimal_by_radical(form, v).is_minimal, (form.line, v.coords)
+            (x,), _ = clear_denominators(field, [v.coords])
+            k = rng.choice([2, 3, -1]) if field == QQ else rng.randrange(1, field.modulus)
+            multiple = [k * c for c in x] if field == QQ else [k * c % field.modulus for c in x]
+            assert rule(multiple) == got
+            seen.add((form.line, got))
+    # no line passes vacuously: each sees both verdicts
+    assert {line for line, ok in seen if ok} == {line for line, ok in seen if not ok}

@@ -540,6 +540,25 @@ def test_preserves_minimals_for_group_elements():
             assert ok and bad is None
 
 
+def test_preserves_minimals_reports_the_sampled_vector_a_generic_map_moves():
+    # swapping two entries of a 2 x 2 matrix, or scaling one wedge
+    # coordinate by 1/2 and adding another, leaves the minimal cone; the
+    # reports hold the sampled vector as the field-element check gave it
+    form = parse_form("square-det:2")
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for field, want in ((QQ, ["3", "-2", "-2", "4/3"]), (F7, ["5", "1", "5", "1"])):
+        el = GenericMap(form.space, field, Matrix.from_ints(field, swap))
+        assert preserves_minimals(el, form, rnd(4), samples=10) == (False, want)
+    wedge = parse_form("wedge36")
+    rows = [[Fraction(int(i == j) + int((i, j) == (0, 19)), 2 if i == 3 else 1) for j in range(20)] for i in range(20)]
+    want = ["168", "168", "48", "96", "0", "-432", "-24", "-432", "-24", "240",
+            "-56", "160", "-72", "176", "-40", "-112", "-144", "-8", "208", "128"]
+    el = GenericMap(wedge.space, QQ, Matrix(QQ, rows))
+    assert preserves_minimals(el, wedge, rnd(5), samples=10) == (False, want)
+    with pytest.raises(PreserverError, match="different spaces"):
+        preserves_minimals(el, form, rnd(5))
+
+
 def test_orthogonal_pair_validated_against_form():
     form = Mat2n(4)
     rng = rnd(9)
