@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .fields import PrimeField
 from .forms import CubicDisc
-from .linalg import Matrix
+from .linalg import Matrix, int_rank
 from .minimality import minimal_by_radical, minimal_by_rank, minimal_by_rrs
 from .multilinear import RepVector, Space
 from .preservers import CubicSubstitution, preserves_form
@@ -60,7 +60,7 @@ def enumerate_invertible(field, dim: int):
             return
         for vec in rows_pool:
             grown = chosen + [vec]
-            if Matrix.from_ints(field, grown).rank() == len(grown):
+            if int_rank(list(grown), p) == len(grown):
                 yield from recurse(grown)
 
     yield from recurse([])

@@ -3,7 +3,8 @@
 Over a field, determinant, rank, inverse, solve and kernel all read one row
 reduction (`_reduce`) of the integer rows that `clear_denominators` returns:
 residues mod p over F_p, fraction-free Bareiss elimination over the
-rationals (every division exact, no coefficient swell).  Ring algorithms
+rationals (every division exact, no coefficient swell), kept on the matrix
+(`Matrix.ints`) beside its determinant.  Ring algorithms
 (polynomial entries) are division-free: memoized minor expansion for the
 determinant and the recursive Pfaffian expansion.
 """
@@ -11,7 +12,7 @@ determinant and the recursive Pfaffian expansion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .fields import Residue
 
@@ -22,17 +23,21 @@ class LinAlgError(ValueError):
 
 class Matrix:
     """Immutable dense matrix; ring is a field or PolyRing.  The determinant
-    is computed at most once per matrix."""
+    and, over a field, the integer form are computed at most once per matrix,
+    and not at all where the caller passes their exact values.  A matrix made
+    from its integer form builds its entries when they are first read."""
 
-    __slots__ = ("ring", "rows", "_det")
+    __slots__ = ("ring", "_rows", "_det", "_ints")
 
-    def __init__(self, ring, rows):
-        rows = tuple(tuple(r) for r in rows)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
-            raise LinAlgError("ragged rows")
+    def __init__(self, ring, rows, _det=None, _ints=None):
+        if rows is not None:
+            rows = tuple(tuple(r) for r in rows)
+            if rows and any(len(r) != len(rows[0]) for r in rows):
+                raise LinAlgError("ragged rows")
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "_det", None)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_det", _det)
+        object.__setattr__(self, "_ints", _ints)
 
     def __setattr__(self, name, val):
         raise AttributeError("Matrix is immutable")
@@ -51,13 +56,41 @@ class Matrix:
     def from_ints(cls, ring, rows):
         return cls(ring, [[ring.of(x) for x in r] for r in rows])
 
+    @classmethod
+    def _exact(cls, ring, ints, den=1, det=None):
+        """The matrix ints / den over a field (den = 1 over F_p) for integer
+        rows ints, with its integer form set and, when given, its determinant."""
+        p = ring.modulus
+        if p is not None:
+            ints = [[x % p for x in r] for r in ints]
+        elif den != 1:
+            g = gcd(den, *(x for r in ints for x in r))
+            ints, den = [[x // g for x in r] for r in ints], den // g
+        return cls(ring, None, det, (tuple(map(tuple, ints)), den))
+
+    @property
+    def rows(self):
+        """The entries, as row tuples; built on first read from the integer form."""
+        if self._rows is None:
+            ints, den = self._ints
+            object.__setattr__(self, "_rows", tuple(tuple(scaled(self.ring, self.ring.one, den, r)) for r in ints))
+        return self._rows
+
+    def ints(self):
+        """clear_denominators(ring, rows), as tuples, computed at most once."""
+        if self._ints is None:
+            rows, den = clear_denominators(self.ring, self.rows)
+            object.__setattr__(self, "_ints", (tuple(map(tuple, rows)), den))
+        return self._ints
+
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self._ints[0] if self._rows is None else self._rows)
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        rows = self._ints[0] if self._rows is None else self._rows
+        return len(rows[0]) if rows else 0
 
     @property
     def is_square(self):
@@ -114,7 +147,9 @@ class Matrix:
         return Matrix(self.ring, [[c * a for a in r] for r in self.rows])
 
     def transpose(self):
-        return Matrix(self.ring, list(zip(*self.rows)) if self.rows else [])
+        """The transpose, keeping a known determinant and integer form."""
+        ints = self._ints and (tuple(zip(*self._ints[0])), self._ints[1])
+        return Matrix(self.ring, self._rows and list(zip(*self._rows)), self._det, ints)
 
     def apply(self, vec):
         """Matrix-vector product; vec entries may live in a larger ring."""
@@ -134,22 +169,22 @@ class Matrix:
             if not self.is_square:
                 raise LinAlgError("determinant of a non-square matrix")
             if getattr(self.ring, "is_field", False):
-                ints, den = clear_denominators(self.ring, self.rows)
-                d = _quotient(self.ring, _reduce(ints, self.ring.modulus)[2], den**self.nrows)
+                ints, den = self.ints()
+                d = _quotient(self.ring, _reduce(list(ints), self.ring.modulus)[2], den**self.nrows)
             else:
                 d = det_expansion(self.ring, self.rows)
             object.__setattr__(self, "_det", d)
         return self._det
 
     def rank(self):
-        return int_rank(clear_denominators(self.ring, self.rows)[0], self.ring.modulus)
+        return int_rank(list(self.ints()[0]), self.ring.modulus)
 
     def inv(self):
         if not self.is_square:
             raise LinAlgError("inverse of a non-square matrix")
         n = self.nrows
-        aug = [list(r) + [self.ring.one if i == j else self.ring.zero for j in range(n)]
-               for i, r in enumerate(self.rows)]
+        ints, den = self.ints()
+        aug = [list(r) + [den * (i == j) for j in range(n)] for i, r in enumerate(ints)]
         return Matrix(self.ring, _solve_block(self.ring, aug, n))
 
     def solve(self, b):
@@ -160,13 +195,13 @@ class Matrix:
         if len(b) != n:
             raise LinAlgError("vector length mismatch")
         aug = [list(r) + [bv] for r, bv in zip(self.rows, b)]
-        return [row[0] for row in _solve_block(self.ring, aug, n)]
+        return [row[0] for row in _solve_block(self.ring, clear_denominators(self.ring, aug)[0], n)]
 
     def kernel(self):
         """Basis of the right null space {v : self @ v = 0}."""
         ring = self.ring
         n = self.ncols
-        red, pivots, _ = _reduce(clear_denominators(ring, self.rows)[0], ring.modulus, clear_above=True)
+        red, pivots, _ = _reduce(list(self.ints()[0]), ring.modulus, clear_above=True)
         basis = []
         for j in range(n):
             if j in pivots:
@@ -221,7 +256,8 @@ def int_rank(m, p):
 def _reduce(m, p, width=None, clear_above=False):
     """The one row reduction behind det, rank, inv, solve and kernel.
 
-    Reduces the integer rows m in place, as clear_denominators returns them:
+    Reduces the integer rows m in place (it rebinds rows of m, never writes
+    into one), as clear_denominators returns them:
     residues over F_p (integers strictly between -p and p also do), integers
     over Q (p None).  Pivots are taken in the first width columns (all by
     default), and each pivot column is cleared below the pivot, and above it
@@ -289,8 +325,9 @@ def _quotient(field, a, b):
 
 
 def _solve_block(field, aug, n):
-    """Rows of A^-1 B, for aug = [A | B] with A n-by-n; LinAlgError if A is singular."""
-    red, pivots, _ = _reduce(clear_denominators(field, aug)[0], field.modulus, n, clear_above=True)
+    """Rows of A^-1 B, for integer rows aug = c [A | B] (c != 0, A n-by-n);
+    LinAlgError if A is singular."""
+    red, pivots, _ = _reduce(aug, field.modulus, n, clear_above=True)
     if len(pivots) < n:
         raise LinAlgError("singular matrix")
     return [[_quotient(field, x, row[pc]) for x in row[n:]] for row, pc in zip(red, pivots)]

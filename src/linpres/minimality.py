@@ -170,7 +170,7 @@ def _spread_coefficients(form: InvariantForm, v: RepVector):
     nodes = range(form.degree + 1)
     (dv,), _ = clear_denominators(field, [v.coords])
     vinv = Matrix(field, [[field.of(t**k) for k in nodes] for t in nodes]).inv()
-    rows, _ = clear_denominators(field, vinv.rows)
+    rows, _ = vinv.ints()
     fn, p = form.int_evaluator(field), field.modulus
 
     def coefficients(w):
@@ -309,10 +309,11 @@ def sample_minimal(target, field, rng) -> RepVector:
         u = _rand_nonzero_ints(rng, 2, p)
         return vector(one, [u[i] * w[j] for i in range(2) for j in range(n)], den)
     if base == "sp6":
-        # Lambda^3(g) e_024 = g e_0 wedge g e_2 wedge g e_4
+        # Lambda^3(g) e_024 = g e_0 wedge g e_2 wedge g e_4, for g = G / D
         g, _ = gsp6_element(field, rng)
-        cols = list(zip(*g.rows))
-        return wedge_of_vectors(field, 6, [cols[0], cols[2], cols[4]], c)
+        ints, den = g.ints()
+        cols = list(zip(*ints))
+        return wedge_of_vectors(field, 6, [cols[0], cols[2], cols[4]], c / field.of(den**3))
     if kind == "vector":
         return vector(one, _rand_nonzero_ints(rng, space.dim, p))
     if kind == "symm":

@@ -127,7 +127,7 @@ def _kron_action(field, factors, moves=None):
     the product lands at column moves[k]."""
     rows, den = [[1]], 1
     for f in factors:
-        ints, d = clear_denominators(field, f.rows)
+        ints, d = f.ints()
         rows = [[x * y for x in r1 for y in r2] for r1 in rows for r2 in ints]
         den *= d
     if moves is not None:
@@ -273,7 +273,7 @@ class Congruence(PreserverElement):
         # in integers: P = E / D, so every entry is r / D^2 times an integer
         field = self.field
         n = self.p.nrows
-        e, den = clear_denominators(field, self.p.rows)
+        e, den = self.p.ints()
         symm = self.space.kind == "symm"
         if symm:
             pairs = [(i, j) for i in range(n) for j in range(i, n)]
@@ -439,7 +439,7 @@ class CubicSubstitution(PreserverElement):
 
     def _build_action(self):
         # g = G / D: every coefficient of q o g is a cubic in G over D^3
-        (u, w), den = clear_denominators(self.field, self.g.rows)
+        (u, w), den = self.g.ints()
 
         def cubemul(u, w):
             # coefficient vectors of linear forms u, w: expand u^2 w
@@ -492,7 +492,7 @@ class WedgePush(PreserverElement):
     def _build_action(self):
         field = self.field
         # Lambda^3(g) = Lambda^3(D g) / D^3 for a common denominator D of g
-        vals, den = clear_denominators(field, self.g.rows)
+        vals, den = self.g.ints()
         # integer 3x3 minors, then the star as a signed column permutation
         idx, subs = subset_index(6, 3)
         out = []
@@ -555,7 +555,7 @@ class GSp6Push(WedgePush):
         p = field.modulus
         # g^t b g = mu b for g = G / D reads G^t b G = mu D^2 b: with mu = a / m
         # (m = 1 over F_p), m G^t b G = a D^2 b in integers, mod p over F_p
-        gi, den = clear_denominators(field, g.rows)
+        gi, den = g.ints()
         lhs = _int_matmul(_int_matmul([list(c) for c in zip(*gi)], b, p), gi, p)
         if mu is None:
             mu = field.of(lhs[0][1]) / field.of(den * den)
@@ -721,7 +721,7 @@ class GenericMap(PreserverElement):
         self._matrix = matrix
 
     def _build_action(self):
-        rows, den = clear_denominators(self.field, self._matrix.rows)
+        rows, den = self._matrix.ints()
         return _action(self.field, rows, self.field.one, den)
 
     def params_json(self):

@@ -3,6 +3,13 @@
 Every function takes an explicit random.Random; nothing here touches global
 randomness.  Over the rationals, matrix samplers favor small integer entries
 (transvection words) so downstream exact arithmetic stays cheap.
+
+Each matrix is built once from integer rows (Matrix._exact), with the
+determinant its construction fixes: 1 for a transvection word, c det(m) for
+m with one column times c (-1 in invertible_matrix, the target in
+forced_det_matrix), prod(d) for diag(d) g with g a word of symplectic
+transvections (det 1) or of 2n reflections (det -1 each).  A dense F_p
+draw's determinant comes from the one reduction that tests it.
 """
 
 from __future__ import annotations
@@ -11,11 +18,11 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import cache
-from math import gcd
+from math import gcd, lcm, prod
 from operator import mul
 
 from .fields import PrimeField, RationalField
-from .linalg import Matrix, clear_denominators, scaled
+from .linalg import Matrix
 from .multilinear import RepVector, Space, standard_symplectic_ints
 
 
@@ -99,29 +106,36 @@ def unimodular_matrix(field, rng, n: int) -> Matrix:
             continue
         c = rng.choice([-2, -1, 1, 2])
         rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return Matrix(field, [[field.of(x) for x in row] for row in rows])
+    return Matrix._exact(field, rows, det=field.one)
+
+
+def _ratio(field, c):
+    """Integers (a, b) with c = a / b; b = 1 over F_p."""
+    return (c.value, 1) if field.modulus is not None else (c.numerator, c.denominator)
+
+
+def _times_column(field, m: Matrix, j: int, c) -> Matrix:
+    """m with column j times the field element c, built on m's integer form;
+    its determinant is c det(m)."""
+    a, b = _ratio(field, c)
+    rows, den = m.ints()
+    return Matrix._exact(field, [[x * a if k == j else x * b for k, x in enumerate(r)] for r in rows],
+                         den * b, c * m.det())
 
 
 def invertible_matrix(field, rng, n: int) -> Matrix:
     """Invertible matrix; dense entries over a prime field, a transvection
-    word over the rationals."""
+    word over the rationals with a column negated half the time."""
     if isinstance(field, PrimeField):
         while True:
             entries = uniform_ints(rng, 0, field.modulus, n * n)
-            m = Matrix.from_ints(field, [entries[i : i + n] for i in range(0, n * n, n)])
+            m = Matrix._exact(field, [entries[i : i + n] for i in range(0, n * n, n)])
             if m.det() != field.zero:
                 return m
     m = unimodular_matrix(field, rng, n)
     if rng.randrange(2):
-        m = scale_column(m, rng.randrange(n), field.of(-1))
+        m = _times_column(field, m, rng.randrange(n), -field.one)
     return m
-
-
-def scale_column(m: Matrix, j: int, c) -> Matrix:
-    rows = [list(r) for r in m.rows]
-    for r in rows:
-        r[j] = r[j] * c
-    return Matrix(m.ring, rows)
 
 
 def forced_det_matrix(field, rng, n: int, target) -> Matrix:
@@ -129,7 +143,7 @@ def forced_det_matrix(field, rng, n: int, target) -> Matrix:
     if target == field.zero:
         raise SamplingError("determinant target must be nonzero")
     m = invertible_matrix(field, rng, n)
-    return scale_column(m, rng.randrange(n), target / m.det())
+    return _times_column(field, m, rng.randrange(n), target / m.det())
 
 
 def _rank_one_update(field, g, den, u, coef, v):
@@ -147,8 +161,12 @@ def _rank_one_update(field, g, den, u, coef, v):
 
 
 def _similitude_times(field, d, g, den):
-    """diag(d) (g / den) as a Matrix."""
-    return Matrix(field, [scaled(field, di, den, row) for di, row in zip(d, g)])
+    """diag(d) (g / den) as a Matrix, for g / den of determinant one: its
+    determinant is prod(d)."""
+    ratios = [_ratio(field, di) for di in d]
+    m = lcm(*(b for _, b in ratios))
+    rows = [[x * a * (m // b) for x in row] for (a, b), row in zip(ratios, g)]
+    return Matrix._exact(field, rows, den * m, prod(d, start=field.one))
 
 
 GSP6_TRANSVECTIONS = 8
@@ -178,19 +196,14 @@ def gsp6_element(field, rng):
     return _similitude_times(field, d, g, den), mu
 
 
-def _is_antidiagonal(s: Matrix) -> bool:
-    n = s.nrows
-    z = s.ring.zero
-    return all(s.entry(i, j) == z for i in range(n) for j in range(n) if i + j != n - 1)
-
-
 def go_element(field, rng, s: Matrix):
     """(g, mu) with g^t s g = mu s, via 2n reflections and, for antidiagonal
     s, a diagonal similitude.  For other s only mu = 1 is produced."""
     n = s.nrows
+    p = field.modulus
     reflections = 2 * n
     # s = s_int / D; the reflection in u only needs s_int u and u^T s_int u
-    s_int, _ = clear_denominators(field, s.rows)
+    s_int, _ = s.ints()
     g, den = _int_identity(n), 1
     done = 0
     budget = 64 * reflections
@@ -200,13 +213,13 @@ def go_element(field, rng, s: Matrix):
             raise SamplingError("reflection sampling stalled")
         u = [rng.randint(-3, 3) for _ in range(n)]
         su = [sum(map(mul, row, u)) for row in s_int]
-        q = field.of(sum(map(mul, u, su)))
-        if q == field.zero:
+        q = sum(map(mul, u, su))
+        if (q if p is None else q % p) == 0:
             continue
         # g (I - 2 u (s u)^T / (u^T s u)) as a rank-one update
-        g, den = _rank_one_update(field, g, den, u, -field.of(2) / q, su)
+        g, den = _rank_one_update(field, g, den, u, field.of(-2) / field.of(q), su)
         done += 1
-    if not _is_antidiagonal(s):
+    if any(x for i, row in enumerate(s_int) for j, x in enumerate(row) if i + j != n - 1):
         return _similitude_times(field, [field.one] * n, g, den), field.one
     root = field.one  # the middle entry for odd n, with root^2 = mu
     if isinstance(field, RationalField):
@@ -233,7 +246,7 @@ def isotropic_vector(field, rng, s: Matrix):
     coordinate linearly.  The draws are integers read through D s, which has
     the same isotropic vectors; the solved coordinate is the one division."""
     n = s.nrows
-    s_int, _ = clear_denominators(field, s.rows)
+    s_int, _ = s.ints()
     free = [i for i in range(n) if not s_int[i][i]]
     for _ in range(ISOTROPIC_TRIES):
         last = rng.choice(free) if free else None

@@ -864,16 +864,24 @@ def test_rational_skew_group_elements_need_no_redraw(monkeypatch):
 # the group stream
 
 
-def group_stream_digest(cid, desc, field):
-    """sha256 over 20 sample_group_element draws, as sorted-key JSON, and the
-    rng state after them."""
+def stream_digest(cid, desc, field, tag, samplers):
+    """sha256 over one element from each sampler in turn, as sorted-key JSON,
+    and the rng state after them."""
     form = parse_form(desc)
-    rng = rnd(stable_seed(cid, desc, "group-stream"))
+    rng = rnd(stable_seed(cid, desc, tag))
     h = hashlib.sha256()
-    for _ in range(20):
-        h.update(json.dumps(sample_group_element(cid, form, field, rng).to_json_obj(), sort_keys=True).encode())
+    for sample in samplers:
+        h.update(json.dumps(sample(cid, form, field, rng).to_json_obj(), sort_keys=True).encode())
     h.update(repr(rng.getstate()).encode())
     return h.hexdigest()
+
+
+def group_stream_digest(cid, desc, field):
+    return stream_digest(cid, desc, field, "group-stream", [sample_group_element] * 20)
+
+
+def free_stream_digest(cid, desc, field):
+    return stream_digest(cid, desc, field, "free-stream", [sample_free_element] * 20 + [sample_violator])
 
 
 DIGEST_FIELDS = {f.descriptor: f for f in (F7, PrimeField(10007), QQ)}
@@ -936,6 +944,66 @@ GROUP_STREAM_DIGESTS = {
 @pytest.mark.parametrize("cid,desc,field", sorted(GROUP_STREAM_DIGESTS))
 def test_group_stream_matches_recorded_digest(cid, desc, field):
     assert group_stream_digest(cid, desc, DIGEST_FIELDS[field]) == GROUP_STREAM_DIGESTS[cid, desc, field]
+
+
+# recorded before sampled matrices carried their determinant and integer
+# rows: the free draws and the violator search make the same rng calls and
+# return the same elements
+FREE_STREAM_DIGESTS = {
+    ("symm.f", "symm-det:2", "Fp:7"): "6f4d810db53cea172c7c2d3950dc83ae92fa010d80bf3bde1f98ddad77653c21",
+    ("symm.f", "symm-det:2", "Fp:10007"): "75a784e16ad7b77c4e6295868f4229bf205d724b82e5b6e8214f014b0c5ef388",
+    ("symm.f", "symm-det:2", "Q"): "faa498333be8a70547bab198b248b950d23d0a9527f5c165043c30dfd4f0b958",
+    ("symm.f", "symm-det:3", "Fp:7"): "0eab596170d0fc7a0e02d46f95a089374136c84af54d5da77ad2f14563de2e10",
+    ("symm.f", "symm-det:3", "Fp:10007"): "6a3f1050b0ebe9dcabb9aba1d30d6a99d1fa0c26061819551abebcb32a8e728c",
+    ("symm.f", "symm-det:3", "Q"): "5db0a9d0569ac490150fa70f555581be0f9e1e624689532379e49e0075e85859",
+    ("symm.f", "symm-det:4", "Fp:7"): "96ecc317f22f9d72cbe42d9d2b48286e076c4e39e83fe86cffe4649f6739229e",
+    ("symm.f", "symm-det:4", "Fp:10007"): "0a0d7eb1236f614a6456d1542d4d3e4d576de51d1bbaba13f82b817ea3f06740",
+    ("symm.f", "symm-det:4", "Q"): "4dcd7be3248fa10219ae7020da9152e162cb6f3dc54a9c67bc81ae4678bcdab9",
+    ("skew.f", "skew-pf:6", "Fp:7"): "ee204837ba5c64bd09028bafb540f41a14a257bd6a2bdbfd80d57a3247f17e77",
+    ("skew.f", "skew-pf:6", "Fp:10007"): "f37a4f4e48d7a7a0a85c46cbca70ed4b51ef1a8354cb07eb92f8af858c765fad",
+    ("skew.f", "skew-pf:6", "Q"): "66f3b7b00f9222365d85e505908255cadef2495159796083ac5e1b2b79dd42c3",
+    ("skew.f", "skew-pf:8", "Fp:7"): "6ff8af656cdea7a221ae10dd88b0bbdc9f3adfb38148bba692961f12bf2da00d",
+    ("skew.f", "skew-pf:8", "Fp:10007"): "9577811ed19a2dc93309ed9224543146df4f59b6590a0dc4c877248b3054391c",
+    ("skew.f", "skew-pf:8", "Q"): "a88cff7fcf173f4d9904d2d05d21121045347b03b3ee288e2455bb06c732185b",
+    ("skew.f4", "skew-pf:4", "Fp:7"): "45d17e3e43164015dae37f1b1e7dccd6f92e2367706017ce9f0224588ca4f99b",
+    ("skew.f4", "skew-pf:4", "Fp:10007"): "715918de08a207620be31b6a2fa810ded65966928ace243e37c9cbd17941b112",
+    ("skew.f4", "skew-pf:4", "Q"): "d6bc41b8bb4b0777f26b40346133e02a1d12af8288835ab24108bb4b0a7a4cc1",
+    ("square.f", "square-det:2", "Fp:7"): "e9e4fae2f0fb2da1279365e81aef76dec74e8398efa3626f705ed2c9eabdf302",
+    ("square.f", "square-det:2", "Fp:10007"): "59c28311de6773756260fe6e573b38ff4d0ac4bc4433f4ea6c22d3fba42e4a67",
+    ("square.f", "square-det:2", "Q"): "602abfbbf0b8e76e62738864afc7168f02a8b856f17189fe81b1289d4ba13978",
+    ("square.f", "square-det:3", "Fp:7"): "2e97d5827e654bd56aa3eab1faf3402329250b39dbf90e65a17bb01851ee14c6",
+    ("square.f", "square-det:3", "Fp:10007"): "8740451e1ddd332a3ce93fbb548dfdec2ca732bf9f9dba367f9dd8a251f10546",
+    ("square.f", "square-det:3", "Q"): "543c1b47fccc45ce3e6d9a53bff825c8fa243aab46dd47cd5bb5e4883281082d",
+    ("square.f", "square-det:4", "Fp:7"): "dac0b3f4553bed6be7f9b766cc1ac27c8f20f54b238794548848f4e72de0e34e",
+    ("square.f", "square-det:4", "Fp:10007"): "3e7ee630e9335a5b0977dc4cabb8498333511b52ee3dea817bf9a6f34c95b272",
+    ("square.f", "square-det:4", "Q"): "e6b551aac4325634081db4b957fc0cb510c4877f29801bd59cdd958ad4ed313c",
+    ("cubics", "cubic-disc", "Fp:7"): "0c909d9e7cdaa41ea0d1552430a897184ea2d4dba1055245ad3a99e9dcbf1ce8",
+    ("cubics", "cubic-disc", "Fp:10007"): "79f259341ddcd69199d8cbf21bd7729bcf1046c5d6af2ef6949dcfbd9ebf4da0",
+    ("cubics", "cubic-disc", "Q"): "f62452225ae9dfe74349d95bfde429e15d9f48e8e23ce041f9d4dcafe2bd3740",
+    ("SL6", "wedge36", "Fp:7"): "9164a63895f3846136c9e3b63c00e3b4adac896377f422a1bd8b21cc13fa1e8d",
+    ("SL6", "wedge36", "Fp:10007"): "f44a617b1cd1d410cd1b1a0b66d7f6873adcc7177a53b171a74183f42616a91f",
+    ("SL6", "wedge36", "Q"): "28b593cd9a99257c0447fe705903642f03f7b1f2a26fd9f9c935f18b851c93bc",
+    ("Sp6", "sp6", "Fp:7"): "247837f4d9a7f10d08dfbc2043558795004b8e99ae79650289ecade89b3f84a1",
+    ("Sp6", "sp6", "Fp:10007"): "a34677b131886a91a18ebd4fe878531ec774ed42ff30bfa2b18ae524d5ea4db1",
+    ("Sp6", "sp6", "Q"): "37dacdd4d14341e22bfad114641a52cb0e63a8fbb0e26180349cf6fb16a5fb85",
+    ("hyperdet", "hyperdet", "Fp:7"): "6fa9018fd3f580d2a2d1e73dab7e1ba7aa80f60f3b7f036ddc953da62df9bc38",
+    ("hyperdet", "hyperdet", "Fp:10007"): "2419136f2d853cbbf5109f1e253e80716f78928a54e9f3abf42b955027824319",
+    ("hyperdet", "hyperdet", "Q"): "97f3e618f9fd2d10ca51c41a5d029faf42c58ebbee885be73280a6dcbcc598bf",
+    ("blackholes", "mat2n:4", "Fp:7"): "6b8b8a7317b0cfd1aa8e68c2939ce48d2206f09e94a91ed9a1eb121a96a2022a",
+    ("blackholes", "mat2n:4", "Fp:10007"): "abe68a68d3ee3e14286a26d1259aa4348edea26b4611a80267ac322c2d71ac64",
+    ("blackholes", "mat2n:4", "Q"): "6dc0f5158a0bb7ec0319396c2a3e4d82cd2b7538b371d93e54f8fbe523e1b17e",
+    ("blackholes", "mat2n:5", "Fp:7"): "9e3f71975e834edef18d33f75b3e86d2e0fa545dff10bb0cf11e3e5574ba770b",
+    ("blackholes", "mat2n:5", "Fp:10007"): "448cadfe3d902c7aff7baf5b3e35ffd2eef553150e1f2807744f00a001c9d217",
+    ("blackholes", "mat2n:5", "Q"): "6afae8ea87451daa495ed76e60a311218468f56be6994e6988d55d40fc15bf1b",
+    ("blackholes", "mat2n:6", "Fp:7"): "9bc2d94ba7d67ffc80e75e9f3ef0fdea19a828e5f0fed48f83c333eee4c208e1",
+    ("blackholes", "mat2n:6", "Fp:10007"): "864ed13a2ea29c5fd6b4e64e74d2c9163bf020df7388b47c2d4d74012ef2b7ce",
+    ("blackholes", "mat2n:6", "Q"): "cec5a9970c16df0a1f85f93963be132cf8cf0b1699a9c480713877ff0985dd40",
+}
+
+
+@pytest.mark.parametrize("cid,desc,field", sorted(FREE_STREAM_DIGESTS))
+def test_free_stream_matches_recorded_digest(cid, desc, field):
+    assert free_stream_digest(cid, desc, DIGEST_FIELDS[field]) == FREE_STREAM_DIGESTS[cid, desc, field]
 
 
 @pytest.mark.parametrize("field", [F7, QQ], ids=lambda f: f.descriptor)

@@ -1,5 +1,6 @@
 """Samplers must satisfy their exact postconditions."""
 
+import copy
 import random
 import sys
 from array import array
@@ -9,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from linpres.fields import QQ, PrimeField
-from linpres.linalg import Matrix
+from linpres.forms import Mat2n
+from linpres.linalg import Matrix, clear_denominators
 from linpres.multilinear import standard_symplectic_gram, split_symmetric_gram
 from linpres.sampling import (
     SamplingError,
@@ -18,6 +20,7 @@ from linpres.sampling import (
     gsp6_element,
     invertible_matrix,
     isotropic_vector,
+    rand_unit,
     rand_vector,
     solve_power,
     unimodular_matrix,
@@ -27,12 +30,18 @@ from linpres.sampling import (
 F7 = PrimeField(7)
 
 
+def fresh_det(m):
+    """The determinant recomputed from the entries alone, not the one a
+    sampler set on m."""
+    return Matrix(m.ring, m.rows).det()
+
+
 def test_unimodular_det_one():
     rng = random.Random(0)
     for field in (QQ, F7):
         for n in (2, 4, 6):
             for _ in range(5):
-                assert unimodular_matrix(field, rng, n).det() == field.one
+                assert fresh_det(unimodular_matrix(field, rng, n)) == field.one
 
 
 def test_invertible_and_forced_det():
@@ -40,11 +49,11 @@ def test_invertible_and_forced_det():
     for field in (QQ, F7):
         for _ in range(5):
             m = invertible_matrix(field, rng, 3)
-            assert m.det() != field.zero
+            assert fresh_det(m) != field.zero
     for target in (F7.of(3), F7.of(6)):
-        assert forced_det_matrix(F7, rng, 4, target).det() == target
+        assert fresh_det(forced_det_matrix(F7, rng, 4, target)) == target
     for target in (QQ.of(1), QQ.of(-1), QQ.of(Fraction(2, 3))):
-        assert forced_det_matrix(QQ, rng, 3, target).det() == target
+        assert fresh_det(forced_det_matrix(QQ, rng, 3, target)) == target
 
 
 def test_gsp6_similitude_relation():
@@ -54,7 +63,7 @@ def test_gsp6_similitude_relation():
         for _ in range(4):
             g, mu = gsp6_element(field, rng)
             assert g.transpose() @ b @ g == b.scale(mu)
-            assert g.det() == mu**3
+            assert fresh_det(g) == mu**3
 
 
 def test_go_similitude_relation():
@@ -69,6 +78,49 @@ def test_go_similitude_relation():
     for _ in range(4):
         g, mu = go_element(F7, rng, s_hyper)
         assert g.transpose() @ s_hyper @ g == s_hyper.scale(mu)
+
+
+CARRY_FIELDS = [QQ, PrimeField(5), F7, PrimeField(10007)]
+CARRY_GRAMS = [Mat2n(4), Mat2n(5), Mat2n(6), Mat2n(5, [[Fraction(x, 3) for x in row] for row in
+                                                     [[2, 1, 0, 0, 0], [1, 0, 0, 3, 0], [0, 0, 1, 0, 0],
+                                                      [0, 3, 0, 0, 1], [0, 0, 0, 1, -1]]])]
+
+
+def carried_draws(field, rng, draws=50):
+    """(matrix, det or None): draws matrices from each sampler, with the
+    determinant its construction fixes where the draw makes it known."""
+    for _ in range(draws):
+        yield invertible_matrix(field, rng, 4), None
+        yield unimodular_matrix(field, rng, 3), field.one
+        target = rand_unit(field, rng)
+        yield forced_det_matrix(field, rng, 3, target), target
+        g, mu = gsp6_element(field, rng)
+        yield g, mu**3
+        for form in CARRY_GRAMS:
+            g, mu = go_element(field, rng, form.gram(field))
+            yield g, None
+
+
+@pytest.mark.parametrize("field", CARRY_FIELDS, ids=lambda f: f.descriptor)
+def test_sampled_matrices_carry_their_exact_det_and_integer_rows(field):
+    rng = random.Random(8)
+    for m, det in carried_draws(field, rng):
+        # set by the sampler, and equal to the values the entries give
+        assert m._det is not None and m._ints is not None
+        assert m.det() == fresh_det(m) != field.zero
+        assert det is None or m.det() == det
+        rows, den = m.ints()
+        assert ([list(r) for r in rows], den) == clear_denominators(field, m.rows)
+        t = m.transpose()
+        assert t.rows == tuple(zip(*m.rows))
+        assert t.det() == m.det() and t.ints() == Matrix(field, t.rows).ints()
+        # reading the integer rows leaves them as they were
+        before = copy.deepcopy(m.ints())
+        assert m.rank() == m.nrows
+        assert m.inv() @ m == Matrix.identity(field, m.nrows)
+        assert m.kernel() == []
+        assert Matrix(field, m.rows).det() == m.det()
+        assert m.ints() == before
 
 
 def test_go_odd_dimension():
