@@ -56,7 +56,7 @@ def enumerate_invertible(field, dim: int):
 
     def recurse(chosen):
         if len(chosen) == dim:
-            yield Matrix.from_ints(field, chosen)
+            yield Matrix._exact(field, chosen)
             return
         for vec in rows_pool:
             grown = chosen + [vec]
@@ -119,7 +119,7 @@ def case_rank_one_fixers_f3() -> CensusReport:
     maps = 0
     for m in enumerate_invertible(f3, 3):
         maps += 1
-        rows = [[x.value for x in row] for row in m.rows]
+        rows = m.ints()[0]
         good = True
         for v in cone:
             w = [sum(rows[i][k] * v[k] for k in range(3)) % 3 for i in range(3)]
@@ -132,7 +132,7 @@ def case_rank_one_fixers_f3() -> CensusReport:
                 good = False
                 break
         if good:
-            fixers.append(rows)
+            fixers.append([list(r) for r in rows])
     expected = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
         [[2, 0, 0], [0, 2, 0], [0, 0, 2]],

@@ -22,10 +22,10 @@ class LinAlgError(ValueError):
 
 
 class Matrix:
-    """Immutable dense matrix; ring is a field or PolyRing.  The determinant
-    and, over a field, the integer form are computed at most once per matrix,
-    and not at all where the caller passes their exact values.  A matrix made
-    from its integer form builds its entries when they are first read."""
+    """Immutable dense matrix over a field.  The determinant and the integer
+    form are computed at most once per matrix, and not at all where the
+    caller passes their exact values.  A matrix made from its integer form
+    builds its entries when they are first read."""
 
     __slots__ = ("ring", "_rows", "_det", "_ints")
 
@@ -168,11 +168,8 @@ class Matrix:
         if self._det is None:
             if not self.is_square:
                 raise LinAlgError("determinant of a non-square matrix")
-            if getattr(self.ring, "is_field", False):
-                ints, den = self.ints()
-                d = _quotient(self.ring, _reduce(list(ints), self.ring.modulus)[2], den**self.nrows)
-            else:
-                d = det_expansion(self.ring, self.rows)
+            ints, den = self.ints()
+            d = _quotient(self.ring, _reduce(list(ints), self.ring.modulus)[2], den**self.nrows)
             object.__setattr__(self, "_det", d)
         return self._det
 

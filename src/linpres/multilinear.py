@@ -271,10 +271,13 @@ class RepVector:
     def from_json_obj(cls, obj, field):
         try:
             kind = obj["space"]
-            params = {k: int(v) for k, v in obj.get("params", {}).items()}
+            params = obj.get("params", {})
             entries = [field.parse(str(e)) for e in obj["entries"]]
         except (KeyError, TypeError, ValueError, FieldError) as exc:
             raise SpaceError("bad vector object: %s" % exc) from exc
+        # bool is an int subclass, and int() would truncate 2.9 to 2
+        if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
+            raise SpaceError("bad vector object: params must map names to integers, got %s" % json.dumps(params))
         space = Space(kind, **params)
         if kind in ("symm", "alt", "square", "rect"):
             m = params.get("m", params.get("n"))

@@ -1,5 +1,5 @@
-"""Transformation families that scale each invariant, their algebra, and
-randomized or symbolic verification that a map preserves a form.
+"""Transformation families that scale each invariant, and randomized or
+symbolic verification that a map preserves a form.
 
 Families (the involution or factor permutation always acts first):
 
@@ -11,7 +11,7 @@ Families (the involution or factor permutation always acts first):
 - sp6-push          wedge-push with g a symplectic similitude, no star
 - triple-push       T -> (g1 x g2 x g3) (sigma T) on 2x2x2 tensors
 - orthogonal-pair   X -> g1 X g2^t with g2^t S g2 = mu S on 2 x n matrices
-- generic           an arbitrary coordinate matrix (composition fallback)
+- generic           an arbitrary coordinate matrix
 
 Each element builds its action once, as integer rows R and one field scalar
 s with coordinate matrix s R; apply, matrix_on_space, both preservation
@@ -32,7 +32,7 @@ from functools import cache
 from operator import mul
 
 from .forms import InvariantForm, Sp6Quartic, parse_form, simplex_lattice
-from .linalg import LinAlgError, Matrix, clear_denominators, scaled
+from .linalg import Matrix, clear_denominators, scaled
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
     RepVector,
@@ -63,12 +63,16 @@ SYMBOLIC_DIM_LIMIT = 10  # auto's routing only; the verify digests pin each cell
 SZ_ERROR_EXPONENT = 60  # certify identity failure probability <= 2^-60
 
 
-def _fmt_matrix(field, m: Matrix):
-    return [[field.format(x) for x in row] for row in m.rows]
-
-
-def _parse_matrix(field, rows):
-    return Matrix(field, [[field.parse(x) for x in row] for row in rows])
+def _param_json(field, v):
+    """One family parameter as JSON: a matrix as rows of formatted entries, a
+    flag as itself, a permutation as a list, a scalar through field.format."""
+    if isinstance(v, Matrix):
+        return [[field.format(x) for x in row] for row in v.rows]
+    if isinstance(v, bool):
+        return v
+    if isinstance(v, tuple):
+        return list(v)
+    return field.format(v)
 
 
 def _int_matvec(rows, x, p):
@@ -168,10 +172,6 @@ def hodge_star20_matrix(field) -> Matrix:
     return wedge_complement_star_matrix(field, 6, 3)
 
 
-def _q0(field) -> Matrix:
-    return Matrix.from_ints(field, [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
-
-
 # families
 
 
@@ -209,21 +209,6 @@ class PreserverElement:
             self._matrix = Matrix(self.field, [scaled(self.field, s, 1, row) for row in rows])
         return self._matrix
 
-    def compose(self, other: "PreserverElement") -> "PreserverElement":
-        """self after other; falls back to a generic coordinate map."""
-        self._check_peer(other)
-        return GenericMap(self.space, self.field, self.matrix_on_space() @ other.matrix_on_space())
-
-    def inverse(self) -> "PreserverElement":
-        try:
-            return GenericMap(self.space, self.field, self.matrix_on_space().inv())
-        except LinAlgError as exc:
-            raise PreserverError("element is singular") from exc
-
-    def _check_peer(self, other):
-        if other.space != self.space or other.field != self.field:
-            raise PreserverError("cannot compose across spaces or fields")
-
     def char_params(self) -> dict | None:
         """Parameters consumed by the form's scaling_factor; None for generic maps."""
         return None
@@ -238,7 +223,7 @@ class PreserverElement:
         return self.scaling_factor(form) == self.field.one
 
     def params_json(self) -> dict:
-        raise NotImplementedError
+        return {k: _param_json(self.field, v) for k, v in self.char_params().items()}
 
     def to_json_obj(self) -> dict:
         return {"family": self.family, "params": self.params_json()}
@@ -296,39 +281,8 @@ class Congruence(PreserverElement):
             out = [[s * row[src] for src, s in _STAR4] for row in out]
         return _action(field, out, self.r, den**2)
 
-    def compose(self, other):
-        if not isinstance(other, Congruence):
-            return super().compose(other)
-        self._check_peer(other)
-        if self.star:
-            q0 = _q0(self.field)
-            p2 = q0 @ other.p.inv().transpose() @ q0
-            r = self.r * other.r * other.p.det()
-        else:
-            p2 = other.p
-            r = self.r * other.r
-        return Congruence(self.space, r, self.p @ p2, self.star != other.star)
-
-    def inverse(self):
-        if not self.star:
-            return Congruence(self.space, self.field.one / self.r, self.p.inv())
-        q0 = _q0(self.field)
-        return Congruence(
-            self.space,
-            self.field.one / (self.r * self.p.det()),
-            q0 @ self.p.transpose() @ q0,
-            True,
-        )
-
     def char_params(self):
         return {"r": self.r, "P": self.p, "star": self.star}
-
-    def params_json(self):
-        return {
-            "r": self.field.format(self.r),
-            "P": _fmt_matrix(self.field, self.p),
-            "star": self.star,
-        }
 
 
 class Sandwich(PreserverElement):
@@ -355,23 +309,8 @@ class Sandwich(PreserverElement):
         # A X B has (a, b) entry sum A[a][i] X[i][j] B^t[b][j]: the action is A x B^t
         return _kron_action(self.field, (self.a, self.b.transpose()))
 
-    def compose(self, other):
-        if isinstance(other, Sandwich):
-            self._check_peer(other)
-            return Sandwich(self.space, self.a @ other.a, other.b @ self.b)
-        if isinstance(other, TransposeSandwich):
-            self._check_peer(other)
-            return TransposeSandwich(self.space, self.a @ other.a, other.b @ self.b)
-        return super().compose(other)
-
-    def inverse(self):
-        return Sandwich(self.space, self.a.inv(), self.b.inv())
-
     def char_params(self):
         return {"A": self.a, "B": self.b}
-
-    def params_json(self):
-        return {"A": _fmt_matrix(self.field, self.a), "B": _fmt_matrix(self.field, self.b)}
 
 
 class TransposeSandwich(PreserverElement):
@@ -400,23 +339,8 @@ class TransposeSandwich(PreserverElement):
         moves = [i * n + j for j in range(n) for i in range(n)]
         return _kron_action(self.field, (self.a, self.b.transpose()), moves)
 
-    def compose(self, other):
-        if isinstance(other, Sandwich):
-            self._check_peer(other)
-            return TransposeSandwich(self.space, self.a @ other.b.transpose(), other.a.transpose() @ self.b)
-        if isinstance(other, TransposeSandwich):
-            self._check_peer(other)
-            return Sandwich(self.space, self.a @ other.b.transpose(), other.a.transpose() @ self.b)
-        return super().compose(other)
-
-    def inverse(self):
-        return TransposeSandwich(self.space, self.b.inv().transpose(), self.a.inv().transpose())
-
     def char_params(self):
         return {"A": self.a, "B": self.b}
-
-    def params_json(self):
-        return {"A": _fmt_matrix(self.field, self.a), "B": _fmt_matrix(self.field, self.b)}
 
 
 class CubicSubstitution(PreserverElement):
@@ -454,20 +378,8 @@ class CubicSubstitution(PreserverElement):
         cols = [cubemul(u, u), cubemul(u, w), cubemul(w, u), cubemul(w, w)]
         return _action(self.field, [list(r) for r in zip(*cols)], self.c, den**3)
 
-    def compose(self, other):
-        if isinstance(other, CubicSubstitution):
-            self._check_peer(other)
-            return CubicSubstitution(self.c * other.c, other.g @ self.g)
-        return super().compose(other)
-
-    def inverse(self):
-        return CubicSubstitution(self.field.one / self.c, self.g.inv())
-
     def char_params(self):
         return {"c": self.c, "g": self.g}
-
-    def params_json(self):
-        return {"c": self.field.format(self.c), "g": _fmt_matrix(self.field, self.g)}
 
 
 class WedgePush(PreserverElement):
@@ -514,34 +426,8 @@ class WedgePush(PreserverElement):
             out = [[s * row[src] for src, s in moves] for row in out]
         return _action(field, out, self.c, den**3)
 
-    def compose(self, other):
-        if isinstance(other, WedgePush):
-            self._check_peer(other)
-            c = self.c * other.c
-            if self.star:
-                c = c * other.g.det()
-                g2 = other.g.inv().transpose()
-                if other.star:
-                    c = -c
-            else:
-                g2 = other.g
-            return WedgePush(c, self.g @ g2, self.star != other.star)
-        return super().compose(other)
-
-    def inverse(self):
-        if not self.star:
-            return WedgePush(self.field.one / self.c, self.g.inv())
-        return WedgePush(-self.field.one / (self.c * self.g.det()), self.g.transpose(), True)
-
     def char_params(self):
         return {"c": self.c, "g": self.g, "star": self.star}
-
-    def params_json(self):
-        return {
-            "c": self.field.format(self.c),
-            "g": _fmt_matrix(self.field, self.g),
-            "star": self.star,
-        }
 
 
 class GSp6Push(WedgePush):
@@ -550,48 +436,25 @@ class GSp6Push(WedgePush):
 
     family = "sp6-push"
 
-    def __init__(self, c, g: Matrix, mu=None):
+    def __init__(self, c, g: Matrix):
         field, b = g.ring, standard_symplectic_ints(6)
         p = field.modulus
         # g^t b g = mu b for g = G / D reads G^t b G = mu D^2 b: with mu = a / m
         # (m = 1 over F_p), m G^t b G = a D^2 b in integers, mod p over F_p
         gi, den = g.ints()
         lhs = _int_matmul(_int_matmul([list(c) for c in zip(*gi)], b, p), gi, p)
-        if mu is None:
-            mu = field.of(lhs[0][1]) / field.of(den * den)
+        mu = field.of(lhs[0][1]) / field.of(den * den)
         a, m = (mu.value, 1) if p is not None else (mu.numerator * den * den, mu.denominator)
         diffs = (m * x - a * y for lrow, brow in zip(lhs, b) for x, y in zip(lrow, brow))
         if mu == field.zero or any(e % p if p is not None else e for e in diffs):
             raise PreserverError("g is not a symplectic similitude")
         super().__init__(c, g, star=False)
-        self.mu = mu
 
-    def compose(self, other):
-        if isinstance(other, GSp6Push):
-            self._check_peer(other)
-            return GSp6Push(self.c * other.c, self.g @ other.g, self.mu * other.mu)
-        return super().compose(other)
-
-    def inverse(self):
-        return GSp6Push(self.field.one / self.c, self.g.inv(), self.field.one / self.mu)
-
-    def params_json(self):
-        return {"c": self.field.format(self.c), "g": _fmt_matrix(self.field, self.g)}
+    def char_params(self):
+        return {"c": self.c, "g": self.g}
 
 
 PERMS3 = [(0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)]
-
-
-def _perm_compose(s, t):
-    # (s o t)(i) = s(t(i))
-    return tuple(s[t[i]] for i in range(3))
-
-
-def _perm_inverse(s):
-    out = [0, 0, 0]
-    for i in range(3):
-        out[s[i]] = i
-    return tuple(out)
 
 
 class TriplePush(PreserverElement):
@@ -623,29 +486,8 @@ class TriplePush(PreserverElement):
         moves = [4 * t[s[0]] + 2 * t[s[1]] + t[s[2]] for t in slots]
         return _kron_action(self.field, self.gs, moves)
 
-    def compose(self, other):
-        if isinstance(other, TriplePush):
-            self._check_peer(other)
-            sinv = _perm_inverse(self.perm)
-            hs = tuple(self.gs[i] @ other.gs[sinv[i]] for i in range(3))
-            return TriplePush(*hs, perm=_perm_compose(self.perm, other.perm))
-        return super().compose(other)
-
-    def inverse(self):
-        pinv = _perm_inverse(self.perm)
-        hs = tuple(self.gs[self.perm[i]].inv() for i in range(3))
-        return TriplePush(*hs, perm=pinv)
-
     def char_params(self):
         return {"g1": self.gs[0], "g2": self.gs[1], "g3": self.gs[2], "perm": self.perm}
-
-    def params_json(self):
-        return {
-            "g1": _fmt_matrix(self.field, self.gs[0]),
-            "g2": _fmt_matrix(self.field, self.gs[1]),
-            "g3": _fmt_matrix(self.field, self.gs[2]),
-            "perm": list(self.perm),
-        }
 
 
 def factor_permutation(field, perm) -> TriplePush:
@@ -678,32 +520,12 @@ class OrthogonalPair(PreserverElement):
         self.g2 = g2
         self.mu = mu
 
-    def valid_for(self, form: InvariantForm) -> bool:
-        s = form.gram(self.field)
-        return self.g2.transpose() @ s @ self.g2 == s.scale(self.mu)
-
     def _build_action(self):
         # g1 X g2^t has (a, b) entry sum g1[a][i] X[i][j] g2[b][j]
         return _kron_action(self.field, (self.g1, self.g2))
 
-    def compose(self, other):
-        if isinstance(other, OrthogonalPair):
-            self._check_peer(other)
-            return OrthogonalPair(self.space, self.g1 @ other.g1, self.g2 @ other.g2, self.mu * other.mu)
-        return super().compose(other)
-
-    def inverse(self):
-        return OrthogonalPair(self.space, self.g1.inv(), self.g2.inv(), self.field.one / self.mu)
-
     def char_params(self):
         return {"g1": self.g1, "g2": self.g2, "mu": self.mu}
-
-    def params_json(self):
-        return {
-            "g1": _fmt_matrix(self.field, self.g1),
-            "g2": _fmt_matrix(self.field, self.g2),
-            "mu": self.field.format(self.mu),
-        }
 
 
 class GenericMap(PreserverElement):
@@ -725,51 +547,7 @@ class GenericMap(PreserverElement):
         return _action(self.field, rows, self.field.one, den)
 
     def params_json(self):
-        return {"matrix": _fmt_matrix(self.field, self._matrix)}
-
-
-def element_from_json_obj(obj: dict, space: Space, field) -> PreserverElement:
-    """Rebuild a family element from its JSON form."""
-    family = obj.get("family")
-    params = obj.get("params", {})
-    if family == "congruence":
-        return Congruence(
-            space,
-            field.parse(params["r"]),
-            _parse_matrix(field, params["P"]),
-            bool(params.get("star", False)),
-        )
-    if family == "sandwich":
-        return Sandwich(space, _parse_matrix(field, params["A"]), _parse_matrix(field, params["B"]))
-    if family == "transpose-sandwich":
-        return TransposeSandwich(space, _parse_matrix(field, params["A"]), _parse_matrix(field, params["B"]))
-    if family == "cubic-substitution":
-        return CubicSubstitution(field.parse(params["c"]), _parse_matrix(field, params["g"]))
-    if family == "wedge-push":
-        return WedgePush(
-            field.parse(params["c"]),
-            _parse_matrix(field, params["g"]),
-            bool(params.get("star", False)),
-        )
-    if family == "sp6-push":
-        return GSp6Push(field.parse(params["c"]), _parse_matrix(field, params["g"]))
-    if family == "triple-push":
-        return TriplePush(
-            _parse_matrix(field, params["g1"]),
-            _parse_matrix(field, params["g2"]),
-            _parse_matrix(field, params["g3"]),
-            tuple(params.get("perm", (0, 1, 2))),
-        )
-    if family == "orthogonal-pair":
-        return OrthogonalPair(
-            space,
-            _parse_matrix(field, params["g1"]),
-            _parse_matrix(field, params["g2"]),
-            field.parse(params["mu"]),
-        )
-    if family == "generic":
-        return GenericMap(space, field, _parse_matrix(field, params["matrix"]))
-    raise PreserverError("unknown family %r" % family)
+        return {"matrix": _param_json(self.field, self._matrix)}
 
 
 # preservation policies
@@ -1021,8 +799,8 @@ def _draw(cid: str, form: InvariantForm, field, rng):
         g = invertible_matrix(field, rng, 6)
         return 4, field.one / (g.det() ** 2), lambda c: WedgePush(c, g, bool(rng.randrange(2)))
     if cid == "Sp6":
-        g, mu = gsp6_element(field, rng)
-        return 4, field.one / (g.det() ** 2), lambda c: GSp6Push(c, g, mu)
+        g, _ = gsp6_element(field, rng)
+        return 4, field.one / (g.det() ** 2), lambda c: GSp6Push(c, g)
     if cid == "hyperdet":
         g1 = invertible_matrix(field, rng, 2)
         g2 = invertible_matrix(field, rng, 2)

@@ -76,6 +76,18 @@ def test_eval_errors(capsys):
     assert code == 2 and "JSON" in err
 
 
+@pytest.mark.parametrize("form, vector", [
+    ("cubic-disc", '{"space": "cubic", "params": null, "entries": ["1", "2", "3", "4"]}'),
+    ("cubic-disc", '{"space": "cubic", "params": [], "entries": ["1", "2", "3", "4"]}'),
+    ("symm-det:2", '{"space": "symm", "params": {"n": 2.9}, "entries": ["1", "2", "2", "4"]}'),
+    ("symm-det:2", '{"space": "symm", "params": {"n": true}, "entries": ["1", "2", "2", "4"]}'),
+])
+def test_eval_rejects_space_params_that_are_not_integers(capsys, form, vector):
+    code, out, err = run(capsys, "eval", "--form", form, "--field", "Q", "--vector", vector)
+    assert code == 2 and out == ""
+    assert "params must map names to integers" in err
+
+
 @pytest.mark.parametrize("line, largest", [("symm-det", 15), ("skew-pf", 20), ("square-det", 15),
                                            ("quadric", 150), ("mat2n", 140)])
 def test_sized_lines_refuse_sizes_above_their_bound(capsys, line, largest):
@@ -426,7 +438,9 @@ def test_minimal_rrs_lattice_point_bound(capsys):
 
 
 def test_cli_paths_do_not_load_the_polynomial_ring():
-    code = "import sys, linpres.cli, linpres.bruteforce; print('linpres.polynomials' in sys.modules)"
+    # these modules are the production lines; the package imports nothing lazily
+    code = "import sys, linpres.cli, linpres.bruteforce; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'linpres'))"
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(linpres.__file__)))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["linpres"] + ["linpres." + m for m in (
+        "bruteforce", "cli", "fields", "forms", "linalg", "minimality", "multilinear", "preservers", "sampling")]

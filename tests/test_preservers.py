@@ -1,4 +1,4 @@
-"""Family algebra, star identities, preservation policies, and samplers."""
+"""Family actions, star identities, preservation policies, and samplers."""
 
 import functools
 import hashlib
@@ -34,7 +34,6 @@ from linpres.preservers import (
     _sp6_int_embedding,
     corollary_forms,
     canonical_corollary,
-    element_from_json_obj,
     factor_permutation,
     hodge_star4_matrix,
     hodge_star20_matrix,
@@ -262,66 +261,7 @@ def test_kronecker_builds_match_basis_images():
         check_against_reference(el, [rand_vector(el.space, QQ, rng)])
 
 
-# composition and inverses stay inside the family and match matrix products
-
-
-@pytest.mark.parametrize("cid,desc", ALL_CELLS)
-def test_composition_matches_matrix_product(cid, desc):
-    form = parse_form(desc)
-    for field in (QQ, F7):
-        rng = rnd(stable_seed(cid, desc, "c"))
-        els = sample_elements(cid, form, field, rng, count=4)
-        for t1 in els[:2]:
-            for t2 in els[2:]:
-                t = t1.compose(t2)
-                assert not isinstance(t, GenericMap)
-                assert t.matrix_on_space() == t1.matrix_on_space() @ t2.matrix_on_space()
-
-
-@pytest.mark.parametrize("cid,desc", ALL_CELLS)
-def test_inverse_matches_matrix_inverse(cid, desc):
-    form = parse_form(desc)
-    for field in (QQ, F7):
-        rng = rnd(stable_seed(cid, desc, "i"))
-        for el in sample_elements(cid, form, field, rng, count=2):
-            inv = el.inverse()
-            assert not isinstance(inv, GenericMap)
-            assert inv.matrix_on_space() == el.matrix_on_space().inv()
-            both = el.compose(inv)
-            assert both.matrix_on_space() == Matrix.identity(field, form.space.dim)
-
-
-def test_star_composition_bookkeeping():
-    # star-star composition must cancel the involutions
-    space = Space("alt", n=4)
-    rng = rnd(3)
-    for field in (QQ, F7):
-        p1 = invertible_matrix(field, rng, 4)
-        p2 = invertible_matrix(field, rng, 4)
-        t1 = Congruence(space, field.of(2), p1, star=True)
-        t2 = Congruence(space, field.of(3), p2, star=True)
-        t = t1.compose(t2)
-        assert isinstance(t, Congruence) and not t.star
-        assert t.matrix_on_space() == t1.matrix_on_space() @ t2.matrix_on_space()
-        g1 = invertible_matrix(field, rng, 6)
-        g2 = invertible_matrix(field, rng, 6)
-        w1 = WedgePush(field.of(2), g1, star=True)
-        w2 = WedgePush(field.of(3), g2, star=True)
-        w = w1.compose(w2)
-        assert isinstance(w, WedgePush) and not w.star
-        assert w.matrix_on_space() == w1.matrix_on_space() @ w2.matrix_on_space()
-
-
-def test_mixed_sandwich_composition():
-    space = Space("square", n=3)
-    rng = rnd(4)
-    for field in (QQ, F7):
-        s = Sandwich(space, invertible_matrix(field, rng, 3), invertible_matrix(field, rng, 3))
-        t = TransposeSandwich(space, invertible_matrix(field, rng, 3), invertible_matrix(field, rng, 3))
-        for a, b, expect in ((s, t, TransposeSandwich), (t, s, TransposeSandwich), (t, t, Sandwich), (s, s, Sandwich)):
-            c = a.compose(b)
-            assert type(c) is expect
-            assert c.matrix_on_space() == a.matrix_on_space() @ b.matrix_on_space()
+# family actions on known inputs
 
 
 def test_cubic_substitution_known_matrix():
@@ -340,17 +280,6 @@ def test_factor_permutation_moves_slots():
     img = el.apply(t)
     assert img.coords[5] == QQ.one
     assert sum(1 for c in img.coords if c != QQ.zero) == 1
-
-
-def test_triple_push_three_cycle_composition():
-    rng = rnd(5)
-    for field in (QQ, F5):
-        a = TriplePush(*[invertible_matrix(field, rng, 2) for _ in range(3)], perm=(1, 2, 0))
-        b = TriplePush(*[invertible_matrix(field, rng, 2) for _ in range(3)], perm=(2, 0, 1))
-        c = a.compose(b)
-        assert isinstance(c, TriplePush)
-        assert c.matrix_on_space() == a.matrix_on_space() @ b.matrix_on_space()
-        assert a.compose(a.inverse()).matrix_on_space() == Matrix.identity(field, 8)
 
 
 # construction errors
@@ -379,26 +308,20 @@ def test_gsp6_rejects_non_similitude():
         GSp6Push(F7.one, m + Matrix.from_ints(F7, [[0] * 6] * 5 + [[1, 0, 0, 0, 0, 0]]))
 
 
-def test_compose_across_fields_rejected():
-    a = CubicSubstitution(QQ.one, Matrix.identity(QQ, 2))
-    b = CubicSubstitution(F7.one, Matrix.identity(F7, 2))
-    with pytest.raises(PreserverError):
-        a.compose(b)
+# json output
 
 
-# json round trip
-
-
-@pytest.mark.parametrize("cid,desc", ALL_CELLS)
-def test_element_json_round_trip(cid, desc):
-    form = parse_form(desc)
-    for field in (QQ, F7):
-        rng = rnd(stable_seed(cid, desc, "j"))
-        el = sample_free_element(cid, form, field, rng)
-        blob = json.dumps(el.to_json_obj(), sort_keys=True)
-        back = element_from_json_obj(json.loads(blob), form.space, field)
-        assert type(back) is type(el)
-        assert back.matrix_on_space() == el.matrix_on_space()
+def test_generic_map_json_matches_recorded_bytes():
+    # the one family the stream digests do not hash
+    space = Space("cubic")
+    rows = [[Fraction(i - 2 * j, 3) for j in range(4)] for i in range(4)]
+    assert json.dumps(GenericMap(space, QQ, Matrix(QQ, rows)).to_json_obj()) == (
+        '{"family": "generic", "params": {"matrix": [["0", "-2/3", "-4/3", "-2"], '
+        '["1/3", "-1/3", "-1", "-5/3"], ["2/3", "0", "-2/3", "-4/3"], ["1", "1/3", "-1/3", "-1"]]}}')
+    ints = [[i - 3 * j for j in range(4)] for i in range(4)]
+    assert json.dumps(GenericMap(space, F7, Matrix.from_ints(F7, ints)).to_json_obj()) == (
+        '{"family": "generic", "params": {"matrix": [["0", "4", "1", "5"], '
+        '["1", "5", "2", "6"], ["2", "6", "3", "0"], ["3", "0", "4", "1"]]}}')
 
 
 # preservation policies
@@ -563,9 +486,14 @@ def test_orthogonal_pair_validated_against_form():
     form = Mat2n(4)
     rng = rnd(9)
     el = sample_group_element("blackholes", form, F7, rng)
-    assert el.valid_for(form)
-    other = Mat2n(4, s_entries=[[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]])
-    assert not el.valid_for(other) or el.g2.transpose() @ other.gram(F7) @ el.g2 == other.gram(F7).scale(el.mu)
+
+    def similitude(f):
+        # g2^t S g2 = mu S for the form's gram S
+        s = f.gram(F7)
+        return el.g2.transpose() @ s @ el.g2 == s.scale(el.mu)
+
+    assert similitude(form)
+    assert not similitude(Mat2n(4, s_entries=[[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 1]]))
 
 
 # corollary registry and verify driver
