@@ -144,9 +144,6 @@ class RationalField:
                 raise FieldError("bad rational %r" % (x,)) from exc
         raise FieldError("cannot coerce %r to Q" % (x,))
 
-    def const(self, x: Fraction) -> Fraction:
-        return x
-
     def inv(self, x: Fraction) -> Fraction:
         if x == 0:
             raise ZeroDivisionError("division by zero in Q")
@@ -221,9 +218,6 @@ class PrimeField:
             except (ValueError, ZeroDivisionError) as exc:
                 raise FieldError("bad scalar %r" % (x,)) from exc
         raise FieldError("cannot coerce %r to F_%d" % (x, p))
-
-    def const(self, x: Residue) -> Residue:
-        return x
 
     def inv(self, x: Residue) -> Residue:
         if x.value == 0:

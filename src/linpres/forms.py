@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations_with_replacement, product
 from math import comb
-from operator import add
+from operator import add, mul
 from types import SimpleNamespace
 
 from .fields import QQ
@@ -209,6 +209,25 @@ class InvariantForm:
         value = field.of(self.int_evaluator(field)(ints))
         scale = self.constant / den**self.degree
         return value if scale == 1 else value * field.of(scale)
+
+    def line_coefficients(self, field, d):
+        """(coefficients, den): coefficients(w) = [c_0, ..., c_deg] for integer
+        points w, c_k / den the coefficient of t^k in f(w + t d) / constant
+        along the integer direction d (residues over F_p, where den = 1).
+
+        The c_k come from f's integer formula at t = 0 .. deg through the
+        inverse Vandermonde matrix with its denominators cleared: integers
+        over Q, residues mod p over F_p, which needs p > deg."""
+        nodes = range(self.degree + 1)
+        rows, den = Matrix(field, [[field.of(t**k) for k in nodes] for t in nodes]).inv().ints()
+        fn, p = self.int_evaluator(field), field.modulus
+
+        def coefficients(w):
+            values = [fn([a + t * b for a, b in zip(w, d)]) for t in nodes]
+            cs = [sum(map(mul, row, values)) for row in rows]
+            return cs if p is None else [c % p for c in cs]
+
+        return coefficients, den
 
     def scaling_factor(self, params: dict):
         """The exact factor by which the parametrized family member scales f."""
@@ -496,9 +515,10 @@ def wedge36_pair_point(x: RepVector, y: RepVector) -> RepVector:
 class Sp6Quartic(Wedge36):
     """Restriction of the wedge36 quartic to the contraction kernel.
 
-    Vectors are carried in ambient wedge(3, 6) coordinates; evaluation
-    requires contraction by b to vanish.  The intrinsic dimension is 14.
-    The raw entry points (int_evaluator, eval_entries) skip that check.
+    Vectors are carried in ambient wedge(3, 6) coordinates; evaluation and
+    polarization require contraction by b to vanish.  The intrinsic
+    dimension is 14.  The raw entry points (int_evaluator, eval_entries,
+    line_coefficients) skip that check.
     """
 
     line = "sp6"
@@ -508,7 +528,7 @@ class Sp6Quartic(Wedge36):
         super().__init__()
         self.ambient = Wedge36()
         self._kernel_cache: dict = {}
-        self._int_kernel_cache: dict = {}  # preservers._sp6_int_embedding
+        self._int_kernel_cache: dict = {}  # _sp6_int_embedding
 
     def b_gram(self, field) -> Matrix:
         return standard_symplectic_gram(field, 6)
@@ -542,13 +562,24 @@ class Sp6Quartic(Wedge36):
 
     def in_kernel(self, v: RepVector) -> bool:
         """Contraction by b kills v."""
-        self._check(v)
+        super()._check(v)
         return self.contracts_to_zero(clear_denominators(v.field, [v.coords])[0][0], v.field.modulus)
 
-    def evaluate(self, v: RepVector):
+    def _check(self, v: RepVector):
         if not self.in_kernel(v):
             raise FormError("vector has nonzero contraction; outside the restricted space")
-        return super().evaluate(v)
+
+
+def _sp6_int_embedding(form: Sp6Quartic, field):
+    """Integer 20 x 14 kernel embedding E, whose columns are sp6's raw-point
+    columns for sampling, the lattice check and the radical oracle: each
+    column of the kernel basis cleared of its denominators, built once per
+    field and kept on the form beside its kernel basis."""
+    cache = form._int_kernel_cache
+    if field not in cache:
+        cols = [clear_denominators(field, [col])[0][0] for col in zip(*form.kernel_basis(field).rows)]
+        cache[field] = [list(row) for row in zip(*cols)]
+    return cache[field]
 
 
 class Mat2n(_GramForm):

@@ -108,15 +108,6 @@ class Matrix:
             [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
         )
 
-    def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_shape(other, same=True)
-        return Matrix(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-        )
-
     def __neg__(self):
         return Matrix(self.ring, [[-a for a in r] for r in self.rows])
 

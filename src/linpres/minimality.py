@@ -7,13 +7,16 @@
   Pfaffian and quadric lines, 2 for the binary cubic discriminant);
 - radical oracle, quartic lines only: the bilinear form b_v obtained by
   polarizing f twice at v has radical of dimension dim - 1 exactly on the
-  minimal cone.
+  minimal cone; its rank is read off the integer Gram of c_2, the t^2
+  coefficient of f(u + t D v).
 
-The structure oracle reads each line's rule on integer coordinates: residues
-over F_p, D v over Q for D the least common denominator.  Every rule is
-homogeneous and the cone is closed under nonzero scalars, so any nonzero
-multiple of v, D v or the image R x under a map s R, gets v's verdict.  The
-zero vector is never minimal.
+All three read v on integer coordinates: residues over F_p, D v over Q for
+D the least common denominator.  The structure oracle applies each line's
+rule to them; the root-spread and radical oracles read f along the line
+through D v with InvariantForm.line_coefficients, so every polarization
+runs f's integer formula.  Every rule is homogeneous and the cone is closed
+under nonzero scalars, so any nonzero multiple of v, D v or the image R x
+under a map s R, gets v's verdict.  The zero vector is never minimal.
 """
 
 from __future__ import annotations
@@ -22,17 +25,9 @@ from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
-from .forms import InvariantForm, simplex_lattice
-from .linalg import Matrix, clear_denominators, int_rank, scaled
-from .multilinear import (
-    RepVector,
-    Space,
-    bilinear_bx,
-    full_rows,
-    radical_dimension,
-    wedge_map_rows,
-    wedge_of_vectors,
-)
+from .forms import InvariantForm, _sp6_int_embedding, simplex_lattice
+from .linalg import clear_denominators, int_rank, scaled
+from .multilinear import RepVector, Space, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
 from .sampling import gsp6_element, isotropic_vector, rand_unit
 
 
@@ -157,30 +152,6 @@ def minimal_by_rank(target, v: RepVector) -> MinimalityVerdict:
 RRS_THRESHOLD = {"symm-det": 1, "skew-pf": 1, "square-det": 1, "quadric": 1, "cubic-disc": 2}
 
 
-def _spread_coefficients(form: InvariantForm, v: RepVector):
-    """w -> [c_0(w), ..., c_deg(w)] for integer points w, c_k(w) the
-    coefficient of t^k in f(w + t D v) up to one nonzero constant, D v the
-    integer multiple of v from clear_denominators (D = 1 over F_p).
-
-    c_k for D v is D^k times c_k for v, so each vanishes where the other
-    does.  The coefficients come from f's integer formula at t = 0 .. deg
-    through the inverse Vandermonde matrix with its denominators cleared:
-    integers over Q, residues mod p over F_p."""
-    field = v.field
-    nodes = range(form.degree + 1)
-    (dv,), _ = clear_denominators(field, [v.coords])
-    vinv = Matrix(field, [[field.of(t**k) for k in nodes] for t in nodes]).inv()
-    rows, _ = vinv.ints()
-    fn, p = form.int_evaluator(field), field.modulus
-
-    def coefficients(w):
-        values = [fn([a + t * b for a, b in zip(w, dv)]) for t in nodes]
-        cs = [sum(map(mul, row, values)) for row in rows]
-        return cs if p is None else [c % p for c in cs]
-
-    return coefficients
-
-
 def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, trials=64) -> MinimalityVerdict:
     """Root-spread oracle: deg_t f(t v + w) <= threshold for all w.
 
@@ -205,13 +176,14 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
     if v.is_zero():
         return MinimalityVerdict(False, "root-spread", None)
     dim = form.space.dim
+    (dv,), _ = clear_denominators(field, [v.coords])  # c_k for D v is D^k c_k for v
     if policy == "exact":
         if field.modulus is not None and field.modulus <= deg:
             raise MinimalityError(
                 "exact interpolation needs p > deg f; p = %d is too small for degree %d"
                 % (field.modulus, deg)
             )
-        coefficients = _spread_coefficients(form, v)
+        coefficients, _ = form.line_coefficients(field, dv)
         units = [[int(i == j) for j in range(dim)] for i in range(dim)]
         for k in range(threshold + 1, deg + 1):
             ck = simplex_lattice(lambda alpha: coefficients(alpha)[k], units, deg - k, field.modulus, MinimalityError)
@@ -228,7 +200,7 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
             raise MinimalityError("randomized policy needs a seeded rng")
         if trials < 1:
             raise MinimalityError("trials must be at least 1, got %d" % trials)
-        coefficients = _spread_coefficients(form, v)
+        coefficients, _ = form.line_coefficients(field, dv)
         for trial in range(1, trials + 1):
             w = [rng.randint(-99, 99) for _ in range(dim)]
             cs = coefficients(w)
@@ -247,7 +219,10 @@ RADICAL_LINES = {"cubic-disc", "wedge36", "sp6", "mat2n", "hyperdet"}
 
 def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
     """Radical oracle for the quartic lines: rad(b_v) has dimension dim - 1
-    exactly on the minimal cone."""
+    exactly on the minimal cone, dim the number of raw-point columns: the
+    unit vectors, or for sp6 the 14 columns of its integer kernel embedding.
+    The radical is dim - rank G for the integer Gram G of b_v on those
+    columns (multilinear.bx_int_gram), a nonzero multiple of b_v's Gram."""
     base = _base_line(form)
     if base not in RADICAL_LINES:
         raise MinimalityError("no radical rule for line %r" % form.line)
@@ -255,18 +230,14 @@ def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
         raise MinimalityError("vector in %r, form on %r" % (v.space, form.space))
     if v.is_zero():
         return MinimalityVerdict(False, "radical", None)
-    field = v.field
+    field, cols = v.field, None
     if base == "sp6":
         if not form.in_kernel(v):
             raise MinimalityError("vector has nonzero contraction")
-        gram = bilinear_bx(form.ambient, v).matrix
-        emb = form.kernel_basis(field)
-        restricted = emb.transpose() @ gram @ emb
-        dim = form.intrinsic_dim
-        rad = dim - restricted.rank()
-    else:
-        dim = form.space.dim
-        rad = radical_dimension(bilinear_bx(form, v))
+        cols = list(zip(*_sp6_int_embedding(form, field)))
+    gram, _ = bx_int_gram(form, v, cols)
+    dim = len(gram)
+    rad = dim - int_rank(gram, field.modulus)
     return MinimalityVerdict(rad == dim - 1, "radical", {"radical_dimension": rad})
 
 

@@ -11,9 +11,11 @@ coordinate tuples in a canonical basis per space:
 - cubic: (a0, a1, a2, a3) for a0*x^3 + a1*x^2*y + a2*x*y^2 + a3*y^3;
 - tritensor: 2x2x2 entries, index (i,j,k) -> 4i + 2j + k.
 
-Also here: degree-4 polarization, the bilinear form b_x with its radical,
-the symplectic pairings used to define the trilinear map t, wedge products,
-and the symplectic contraction of 3-vectors.
+Also here: degree-4 polarization and the Gram of the bilinear form b_x,
+both read off the form's integer formula on cleared integer coordinates
+(InvariantForm.int_evaluator, line_coefficients), the symplectic pairings
+used to define the trilinear map t, wedge products, and the symplectic
+contraction of 3-vectors.
 """
 
 from __future__ import annotations
@@ -321,40 +323,6 @@ def rep_rank(v: RepVector) -> int:
     return int_rank(full_rows(v.space, x, 0), v.field.modulus)
 
 
-class BilinearGram:
-    """Symmetric or skew bilinear form given by its Gram matrix."""
-
-    __slots__ = ("matrix", "tag")
-
-    def __init__(self, matrix: Matrix, tag: str):
-        if tag not in ("symmetric", "skew"):
-            raise SpaceError("tag must be 'symmetric' or 'skew'")
-        if not matrix.is_square:
-            raise SpaceError("Gram matrix must be square")
-        t = matrix.transpose()
-        if tag == "symmetric" and t != matrix:
-            raise SpaceError("Gram matrix is not symmetric")
-        if tag == "skew" and t != -matrix:
-            raise SpaceError("Gram matrix is not skew")
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "tag", tag)
-
-    def __setattr__(self, name, val):
-        raise AttributeError("BilinearGram is immutable")
-
-    @property
-    def n(self):
-        return self.matrix.nrows
-
-    def rank(self) -> int:
-        return self.matrix.rank()
-
-
-def radical_dimension(b: BilinearGram) -> int:
-    """Dimension of {v : b(v, w) = 0 for all w}."""
-    return b.n - b.rank()
-
-
 @cache
 def standard_symplectic_ints(n: int):
     """Integer Gram rows of the nondegenerate skew form pairing coordinates
@@ -382,7 +350,10 @@ def split_symmetric_gram(field, n: int) -> Matrix:
 
 
 def polarize4(f, x1: RepVector, x2: RepVector, x3: RepVector, x4: RepVector):
-    """The symmetric 4-linear form with diagonal f, by inclusion-exclusion.
+    """The symmetric 4-linear form with diagonal f, by inclusion-exclusion:
+    f's integer formula at the 15 nonempty subset sums of the four vectors,
+    cleared of one common denominator D, summed with signs and scaled once
+    by constant / (24 D^4).
 
     Needs 24 invertible in the field (guaranteed by the admissibility rule).
     """
@@ -395,66 +366,53 @@ def polarize4(f, x1: RepVector, x2: RepVector, x3: RepVector, x4: RepVector):
             raise SpaceError("mixed spaces or fields")
     if space != f.space:
         raise SpaceError("vectors outside the form's space")
-    acc = field.zero
+    for v in vecs:
+        f._check(v)
+    ints, den = clear_denominators(field, [v.coords for v in vecs])
+    fn = f.int_evaluator(field)
+    acc = 0
     for mask in range(1, 16):
-        coords = [field.zero] * space.dim
-        bits = 0
-        for i in range(4):
-            if mask >> i & 1:
-                bits += 1
-                coords = [a + b for a, b in zip(coords, vecs[i].coords)]
-        val = f.evaluate(RepVector._raw(space, field, coords))
-        if (4 - bits) % 2:
-            acc = acc - val
-        else:
-            acc = acc + val
-    return acc * field.of(Fraction(1, 24))
+        picked = [x for i, x in enumerate(ints) if mask >> i & 1]
+        value = fn([sum(c) for c in zip(*picked)])
+        acc += -value if len(picked) % 2 else value
+    return field.of(acc) * field.of(f.constant / (24 * den**4))
 
 
-def bilinear_bx(f, x: RepVector) -> BilinearGram:
-    """Gram matrix of (u, w) -> polarize4(f, x, x, u, w) in the standard basis.
+def bx_int_gram(f, x: RepVector, cols=None):
+    """(G, s): s G is the Gram matrix of b_x(u, w) = polarize4(f, x, x, u, w)
+    on the integer columns cols (the unit vectors by default), G integer
+    (residues over F_p).
 
-    Uses second differences: for quartic f, the quadratic form
-    N(u) := polarize4(f, x, x, u, u) satisfies
-    N(u) = (f(x+u) + f(x-u) - 2 f(x) - 2 f(u)) / 12,
-    and off-diagonal entries come from polarizing N.  This costs O(dim^2)
-    evaluations of f instead of O(dim^2) full polarizations.
+    For quartic f the t^2 coefficient of f(u + t D x), D x the integer
+    multiple of x from clear_denominators, is 6 D^2 b_x(u, u).  With c_2 / den
+    that coefficient over f.constant (InvariantForm.line_coefficients), G
+    holds 2 c_2(u_i) on the diagonal and c_2(u_i + u_j) - c_2(u_i) - c_2(u_j)
+    off it, and s = constant / (12 den D^2).  Every value is read off f's
+    integer formula; this costs O(len(cols)^2) line reads.
     """
     if f.degree != 4:
         raise SpaceError("b_x defined for degree-4 forms only")
     if x.space != f.space:
         raise SpaceError("vector outside the form's space")
-    space, field = x.space, x.field
-    dim = space.dim
-    twelfth = field.of(Fraction(1, 12))
-    half = field.of(Fraction(1, 2))
+    field, p = x.field, x.field.modulus
+    (dx,), big_d = clear_denominators(field, [x.coords])
+    coefficients, den = f.line_coefficients(field, dx)
+    if cols is None:
+        cols = [[int(i == j) for j in range(len(dx))] for i in range(len(dx))]
+    diag = [coefficients(u)[2] for u in cols]
+    gram = [[2 * c if i == j else 0 for j in range(len(cols))] for i, c in enumerate(diag)]
+    for i, j in combinations(range(len(cols)), 2):
+        c2 = coefficients([a + b for a, b in zip(cols[i], cols[j])])[2]
+        gram[i][j] = gram[j][i] = c2 - diag[i] - diag[j]
+    if p is not None:
+        gram = [[g % p for g in row] for row in gram]
+    return gram, field.of(f.constant / (12 * den * big_d**2))
 
-    def fc(coords):
-        return f.evaluate(RepVector._raw(space, field, coords))
 
-    fx2 = fc(x.coords) * field.of(2)
-
-    def n_of(ucoords):
-        plus = fc([a + b for a, b in zip(x.coords, ucoords)])
-        minus = fc([a - b for a, b in zip(x.coords, ucoords)])
-        return (plus + minus - fx2 - fc(ucoords) * field.of(2)) * twelfth
-
-    diag = []
-    for i in range(dim):
-        e = [field.zero] * dim
-        e[i] = field.one
-        diag.append(n_of(e))
-    rows = [[field.zero] * dim for _ in range(dim)]
-    for i in range(dim):
-        rows[i][i] = diag[i]
-        for j in range(i + 1, dim):
-            e = [field.zero] * dim
-            e[i] = field.one
-            e[j] = field.one
-            val = (n_of(e) - diag[i] - diag[j]) * half
-            rows[i][j] = val
-            rows[j][i] = val
-    return BilinearGram(Matrix(field, rows), "symmetric")
+def bilinear_bx(f, x: RepVector) -> Matrix:
+    """Gram matrix of (u, w) -> polarize4(f, x, x, u, w) in the standard basis."""
+    gram, s = bx_int_gram(f, x)
+    return Matrix(x.field, [scaled(x.field, s, 1, row) for row in gram])
 
 
 # symplectic pairings

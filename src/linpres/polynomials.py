@@ -3,7 +3,7 @@
 Coefficients are stored raw for speed: Python ints reduced mod p over a
 prime field, ints or Fractions over the rationals.  Monomial keys are
 exponent tuples.  Polynomial entries plug into the same generic evaluation
-code as field elements (shared ring protocol: zero, one, of, const).
+code as field elements (shared ring protocol: zero, one, of).
 """
 
 from __future__ import annotations

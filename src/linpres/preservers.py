@@ -31,7 +31,7 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .forms import InvariantForm, Sp6Quartic, parse_form, simplex_lattice
+from .forms import InvariantForm, Sp6Quartic, _sp6_int_embedding, parse_form, simplex_lattice
 from .linalg import Matrix, clear_denominators, scaled
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
@@ -580,17 +580,6 @@ def sz_trial_count(field, degree: int) -> int:
     while degree**t << SZ_ERROR_EXPONENT > size**t:
         t += 1
     return t
-
-
-def _sp6_int_embedding(form, field):
-    """Integer 20 x 14 kernel embedding usable for raw sampling: each column
-    of the kernel basis cleared of its denominators, built once per field and
-    kept on the form beside its kernel basis."""
-    cache = form._int_kernel_cache
-    if field not in cache:
-        cols = [clear_denominators(field, [col])[0][0] for col in zip(*form.kernel_basis(field).rows)]
-        cache[field] = [list(row) for row in zip(*cols)]
-    return cache[field]
 
 
 def _raw_points(form, field):

@@ -413,6 +413,122 @@ def test_minimal_rrs_report_bytes_match_recorded_digest(capsys, form, field, vec
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# reports recorded while the radical oracle and polarize4 still evaluated f
+# on field-element vectors: per form and field a minimal point, a generic
+# point and a degenerate one; the Q points are non-integral, the sp6 points
+# lie in the contraction kernel
+MINIMAL_RADICAL_DIGESTS = {
+    ("cubic-disc", "Q", "-2/3,-2,-2,-2/3"):
+        "40d00744c1965c00edc282ea2d54a5fa846fea4a408d09ee2fa815fe8cbb960a",
+    ("cubic-disc", "Q", "-3,-9/2,9/2,3"):
+        "9ea44d22453193b7c6c0171a96daaf1205520e194ee5d76c3693a5c4eed6b5ca",
+    ("cubic-disc", "Q", "0,1/2,0,0"):
+        "c03ce72bbf421428e58f9594b29a2671ed704823901b402eb04d408ee6ae4cb8",
+    ("cubic-disc", "Fp:7", "0,0,0,3"):
+        "4c75bf69be34c21717656ae5d228fc5d23b1a787054b0c0b0628f22c0384699d",
+    ("cubic-disc", "Fp:7", "4,1,4,4"):
+        "6d2e77061d3d62dac670d1cb6a99f5e66f3e96e299397134d71b99db4bd82cbe",
+    ("cubic-disc", "Fp:7", "0,3,0,0"):
+        "343450dfe4c83e53936c3d01135ed8283f50af4e81cd9d1fbc22391bccb6e329",
+    ("hyperdet", "Q", "8/3,16/3,8/3,16/3,0,0,0,0"):
+        "72cda8048cf5716090235524b398fc60d1f06b78b6d390ee25ed0eaeaaf2924d",
+    ("hyperdet", "Q", "-3,9/2,-3,3/2,9/2,-3/2,-3/2,3/2"):
+        "f8e38a3835125ec88a60a703e2826f771ffeea6b67286d67d7f3c9604ae5497d",
+    ("hyperdet", "Q", "1/2,0,0,1/2,0,0,0,0"):
+        "10e77649e9038a68d98c2217cbfa98275f82af7143f4caaa66eb468025e5ec0b",
+    ("hyperdet", "Fp:7", "4,1,3,6,2,4,5,3"):
+        "7b0bbde5ceb78331f2428635085e8536fd23ccf5667e5877559b92151246e816",
+    ("hyperdet", "Fp:7", "6,3,0,1,0,1,1,3"):
+        "88c04fde00d5ab65971888a5f166c3b8ca0e00e30c3d43680fdfffda0cd301c9",
+    ("hyperdet", "Fp:7", "1,0,0,3,0,0,0,0"):
+        "13d5bb283b56ba3462506c839164d527fc09c239a1489418b1fc779e0fbc4e4d",
+    ("mat2n:4", "Q", "0,0,0,0,32/3,0,32/3,0"):
+        "8048f1e1fc52214871b7753f824dc741379bd051b360f5bc52fa00946ec2684b",
+    ("mat2n:4", "Q", "-9/2,-3,-3/2,-3,0,-9/2,0,0"):
+        "9a2c52e923cfdc541fe6745d87710878f8a8ba163a20f71cd30f7b108b6ee526",
+    ("mat2n:4", "Q", "1/3,0,0,1/3,2/3,0,0,2/3"):
+        "09d33a19650beaf6f89b23b1cbd2637479269f42d3ff62d585a4a8f4f9d4afe9",
+    ("mat2n:4", "Fp:7", "0,6,0,1,0,1,0,6"):
+        "c3816bd98933b129f39b176e54e49cf9100fadba4947e344ac0031f7cb23debe",
+    ("mat2n:4", "Fp:7", "3,2,0,4,2,6,0,6"):
+        "0562b176bea10dfd8fcb918f871a2f3ce2ff719d9098604f49348bb4cc6c6dd9",
+    ("mat2n:4", "Fp:7", "1,0,0,1,2,0,0,2"):
+        "4cbd45a4c315989bf773b4ef477be3d18c0952b7ebe3bbee54bb96dc250e8581",
+    ("wedge36", "Q", "-70/3,40/3,-116/3,8,0,0,70/3,0,-40/3,116/3,0,-70/3,0,40/3,0,-8,0,0,-70/3,40/3"):
+        "4a37e6e788015afce8bea16e61fa19d1d2d37bc8f9e94f21a94a467eb069555d",
+    ("wedge36", "Q", "-9/2,3,-3/2,-9/2,3,0,9/2,9/2,0,9/2,9/2,-9/2,3/2,-3,3/2,-9/2,9/2,9/2,-3/2,0"):
+        "496bc5d0d3bfaf91980515f847a1c3b8e148c2fc464e17b274ec79b089133e88",
+    ("wedge36", "Q", "1/2,0,0,0,0,0,0,1/2,0,0,0,0,0,0,0,0,0,0,0,0"):
+        "ed24d4b650a9bb84a64ff6238cbf1b042e2da8c7e514bfff123497b50bdbe3c0",
+    ("wedge36", "Fp:7", "2,3,4,1,4,4,6,5,0,3,6,4,1,1,2,0,3,5,4,1"):
+        "677009d18780ca304dea2a250e4524f091026875b9e5ac1d62d016da16a573fb",
+    ("wedge36", "Fp:7", "5,6,1,0,0,4,1,3,1,3,6,3,4,3,5,5,4,4,0,2"):
+        "e05452add7403a25d0fed5d57242c5f9564c7127dcf2fe74faf7f2ea0f948a6b",
+    ("wedge36", "Fp:7", "1,0,0,0,0,0,0,3,0,0,0,0,0,0,0,0,0,0,0,0"):
+        "4f6f395dfa96d84df69c1637f133a6c1a0744f65ecbf64ddf3652f7c9a80442c",
+    ("sp6", "Q", "0,0,0,0,2/3,0,-2/3,-2/3,0,-2/3,4/3,0,-4/3,-4/3,0,-4/3,0,0,0,0"):
+        "0682baf02837abec7917e9459732d38500521bd6dc1d0d989a6c9c1a6bb685cf",
+    ("sp6", "Q", "3/2,3/2,0,3/2,3,3,3/2,-3,0,-3,-3/2,0,3,-3/2,-3,3/2,0,-3/2,-3/2,-3/2"):
+        "94315d9d8210ac919ffe0e8473358f31dba1103c406f8d1327b8a155a2898c5c",
+    ("sp6", "Q", "0,0,1/2,0,0,0,0,0,0,0,0,0,0,0,0,0,-1/2,0,0,0"):
+        "642699dc087dc0cef7edc7285ab284e510eb89842faad9e4f48d1a7742022ae6",
+    ("sp6", "Fp:7", "4,4,2,3,5,0,4,1,2,2,2,4,2,3,4,5,5,4,3,3"):
+        "b685d10d4081b473b2eed1e3e2c4b32081ce591dd76cc9cbc92127978f81e41a",
+    ("sp6", "Fp:7", "5,5,6,2,0,1,5,5,1,0,6,2,0,5,0,1,1,5,2,2"):
+        "d14e925d5f28da6ae8a4587d7c1d89725c71eb66729405e5a3da94dad35d20c7",
+    ("sp6", "Fp:7", "0,0,2,0,0,0,0,0,0,0,0,0,0,0,0,0,5,0,0,0"):
+        "82064dae73864d8dca8eb37f5f36c788580eb587db63d633ddeca80152e95acc",
+}
+
+@pytest.mark.parametrize("form,field,vec", sorted(MINIMAL_RADICAL_DIGESTS))
+def test_minimal_radical_report_bytes_match_recorded_digest(capsys, form, field, vec):
+    code, out, _ = run(capsys, "minimal", "--form", form, "--field", field, "--oracle", "radical",
+                       "--vector", json.dumps(vec.split(",")))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MINIMAL_RADICAL_DIGESTS[form, field, vec]
+
+
+# four points per report, separated by ";", recorded as above
+POLARIZE_DIGESTS = {
+    ("cubic-disc", "Q", "-2/3,-2,-2,-2/3;-3,-9/2,9/2,3;1/5,1/5,1/5,0;27,81,81,27"):
+        "f38223172192a3e834f666d851379ae0511f56a361bffc3b7354e7b23f4e7348",
+    ("cubic-disc", "Fp:7", "0,0,0,3;4,1,4,4;6,3,4,0;6,0,0,0"):
+        "5ebe0203412cc9422d93d6ef16f2389ae82a9731fd3fa266222b8d95d2a1205c",
+    ("hyperdet", "Q", "8/3,16/3,8/3,16/3,0,0,0,0;-3,9/2,-3,3/2,9/2,-3/2,-3/2,3/2;-1/5,0,-2/5,2/5,2/5,2/5,1/5,-1/5;4,8,-6,-12,12,24,-18,-36"):
+        "5d098713cc194eb693fac4c30702e9695c54453acac712f4f5d00e66d8d91bd9",
+    ("hyperdet", "Fp:7", "4,1,3,6,2,4,5,3;6,3,0,1,0,1,1,3;4,1,5,3,5,3,4,2;1,2,4,1,4,1,2,4"):
+        "1db367f4d1ab64125884321a90fd13576141be98b945d3447dd0147f597d240c",
+    ("mat2n:4", "Q", "0,0,0,0,32/3,0,32/3,0;-9/2,-3,-3/2,-3,0,-9/2,0,0;-2/5,-1/5,3/5,-1/5,-3/5,-3/5,-2/5,2/5;2,4,-4,8,6,12,-12,24"):
+        "1653b9576e8368880ff56a84633654851c4a1c37a150929f2379095c939bfa62",
+    ("mat2n:4", "Fp:7", "0,6,0,1,0,1,0,6;3,2,0,4,2,6,0,6;4,5,2,3,0,5,0,4;3,3,2,5,0,0,0,0"):
+        "ad781c4ec19678385033b484d9877ee26edb7470dd5ec08b2806d22350aefdda",
+    ("wedge36", "Q", "-70/3,40/3,-116/3,8,0,0,70/3,0,-40/3,116/3,0,-70/3,0,40/3,0,-8,0,0,-70/3,40/3;-9/2,3,-3/2,-9/2,3,0,9/2,9/2,0,9/2,9/2,-9/2,3/2,-3,3/2,-9/2,9/2,9/2,-3/2,0;-1/5,2/5,-1/5,0,-1/5,-3/5,0,0,1/5,1/5,3/5,-2/5,-2/5,1/5,1/5,-2/5,0,1/5,-1/5,0;68,84,-98,18,28,24,6,70,0,-15,-96,112,-108,0,-108,126,80,-36,-48,-90"):
+        "5805280acac1852c72dd60d0d93cbf3e412194bd4b7d0295767e1a203eaa24a8",
+    ("wedge36", "Fp:7", "2,3,4,1,4,4,6,5,0,3,6,4,1,1,2,0,3,5,4,1;5,6,1,0,0,4,1,3,1,3,6,3,4,3,5,5,4,4,0,2;6,0,1,3,3,3,3,2,5,4,6,3,5,6,1,2,1,3,1,5;1,3,1,3,4,6,1,0,5,4,5,3,2,4,5,0,3,3,2,5"):
+        "61b573ac8a7dbe73433263ca77f0bc887465281cc98b3e7f318ed7e03a3f3120",
+    ("sp6", "Q", "0,0,0,0,2/3,0,-2/3,-2/3,0,-2/3,4/3,0,-4/3,-4/3,0,-4/3,0,0,0,0;3/2,3/2,0,3/2,3,3,3/2,-3,0,-3,-3/2,0,3,-3/2,-3,3/2,0,-3/2,-3/2,-3/2;1/5,2/5,0,1/5,1/5,-1/5,1/5,-1/5,-1/5,-1/5,-1/5,2/5,-2/5,2/5,2/5,1/5,0,-1/5,-1/5,-2/5;1/2,1/2,0,0,0,0,-1/2,0,-1/2,0,0,-1/2,0,-1/2,0,0,0,0,-1/2,-1/2"):
+        "a4628c04bd038132d1a53cbe2146d3d5f5dca15290a18aa6a8afc54d6f65810c",
+    ("sp6", "Fp:7", "4,4,2,3,5,0,4,1,2,2,2,4,2,3,4,5,5,4,3,3;5,5,6,2,0,1,5,5,1,0,6,2,0,5,0,1,1,5,2,2;1,0,0,1,0,6,0,1,2,0,0,5,5,5,1,0,0,6,6,0;1,1,6,5,0,2,4,2,4,0,3,4,4,0,3,4,1,2,6,6"):
+        "0695cf5953f00f08513e5ad25f24fbdfac05b273c69d8684afc5ff426e87d10c",
+}
+
+
+@pytest.mark.parametrize("form,field,points", sorted(POLARIZE_DIGESTS))
+def test_polarize_report_bytes_match_recorded_digest(capsys, form, field, points):
+    pts = [p.split(",") for p in points.split(";")]
+    code, out, _ = run(capsys, "polarize", "--form", form, "--field", field, "--points", json.dumps(pts))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == POLARIZE_DIGESTS[form, field, points]
+
+
+def test_polarize_sp6_rejects_a_point_outside_the_kernel(capsys):
+    pts = [p.split(",") for p in next(k for f, fd, k in POLARIZE_DIGESTS if (f, fd) == ("sp6", "Q")).split(";")]
+    pts[2] = ["1"] + ["0"] * 19  # e0 ^ e1 ^ e2 contracts to e2
+    code, out, err = run(capsys, "polarize", "--form", "sp6", "--field", "Q", "--points", json.dumps(pts))
+    assert (code, out) == (2, "")
+    assert err == "error: vector has nonzero contraction; outside the restricted space\n"
+
+
 @pytest.mark.parametrize("cid", ["SL6", "Sp6", "skew.f"])
 @pytest.mark.parametrize("field", ["Fp:7", "Q"])
 def test_verify_symbolic_covers_every_cell(capsys, cid, field):

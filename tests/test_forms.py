@@ -711,16 +711,17 @@ def test_polarize4_diagonal_recovers_f():
 
 def test_bilinear_bx_matches_polarization():
     rng = random.Random(23)
-    for f in [CubicDisc(), Hyperdet()]:
+    # wedge36 carries the constant 1/6, and non-integral x a denominator D > 1
+    for f in [CubicDisc(), Hyperdet(), Wedge36(), Mat2n(4)]:
         for field in (QQ, F7):
-            x = rand_vec(rng, f.space, field, -3, 3)
+            x = RepVector(f.space, field, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(f.space.dim)])
             gram = bilinear_bx(f, x)
             for _ in range(6):
                 i = rng.randrange(f.space.dim)
                 j = rng.randrange(f.space.dim)
                 ei = RepVector.basis(f.space, field, i)
                 ej = RepVector.basis(f.space, field, j)
-                assert gram.matrix.entry(i, j) == polarize4(f, x, x, ei, ej)
+                assert gram.entry(i, j) == polarize4(f, x, x, ei, ej)
 
 
 def test_trilinear_t_represents_polarization():

@@ -6,13 +6,11 @@ import pytest
 from linpres.fields import PrimeField, QQ
 from linpres.linalg import Matrix
 from linpres.multilinear import (
-    BilinearGram,
     RepVector,
     Space,
     SpaceError,
     merge_sign,
     pairing_gram,
-    radical_dimension,
     rep_rank,
     sp6_contract,
     split_symmetric_gram,
@@ -155,17 +153,6 @@ def test_rank_congruence_invariance():
                 break
         m = p @ v.to_matrix() @ p.transpose()
         assert m.rank() == rep_rank(v)
-
-
-def test_bilinear_gram_and_radical():
-    g = BilinearGram(Matrix.from_ints(QQ, [[0, 0], [0, 1]]), "symmetric")
-    assert radical_dimension(g) == 1
-    z = BilinearGram(Matrix.zeros(QQ, 4, 4), "symmetric")
-    assert radical_dimension(z) == 4
-    full = BilinearGram(Matrix.identity(QQ, 3), "symmetric")
-    assert radical_dimension(full) == 0
-    with pytest.raises(SpaceError):
-        BilinearGram(Matrix.from_ints(QQ, [[0, 1], [1, 0]]), "skew")
 
 
 def test_standard_grams():
