@@ -34,6 +34,8 @@ from .linalg import Matrix, clear_denominators, det_expansion, pfaffian
 from .multilinear import (
     RepVector,
     Space,
+    _signed_sum,
+    _straight_line,
     sp6_contract,
     standard_symplectic_gram,
     subset_index,
@@ -42,29 +44,6 @@ from .multilinear import (
 
 class FormError(ValueError):
     """Unsupported form parameters or a vector outside the form's space."""
-
-
-def _signed_sum(terms):
-    """Source text of sum(coeff * prod(v_i for i in idxs)) over integer terms,
-    with no leading unary plus (polynomials have none)."""
-    parts = []
-    for coeff, idxs in terms:
-        mono = "*".join("v%d" % i for i in idxs)
-        mag = abs(coeff)
-        parts.append("%s %s" % ("-" if coeff < 0 else "+", mono if mag == 1 else "%d*%s" % (mag, mono)))
-    return " ".join(parts).lstrip("+ ") or "0"
-
-
-def _straight_line(dim, assignments, result):
-    """Compile vals -> result over the locals v0 .. v{dim-1}, after the
-    (name, expression) assignments.  Straight-line code from a fixed term
-    plan runs several times faster than a loop over the same plan."""
-    lines = ["def fn(vals):", "    %s, = vals" % ", ".join("v%d" % i for i in range(dim))]
-    lines += ["    %s = %s" % a for a in assignments]
-    lines.append("    return " + result)
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    return namespace["fn"]
 
 
 COMPILED_DET_MAX = 6  # larger determinants go through division-free expansion
@@ -194,18 +173,18 @@ class InvariantForm:
     def evaluate(self, v: RepVector):
         """Exact value of f(v) as a field element."""
         self._check(v)
-        return self._value(v.field, v.coords)
+        return self._value(v.field, *v.ints())
 
     def eval_entries(self, ring, entries):
         """f on a coordinate list of field elements (as evaluate) or polynomials."""
         if ring.is_field:
-            return self._value(ring, entries)
+            (ints,), den = clear_denominators(ring, [entries])
+            return self._value(ring, ints, den)
         value = self.formula(entries)
         return value if self.constant == 1 else value * ring.of(self.constant)
 
-    def _value(self, field, coords):
-        # f is homogeneous: f(x) = f(D x) / D^deg, with D x integral over Q
-        (ints,), den = clear_denominators(field, [coords])
+    def _value(self, field, ints, den):
+        # f is homogeneous: f(x) = f(D x) / D^deg for x = ints / den
         value = field.of(self.int_evaluator(field)(ints))
         scale = self.constant / den**self.degree
         return value if scale == 1 else value * field.of(scale)
@@ -563,7 +542,7 @@ class Sp6Quartic(Wedge36):
     def in_kernel(self, v: RepVector) -> bool:
         """Contraction by b kills v."""
         super()._check(v)
-        return self.contracts_to_zero(clear_denominators(v.field, [v.coords])[0][0], v.field.modulus)
+        return self.contracts_to_zero(v.ints()[0], v.field.modulus)
 
     def _check(self, v: RepVector):
         if not self.in_kernel(v):

@@ -10,13 +10,14 @@
   minimal cone; its rank is read off the integer Gram of c_2, the t^2
   coefficient of f(u + t D v).
 
-All three read v on integer coordinates: residues over F_p, D v over Q for
-D the least common denominator.  The structure oracle applies each line's
-rule to them; the root-spread and radical oracles read f along the line
-through D v with InvariantForm.line_coefficients, so every polarization
-runs f's integer formula.  Every rule is homogeneous and the cone is closed
-under nonzero scalars, so any nonzero multiple of v, D v or the image R x
-under a map s R, gets v's verdict.  The zero vector is never minimal.
+All three read v on its integer coordinates (RepVector.ints): residues
+over F_p, D v over Q for D the least common denominator.  The structure
+oracle applies each line's rule to them; the root-spread and radical
+oracles read f along the line through D v with
+InvariantForm.line_coefficients, so every polarization runs f's integer
+formula.  Every rule is homogeneous and the cone is closed under nonzero
+scalars, so any nonzero multiple of v, D v or the image R x under a map
+s R, gets v's verdict.  The zero vector is never minimal.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import cache
 from operator import mul
 
 from .forms import InvariantForm, _sp6_int_embedding, simplex_lattice
-from .linalg import clear_denominators, int_rank, scaled
+from .linalg import clear_denominators, int_rank
 from .multilinear import RepVector, Space, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
 from .sampling import gsp6_element, isotropic_vector, rand_unit
 
@@ -141,8 +142,7 @@ def minimal_by_rank(target, v: RepVector) -> MinimalityVerdict:
         what = "target" if space is target else "form on"
         raise MinimalityError("vector in %r, %s %r" % (v.space, what, space))
     field = v.field
-    (x,), _ = clear_denominators(field, [v.coords])
-    ok = structure_rule(target, field)(x)
+    ok = structure_rule(target, field)(v.ints()[0])
     witness = _cubic_witness(field, v.coords) if ok and v.space.kind == "cubic" else None
     return MinimalityVerdict(ok, "structure", witness)
 
@@ -176,7 +176,7 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
     if v.is_zero():
         return MinimalityVerdict(False, "root-spread", None)
     dim = form.space.dim
-    (dv,), _ = clear_denominators(field, [v.coords])  # c_k for D v is D^k c_k for v
+    dv, _ = v.ints()  # c_k for D v is D^k c_k for v
     if policy == "exact":
         if field.modulus is not None and field.modulus <= deg:
             raise MinimalityError(
@@ -259,7 +259,7 @@ def _rand_nonzero_ints(rng, k, p, lo=-4, hi=4):
 
 def sample_minimal(target, field, rng) -> RepVector:
     """A uniform-ish nonzero point of the minimal cone for the target line,
-    built as integers x over a denominator D and scaled once to (c / D) x."""
+    built as integers x over a denominator D: (c / D) x as RepVector._exact."""
     form = target if isinstance(target, InvariantForm) else None
     space = target.space if form is not None else target
     base = _base_line(form) if form is not None else None
@@ -269,7 +269,7 @@ def sample_minimal(target, field, rng) -> RepVector:
     one = field.one
 
     def vector(s, ints, den=1):
-        return RepVector._raw(space, field, scaled(field, s, den, ints))
+        return RepVector._exact(space, field, s, den, ints)
 
     if base == "quadric":
         (w,), den = clear_denominators(field, [isotropic_vector(field, rng, form.gram(field))])

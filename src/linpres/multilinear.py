@@ -11,6 +11,12 @@ coordinate tuples in a canonical basis per space:
 - cubic: (a0, a1, a2, a3) for a0*x^3 + a1*x^2*y + a2*x*y^2 + a3*y^3;
 - tritensor: 2x2x2 entries, index (i,j,k) -> 4i + 2j + k.
 
+A vector keeps its integer form once computed (RepVector.ints, as
+clear_denominators returns it); one built from that form (RepVector._exact)
+builds its coordinates on first read.  Every wedge product on a command's
+path runs through one compiled integer step r ^ w (_wedge_step), behind
+wedge_ints and exterior_power_ints.
+
 Also here: degree-4 polarization and the Gram of the bilinear form b_x,
 both read off the form's integer formula on cleared integer coordinates
 (InvariantForm.int_evaluator, line_coefficients), the symplectic pairings
@@ -24,6 +30,7 @@ import json
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
+from math import gcd
 
 from .fields import FieldError
 from .linalg import LinAlgError, Matrix, clear_denominators, int_rank, scaled
@@ -31,6 +38,29 @@ from .linalg import LinAlgError, Matrix, clear_denominators, int_rank, scaled
 
 class SpaceError(ValueError):
     """Unknown space kind, bad parameters, or a vector outside the space."""
+
+
+def _straight_line(dim, assignments, result):
+    """Compile vals -> result over the locals v0 .. v{dim-1}, after the
+    (name, expression) assignments.  Straight-line code from a fixed term
+    plan runs several times faster than a loop over the same plan."""
+    lines = ["def fn(vals):", "    %s, = vals" % ", ".join("v%d" % i for i in range(dim))]
+    lines += ["    %s = %s" % a for a in assignments]
+    lines.append("    return " + result)
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["fn"]
+
+
+def _signed_sum(terms):
+    """Source text of sum(coeff * prod(v_i for i in idxs)) over integer terms,
+    with no leading unary plus (polynomials have none)."""
+    parts = []
+    for coeff, idxs in terms:
+        mono = "*".join("v%d" % i for i in idxs)
+        mag = abs(coeff)
+        parts.append("%s %s" % ("-" if coeff < 0 else "+", mono if mag == 1 else "%d*%s" % (mag, mono)))
+    return " ".join(parts).lstrip("+ ") or "0"
 
 
 _KINDS = ("symm", "alt", "square", "rect", "vector", "wedge", "cubic", "tritensor")
@@ -115,16 +145,11 @@ def subsets_colex(n: int, d: int):
     return sorted(combinations(range(n), d), key=lambda t: tuple(reversed(t)))
 
 
-_SUBSET_CACHE: dict = {}
-
-
+@cache
 def subset_index(n: int, d: int):
     """Map sorted d-subset -> coordinate index, plus the ordered subset list."""
-    key = (n, d)
-    if key not in _SUBSET_CACHE:
-        subs = subsets_colex(n, d)
-        _SUBSET_CACHE[key] = ({s: i for i, s in enumerate(subs)}, subs)
-    return _SUBSET_CACHE[key]
+    subs = subsets_colex(n, d)
+    return {s: i for i, s in enumerate(subs)}, subs
 
 
 def merge_sign(a, b) -> int:
@@ -148,9 +173,10 @@ def _alt_pairs(n):
 
 
 class RepVector:
-    """Immutable element of a representation space over one field."""
+    """Immutable element of a representation space over one field; its
+    integer form is computed at most once."""
 
-    __slots__ = ("space", "field", "coords")
+    __slots__ = ("space", "field", "_coords", "_ints")
 
     def __init__(self, space: Space, field, coords):
         coords = tuple(field.of(c) for c in coords)
@@ -158,9 +184,13 @@ class RepVector:
             raise SpaceError(
                 "expected %d coordinates for %r, got %d" % (space.dim, space, len(coords))
             )
+        self._set(space, field, coords, None)
+
+    def _set(self, space, field, coords, ints):
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "_coords", coords)
+        object.__setattr__(self, "_ints", ints)
 
     def __setattr__(self, name, val):
         raise AttributeError("RepVector is immutable")
@@ -168,10 +198,42 @@ class RepVector:
     @classmethod
     def _raw(cls, space, field, coords):
         v = object.__new__(cls)
-        object.__setattr__(v, "space", space)
-        object.__setattr__(v, "field", field)
-        object.__setattr__(v, "coords", tuple(coords))
+        v._set(space, field, tuple(coords), None)
         return v
+
+    @classmethod
+    def _exact(cls, space, field, s, den, ints):
+        """The vector (s / den) x for integers x, with its integer form set to
+        clear_denominators(field, [coords]): over Q, s / den = a / b in lowest
+        terms gives D = b / g and a x / g for g = gcd(b, x)."""
+        p = field.modulus
+        if p is not None:
+            sv = s.value
+            ints, den = tuple(sv * x % p for x in ints), 1
+        else:
+            s = s / den
+            a, b = s.numerator, s.denominator
+            g = gcd(b, *ints)
+            ints, den = tuple(a * (x // g) for x in ints), b // g
+        v = object.__new__(cls)
+        v._set(space, field, None, (ints, den))
+        return v
+
+    @property
+    def coords(self):
+        """The coordinates, as a tuple; built on first read from the integer form."""
+        if self._coords is None:
+            x, den = self._ints
+            object.__setattr__(self, "_coords", tuple(scaled(self.field, self.field.one, den, x)))
+        return self._coords
+
+    def ints(self):
+        """(x, D) = clear_denominators(field, [coords]), x a tuple: residues
+        in [0, p) over F_p, where D = 1; computed at most once."""
+        if self._ints is None:
+            (x,), den = clear_denominators(self.field, [self._coords])
+            object.__setattr__(self, "_ints", (tuple(x), den))
+        return self._ints
 
     @classmethod
     def zero(cls, space, field):
@@ -209,8 +271,7 @@ class RepVector:
         return RepVector._raw(self.space, self.field, (c * a for a in self.coords))
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for a in self.coords)
+        return not any(self._ints[0] if self._coords is None else self._coords)
 
     def __eq__(self, other):
         return (
@@ -319,8 +380,7 @@ def full_rows(space: Space, coords, zero):
 def rep_rank(v: RepVector) -> int:
     """Exact matrix rank of a matrix-kind vector, read on its integer
     coordinates as the structure oracle reads it."""
-    (x,), _ = clear_denominators(v.field, [v.coords])
-    return int_rank(full_rows(v.space, x, 0), v.field.modulus)
+    return int_rank(full_rows(v.space, v.ints()[0], 0), v.field.modulus)
 
 
 @cache
@@ -395,7 +455,7 @@ def bx_int_gram(f, x: RepVector, cols=None):
     if x.space != f.space:
         raise SpaceError("vector outside the form's space")
     field, p = x.field, x.field.modulus
-    (dx,), big_d = clear_denominators(field, [x.coords])
+    dx, big_d = x.ints()
     coefficients, den = f.line_coefficients(field, dx)
     if cols is None:
         cols = [[int(i == j) for j in range(len(dx))] for i in range(len(dx))]
@@ -442,17 +502,6 @@ def _alt4_pf_polar_gram(field):
     return Matrix(field, rows)
 
 
-def _wedge36_top_gram(field):
-    idx, subs = subset_index(6, 3)
-    z = field.zero
-    rows = [[z] * 20 for _ in range(20)]
-    for a, A in enumerate(subs):
-        comp = tuple(i for i in range(6) if i not in A)
-        s = merge_sign(A, comp)
-        rows[a][idx[comp]] = field.of(s)
-    return Matrix(field, rows)
-
-
 def _rect2n_pair_gram(field, n, s_gram: Matrix):
     # <X, Y> = (X S Y^t)_{01} - (X S Y^t)_{10}, row-major coordinates on 2 x n
     z = field.zero
@@ -476,7 +525,7 @@ def pairing_gram(space: Space, field, gram: Matrix | None = None) -> tuple[Matri
     if space == Space("cubic"):
         return _cubic_pair_gram(field), "skew"
     if space == Space("wedge", d=3, n=6):
-        return _wedge36_top_gram(field), "skew"
+        return wedge_complement_star_matrix(field, 6, 3).transpose(), "skew"
     if space == Space("alt", n=4):
         return _alt4_pf_polar_gram(field), "symmetric"
     if space.kind == "rect" and space.params["m"] == 2:
@@ -520,24 +569,51 @@ def trilinear_t(f, x1: RepVector, x2: RepVector, x3: RepVector, gram: Matrix | N
 # wedge machinery
 
 
+@cache
+def _wedge_step(n: int, k: int):
+    """fn((*r, *w)) = r ^ w on integers, for a vector r and w in wedge^(k-1)
+    of k^n: sum_t (-1)^t r[B[t]] w[B - B[t]] for each k-subset B in colex
+    order, the Laplace expansion along r of the minor on columns B."""
+    rows = [[(-1 if neg else 1, (i, n + a)) for i, a, neg in row] for row in _wedge_map_table(n, k - 1)]
+    return _straight_line(n + _binom(n, k - 1), [], "[%s]" % ", ".join(map(_signed_sum, rows)))
+
+
+def wedge_ints(n: int, vectors):
+    """Integer colex coordinates of v1 ^ ... ^ vd (the d x d minors on rows
+    v1 .. vd) for integer vectors of length n, wedged from the last."""
+    w = (1,)
+    for k, v in enumerate(reversed(vectors), 1):
+        w = _wedge_step(n, k)((*v, *w))
+    return w
+
+
+def exterior_power_ints(rows, d: int):
+    """Integer rows of Lambda^d(g) for the integer rows of g: row I (colex)
+    is g[I[0]] ^ (g[I[1]] ^ ...), each suffix wedge computed once."""
+    n = len(rows)
+    memo = {(): (1,)}
+
+    def wedge(idx):
+        w = memo.get(idx)
+        if w is None:
+            w = memo[idx] = _wedge_step(n, len(idx))((*rows[idx[0]], *wedge(idx[1:])))
+        return w
+
+    return [wedge(I) for I in subset_index(n, d)[1]]
+
+
 def wedge_of_vectors(field, n: int, vectors, c=None) -> RepVector:
     """c v1 wedge ... wedge vd (c = 1 by default) from d ambient vectors of
-    field elements or integers: the d x d minors of the vectors cleared of
-    their denominators, each minor on rows B of the first k + 1 vectors
-    expanded along vector k, then scaled by c / D^d once."""
+    field elements or integers: wedge_ints of the vectors cleared of their
+    denominators D, scaled by c / D^d, as a vector carrying its integer form."""
     if any(len(v) != n for v in vectors):
         raise SpaceError("ambient vector length mismatch")
-    d = len(vectors)
-    ints, den = clear_denominators(field, [[field.of(a) for a in v] for v in vectors])
-    minors = {(): 1}
-    for k, v in enumerate(ints):
-        minors = {
-            B: sum((v[i] if (k - t) % 2 == 0 else -v[i]) * minors[B[:t] + B[t + 1 :]] for t, i in enumerate(B))
-            for B in combinations(range(n), k + 1)
-        }
-    _, subs = subset_index(n, d)
-    coords = scaled(field, field.one if c is None else c, den**d, [minors[A] for A in subs])
-    return RepVector._raw(Space("wedge", d=d, n=n), field, coords)
+    if all(type(a) is int for v in vectors for a in v):
+        ints, den = vectors, 1
+    else:
+        ints, den = clear_denominators(field, [[field.of(a) for a in v] for v in vectors])
+    space = Space("wedge", d=len(vectors), n=n)
+    return RepVector._exact(space, field, field.one if c is None else c, den ** len(vectors), wedge_ints(n, ints))
 
 
 def wedge_map_rows(space: Space, coords, zero):
@@ -565,27 +641,18 @@ def wedge_map_matrix(v: RepVector) -> Matrix:
     return Matrix(v.field, wedge_map_rows(v.space, v.coords, v.field.zero))
 
 
-_WEDGE_MAP_CACHE: dict = {}
-
-
+@cache
 def _wedge_map_table(n: int, d: int):
     """For each sorted (d + 1)-subset B in colex order: (B[k], index of
     B - B[k], k odd) for k = 0..d."""
-    key = (n, d)
-    if key not in _WEDGE_MAP_CACHE:
-        idx_d, _ = subset_index(n, d)
-        _, subs_up = subset_index(n, d + 1)
-        _WEDGE_MAP_CACHE[key] = [
-            [(i, idx_d[B[:k] + B[k + 1:]], k % 2 == 1) for k, i in enumerate(B)] for B in subs_up
-        ]
-    return _WEDGE_MAP_CACHE[key]
+    idx_d, _ = subset_index(n, d)
+    return [[(i, idx_d[B[:k] + B[k + 1:]], k % 2 == 1) for k, i in enumerate(B)] for B in subset_index(n, d + 1)[1]]
 
 
 def wedge_annihilator_dim(v: RepVector) -> int:
     """Dimension of {u in k^n : u wedge v = 0}, read on the integer
     coordinates of v as the structure oracle reads it."""
-    (x,), _ = clear_denominators(v.field, [v.coords])
-    return v.space.params["n"] - int_rank(wedge_map_rows(v.space, x, 0), v.field.modulus)
+    return v.space.params["n"] - int_rank(wedge_map_rows(v.space, v.ints()[0], 0), v.field.modulus)
 
 
 def lambda_power_matrix(g: Matrix, d: int) -> Matrix:
@@ -604,14 +671,23 @@ def lambda_power_matrix(g: Matrix, d: int) -> Matrix:
     return Matrix(ring, rows)
 
 
+@cache
+def complement_star_table(n: int, d: int):
+    """(index of C in wedge(n - d, n), sign(A, C)) for each d-subset A in colex
+    order and its complement C: the duality star maps e_A to sign(A, C) e_C."""
+    idx_c, _ = subset_index(n, n - d)
+    table = []
+    for A in subset_index(n, d)[1]:
+        comp = tuple(i for i in range(n) if i not in A)
+        table.append((idx_c[comp], merge_sign(A, comp)))
+    return tuple(table)
+
+
 def wedge_complement_star_matrix(field, n: int, d: int) -> Matrix:
     """Duality star on wedge(d, n): e_A -> sign(A, complement) * e_complement."""
-    idx_d, subs_d = subset_index(n, d)
-    idx_c, _ = subset_index(n, n - d)
-    rows = [[field.zero] * len(subs_d) for _ in range(_binom(n, n - d))]
-    for a, A in enumerate(subs_d):
-        comp = tuple(i for i in range(n) if i not in A)
-        rows[idx_c[comp]][a] = field.of(merge_sign(A, comp))
+    rows = [[field.zero] * _binom(n, d) for _ in range(_binom(n, n - d))]
+    for a, (c, s) in enumerate(complement_star_table(n, d)):
+        rows[c][a] = field.of(s)
     return Matrix(field, rows)
 
 

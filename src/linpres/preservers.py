@@ -32,14 +32,14 @@ from functools import cache
 from operator import mul
 
 from .forms import InvariantForm, Sp6Quartic, _sp6_int_embedding, parse_form, simplex_lattice
-from .linalg import Matrix, clear_denominators, scaled
+from .linalg import Matrix, scaled
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
     RepVector,
     Space,
-    merge_sign,
+    complement_star_table,
+    exterior_power_ints,
     standard_symplectic_ints,
-    subset_index,
     wedge_complement_star_matrix,
 )
 from .sampling import (
@@ -200,7 +200,7 @@ class PreserverElement:
     def apply(self, v: RepVector) -> RepVector:
         rows, s = self.action()
         field = self.field
-        (x,), den = clear_denominators(field, [v.coords])
+        x, den = v.ints()
         return RepVector._raw(self.space, field, scaled(field, s, den, _int_matvec(rows, x, field.modulus)))
 
     def matrix_on_space(self) -> Matrix:
@@ -406,24 +406,10 @@ class WedgePush(PreserverElement):
         # Lambda^3(g) = Lambda^3(D g) / D^3 for a common denominator D of g
         vals, den = self.g.ints()
         # integer 3x3 minors, then the star as a signed column permutation
-        idx, subs = subset_index(6, 3)
-        out = []
-        for i0, i1, i2 in subs:
-            r0, r1, r2 = vals[i0], vals[i1], vals[i2]
-            row = []
-            for j0, j1, j2 in subs:
-                row.append(
-                    r0[j0] * (r1[j1] * r2[j2] - r1[j2] * r2[j1])
-                    - r0[j1] * (r1[j0] * r2[j2] - r1[j2] * r2[j0])
-                    + r0[j2] * (r1[j0] * r2[j1] - r1[j1] * r2[j0])
-                )
-            out.append(row)
+        out = exterior_power_ints(vals, 3)
         if self.star:
-            moves = []
-            for J in subs:
-                comp = tuple(k for k in range(6) if k not in J)
-                moves.append((idx[comp], merge_sign(J, comp)))
-            out = [[s * row[src] for src, s in moves] for row in out]
+            star = complement_star_table(6, 3)
+            out = [[s * row[src] for src, s in star] for row in out]
         return _action(field, out, self.c, den**3)
 
     def char_params(self):
@@ -708,18 +694,19 @@ def preserves_minimals(element: PreserverElement, target, rng, samples=100):
     """Check that the element maps sampled minimal vectors to minimal vectors.
 
     The image of v = x / D under s R is (s / D) R x, so the target's
-    structure rule reads R x.  Returns (ok, counterexample_coords_or_None)."""
+    structure rule reads R x, for v's integer form x (RepVector.ints) and
+    one _matvec_kernel of R.  Returns (ok, counterexample_coords_or_None)."""
     if samples < 1:
         raise PreserverError("samples must be at least 1, got %d" % samples)
     if element.space != (target if isinstance(target, Space) else target.space):
         raise PreserverError("element and target act on different spaces")
     field = element.field
     rows, _ = element.action()
+    matvec = _matvec_kernel(rows, field.modulus)
     is_minimal = structure_rule(target, field)
     for _ in range(samples):
         v = sample_minimal(target, field, rng)
-        (x,), _ = clear_denominators(field, [v.coords])
-        if not is_minimal(_int_matvec(rows, x, field.modulus)):
+        if not is_minimal(matvec(v.ints()[0])):
             return False, [field.format(c) for c in v.coords]
     return True, None
 

@@ -147,16 +147,15 @@ def forced_det_matrix(field, rng, n: int, target) -> Matrix:
 
 
 def _rank_one_update(field, g, den, u, coef, v):
-    """g + coef (g u) v^T for g = rows / den, as new (integer rows, den): u and
-    v are integer vectors, coef a field element.  Over F_p the rows are
-    residues and den stays 1."""
+    """g + (a / b) (g u) v^T for g = rows / den, as new (integer rows, den): u
+    and v are integer vectors, coef = (a, b) as _ratio gives it.  Over F_p
+    the rows are residues and den stays 1."""
     gu = [sum(map(mul, row, u)) for row in g]
     p = field.modulus
+    num, cden = coef
+    w = [num * x for x in v]
     if p is not None:
-        w = [coef.value * x for x in v]
         return [[(a + s * b) % p for a, b in zip(row, w)] for row, s in zip(g, gu)], 1
-    w = [coef.numerator * x for x in v]
-    cden = coef.denominator
     return [[cden * a + s * b for a, b in zip(row, w)] for row, s in zip(g, gu)], den * cden
 
 
@@ -190,7 +189,7 @@ def gsp6_element(field, rng):
         lam = field.sample(rng, 2)
         if lam == field.zero:
             continue
-        g, den = _rank_one_update(field, g, den, u, lam, [sum(map(mul, row, u)) for row in b])
+        g, den = _rank_one_update(field, g, den, u, _ratio(field, lam), [sum(map(mul, row, u)) for row in b])
     mu = field.one if isinstance(field, RationalField) else rand_unit(field, rng)
     d = [mu, field.one, mu, field.one, mu, field.one]
     return _similitude_times(field, d, g, den), mu
@@ -216,8 +215,11 @@ def go_element(field, rng, s: Matrix):
         q = sum(map(mul, u, su))
         if (q if p is None else q % p) == 0:
             continue
-        # g (I - 2 u (s u)^T / (u^T s u)) as a rank-one update
-        g, den = _rank_one_update(field, g, den, u, field.of(-2) / field.of(q), su)
+        # g (I - 2 u (s u)^T / (u^T s u)) as a rank-one update, -2 / q in
+        # lowest terms with a positive denominator (a residue over F_p)
+        k = gcd(2, q) if q > 0 else -gcd(2, q)
+        coef = (-2 // k, q // k) if p is None else (-2 * pow(q, -1, p) % p, 1)
+        g, den = _rank_one_update(field, g, den, u, coef, su)
         done += 1
     if any(x for i, row in enumerate(s_int) for j, x in enumerate(row) if i + j != n - 1):
         return _similitude_times(field, [field.one] * n, g, den), field.one

@@ -18,8 +18,10 @@ from linpres.forms import (
     SquareDet,
     SymmDet,
     Wedge36,
+    LATTICE_POINT_LIMIT,
     form_descriptors,
     parse_form,
+    simplex_lattice,
     wedge36_pair_point,
 )
 from linpres.linalg import Matrix
@@ -734,3 +736,12 @@ def test_trilinear_t_represents_polarization():
         for _ in range(5):
             w = rand_vec(rng, space, field, -3, 3)
             assert symplectic_pair(space, t, w) == polarize4(f, xs[0], xs[1], xs[2], w)
+
+
+def test_simplex_lattice_refuses_just_above_the_point_bound():
+    # C(29, 5) = 118,755 points on 25 coordinates: refused before any walk,
+    # so a looser bound shows up as a walk that returns instead of an error
+    units = [[int(i == j) for j in range(25)] for i in range(25)]
+    assert LATTICE_POINT_LIMIT < 118755 < 2 * LATTICE_POINT_LIMIT
+    with pytest.raises(FormError, match="118755 points"):
+        simplex_lattice(lambda x: 0, units, 5, None, FormError)

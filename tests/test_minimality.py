@@ -16,6 +16,7 @@ from linpres.forms import (
     Sp6Quartic,
     SquareDet,
     SymmDet,
+    FormError,
     Wedge36,
     parse_form,
 )
@@ -482,3 +483,15 @@ def test_integer_structure_rule_matches_the_other_oracles(field):
             seen.add((form.line, got))
     # no line passes vacuously: each sees both verdicts
     assert {line for line, ok in seen if ok} == {line for line, ok in seen if not ok}
+
+
+def test_mat2n_structure_rule_refuses_a_singular_gram():
+    # S = diag(1, 1, 1, 7) is invertible over Q and singular over F_7: only
+    # the API builds such a form, and its rule must refuse, not answer
+    form = Mat2n(4, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 7]])
+    rule = structure_rule(form, F7)
+    with pytest.raises(FormError, match="singular"):
+        rule([1, 0, 0, 0, 0, 0, 0, 0])
+    with pytest.raises(FormError, match="singular"):
+        rule([0, 0, 0, 1, 0, 0, 0, 2])
+    assert structure_rule(form, QQ)([0, 1, 0, 0, 0, 0, 0, 0]) is False

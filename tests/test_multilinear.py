@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from linpres.fields import PrimeField, QQ
-from linpres.linalg import Matrix
+from linpres.forms import parse_form
+from linpres.linalg import Matrix, clear_denominators, scaled
 from linpres.multilinear import (
     RepVector,
     Space,
     SpaceError,
+    bx_int_gram,
+    exterior_power_ints,
     merge_sign,
     pairing_gram,
     rep_rank,
@@ -21,11 +24,14 @@ from linpres.multilinear import (
     wedge_annihilator_dim,
     wedge_complement_star_matrix,
     wedge_map_matrix,
+    wedge_ints,
     wedge_of_vectors,
     lambda_power_matrix,
 )
 
 F7 = PrimeField(7)
+F10007 = PrimeField(10007)
+KERNEL_FIELDS = (QQ, F7, F10007)
 
 
 class TestSpace:
@@ -345,3 +351,73 @@ class TestContraction:
         v = RepVector.zero(s, QQ)
         with pytest.raises(SpaceError):
             sp6_contract(v, Matrix.zeros(QQ, 6, 6))
+
+
+# the integer wedge kernel, checked against per-minor determinants
+
+
+def _int_rows(rng, m, n):
+    # entries in [-3, 3]: negative and zero entries, and some zero rows
+    return [[rng.randint(-3, 3) * (rng.randrange(4) > 0) for _ in range(n)] for _ in range(m)]
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor)
+def test_exterior_power_ints_matches_lambda_power_matrix(field):
+    rng = random.Random(61)
+    for n in range(1, 8):
+        for d in range(1, min(n, 4) + 1):
+            for _ in range(2):
+                rows = _int_rows(rng, n, n)
+                expect = lambda_power_matrix(Matrix.from_ints(field, rows), d)
+                assert Matrix.from_ints(field, exterior_power_ints(rows, d)) == expect, (n, d)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor)
+def test_wedge_ints_matches_minor_determinants(field):
+    rng = random.Random(62)
+    for n in range(1, 8):
+        for d in range(1, n + 1):
+            vs = _int_rows(rng, d, n)
+            _, subs = subset_index(n, d)
+            got = wedge_ints(n, vs)
+            assert len(got) == len(subs)
+            for x, cols in zip(got, subs):
+                assert field.of(x) == Matrix.from_ints(field, [[v[j] for j in cols] for v in vs]).det(), (n, d, cols)
+            w = wedge_of_vectors(field, n, vs)
+            assert w.coords == tuple(field.of(x) for x in got)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor)
+def test_exact_vector_matches_scaled_coordinates_and_clear_denominators(field):
+    rng = random.Random(63)
+    p = field.modulus
+    space = Space("wedge", d=2, n=5)
+    for trial in range(200):
+        ints = [rng.randint(-12, 12) * (rng.randrange(3) > 0) for _ in range(space.dim)]
+        if trial % 10 == 0:
+            ints = [0] * space.dim
+        s = field.of(Fraction(rng.choice([-6, -1, 1, 4, 9]), rng.choice([1, 2, 3, 8])))
+        den = 1 if p is not None else rng.choice([1, 2, 6, 12, 35])
+        v = RepVector._exact(space, field, s, den, ints)
+        # is_zero and ints() read the integer form before the coordinates exist
+        assert v.is_zero() == (not any(scaled(field, s, den, ints)))
+        (x,), big_d = clear_denominators(field, [scaled(field, s, den, ints)])
+        assert v.ints() == (tuple(x), big_d)
+        assert all(type(a) is int for a in v.ints()[0])
+        assert v.coords == tuple(scaled(field, s, den, ints))
+        plain = RepVector(space, field, scaled(field, s, den, ints))
+        assert v == plain and hash(v) == hash(plain)
+        assert plain.ints() == v.ints() and plain.is_zero() == v.is_zero()
+
+
+def test_bx_int_gram_returns_residues_over_prime_fields():
+    # linalg.int_rank needs entries strictly between -p and p over F_p
+    rng = random.Random(64)
+    for line in ("cubic-disc", "hyperdet", "mat2n:4", "wedge36"):
+        form = parse_form(line)
+        for field in (F7, PrimeField(5), PrimeField(11)):
+            p = field.modulus
+            for _ in range(3):
+                x = RepVector(form.space, field, [rng.randint(-9, 9) for _ in range(form.space.dim)])
+                gram, _ = bx_int_gram(form, x)
+                assert all(0 <= g < p for row in gram for g in row), (line, p)

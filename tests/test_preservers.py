@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from linpres.fields import QQ, PrimeField
-from linpres.forms import CubicDisc, InvariantForm, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form
+from linpres.forms import CubicDisc, InvariantForm, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form, simplex_lattice
 from linpres.linalg import Matrix
 from linpres.multilinear import RepVector, Space, lambda_power_matrix
 from linpres.preservers import (
@@ -433,6 +433,36 @@ def test_lattice_check_needs_characteristic_above_degree():
     identity = GenericMap(form.space, f5, Matrix.identity(f5, form.space.dim))
     with pytest.raises(PreserverError, match="characteristic"):
         preserves_form(identity, form, policy="symbolic")
+
+
+def test_lattice_check_refuses_characteristic_equal_to_degree():
+    # p = deg is the boundary: the degree-5 lattice is not unisolvent over F_5
+    form = parse_form("symm-det:5")
+    identity = GenericMap(form.space, F5, Matrix.identity(F5, form.space.dim))
+    with pytest.raises(PreserverError, match="characteristic"):
+        preserves_form(identity, form, policy="symbolic")
+    with pytest.raises(PreserverError, match="characteristic"):
+        simplex_lattice(sum, [[1]], 5, 5, PreserverError)
+
+
+@pytest.mark.parametrize("which", ["first", "last"])
+@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.descriptor)
+def test_symbolic_check_compares_every_lattice_point(which, field, monkeypatch):
+    # an evaluator that differs from f at one lattice point alone must fail:
+    # for the identity map the lattice points are the degree-4 points alpha,
+    # from 4 e_0 (first, lexicographic) to 4 e_3 (last)
+    form = CubicDisc()
+    identity = GenericMap(form.space, field, Matrix.identity(field, 4))
+    assert preserves_form(identity, form, policy="symbolic").ok  # reference values from f itself
+    fn = form.int_evaluator(field)
+    point = [4, 0, 0, 0] if which == "first" else [0, 0, 0, 4]
+
+    def perturbed(x):
+        value = fn(x) + (list(x) == point)
+        return value if field.modulus is None else value % field.modulus
+
+    monkeypatch.setattr(form, "int_evaluator", lambda f: perturbed)
+    assert not preserves_form(identity, form, policy="symbolic").ok
 
 
 def test_scales_form_matches_character():
