@@ -608,10 +608,7 @@ def wedge_of_vectors(field, n: int, vectors, c=None) -> RepVector:
     denominators D, scaled by c / D^d, as a vector carrying its integer form."""
     if any(len(v) != n for v in vectors):
         raise SpaceError("ambient vector length mismatch")
-    if all(type(a) is int for v in vectors for a in v):
-        ints, den = vectors, 1
-    else:
-        ints, den = clear_denominators(field, [[field.of(a) for a in v] for v in vectors])
+    ints, den = clear_denominators(field, [[field.of(a) for a in v] for v in vectors])
     space = Space("wedge", d=len(vectors), n=n)
     return RepVector._exact(space, field, field.one if c is None else c, den ** len(vectors), wedge_ints(n, ints))
 

@@ -217,8 +217,11 @@ def go_element(field, rng, s: Matrix):
             continue
         # g (I - 2 u (s u)^T / (u^T s u)) as a rank-one update, -2 / q in
         # lowest terms with a positive denominator (a residue over F_p)
-        k = gcd(2, q) if q > 0 else -gcd(2, q)
-        coef = (-2 // k, q // k) if p is None else (-2 * pow(q, -1, p) % p, 1)
+        if p is None:
+            k = gcd(2, q) if q > 0 else -gcd(2, q)
+            coef = (-2 // k, q // k)
+        else:
+            coef = (-2 * pow(q, -1, p) % p, 1)
         g, den = _rank_one_update(field, g, den, u, coef, su)
         done += 1
     if any(x for i, row in enumerate(s_int) for j, x in enumerate(row) if i + j != n - 1):

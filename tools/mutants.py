@@ -8,16 +8,19 @@ a fresh directory, the snippet is replaced in the copy, and
     python -m pytest -x -q tests
 
 runs there with the copy's src/ first on PYTHONPATH, under a wall-clock
-timeout.  A mutant is killed when that run fails, survives when it passes,
-and times out when it does not finish.  The repository itself is never
-edited.  This is a check on the test suite, not part of it.
+timeout.  The same run on an unmutated copy comes first: a failure counts as
+a kill only once the unmutated suite is known to pass in a copy.  A mutant is
+killed when its run fails (the first failing test is printed), survives when
+it passes, and times out when it does not finish.  The repository itself is
+never edited.  This is a check on the test suite, not part of it.
 
     python tools/mutants.py                  # every mutant
     python tools/mutants.py --only M1,M12    # a subset, by id
-    python tools/mutants.py --timeout 120 --workdir build/mutants
+    python tools/mutants.py --timeout 120
 
 Exit code 0 when every mutant was killed, 1 when one survived or timed out,
-2 when a mutant is stale (its snippet does not occur exactly once).
+2 when a mutant is stale (its snippet does not occur exactly once), 3 when
+the unmutated copy does not pass (no mutant is run).
 """
 
 from __future__ import annotations
@@ -138,11 +141,38 @@ def _first_failure(output: str) -> str:
     return ""
 
 
-def run(mutants, timeout: float, workdir: str | None) -> int:
-    base = Path(tempfile.mkdtemp(prefix="mutants-", dir=workdir))
-    env = dict(os.environ)
+def _pytest(work: Path, timeout: float):
+    """(return code, stdout) of the suite in the copy; None on timeout."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            cwd=work,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        return None
+    return proc.returncode, proc.stdout
+
+
+def run(mutants, timeout: float) -> int:
+    base = Path(tempfile.mkdtemp(prefix="mutants-"))
     status_code = 0
     try:
+        work = base / "unmutated"
+        _copy_tree(work)
+        start = time.perf_counter()
+        result = _pytest(work, timeout)
+        elapsed = time.perf_counter() - start
+        if result is None or result[0]:
+            detail = "no result within %g s" % timeout if result is None else _first_failure(result[1])
+            print("%-22s FAILED    %6.1f s  %s" % ("unmutated", elapsed, detail), flush=True)
+            return 3
+        print("%-22s passed    %6.1f s" % ("unmutated", elapsed), flush=True)
+        shutil.rmtree(work, ignore_errors=True)
         for mid, name, old, new, what in mutants:
             work = base / mid
             _copy_tree(work)
@@ -150,21 +180,14 @@ def run(mutants, timeout: float, workdir: str | None) -> int:
                 print("%-22s STALE     snippet not found exactly once in %s" % (mid, name))
                 status_code = 2
                 continue
-            env["PYTHONPATH"] = str(work / "src")
             start = time.perf_counter()
-            try:
-                proc = subprocess.run(
-                    [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
-                    cwd=work,
-                    env=env,
-                    capture_output=True,
-                    text=True,
-                    timeout=timeout,
-                )
-                status = "killed" if proc.returncode else "SURVIVED"
-                detail = _first_failure(proc.stdout) if proc.returncode else what
-            except subprocess.TimeoutExpired:
+            result = _pytest(work, timeout)
+            if result is None:
                 status, detail = "TIMEOUT", "no result within %g s" % timeout
+            elif result[0]:
+                status, detail = "killed", _first_failure(result[1])
+            else:
+                status, detail = "SURVIVED", what
             elapsed = time.perf_counter() - start
             print("%-22s %-9s %6.1f s  %s" % (mid, status, elapsed, detail), flush=True)
             if status != "killed" and status_code == 0:
@@ -179,8 +202,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--only", help="comma-separated mutant ids")
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per test run (default 300)")
-    parser.add_argument("--workdir", help="directory for the copies (default: the system temp dir)")
-    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
     if args.timeout <= 0:
         parser.error("--timeout must be positive")
@@ -191,11 +212,7 @@ def main(argv=None) -> int:
         if unknown:
             parser.error("unknown mutant ids: %s" % ", ".join(unknown))
         mutants = [m for m in MUTANTS if m[0] in wanted]
-    if args.list:
-        for mid, name, _, _, what in mutants:
-            print("%-22s %-15s %s" % (mid, name, what))
-        return 0
-    return run(mutants, args.timeout, args.workdir)
+    return run(mutants, args.timeout)
 
 
 if __name__ == "__main__":
