@@ -100,12 +100,13 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_json_input(inline: str | None, infile: str | None):
-    if inline is not None:
-        return json.loads(inline)
-    if infile is not None:
+    """The JSON input, from the option, the file or stdin.  A non-integer
+    number keeps its decimal text, which the field reads exactly, as it
+    reads the same entry written as a string."""
+    if inline is None and infile is not None:
         with open(infile, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    return json.load(sys.stdin)
+            inline = fh.read()
+    return json.loads(sys.stdin.read() if inline is None else inline, parse_float=str)
 
 
 def _vector_from_obj(obj, form, field) -> RepVector:

@@ -34,10 +34,11 @@ from .linalg import Matrix, clear_denominators, det_expansion, pfaffian
 from .multilinear import (
     RepVector,
     Space,
+    _alt_pairs,
     _signed_sum,
     _straight_line,
-    sp6_contract,
-    standard_symplectic_gram,
+    _symm_pairs,
+    standard_symplectic_ints,
     subset_index,
 )
 
@@ -236,7 +237,7 @@ class SymmDet(InvariantForm):
     @cached_property
     def formula(self):
         index = {}
-        for k, (i, j) in enumerate((i, j) for i in range(self.n) for j in range(i, self.n)):
+        for k, (i, j) in enumerate(_symm_pairs(self.n)):
             index[i, j] = index[j, i] = k
         return _det_formula(self.n, lambda i, j: index[i, j])
 
@@ -282,7 +283,7 @@ class SkewPf(InvariantForm):
         one contributes the sign (-1)^(k+1).  A term lists its coordinates in
         increasing order, since each pair starts above the previous one."""
         n = self.n
-        coord = {ij: k for k, ij in enumerate((i, j) for i in range(n) for j in range(i + 1, n))}
+        coord = {ij: k for k, ij in enumerate(_alt_pairs(n))}
 
         def matchings(idx):
             if not idx:
@@ -301,7 +302,7 @@ class SkewPf(InvariantForm):
         n = self.n
         if n <= COMPILED_PF_MAX:
             return _straight_line(self.space.dim, [], _signed_sum(self._monomial_plan()))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = _alt_pairs(n)
 
         def fn(vals):
             rows = [[0] * n for _ in range(n)]
@@ -483,9 +484,8 @@ def wedge36_pair_point(x: RepVector, y: RepVector) -> RepVector:
         raise FormError("expected two alternating 4x4 vectors over one field")
     field = x.field
     idx3, _ = subset_index(6, 3)
-    pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     coords = [field.zero] * 20
-    for k, (i, j) in enumerate(pairs):
+    for k, (i, j) in enumerate(_alt_pairs(4)):
         coords[idx3[(0, i + 2, j + 2)]] = x.coords[k]
         coords[idx3[(1, i + 2, j + 2)]] = y.coords[k]
     return RepVector._raw(Space("wedge", d=3, n=6), field, coords)
@@ -495,9 +495,9 @@ class Sp6Quartic(Wedge36):
     """Restriction of the wedge36 quartic to the contraction kernel.
 
     Vectors are carried in ambient wedge(3, 6) coordinates; evaluation and
-    polarization require contraction by b to vanish.  The intrinsic
-    dimension is 14.  The raw entry points (int_evaluator, eval_entries,
-    line_coefficients) skip that check.
+    polarization require contraction by b, the standard skew form, to
+    vanish.  The intrinsic dimension is 14.  The raw entry points
+    (int_evaluator, eval_entries, line_coefficients) skip that check.
     """
 
     line = "sp6"
@@ -505,38 +505,35 @@ class Sp6Quartic(Wedge36):
 
     def __init__(self):
         super().__init__()
-        self.ambient = Wedge36()
         self._kernel_cache: dict = {}
-        self._int_kernel_cache: dict = {}  # _sp6_int_embedding
 
-    def b_gram(self, field) -> Matrix:
-        return standard_symplectic_gram(field, 6)
-
-    def contraction_matrix(self, field) -> Matrix:
-        b = self.b_gram(field)
-        cols = []
-        for i in range(20):
-            cols.append(sp6_contract(RepVector.basis(self.space, field, i), b))
-        return Matrix(field, list(zip(*cols)))
+    @cached_property
+    def _contraction_ints(self):
+        """The 6 x 20 integer matrix of contraction by b, the same for every
+        field: e_ijk goes to b_ij e_k - b_ik e_j + b_jk e_i."""
+        b = standard_symplectic_ints(6)
+        rows = [[0] * 20 for _ in range(6)]
+        for a, (i, j, k) in enumerate(subset_index(6, 3)[1]):
+            rows[k][a] += b[i][j]
+            rows[j][a] -= b[i][k]
+            rows[i][a] += b[j][k]
+        return rows
 
     def kernel_basis(self, field) -> Matrix:
-        """20 x 14 matrix whose columns span the contraction kernel."""
+        """20 x 14 matrix whose columns span the contraction kernel over the
+        field; its integer form (Matrix.ints) is sp6's raw-point embedding for
+        sampling, the lattice check and the radical oracle."""
         if field not in self._kernel_cache:
-            ker = self.contraction_matrix(field).kernel()
+            ker = Matrix._exact(field, self._contraction_ints).kernel()
             if len(ker) != self.intrinsic_dim:
                 raise FormError("contraction kernel has unexpected dimension")
             self._kernel_cache[field] = Matrix(field, list(zip(*ker)))
         return self._kernel_cache[field]
 
-    @cached_property
-    def _contraction_rows(self):
-        # nonzero (column, integer) entries; b is integral, so they serve every field
-        return [[(j, int(c)) for j, c in enumerate(row) if c] for row in self.contraction_matrix(QQ).rows]
-
     def contracts_to_zero(self, x, p) -> bool:
         """Contraction by b kills the vector with integer coordinates x
         (residues over F_p, a nonzero multiple D v over Q, p None)."""
-        sums = (sum(c * x[j] for j, c in row) for row in self._contraction_rows)
+        sums = (sum(map(mul, row, x)) for row in self._contraction_ints)
         return not any(t % p if p is not None else t for t in sums)
 
     def in_kernel(self, v: RepVector) -> bool:
@@ -547,18 +544,6 @@ class Sp6Quartic(Wedge36):
     def _check(self, v: RepVector):
         if not self.in_kernel(v):
             raise FormError("vector has nonzero contraction; outside the restricted space")
-
-
-def _sp6_int_embedding(form: Sp6Quartic, field):
-    """Integer 20 x 14 kernel embedding E, whose columns are sp6's raw-point
-    columns for sampling, the lattice check and the radical oracle: each
-    column of the kernel basis cleared of its denominators, built once per
-    field and kept on the form beside its kernel basis."""
-    cache = form._int_kernel_cache
-    if field not in cache:
-        cols = [clear_denominators(field, [col])[0][0] for col in zip(*form.kernel_basis(field).rows)]
-        cache[field] = [list(row) for row in zip(*cols)]
-    return cache[field]
 
 
 class Mat2n(_GramForm):

@@ -1,6 +1,6 @@
 """Exact dense linear algebra over scalar fields and polynomial rings.
 
-Over a field, determinant, rank, inverse, solve and kernel all read one row
+Over a field, determinant, rank, inverse and kernel all read one row
 reduction (`_reduce`) of the integer rows that `clear_denominators` returns:
 residues mod p over F_p, fraction-free Bareiss elimination over the
 rationals (every division exact, no coefficient swell), kept on the matrix
@@ -46,11 +46,6 @@ class Matrix:
     def identity(cls, ring, n):
         z, o = ring.zero, ring.one
         return cls(ring, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, ring, m, n):
-        z = ring.zero
-        return cls(ring, [[z] * n for _ in range(m)])
 
     @classmethod
     def from_ints(cls, ring, rows):
@@ -168,22 +163,16 @@ class Matrix:
         return int_rank(list(self.ints()[0]), self.ring.modulus)
 
     def inv(self):
+        """A^-1 from the reduced echelon form of the integer rows [D A | D I]."""
         if not self.is_square:
             raise LinAlgError("inverse of a non-square matrix")
-        n = self.nrows
+        ring, n = self.ring, self.nrows
         ints, den = self.ints()
         aug = [list(r) + [den * (i == j) for j in range(n)] for i, r in enumerate(ints)]
-        return Matrix(self.ring, _solve_block(self.ring, aug, n))
-
-    def solve(self, b):
-        """Solve self @ x = b for square nonsingular self."""
-        if not self.is_square:
-            raise LinAlgError("solve needs a square matrix")
-        n = self.nrows
-        if len(b) != n:
-            raise LinAlgError("vector length mismatch")
-        aug = [list(r) + [bv] for r, bv in zip(self.rows, b)]
-        return [row[0] for row in _solve_block(self.ring, clear_denominators(self.ring, aug)[0], n)]
+        red, pivots, _ = _reduce(aug, ring.modulus, n, clear_above=True)
+        if len(pivots) < n:
+            raise LinAlgError("singular matrix")
+        return Matrix(ring, [[_quotient(ring, x, row[pc]) for x in row[n:]] for row, pc in zip(red, pivots)])
 
     def kernel(self):
         """Basis of the right null space {v : self @ v = 0}."""
@@ -242,7 +231,7 @@ def int_rank(m, p):
 
 
 def _reduce(m, p, width=None, clear_above=False):
-    """The one row reduction behind det, rank, inv, solve and kernel.
+    """The one row reduction behind det, rank, inv and kernel.
 
     Reduces the integer rows m in place (it rebinds rows of m, never writes
     into one), as clear_denominators returns them:
@@ -310,15 +299,6 @@ def _quotient(field, a, b):
     if field.modulus is None:
         return Fraction(a, b)
     return Residue(a, field.modulus)
-
-
-def _solve_block(field, aug, n):
-    """Rows of A^-1 B, for integer rows aug = c [A | B] (c != 0, A n-by-n);
-    LinAlgError if A is singular."""
-    red, pivots, _ = _reduce(aug, field.modulus, n, clear_above=True)
-    if len(pivots) < n:
-        raise LinAlgError("singular matrix")
-    return [[_quotient(field, x, row[pc]) for x in row[n:]] for row, pc in zip(red, pivots)]
 
 
 def det_expansion(ring, rows):

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 from functools import cache
 from operator import mul
 
-from .forms import InvariantForm, _sp6_int_embedding, simplex_lattice
+from .forms import InvariantForm, simplex_lattice
 from .linalg import clear_denominators, int_rank
-from .multilinear import RepVector, Space, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
+from .multilinear import RepVector, Space, _alt_pairs, _symm_pairs, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
 from .sampling import gsp6_element, isotropic_vector, rand_unit
 
 
@@ -220,7 +220,7 @@ RADICAL_LINES = {"cubic-disc", "wedge36", "sp6", "mat2n", "hyperdet"}
 def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
     """Radical oracle for the quartic lines: rad(b_v) has dimension dim - 1
     exactly on the minimal cone, dim the number of raw-point columns: the
-    unit vectors, or for sp6 the 14 columns of its integer kernel embedding.
+    unit vectors, or for sp6 the 14 integer columns of its kernel basis.
     The radical is dim - rank G for the integer Gram G of b_v on those
     columns (multilinear.bx_int_gram), a nonzero multiple of b_v's Gram."""
     base = _base_line(form)
@@ -234,7 +234,7 @@ def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
     if base == "sp6":
         if not form.in_kernel(v):
             raise MinimalityError("vector has nonzero contraction")
-        cols = list(zip(*_sp6_int_embedding(form, field)))
+        cols = list(zip(*form.kernel_basis(field).ints()[0]))
     gram, _ = bx_int_gram(form, v, cols)
     dim = len(gram)
     rad = dim - int_rank(gram, field.modulus)
@@ -290,12 +290,12 @@ def sample_minimal(target, field, rng) -> RepVector:
     if kind == "symm":
         n = space.params["n"]
         u = _rand_nonzero_ints(rng, n, p)
-        return vector(c, [u[i] * u[j] for i in range(n) for j in range(i, n)])
+        return vector(c, [u[i] * u[j] for i, j in _symm_pairs(n)])
     if kind == "alt":
         n = space.params["n"]
         while True:
             u, w = _rand_nonzero_ints(rng, n, p), _rand_nonzero_ints(rng, n, p)
-            ints = _reduced([u[i] * w[j] - u[j] * w[i] for i in range(n) for j in range(i + 1, n)], p)
+            ints = _reduced([u[i] * w[j] - u[j] * w[i] for i, j in _alt_pairs(n)], p)
             if any(ints):
                 return vector(c, ints)
     if kind in ("square", "rect"):

@@ -19,21 +19,20 @@ wedge_ints and exterior_power_ints.
 
 Also here: degree-4 polarization and the Gram of the bilinear form b_x,
 both read off the form's integer formula on cleared integer coordinates
-(InvariantForm.int_evaluator, line_coefficients), the symplectic pairings
-used to define the trilinear map t, wedge products, and the symplectic
+(InvariantForm.int_evaluator, line_coefficients), the Pfaffian's polar
+pairing on alternating 4x4 matrices, wedge products, and the symplectic
 contraction of 3-vectors.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from functools import cache
 from itertools import combinations
-from math import gcd
+from math import comb, gcd
 
 from .fields import FieldError
-from .linalg import LinAlgError, Matrix, clear_denominators, int_rank, scaled
+from .linalg import Matrix, clear_denominators, scaled
 
 
 class SpaceError(ValueError):
@@ -114,7 +113,7 @@ class Space:
         if kind == "vector":
             return p["n"]
         if kind == "wedge":
-            return _binom(p["n"], p["d"])
+            return comb(p["n"], p["d"])
         if kind == "cubic":
             return 4
         return 8
@@ -131,13 +130,6 @@ class Space:
     def __repr__(self):
         inner = ", ".join("%s=%d" % kv for kv in sorted(self.params.items()))
         return "Space(%r%s)" % (self.kind, ", " + inner if inner else "")
-
-
-def _binom(n, d):
-    num = 1
-    for i in range(d):
-        num = num * (n - i) // (i + 1)
-    return num
 
 
 def subsets_colex(n: int, d: int):
@@ -335,7 +327,11 @@ class RepVector:
         try:
             kind = obj["space"]
             params = obj.get("params", {})
-            entries = [field.parse(str(e)) for e in obj["entries"]]
+            entries = obj["entries"]
+            # a string is a sequence too, and would be read one character at a time
+            if not isinstance(entries, list):
+                raise TypeError("entries must be a JSON array, got %s" % json.dumps(entries))
+            entries = [field.parse(str(e)) for e in entries]
         except (KeyError, TypeError, ValueError, FieldError) as exc:
             raise SpaceError("bad vector object: %s" % exc) from exc
         # bool is an int subclass, and int() would truncate 2.9 to 2
@@ -350,14 +346,6 @@ class RepVector:
             rows = [entries[i * n : (i + 1) * n] for i in range(m)]
             return cls.from_matrix(space, field, rows)
         return cls(space, field, entries)
-
-    @classmethod
-    def from_json(cls, text, field):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpaceError("bad vector JSON: %s" % exc) from exc
-        return cls.from_json_obj(obj, field)
 
 
 def full_rows(space: Space, coords, zero):
@@ -377,12 +365,6 @@ def full_rows(space: Space, coords, zero):
     return rows
 
 
-def rep_rank(v: RepVector) -> int:
-    """Exact matrix rank of a matrix-kind vector, read on its integer
-    coordinates as the structure oracle reads it."""
-    return int_rank(full_rows(v.space, v.ints()[0], 0), v.field.modulus)
-
-
 @cache
 def standard_symplectic_ints(n: int):
     """Integer Gram rows of the nondegenerate skew form pairing coordinates
@@ -391,19 +373,6 @@ def standard_symplectic_ints(n: int):
     if n % 2:
         raise SpaceError("symplectic form needs even dimension")
     return tuple(tuple((j == i ^ 1) * (-1) ** i for j in range(n)) for i in range(n))
-
-
-def standard_symplectic_gram(field, n: int) -> Matrix:
-    """The standard skew form over the field."""
-    return Matrix.from_ints(field, standard_symplectic_ints(n))
-
-
-def split_symmetric_gram(field, n: int) -> Matrix:
-    """Symmetric antidiagonal Gram of the split quadratic form."""
-    rows = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][n - 1 - i] = field.one
-    return Matrix(field, rows)
 
 
 # degree-4 polarization
@@ -469,101 +438,16 @@ def bx_int_gram(f, x: RepVector, cols=None):
     return gram, field.of(f.constant / (12 * den * big_d**2))
 
 
-def bilinear_bx(f, x: RepVector) -> Matrix:
-    """Gram matrix of (u, w) -> polarize4(f, x, x, u, w) in the standard basis."""
-    gram, s = bx_int_gram(f, x)
-    return Matrix(x.field, [scaled(x.field, s, 1, row) for row in gram])
-
-
-# symplectic pairings
-
-
-def _cubic_pair_gram(field):
-    third = field.of(Fraction(1, 3))
-    z, o = field.zero, field.one
-    return Matrix(
-        field,
-        [
-            [z, z, z, o],
-            [z, z, -third, z],
-            [z, third, z, z],
-            [-o, z, z, z],
-        ],
-    )
-
-
-def _alt4_pf_polar_gram(field):
-    # coefficient of t in Pf(x + t y) = x1 y6 + x6 y1 - x2 y5 - x5 y2 + x3 y4 + x4 y3
-    z, o = field.zero, field.one
-    rows = [[z] * 6 for _ in range(6)]
-    for i, j, s in ((0, 5, o), (1, 4, -o), (2, 3, o)):
-        rows[i][j] = s
-        rows[j][i] = s
-    return Matrix(field, rows)
-
-
-def _rect2n_pair_gram(field, n, s_gram: Matrix):
-    # <X, Y> = (X S Y^t)_{01} - (X S Y^t)_{10}, row-major coordinates on 2 x n
-    z = field.zero
-    rows = [[z] * (2 * n) for _ in range(2 * n)]
-    for j in range(n):
-        for k in range(n):
-            s = s_gram.entry(j, k)
-            if s == z:
-                continue
-            rows[j][n + k] = rows[j][n + k] + s
-            rows[n + j][k] = rows[n + j][k] - s
-    return Matrix(field, rows)
-
-
-def pairing_gram(space: Space, field, gram: Matrix | None = None) -> tuple[Matrix, str]:
-    """Registered invariant pairing for a space: (Gram, symmetry tag).
-
-    The tag is "skew" except on alternating 4x4 matrices, where the
-    polarization of the Pfaffian is symmetric.
-    """
-    if space == Space("cubic"):
-        return _cubic_pair_gram(field), "skew"
-    if space == Space("wedge", d=3, n=6):
-        return wedge_complement_star_matrix(field, 6, 3).transpose(), "skew"
-    if space == Space("alt", n=4):
-        return _alt4_pf_polar_gram(field), "symmetric"
-    if space.kind == "rect" and space.params["m"] == 2:
-        n = space.params["n"]
-        s = gram if gram is not None else split_symmetric_gram(field, n)
-        return _rect2n_pair_gram(field, n, s), "skew"
-    raise SpaceError("no pairing registered for %r" % space)
-
-
-def symplectic_pair(space: Space, x: RepVector, y: RepVector, gram: Matrix | None = None):
-    """Invariant bilinear pairing <x, y> on the registered spaces."""
+def symplectic_pair(space: Space, x: RepVector, y: RepVector):
+    """The invariant pairing on alternating 4x4 matrices, the polar form of
+    the Pfaffian: the coefficient of t in Pf(x + t y),
+    x1 y6 + x6 y1 - x2 y5 - x5 y2 + x3 y4 + x4 y3."""
+    if space != Space("alt", n=4):
+        raise SpaceError("no pairing registered for %r" % space)
     if x.space != space or y.space != space:
         raise SpaceError("vectors outside the pairing's space")
-    g, _ = pairing_gram(space, x.field, gram)
-    field = x.field
-    acc = field.zero
-    for i, row in enumerate(g.rows):
-        xi = x.coords[i]
-        if xi == field.zero:
-            continue
-        for j, s in enumerate(row):
-            if s != field.zero:
-                acc = acc + xi * s * y.coords[j]
-    return acc
-
-
-def trilinear_t(f, x1: RepVector, x2: RepVector, x3: RepVector, gram: Matrix | None = None) -> RepVector:
-    """The vector t with <t, w> = polarize4(f, x1, x2, x3, w) for all w."""
-    space, field = x1.space, x1.field
-    g, _ = pairing_gram(space, field, gram)
-    rhs = []
-    for j in range(space.dim):
-        rhs.append(polarize4(f, x1, x2, x3, RepVector.basis(space, field, j)))
-    try:
-        coords = g.transpose().solve(rhs)
-    except LinAlgError as exc:
-        raise SpaceError("degenerate pairing") from exc
-    return RepVector._raw(space, field, coords)
+    a, b = x.coords, y.coords
+    return a[0] * b[5] + a[5] * b[0] - a[1] * b[4] - a[4] * b[1] + a[2] * b[3] + a[3] * b[2]
 
 
 # wedge machinery
@@ -575,7 +459,7 @@ def _wedge_step(n: int, k: int):
     of k^n: sum_t (-1)^t r[B[t]] w[B - B[t]] for each k-subset B in colex
     order, the Laplace expansion along r of the minor on columns B."""
     rows = [[(-1 if neg else 1, (i, n + a)) for i, a, neg in row] for row in _wedge_map_table(n, k - 1)]
-    return _straight_line(n + _binom(n, k - 1), [], "[%s]" % ", ".join(map(_signed_sum, rows)))
+    return _straight_line(n + comb(n, k - 1), [], "[%s]" % ", ".join(map(_signed_sum, rows)))
 
 
 def wedge_ints(n: int, vectors):
@@ -633,23 +517,12 @@ def wedge_map_rows(space: Space, coords, zero):
     return rows
 
 
-def wedge_map_matrix(v: RepVector) -> Matrix:
-    """Matrix of u -> u wedge v, from k^n to wedge(d + 1, n)."""
-    return Matrix(v.field, wedge_map_rows(v.space, v.coords, v.field.zero))
-
-
 @cache
 def _wedge_map_table(n: int, d: int):
     """For each sorted (d + 1)-subset B in colex order: (B[k], index of
     B - B[k], k odd) for k = 0..d."""
     idx_d, _ = subset_index(n, d)
     return [[(i, idx_d[B[:k] + B[k + 1:]], k % 2 == 1) for k, i in enumerate(B)] for B in subset_index(n, d + 1)[1]]
-
-
-def wedge_annihilator_dim(v: RepVector) -> int:
-    """Dimension of {u in k^n : u wedge v = 0}, read on the integer
-    coordinates of v as the structure oracle reads it."""
-    return v.space.params["n"] - int_rank(wedge_map_rows(v.space, v.ints()[0], 0), v.field.modulus)
 
 
 def lambda_power_matrix(g: Matrix, d: int) -> Matrix:
@@ -682,7 +555,7 @@ def complement_star_table(n: int, d: int):
 
 def wedge_complement_star_matrix(field, n: int, d: int) -> Matrix:
     """Duality star on wedge(d, n): e_A -> sign(A, complement) * e_complement."""
-    rows = [[field.zero] * _binom(n, d) for _ in range(_binom(n, n - d))]
+    rows = [[field.zero] * comb(n, d) for _ in range(comb(n, n - d))]
     for a, (c, s) in enumerate(complement_star_table(n, d)):
         rows[c][a] = field.of(s)
     return Matrix(field, rows)

@@ -31,16 +31,17 @@ from fractions import Fraction
 from functools import cache
 from operator import mul
 
-from .forms import InvariantForm, Sp6Quartic, _sp6_int_embedding, parse_form, simplex_lattice
+from .forms import InvariantForm, Sp6Quartic, parse_form, simplex_lattice
 from .linalg import Matrix, scaled
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
     RepVector,
     Space,
+    _alt_pairs,
+    _symm_pairs,
     complement_star_table,
     exterior_power_ints,
     standard_symplectic_ints,
-    wedge_complement_star_matrix,
 )
 from .sampling import (
     forced_det_matrix,
@@ -167,11 +168,6 @@ def hodge_star4_matrix(field) -> Matrix:
     return Matrix(field, rows)
 
 
-def hodge_star20_matrix(field) -> Matrix:
-    """Top-wedge star on wedge^3 of k^6; squares to minus the identity."""
-    return wedge_complement_star_matrix(field, 6, 3)
-
-
 # families
 
 
@@ -260,10 +256,7 @@ class Congruence(PreserverElement):
         n = self.p.nrows
         e, den = self.p.ints()
         symm = self.space.kind == "symm"
-        if symm:
-            pairs = [(i, j) for i in range(n) for j in range(i, n)]
-        else:
-            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs = _symm_pairs(n) if symm else _alt_pairs(n)
         out = []
         for a, b in pairs:
             ea, eb = e[a], e[b]
@@ -572,9 +565,9 @@ def _raw_points(form, field):
     """(k, E): a raw point of the form's space is E c for k integer
     coefficients c (residues in [0, p) over F_p when E c goes through
     _matvec_kernel), or c itself where E is None.  For sp6, E is the integer
-    kernel embedding and k = 14."""
+    form of the kernel basis and k = 14."""
     if isinstance(form, Sp6Quartic):
-        return form.intrinsic_dim, _sp6_int_embedding(form, field)
+        return form.intrinsic_dim, form.kernel_basis(field).ints()[0]
     return form.space.dim, None
 
 

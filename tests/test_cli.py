@@ -12,7 +12,7 @@ import pytest
 
 import linpres
 from linpres.cli import main
-from linpres.forms import parse_form
+from linpres.forms import FormError, parse_form, simplex_lattice
 
 
 def run(capsys, *argv):
@@ -74,6 +74,26 @@ def test_eval_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "eval", "--form", "cubic-disc", "--field", "Q", "--vector", "not json")
     assert code == 2 and "JSON" in err
+
+
+@pytest.mark.parametrize("vector", ['[123456789012345678901.0, 1]', '["123456789012345678901.0", "1"]'])
+def test_eval_reads_json_numbers_exactly(capsys, vector):
+    # a JSON number keeps all its digits, as the same entry written as a string
+    # does; read as a float, x y would come out as 246913578024691360000
+    code, out, _ = run(capsys, "eval", "--form", "quadric:2", "--field", "Q", "--vector", vector)
+    assert code == 0
+    assert json.loads(out)["value"] == "246913578024691357802"
+    code, out, _ = run(capsys, "eval", "--form", "cubic-disc", "--field", "Fp:7", "--vector", "[0.5, 1.5e0, 2, 4]")
+    assert code == 0
+    assert json.loads(out)["value"] == "2"
+
+
+def test_eval_rejects_a_string_as_the_entries_list(capsys):
+    # a string is no entries list, though it has four characters
+    blob = '{"space": "cubic", "params": {}, "entries": "1234"}'
+    code, out, err = run(capsys, "eval", "--form", "cubic-disc", "--field", "Q", "--vector", blob)
+    assert code == 2 and out == ""
+    assert "entries must be a JSON array" in err
 
 
 @pytest.mark.parametrize("form, vector", [
@@ -537,6 +557,18 @@ def test_verify_symbolic_covers_every_cell(capsys, cid, field):
     assert code == 0
     cells = json.loads(out)["cells"]
     assert cells and all(cell["policy"] == "symbolic" and cell["failures"] == 0 for cell in cells)
+
+
+def test_lattice_bound_is_refused_before_any_point_is_walked():
+    # C(29, 5) = 118,755 points on 25 coordinates, above the bound of 10^5 and
+    # below 10^6: the bound refuses it before fn runs once.  Kept ahead of the
+    # CLI check below, which under a looser bound walks 201,376 points first.
+    def walked(x):
+        raise AssertionError("simplex_lattice walked a lattice above its bound")
+
+    units = [[int(i == j) for j in range(25)] for i in range(25)]
+    with pytest.raises(FormError, match="118755 points, above the bound of 100000"):
+        simplex_lattice(walked, units, 5, None, FormError)
 
 
 def test_minimal_rrs_lattice_point_bound(capsys):

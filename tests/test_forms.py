@@ -24,18 +24,18 @@ from linpres.forms import (
     simplex_lattice,
     wedge36_pair_point,
 )
-from linpres.linalg import Matrix
+from linpres.linalg import Matrix, scaled
 from linpres.multilinear import (
     RepVector,
     Space,
-    bilinear_bx,
+    bx_int_gram,
     lambda_power_matrix,
     merge_sign,
     polarize4,
     sp6_contract,
+    standard_symplectic_ints,
     subset_index,
     symplectic_pair,
-    trilinear_t,
     wedge_of_vectors,
 )
 from linpres.polynomials import PolyRing
@@ -158,9 +158,7 @@ def test_pfaffian_of_standard_pairing_is_one():
     for field in (QQ, F7):
         for n in (4, 6, 8):
             f = SkewPf(n)
-            from linpres.multilinear import standard_symplectic_gram
-
-            j = standard_symplectic_gram(field, n)
+            j = Matrix.from_ints(field, standard_symplectic_ints(n))
             v = from_mat(f.space, j)
             assert f.evaluate(v) == field.one
 
@@ -426,20 +424,22 @@ def test_sp6_kernel_dimension_and_eval():
     for vals in sp6_int_kernel_points(rng, 6):
         for field in (QQ, F7):
             v = RepVector(f.space, field, [field.of(c) for c in vals])
-            assert all(c == field.zero for c in sp6_contract(v, f.b_gram(field)))
+            b = Matrix.from_ints(field, standard_symplectic_ints(6))
+            assert all(c == field.zero for c in sp6_contract(v, b))
             assert f.evaluate(v) == amb.evaluate(v)
 
 
 def test_sp6_in_kernel_matches_contraction():
-    # in_kernel reads cached contraction rows; sp6_contract is the reference
+    # in_kernel reads the integer contraction matrix; sp6_contract is the reference
     f = Sp6Quartic()
     rng = random.Random(12)
     for field in (QQ, F7):
         vectors = [RepVector.basis(f.space, field, i) for i in range(20)]
         vectors += [RepVector(f.space, field, [field.of(c) for c in vals]) for vals in sp6_int_kernel_points(rng, 3)]
         vectors += [RepVector(f.space, field, [field.sample(rng, 3) for _ in range(20)]) for _ in range(3)]
+        b = Matrix.from_ints(field, standard_symplectic_ints(6))
         for v in vectors:
-            assert f.in_kernel(v) == all(c == field.zero for c in sp6_contract(v, f.b_gram(field)))
+            assert f.in_kernel(v) == all(c == field.zero for c in sp6_contract(v, b))
 
 
 # mat2n
@@ -717,25 +717,14 @@ def test_bilinear_bx_matches_polarization():
     for f in [CubicDisc(), Hyperdet(), Wedge36(), Mat2n(4)]:
         for field in (QQ, F7):
             x = RepVector(f.space, field, [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(f.space.dim)])
-            gram = bilinear_bx(f, x)
+            ints, s = bx_int_gram(f, x)
+            gram = Matrix(field, [scaled(field, s, 1, row) for row in ints])
             for _ in range(6):
                 i = rng.randrange(f.space.dim)
                 j = rng.randrange(f.space.dim)
                 ei = RepVector.basis(f.space, field, i)
                 ej = RepVector.basis(f.space, field, j)
                 assert gram.entry(i, j) == polarize4(f, x, x, ei, ej)
-
-
-def test_trilinear_t_represents_polarization():
-    rng = random.Random(24)
-    f = CubicDisc()
-    space = f.space
-    for field in (QQ, F7):
-        xs = [rand_vec(rng, space, field, -3, 3) for _ in range(3)]
-        t = trilinear_t(f, *xs)
-        for _ in range(5):
-            w = rand_vec(rng, space, field, -3, 3)
-            assert symplectic_pair(space, t, w) == polarize4(f, xs[0], xs[1], xs[2], w)
 
 
 def test_simplex_lattice_refuses_just_above_the_point_bound():

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,26 +6,23 @@ import pytest
 
 from linpres.fields import PrimeField, QQ
 from linpres.forms import parse_form
-from linpres.linalg import Matrix, clear_denominators, scaled
+from linpres.linalg import Matrix, clear_denominators, int_rank, scaled
 from linpres.multilinear import (
     RepVector,
     Space,
     SpaceError,
     bx_int_gram,
     exterior_power_ints,
+    full_rows,
     merge_sign,
-    pairing_gram,
-    rep_rank,
     sp6_contract,
-    split_symmetric_gram,
-    standard_symplectic_gram,
+    standard_symplectic_ints,
     subset_index,
     subsets_colex,
     symplectic_pair,
-    wedge_annihilator_dim,
     wedge_complement_star_matrix,
-    wedge_map_matrix,
     wedge_ints,
+    wedge_map_rows,
     wedge_of_vectors,
     lambda_power_matrix,
 )
@@ -125,27 +123,29 @@ class TestRepVector:
         obj = v.to_json_obj()
         assert obj["space"] == "symm"
         assert obj["entries"] == ["1", "-2/3", "-2/3", "5"]
-        assert RepVector.from_json(v.to_json(), QQ) == v
+        assert RepVector.from_json_obj(json.loads(v.to_json()), QQ) == v
 
     def test_json_roundtrip_wedge(self):
         s = Space("wedge", d=3, n=6)
         v = RepVector(s, F7, list(range(20)))
-        assert RepVector.from_json(v.to_json(), F7) == v
+        assert RepVector.from_json_obj(json.loads(v.to_json()), F7) == v
 
     def test_json_rejects_garbage(self):
         with pytest.raises(SpaceError):
-            RepVector.from_json("{not json", QQ)
+            RepVector.from_json_obj("{not json", QQ)
         with pytest.raises(SpaceError):
-            RepVector.from_json('{"space": "symm", "params": {"n": 2}, "entries": ["1"]}', QQ)
+            RepVector.from_json_obj({"space": "symm", "params": {"n": 2}, "entries": ["1"]}, QQ)
 
 
 def test_rep_rank_examples():
-    # rank-2 alternating matrix: E12 - E21
+    # the rank of a matrix vector, read on its integer coordinates as the
+    # structure oracle reads it; rank-2 alternating matrix: E12 - E21
     v = RepVector(Space("alt", n=4), QQ, [1, 0, 0, 0, 0, 0])
-    assert rep_rank(v) == 2
-    assert rep_rank(RepVector.zero(Space("square", n=3), QQ)) == 0
+    assert int_rank(full_rows(v.space, v.ints()[0], 0), None) == 2
+    zero = RepVector.zero(Space("square", n=3), QQ)
+    assert int_rank(full_rows(zero.space, zero.ints()[0], 0), None) == 0
     i3 = RepVector.from_matrix(Space("symm", n=3), QQ, Matrix.identity(QQ, 3).rows)
-    assert rep_rank(i3) == 3
+    assert int_rank(full_rows(i3.space, i3.ints()[0], 0), None) == 3
 
 
 def test_rank_congruence_invariance():
@@ -158,39 +158,47 @@ def test_rank_congruence_invariance():
             if p.det() != 0:
                 break
         m = p @ v.to_matrix() @ p.transpose()
-        assert m.rank() == rep_rank(v)
+        assert m.rank() == int_rank(full_rows(s, v.ints()[0], 0), None)
 
 
 def test_standard_grams():
-    j = standard_symplectic_gram(QQ, 6)
+    j = Matrix.from_ints(QQ, standard_symplectic_ints(6))
     assert j.transpose() == -j
     assert j.rank() == 6
-    s = split_symmetric_gram(QQ, 4)
+    # the split quadric's default S, the antidiagonal
+    s = parse_form("quadric:4").gram(QQ)
+    assert s == Matrix.from_ints(QQ, [[int(i + j == 3) for j in range(4)] for i in range(4)])
     assert s.transpose() == s
     assert s.rank() == 4
 
 
+def _top_wedge_pair(x, y):
+    # x ^ y = <x, y> e_012345 on wedge^3 of k^6: <x, y> = (star x) . y
+    star = wedge_complement_star_matrix(x.field, 6, 3)
+    return sum((a * b for a, b in zip(star.apply(x.coords), y.coords)), x.field.zero)
+
+
 class TestPairings:
     def test_gram_properties(self):
-        """Every registered pairing is nondegenerate and matches its tag."""
-        spaces = [Space("cubic"), Space("wedge", d=3, n=6), Space("alt", n=4), Space("rect", m=2, n=4)]
+        """The alt(4) pairing is symmetric and nondegenerate; no other space has one."""
+        s = Space("alt", n=4)
         for field in (QQ, F7):
-            for s in spaces:
-                g, tag = pairing_gram(s, field)
-                assert g.rank() == s.dim, s
-                if tag == "skew":
-                    assert g.transpose() == -g, s
-                else:
-                    assert g.transpose() == g, s
+            basis = [RepVector.basis(s, field, i) for i in range(6)]
+            g = Matrix(field, [[symplectic_pair(s, x, y) for y in basis] for x in basis])
+            assert g.rank() == 6 and g.transpose() == g
+        for other in (Space("cubic"), Space("wedge", d=3, n=6), Space("rect", m=2, n=4)):
+            x = RepVector.zero(other, QQ)
+            with pytest.raises(SpaceError):
+                symplectic_pair(other, x, x)
 
     def test_wedge36_normalization(self):
         s = Space("wedge", d=3, n=6)
         idx, _ = subset_index(6, 3)
         x = RepVector.basis(s, QQ, idx[(0, 1, 2)])
         y = RepVector.basis(s, QQ, idx[(3, 4, 5)])
-        assert symplectic_pair(s, x, y) == 1
-        assert symplectic_pair(s, y, x) == -1
-        assert symplectic_pair(s, x, x) == 0
+        assert _top_wedge_pair(x, y) == 1
+        assert _top_wedge_pair(y, x) == -1
+        assert _top_wedge_pair(x, x) == 0
 
     def test_alt4_pairing_from_pfaffian(self):
         """<x, y> on alt(4) equals the coefficient of t in Pf(x + t y)."""
@@ -215,21 +223,15 @@ class TestPairings:
             pf = pfaffian(ring, entries)
             assert pf.coefficient((1,)) == symplectic_pair(s, a, b)
 
-    def test_cubic_pairing_values(self):
-        s = Space("cubic")
-        x3 = RepVector(s, QQ, [1, 0, 0, 0])
-        y3 = RepVector(s, QQ, [0, 0, 0, 1])
-        assert symplectic_pair(s, x3, y3) == 1
-        a = RepVector(s, QQ, [0, 1, 0, 0])
-        b = RepVector(s, QQ, [0, 0, 1, 0])
-        assert symplectic_pair(s, a, b) == Fraction(-1, 3)
-
     def test_skew_on_random(self):
+        # the top-wedge pairing is skew, the alt(4) pairing symmetric
         rng = random.Random(11)
-        for s in (Space("cubic"), Space("wedge", d=3, n=6), Space("rect", m=2, n=4)):
-            for _ in range(20):
-                x = RepVector(s, QQ, [rng.randint(-4, 4) for _ in range(s.dim)])
-                assert symplectic_pair(s, x, x) == 0
+        s, alt4 = Space("wedge", d=3, n=6), Space("alt", n=4)
+        for _ in range(20):
+            x = RepVector(s, QQ, [rng.randint(-4, 4) for _ in range(s.dim)])
+            assert _top_wedge_pair(x, x) == 0
+            a, b = (RepVector(alt4, QQ, [rng.randint(-4, 4) for _ in range(6)]) for _ in range(2))
+            assert symplectic_pair(alt4, a, b) == symplectic_pair(alt4, b, a)
 
 
 class TestWedge:
@@ -256,17 +258,17 @@ class TestWedge:
             w = [rng.randint(-4, 4) for _ in range(6)]
             z = [rng.randint(-4, 4) for _ in range(6)]
             uv = wedge_of_vectors(QQ, 6, [w, z])
-            u_uv = wedge_map_matrix(uv).apply([QQ.of(c) for c in u])
+            u_uv = Matrix(QQ, wedge_map_rows(uv.space, uv.coords, QQ.zero)).apply([QQ.of(c) for c in u])
             assert tuple(u_uv) == wedge_of_vectors(QQ, 6, [u, w, z]).coords
 
     def test_annihilator_dims(self):
         idx, _ = subset_index(6, 3)
         s = Space("wedge", d=3, n=6)
         dec = RepVector.basis(s, QQ, idx[(0, 1, 2)])
-        assert wedge_annihilator_dim(dec) == 3
         split = dec + RepVector.basis(s, QQ, idx[(3, 4, 5)])
-        assert wedge_annihilator_dim(split) == 0
-        assert wedge_annihilator_dim(RepVector.zero(s, QQ)) == 6
+        # {u : u ^ v = 0} has dimension n minus the rank of u -> u ^ v
+        for v, dim in ((dec, 3), (split, 0), (RepVector.zero(s, QQ), 6)):
+            assert 6 - int_rank(wedge_map_rows(s, v.ints()[0], 0), None) == dim
 
     def test_lambda_power_functorial(self):
         rng = random.Random(14)
@@ -322,12 +324,13 @@ def test_wedge_map_matrix_matches_unit_vector_images():
                     for _ in range(3):
                         v_basis = RepVector.basis(space, field, rng.randrange(space.dim))
                         for w in (v, v_basis, v - v_basis.scale(field.of(2))):
-                            assert wedge_map_matrix(w) == unit_vector_images(w), (field.descriptor, n, d, w.coords)
+                            got = Matrix(field, wedge_map_rows(w.space, w.coords, field.zero))
+                            assert got == unit_vector_images(w), (field.descriptor, n, d, w.coords)
 
 
 class TestContraction:
     def test_examples(self):
-        b = standard_symplectic_gram(QQ, 6)
+        b = Matrix.from_ints(QQ, standard_symplectic_ints(6))
         s = Space("wedge", d=3, n=6)
         idx, _ = subset_index(6, 3)
         out = sp6_contract(RepVector.basis(s, QQ, idx[(0, 1, 2)]), b)
@@ -337,7 +340,7 @@ class TestContraction:
 
     def test_linearity(self):
         rng = random.Random(16)
-        b = standard_symplectic_gram(QQ, 6)
+        b = Matrix.from_ints(QQ, standard_symplectic_ints(6))
         s = Space("wedge", d=3, n=6)
         for _ in range(10):
             x = RepVector(s, QQ, [rng.randint(-4, 4) for _ in range(20)])
@@ -350,7 +353,7 @@ class TestContraction:
         s = Space("wedge", d=3, n=6)
         v = RepVector.zero(s, QQ)
         with pytest.raises(SpaceError):
-            sp6_contract(v, Matrix.zeros(QQ, 6, 6))
+            sp6_contract(v, Matrix.from_ints(QQ, [[0] * 6] * 6))
 
 
 # the integer wedge kernel, checked against per-minor determinants

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import threading
 import zlib
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ import pytest
 from linpres.fields import QQ, PrimeField
 from linpres.forms import CubicDisc, InvariantForm, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form, simplex_lattice
 from linpres.linalg import Matrix
-from linpres.multilinear import RepVector, Space, lambda_power_matrix
+from linpres.multilinear import RepVector, Space, lambda_power_matrix, wedge_complement_star_matrix
 from linpres.preservers import (
     COROLLARY_IDS,
     Congruence,
@@ -31,12 +32,10 @@ from linpres.preservers import (
     _int_matvec,
     _matvec_kernel,
     _slot_code,
-    _sp6_int_embedding,
     corollary_forms,
     canonical_corollary,
     factor_permutation,
     hodge_star4_matrix,
-    hodge_star20_matrix,
     preserves_form,
     preserves_minimals,
     sample_free_element,
@@ -87,7 +86,7 @@ def test_alt4_star_is_involution_and_fixes_pfaffian():
 
 def test_wedge_star_squares_to_minus_identity():
     for field in (QQ, F7):
-        s = hodge_star20_matrix(field)
+        s = wedge_complement_star_matrix(field, 6, 3)
         assert s @ s == Matrix.identity(field, 20).scale(field.of(-1))
 
 
@@ -99,7 +98,7 @@ def test_wedge_matrix_fast_path_matches_generic():
             el = WedgePush(field.of(3), g, star)
             expect = lambda_power_matrix(g, 3)
             if star:
-                expect = expect @ hodge_star20_matrix(field)
+                expect = expect @ wedge_complement_star_matrix(field, 6, 3)
             assert el.matrix_on_space() == expect.scale(field.of(3))
     # non-integer rational factors: denominators are cleared before the minors
     g = Matrix(QQ, [[Fraction(1, 2) if i == j else Fraction(0) for j in range(6)] for i in range(6)])
@@ -115,7 +114,7 @@ def test_wedge_matrix_fast_path_matches_generic():
         for star in (False, True):
             expect = lambda_power_matrix(g, 3)
             if star:
-                expect = expect @ hodge_star20_matrix(QQ)
+                expect = expect @ wedge_complement_star_matrix(QQ, 6, 3)
             assert WedgePush(c, g, star).matrix_on_space() == expect.scale(c)
 
 
@@ -145,7 +144,7 @@ def _form_times(zero, u, w):
 def _lambda3(g, star):
     # Lambda^3(g), after the top-wedge star when star is set
     m = lambda_power_matrix(g, 3)
-    return m @ hodge_star20_matrix(g.ring) if star else m
+    return m @ wedge_complement_star_matrix(g.ring, 6, 3) if star else m
 
 
 def reference_image(el, v):
@@ -293,7 +292,7 @@ def test_family_validation_errors():
     with pytest.raises(PreserverError):
         Congruence(Space("symm", n=3), QQ.zero, Matrix.identity(QQ, 3))
     with pytest.raises(PreserverError):
-        Congruence(Space("symm", n=3), QQ.one, Matrix.zeros(QQ, 3, 3))
+        Congruence(Space("symm", n=3), QQ.one, Matrix.from_ints(QQ, [[0] * 3] * 3))
     with pytest.raises(PreserverError):
         Sandwich(Space("square", n=2), Matrix.identity(QQ, 2), Matrix.identity(QQ, 3))
     with pytest.raises(PreserverError):
@@ -332,6 +331,24 @@ def test_sz_trial_counts_frozen():
     assert sz_trial_count(F7, 3) == 50
     assert sz_trial_count(QQ, 4) == 2
     assert sz_trial_count(QQ, 2) == 2
+
+
+def test_sz_refuses_degree_equal_to_set_size_in_bounded_time():
+    # at degree = set size no t gives (degree / size)^t <= 2^-60, so the
+    # search for t ends only at the guard: run it on a thread and bound the wait
+    raised = []
+
+    def call():
+        try:
+            sz_trial_count(F5, 5)
+        except PreserverError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(5)
+    assert not worker.is_alive(), "sz_trial_count did not return within 5 s at degree = set size"
+    assert raised
 
 
 def test_sz_rejects_tiny_field():
@@ -635,7 +652,7 @@ def row_by_row_sz(el, form, rng, trials):
     p = field.modulus
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
     sp6 = isinstance(form, Sp6Quartic)
-    emb = _sp6_int_embedding(form, field) if sp6 else None
+    emb = form.kernel_basis(field).ints()[0] if sp6 else None
     for t in range(1, trials + 1):
         c = uniform_ints(rng, lo, hi, 14 if sp6 else form.space.dim)
         x = [sum(e * ci for e, ci in zip(row, c)) for row in emb] if sp6 else c
@@ -688,8 +705,8 @@ def field_loop_scales(el, form, rng, points=4):
             emb = form.kernel_basis(field)
             c = [field.of(x) for x in uniform_ints(rng, -9, 10, 14)]
             v = RepVector(form.space, field, emb.apply(c))
-            fv = form.ambient.evaluate(v)
-            fw = form.ambient.evaluate(el.apply(v))
+            fv = Wedge36().evaluate(v)
+            fw = Wedge36().evaluate(el.apply(v))
         else:
             v = RepVector(form.space, field, [field.of(x) for x in uniform_ints(rng, -9, 10, form.space.dim)])
             fv = form.evaluate(v)
@@ -726,9 +743,9 @@ def _outcome(fn, *args):
 @pytest.mark.parametrize("field", [F7, PrimeField(10007), QQ], ids=lambda f: f.descriptor)
 def test_scales_form_matches_field_loop_and_rng_stream(field):
     # over Q the sp6 points are E c for the kernel basis E itself, whose
-    # entries are integers, so the integer embedding must be E
-    sp6 = Sp6Quartic()
-    assert _sp6_int_embedding(sp6, QQ) == [list(row) for row in sp6.kernel_basis(QQ).rows]
+    # entries are integers, so its integer form must be E with D = 1
+    basis = Sp6Quartic().kernel_basis(QQ)
+    assert basis.ints() == (basis.rows, 1)
     for cid, desc in ALL_CELLS:
         form = parse_form(desc)
         rng = rnd(stable_seed(cid, desc, "scales"))

@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from linpres.fields import QQ, PrimeField
-from linpres.forms import Mat2n
+from linpres.forms import Mat2n, Quadric
 from linpres.linalg import Matrix, clear_denominators
-from linpres.multilinear import standard_symplectic_gram, split_symmetric_gram
+from linpres.multilinear import standard_symplectic_ints
 from linpres.sampling import (
     SamplingError,
     forced_det_matrix,
@@ -59,7 +59,7 @@ def test_invertible_and_forced_det():
 def test_gsp6_similitude_relation():
     rng = random.Random(2)
     for field in (QQ, F7):
-        b = standard_symplectic_gram(field, 6)
+        b = Matrix.from_ints(field, standard_symplectic_ints(6))
         for _ in range(4):
             g, mu = gsp6_element(field, rng)
             assert g.transpose() @ b @ g == b.scale(mu)
@@ -70,7 +70,7 @@ def test_go_similitude_relation():
     rng = random.Random(3)
     s_hyper = Matrix.from_ints(F7, [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]])
     for field in (QQ, F7):
-        s = split_symmetric_gram(field, 4)
+        s = Quadric(4).gram(field)
         for _ in range(4):
             g, mu = go_element(field, rng, s)
             assert mu != field.zero
@@ -126,7 +126,7 @@ def test_sampled_matrices_carry_their_exact_det_and_integer_rows(field):
 def test_go_odd_dimension():
     rng = random.Random(4)
     for field in (F7, PrimeField(65537), QQ):
-        s = split_symmetric_gram(field, 5)
+        s = Quadric(5).gram(field)
         for _ in range(4):
             g, mu = go_element(field, rng, s)
             assert g.transpose() @ s @ g == s.scale(mu)
@@ -145,7 +145,7 @@ def test_isotropic_vectors():
     diag = Matrix.from_ints(F7, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     for field in (QQ, F7):
         for n in (4, 5):
-            s = split_symmetric_gram(field, n)
+            s = Quadric(n).gram(field)
             for _ in range(6):
                 v = isotropic_vector(field, rng, s)
                 sv = s.apply(v)

@@ -102,6 +102,13 @@ MUTANTS = [
         "the sp6 structure rule skips its kernel test",
     ),
     (
+        "sp6-contraction-sign",
+        "forms.py",
+        "rows[i][a] += b[j][k]",
+        "rows[i][a] -= b[j][k]",
+        "one sign of the integer contraction matrix is flipped",
+    ),
+    (
         "wedge-step-sign",
         "multilinear.py",
         "rows = [[(-1 if neg else 1, (i, n + a))",
