@@ -23,8 +23,8 @@ to +1.  Every reported value depends on these conventions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
-from itertools import combinations_with_replacement, product
+from functools import cached_property
+from itertools import product
 from math import comb
 from operator import add, mul
 from types import SimpleNamespace
@@ -48,10 +48,34 @@ class FormError(ValueError):
 
 
 COMPILED_DET_MAX = 6  # larger determinants go through division-free expansion
-# Larger Pfaffians, too: one compiled expression of (n - 1)!! terms overflows
-# the compiler's recursion limit at n = 12 (10,395 terms); n = 10 (945) compiles.
+# Larger Pfaffians, too: compiling the memoized expansion took 1.0 ms at
+# n = 10, 2.5 ms at n = 12 and 7.6 ms at n = 14, where one interpreted
+# evaluation took 0.9 and 2.7 ms, so above 10 a compile costs more than an
+# evaluation (Python 3.11, 2-core x86).
 COMPILED_PF_MAX = 10
 _INTS = SimpleNamespace(zero=0, one=1)  # the ring linalg.pfaffian reads
+
+
+def _expansion_formula(dim, top, expand):
+    """Compile a recursive expansion: expand(key) is the coordinate index of
+    a leaf, else its (sign, coordinate, subkey) terms; each subkey's value is
+    named once and reused wherever it recurs."""
+    assignments = []
+    names: dict = {}
+
+    def name(key):
+        if key not in names:
+            terms = expand(key)
+            if isinstance(terms, int):
+                names[key] = "v%d" % terms
+            else:
+                text = " ".join("%s v%d*%s" % ("-" if s < 0 else "+", c, name(sub)) for s, c, sub in terms)
+                names[key] = "m%d" % len(assignments)
+                assignments.append((names[key], text.lstrip("+ ")))
+        return names[key]
+
+    result = name(top)
+    return _straight_line(dim, assignments, result)
 
 
 def _det_formula(n, coord):
@@ -65,47 +89,27 @@ def _det_formula(n, coord):
             return det_expansion(None, [[vals[coord(i, j)] for j in range(n)] for i in range(n)])
 
         return fn
-    assignments = []
-    names: dict = {}
 
-    def minor(cols):
-        if cols not in names:
-            r = n - len(cols)
-            if len(cols) == 1:
-                names[cols] = "v%d" % coord(r, cols[0])
-            else:
-                terms = []
-                for k, c in enumerate(cols):
-                    sub = minor(cols[:k] + cols[k + 1 :])
-                    terms.append("%s v%d*%s" % ("-" if k % 2 else "+", coord(r, c), sub))
-                names[cols] = "m%d" % len(assignments)
-                assignments.append((names[cols], " ".join(terms).lstrip("+ ")))
-        return names[cols]
+    def expand(cols):
+        r = n - len(cols)
+        if len(cols) == 1:
+            return coord(r, cols[0])
+        return [((-1) ** k, coord(r, c), cols[:k] + cols[k + 1 :]) for k, c in enumerate(cols)]
 
-    top = minor(tuple(range(n)))
     dim = 1 + max(coord(i, j) for i in range(n) for j in range(n))
-    return _straight_line(dim, assignments, top)
+    return _expansion_formula(dim, tuple(range(n)), expand)
 
 
 LATTICE_POINT_LIMIT = 10**5
 
 
-@cache
-def _lattice_points(n, d):
-    """The points of the principal simplex lattice {alpha in Z>=0^n :
-    |alpha| = d} in lexicographic order, as (shared, pt): pt the sorted tuple
-    of the indices alpha counts with multiplicity, shared the length of its
-    prefix in common with the previous point.  The next point raises one
-    entry of pt and repeats it to the end, so shared is where that run
-    starts."""
-    return tuple((pt.index(pt[-1]) if d else 0, pt) for pt in combinations_with_replacement(range(n), d))
-
-
 def simplex_lattice(fn, cols, d, modulus, error):
     """[fn(sum_i alpha_i cols[i]) for each point alpha of the principal
     simplex lattice of degree d on n = len(cols) coordinates], in
-    lexicographic order, the sums in integers; each point reuses the sums
-    over its shared prefix.
+    lexicographic order, the sums in integers.  Walked as the sorted tuples
+    of the indices alpha counts with multiplicity: the sums over their first
+    d - 1 indices are built one level at a time, each from the level before,
+    and each point adds the column of its last index to one of them.
 
     A homogeneous polynomial of degree d that vanishes on this lattice is
     zero in characteristic 0 or above d (the lattice is unisolvent for
@@ -122,14 +126,15 @@ def simplex_lattice(fn, cols, d, modulus, error):
             "the degree-%d simplex lattice on %d coordinates has %d points, above the bound of %d"
             % (d, n, count, LATTICE_POINT_LIMIT)
         )
-    # partial[j] sums the columns of the first j entries of the point
-    partial = [[0] * len(cols[0])] + [None] * d
-    values = []
-    for shared, pt in _lattice_points(n, d):
-        for j in range(shared, d):
-            partial[j + 1] = list(map(add, partial[j], cols[pt[j]]))
-        values.append(fn(partial[d]))
-    return values
+    if d == 0:
+        return [fn([0] * len(cols[0]))]
+    # level k: (i, the column sum) for each sorted k-tuple of indices, i its
+    # last; tuples of ints leave the cyclic GC at its first pass, so the
+    # levels never reach its older generations
+    level = [(0, (0,) * len(cols[0]))]
+    for _ in range(d - 1):
+        level = [(j, tuple(map(add, v, cols[j]))) for i, v in level for j in range(i, n)]
+    return [fn(list(map(add, v, c))) for i, v in level for c in cols[i:]]
 
 
 class InvariantForm:
@@ -266,8 +271,7 @@ class SquareDet(InvariantForm):
 
 
 class SkewPf(InvariantForm):
-    """Pfaffian on alternating matrices, Pf(standard pairing) = +1: the signed
-    sum over the perfect matchings of the indices, compiled once."""
+    """Pfaffian on alternating matrices, Pf(standard pairing) = +1."""
 
     def __init__(self, n: int):
         if n < 4 or n % 2:
@@ -277,32 +281,23 @@ class SkewPf(InvariantForm):
         self.degree = n // 2
         self.space = Space("alt", n=n)
 
-    def _monomial_plan(self):
-        """Pfaffian as a signed sum over the perfect matchings of 0 .. n-1,
-        expanded along the first index: pairing it with the k-th remaining
-        one contributes the sign (-1)^(k+1).  A term lists its coordinates in
-        increasing order, since each pair starts above the previous one."""
-        n = self.n
-        coord = {ij: k for k, ij in enumerate(_alt_pairs(n))}
-
-        def matchings(idx):
-            if not idx:
-                yield 1, ()
-            for k in range(1, len(idx)):
-                rest = idx[1:k] + idx[k + 1 :]
-                for sign, mono in matchings(rest):
-                    yield (sign if k % 2 else -sign), (coord[idx[0], idx[k]],) + mono
-
-        return sorted(matchings(tuple(range(n))), key=lambda t: t[1])
-
     @cached_property
     def formula(self):
-        """The plan compiled for n <= COMPILED_PF_MAX, else linalg.pfaffian's
-        division-free expansion."""
+        """For n <= COMPILED_PF_MAX, the expansion along the first index with
+        each sub-Pfaffian on the remaining indices named once, compiled:
+        pairing the first index with the k-th remaining one contributes the
+        sign (-1)^(k+1).  Above it, linalg.pfaffian's division-free expansion."""
         n = self.n
-        if n <= COMPILED_PF_MAX:
-            return _straight_line(self.space.dim, [], _signed_sum(self._monomial_plan()))
         pairs = _alt_pairs(n)
+        if n <= COMPILED_PF_MAX:
+            coord = {ij: k for k, ij in enumerate(pairs)}
+
+            def expand(idx):
+                if len(idx) == 2:
+                    return coord[idx]
+                return [((-1) ** (k + 1), coord[idx[0], idx[k]], idx[1:k] + idx[k + 1 :]) for k in range(1, len(idx))]
+
+            return _expansion_formula(self.space.dim, tuple(range(n)), expand)
 
         def fn(vals):
             rows = [[0] * n for _ in range(n)]
@@ -572,8 +567,9 @@ class Mat2n(_GramForm):
 class Hyperdet(InvariantForm):
     """Cayley's 2x2x2 hyperdeterminant; the diagonal tensor evaluates to +1.
 
-    Equals the discriminant in t of det(A + t B) for the two frontal slices
-    A, B of the tensor.
+    Computed as the discriminant in t of det(A + t B) for the two slices
+    A = (t000, t001; t010, t011) and B = (t100, t101; t110, t111) of the
+    tensor (Gelfand, Kapranov & Zelevinsky 1994, ch. 14).
     """
 
     line = "hyperdet"
@@ -584,23 +580,11 @@ class Hyperdet(InvariantForm):
 
     @staticmethod
     def formula(t):
+        """m^2 - 4 det A det B, the discriminant of det(A + t B) = det A +
+        m t + det B t^2."""
         t000, t001, t010, t011, t100, t101, t110, t111 = t
-        sq = (
-            t000 * t000 * t111 * t111
-            + t001 * t001 * t110 * t110
-            + t010 * t010 * t101 * t101
-            + t011 * t011 * t100 * t100
-        )
-        mixed = (
-            t000 * t001 * t110 * t111
-            + t000 * t010 * t101 * t111
-            + t000 * t011 * t100 * t111
-            + t001 * t010 * t101 * t110
-            + t001 * t011 * t100 * t110
-            + t010 * t011 * t100 * t101
-        )
-        quads = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
-        return sq - 2 * mixed + 4 * quads
+        m = t000 * t111 + t100 * t011 - t001 * t110 - t101 * t010
+        return m * m - 4 * (t000 * t011 - t001 * t010) * (t100 * t111 - t101 * t110)
 
     def scaling_factor(self, params):
         return (params["g1"].det() * params["g2"].det() * params["g3"].det()) ** 2

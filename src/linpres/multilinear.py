@@ -454,11 +454,17 @@ def symplectic_pair(space: Space, x: RepVector, y: RepVector):
 
 
 @cache
-def _wedge_step(n: int, k: int):
+def _wedge_step(n: int, k: int, lex: bool = False):
     """fn((*r, *w)) = r ^ w on integers, for a vector r and w in wedge^(k-1)
     of k^n: sum_t (-1)^t r[B[t]] w[B - B[t]] for each k-subset B in colex
-    order, the Laplace expansion along r of the minor on columns B."""
-    rows = [[(-1 if neg else 1, (i, n + a)) for i, a, neg in row] for row in _wedge_map_table(n, k - 1)]
+    order, the Laplace expansion along r of the minor on columns B.  With
+    lex the subsets come in lexicographic order, which for k = 2 is the
+    coordinate order of alternating matrices."""
+    table = _wedge_map_table(n, k - 1)
+    if lex:
+        subs = subset_index(n, k)[1]
+        table = [table[t] for t in sorted(range(len(subs)), key=subs.__getitem__)]
+    rows = [[(-1 if neg else 1, (i, n + a)) for i, a, neg in row] for row in table]
     return _straight_line(n + comb(n, k - 1), [], "[%s]" % ", ".join(map(_signed_sum, rows)))
 
 

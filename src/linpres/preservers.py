@@ -38,7 +38,9 @@ from .multilinear import (
     RepVector,
     Space,
     _alt_pairs,
+    _straight_line,
     _symm_pairs,
+    _wedge_step,
     complement_star_table,
     exterior_power_ints,
     standard_symplectic_ints,
@@ -225,6 +227,14 @@ class PreserverElement:
         return {"family": self.family, "params": self.params_json()}
 
 
+@cache
+def _symm_square_step(n: int):
+    """fn((*a, *b)) = [a_i b_j + a_j b_i for i < j, a_i b_i for i = j] on
+    integers, in the coordinate order of symmetric matrices, compiled."""
+    terms = ("v%d*v%d" % (i, n + i) if i == j else "v%d*v%d + v%d*v%d" % (i, n + j, j, n + i) for i, j in _symm_pairs(n))
+    return _straight_line(2 * n, [], "[%s]" % ", ".join(terms))
+
+
 class Congruence(PreserverElement):
     """X -> r P (star^s X) P^t on symmetric or alternating n x n matrices."""
 
@@ -250,29 +260,19 @@ class Congruence(PreserverElement):
         self.star = bool(star)
 
     def _build_action(self):
-        # column for the (i, j) basis matrix is the packed image of P E_ij P^t
-        # in integers: P = E / D, so every entry is r / D^2 times an integer
-        field = self.field
+        # row (a, b) is the symmetric square or the wedge of rows a and b of
+        # P = E / D in integers, so every entry is r / D^2 times an integer
         n = self.p.nrows
         e, den = self.p.ints()
-        symm = self.space.kind == "symm"
-        pairs = _symm_pairs(n) if symm else _alt_pairs(n)
-        out = []
-        for a, b in pairs:
-            ea, eb = e[a], e[b]
-            row = []
-            for i, j in pairs:
-                if symm and i == j:
-                    row.append(ea[i] * eb[i])
-                elif symm:
-                    row.append(ea[i] * eb[j] + ea[j] * eb[i])
-                else:
-                    row.append(ea[i] * eb[j] - ea[j] * eb[i])
-            out.append(row)
+        if self.space.kind == "symm":
+            step, pairs = _symm_square_step(n), _symm_pairs(n)
+        else:
+            step, pairs = _wedge_step(n, 2, lex=True), _alt_pairs(n)
+        out = [step((*e[a], *e[b])) for a, b in pairs]
         if self.star:
             # times the star on the right: a signed column permutation
             out = [[s * row[src] for src, s in _STAR4] for row in out]
-        return _action(field, out, self.r, den**2)
+        return _action(self.field, out, self.r, den**2)
 
     def char_params(self):
         return {"r": self.r, "P": self.p, "star": self.star}

@@ -28,6 +28,9 @@ from linpres.linalg import Matrix, scaled
 from linpres.multilinear import (
     RepVector,
     Space,
+    _alt_pairs,
+    _signed_sum,
+    _straight_line,
     bx_int_gram,
     lambda_power_matrix,
     merge_sign,
@@ -171,6 +174,33 @@ def test_pfaffian_symbolic_4x4():
     assert pf == x[0] * x[5] - x[1] * x[4] + x[2] * x[3]
 
 
+def pfaffian_monomial_plan(n):
+    """Pfaffian as a signed sum over the perfect matchings of 0 .. n-1,
+    expanded along the first index: pairing it with the k-th remaining one
+    contributes the sign (-1)^(k+1).  A term lists its coordinates in
+    increasing order, since each pair starts above the previous one."""
+    coord = {ij: k for k, ij in enumerate(_alt_pairs(n))}
+
+    def matchings(idx):
+        if not idx:
+            yield 1, ()
+        for k in range(1, len(idx)):
+            rest = idx[1:k] + idx[k + 1 :]
+            for sign, mono in matchings(rest):
+                yield (sign if k % 2 else -sign), (coord[idx[0], idx[k]],) + mono
+
+    return sorted(matchings(tuple(range(n))), key=lambda t: t[1])
+
+
+def lattice_points(dim, d):
+    """The points alpha in Z>=0^dim with |alpha| = d, lexicographically."""
+    for pt in itertools.combinations_with_replacement(range(dim), d):
+        alpha = [0] * dim
+        for i in pt:
+            alpha[i] += 1
+        yield alpha
+
+
 def test_pfaffian_plan_matches_polynomial_expansion():
     from linpres.linalg import pfaffian
 
@@ -186,7 +216,34 @@ def test_pfaffian_plan_matches_polynomial_expansion():
             for key, c in pfaffian(ring, rows).terms.items()
         )
         want.sort(key=lambda term: term[1])
-        assert f._monomial_plan() == want
+        assert pfaffian_monomial_plan(n) == want
+
+
+def test_pfaffian_formula_equals_the_monomial_plan_on_the_simplex_lattice():
+    # both sides are forms of degree n/2, so agreement on the degree-n/2
+    # simplex lattice (unisolvent) is equality as polynomials
+    for n, count in ((4, 21), (6, 680), (8, 31465)):
+        f = SkewPf(n)
+        plan = _straight_line(f.space.dim, [], _signed_sum(pfaffian_monomial_plan(n)))
+        points = 0
+        for alpha in lattice_points(f.space.dim, f.degree):
+            assert f.formula(alpha) == plan(alpha), alpha
+            points += 1
+        assert points == count
+
+
+def test_pfaffian_formula_matches_linalg_pfaffian_at_n_10():
+    from linpres.linalg import pfaffian
+
+    rng = random.Random(10)
+    f = SkewPf(10)
+    pairs = _alt_pairs(10)
+    for _ in range(200):
+        vals = [rng.randint(-30, 30) for _ in pairs]
+        rows = [[0] * 10 for _ in range(10)]
+        for x, (i, j) in zip(vals, pairs):
+            rows[i][j], rows[j][i] = x, -x
+        assert f.formula(vals) == pfaffian(QQ, rows)
 
 
 def test_pfaffian_squared_is_det():
@@ -561,6 +618,36 @@ def tensor_apply(field, g1, g2, g3, coords):
     return out
 
 
+def hyperdet_monomial_sum(t):
+    """Cayley's hyperdeterminant as its 12 monomials (40 products)."""
+    t000, t001, t010, t011, t100, t101, t110, t111 = t
+    sq = (
+        t000 * t000 * t111 * t111
+        + t001 * t001 * t110 * t110
+        + t010 * t010 * t101 * t101
+        + t011 * t011 * t100 * t100
+    )
+    mixed = (
+        t000 * t001 * t110 * t111
+        + t000 * t010 * t101 * t111
+        + t000 * t011 * t100 * t111
+        + t001 * t010 * t101 * t110
+        + t001 * t011 * t100 * t110
+        + t010 * t011 * t100 * t101
+    )
+    quads = t000 * t011 * t101 * t110 + t001 * t010 * t100 * t111
+    return sq - 2 * mixed + 4 * quads
+
+
+def test_hyperdet_formula_equals_the_monomial_sum_on_the_simplex_lattice():
+    # two quartics that agree on the degree-4 simplex lattice are equal
+    points = 0
+    for alpha in lattice_points(8, 4):
+        assert Hyperdet.formula(alpha) == hyperdet_monomial_sum(alpha), alpha
+        points += 1
+    assert points == 330
+
+
 def test_hyperdet_diagonal_tensor():
     f = Hyperdet()
     for field in (QQ, F7):
@@ -725,6 +812,22 @@ def test_bilinear_bx_matches_polarization():
                 ei = RepVector.basis(f.space, field, i)
                 ej = RepVector.basis(f.space, field, j)
                 assert gram.entry(i, j) == polarize4(f, x, x, ei, ej)
+
+
+def test_simplex_lattice_order_matches_a_reference_walk():
+    rng = random.Random(3)
+
+    def fn(x):
+        return sum(a * a * a - 2 * a * b for a, b in zip(x, x[1:] + x[:1])) + len(x)
+
+    for n in (1, 2, 3, 5):
+        cols = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)]
+        for d in range(5):
+            want = [
+                fn([sum(cols[i][t] for i in pt) for t in range(3)])
+                for pt in itertools.combinations_with_replacement(range(n), d)
+            ]
+            assert simplex_lattice(fn, cols, d, None, FormError) == want, (n, d)
 
 
 def test_simplex_lattice_refuses_just_above_the_point_bound():

@@ -260,6 +260,25 @@ def test_kronecker_builds_match_basis_images():
         check_against_reference(el, [rand_vector(el.space, QQ, rng)])
 
 
+def test_congruence_rows_match_the_entrywise_products():
+    # row (a, b), column (i, j) of the integer action, from rows a and b of P
+    rng = rnd(23)
+    for kind in ("symm", "alt"):
+        for n in range(2, 9):
+            space = Space(kind, n=n)
+            pairs = [(i, j) for i in range(n) for j in range(i + (kind == "alt"), n)]
+            el = Congruence(space, QQ.one, _dense_rational(rng, n))
+            e, _ = el.p.ints()
+            want = []
+            for a, b in pairs:
+                ea, eb = e[a], e[b]
+                if kind == "alt":
+                    want.append([ea[i] * eb[j] - ea[j] * eb[i] for i, j in pairs])
+                else:
+                    want.append([ea[i] * eb[j] + ea[j] * eb[i] if i != j else ea[i] * eb[i] for i, j in pairs])
+            assert el.action()[0] == want, (kind, n)
+
+
 # family actions on known inputs
 
 

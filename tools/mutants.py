@@ -122,6 +122,41 @@ MUTANTS = [
         "g = 1",
         "RepVector._exact keeps a non-canonical integer form over Q",
     ),
+    (
+        "hyperdet-four",
+        "forms.py",
+        "return m * m - 4 * (",
+        "return m * m - 2 * (",
+        "the hyperdeterminant's slice discriminant takes 2 det A det B",
+    ),
+    (
+        "pfaffian-sign",
+        "forms.py",
+        "((-1) ** (k + 1), coord[idx[0], idx[k]]",
+        "((-1) ** k, coord[idx[0], idx[k]]",
+        "the memoized Pfaffian expansion flips every term's sign",
+    ),
+    (
+        "lattice-last-index",
+        "forms.py",
+        "for c in cols[i:]]",
+        "for c in cols[i + 1 :]]",
+        "the lattice walk never repeats a point's last index",
+    ),
+    (
+        "lattice-level",
+        "forms.py",
+        "for j in range(i, n)]",
+        "for j in range(i + 1, n)]",
+        "the lattice walk's levels never repeat an index",
+    ),
+    (
+        "congruence-sign",
+        "preservers.py",
+        '"v%d*v%d + v%d*v%d"',
+        '"v%d*v%d - v%d*v%d"',
+        "the symmetric congruence kernel subtracts its cross term",
+    ),
 ]
 
 
