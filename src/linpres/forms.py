@@ -23,7 +23,7 @@ to +1.  Every reported value depends on these conventions.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 from math import comb
 from operator import add, mul
@@ -101,15 +101,51 @@ def _det_formula(n, coord):
 
 
 LATTICE_POINT_LIMIT = 10**5
+# Python refuses more than 20 statically nested blocks; a compiled walk opens
+# one loop per index up to this depth, and deeper lattices start it from the
+# sums of their first d - WALK_DEPTH_MAX indices
+WALK_DEPTH_MAX = 16
 
 
-def simplex_lattice(fn, cols, d, modulus, error):
-    """[fn(sum_i alpha_i cols[i]) for each point alpha of the principal
-    simplex lattice of degree d on n = len(cols) coordinates], in
-    lexicographic order, the sums in integers.  Walked as the sorted tuples
-    of the indices alpha counts with multiplicity: the sums over their first
-    d - 1 indices are built one level at a time, each from the level before,
-    and each point adds the column of its last index to one of them.
+@cache
+def _lattice_walk(m, k, modular):
+    """Compile walk(fn, cols, level, scale, p) for columns of width m: for each
+    (i, base) in level, in order, scale * fn(base + the columns of each sorted
+    k-tuple of indices from i on), reduced mod p when modular.  One nested
+    loop per index keeps the column sums of its depth in locals; the point is
+    a list display of the inline sums with the last index's column."""
+    cs = "".join("c%d, " % t for t in range(m))
+    sums = lambda depth: "".join("s%d_%d, " % (depth, t) for t in range(m))
+    value = lambda point: "scale * fn([%s])%s" % (point, " % p" if modular else "")
+    lines = ["def walk(fn, cols, level, scale, p):"]
+    if k == 0:
+        lines.append("    return [%s for i0, (%s) in level]" % (value(sums(0)), sums(0)))
+    else:
+        lines += ["    out = []", "    push = out.append", "    for i0, (%s) in level:" % sums(0)]
+        for depth in range(1, k):
+            pad = "    " * (depth + 1)
+            lines.append(pad + "for i%d, (%s) in enumerate(cols[i%d:], i%d):" % (depth, cs, depth - 1, depth - 1))
+            lines += [pad + "    s%d_%d = s%d_%d + c%d" % (depth, t, depth - 1, t, t) for t in range(m)]
+        point = "".join("s%d_%d + c%d, " % (k - 1, t, t) for t in range(m))
+        lines.append("    " * (k + 1) + "for %s in cols[i%d:]:" % (cs, k - 1))
+        lines.append("    " * (k + 2) + "push(%s)" % value(point))
+        lines.append("    return out")
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    return namespace["walk"]
+
+
+def simplex_lattice(fn, cols, d, modulus, error, scale=1):
+    """[scale * fn(sum_i alpha_i cols[i]) for each point alpha of the
+    principal simplex lattice of degree d on n = len(cols) coordinates], in
+    lexicographic order, the sums in integers and each value reduced mod the
+    modulus when there is one.  Walked as the sorted tuples of the indices
+    alpha counts with multiplicity, by one walk compiled per (column width,
+    depth, modulus or not) and cached: a loop per index, each adding its
+    column to the sums of the loop around it, and each point the list display
+    of those sums plus its last index's column.  Past WALK_DEPTH_MAX indices
+    the sums of the first d - WALK_DEPTH_MAX are built level by level and the
+    walk starts from each of them.
 
     A homogeneous polynomial of degree d that vanishes on this lattice is
     zero in characteristic 0 or above d (the lattice is unisolvent for
@@ -126,15 +162,12 @@ def simplex_lattice(fn, cols, d, modulus, error):
             "the degree-%d simplex lattice on %d coordinates has %d points, above the bound of %d"
             % (d, n, count, LATTICE_POINT_LIMIT)
         )
-    if d == 0:
-        return [fn([0] * len(cols[0]))]
-    # level k: (i, the column sum) for each sorted k-tuple of indices, i its
-    # last; tuples of ints leave the cyclic GC at its first pass, so the
-    # levels never reach its older generations
-    level = [(0, (0,) * len(cols[0]))]
-    for _ in range(d - 1):
+    m, k = len(cols[0]), min(d, WALK_DEPTH_MAX)
+    # (i, the column sum) for each sorted tuple of the first d - k indices, i its last
+    level = [(0, (0,) * m)]
+    for _ in range(d - k):
         level = [(j, tuple(map(add, v, cols[j]))) for i, v in level for j in range(i, n)]
-    return [fn(list(map(add, v, c))) for i, v in level for c in cols[i:]]
+    return _lattice_walk(m, k, modulus is not None)(fn, cols, level, scale, modulus)
 
 
 class InvariantForm:

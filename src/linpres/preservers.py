@@ -583,29 +583,20 @@ def _lattice_reference(form: InvariantForm, field):
     return cache[field]
 
 
-def _scaled_equality(field, s, degree):
-    """same(u, v) for raw form values u, v (residues mod p, or integers over
-    Q): whether s^degree u == v in the field, with s^degree = a / b."""
-    p = field.modulus
-    if p is not None:
-        a = pow(s.value, degree, p)
-        return lambda u, v: a * u % p == v
-    a, b = s.numerator**degree, s.denominator**degree
-    return lambda u, v: a * u == b * v
-
-
 def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto", rng=None, trials=None) -> PreservationVerdict:
     """Does f(T x) == f(x) identically?
 
-    The symbolic policy is exact: with T = s R and raw points E c (_raw_points),
-    it compares s^deg f(R E alpha) with f(E alpha) at every point alpha of the
-    simplex lattice of the raw coefficients (forms.simplex_lattice), which
-    needs characteristic 0 or above the degree and at most
-    forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy samples; a failure
-    verdict is certain, a success verdict carries the exact error bound
-    (degree / set size)^trials.  auto is symbolic up to dimension
-    SYMBOLIC_DIM_LIMIT and schwartz-zippel above.  A trials count below 1 is
-    rejected under either policy.
+    Both policies compare a f(R x) with b f(x) for T = s R, s^deg = a / b
+    (b = 1 over F_p).  The symbolic policy is exact: at raw points E c
+    (_raw_points) it walks the simplex lattice of the raw coefficients once
+    with the columns of R E and the scale a (forms.simplex_lattice), and
+    compares that list with the form's cached reference values f(E alpha),
+    times b where b is not 1; it needs characteristic 0 or above the degree
+    and at most forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel
+    policy samples; a failure verdict is certain, a success verdict carries
+    the exact error bound (degree / set size)^trials.  auto is symbolic up to
+    dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel above.  A trials count
+    below 1 is rejected under either policy.
     """
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
@@ -620,25 +611,29 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     if policy == "schwartz-zippel" and rng is None:
         raise PreserverError("schwartz-zippel policy needs a seeded rng")
     rows, s = element.action()
-    same = _scaled_equality(field, s, form.degree)
     size, emb = _raw_points(form, field)
-    fn = form.int_evaluator(field)
+    fn, deg = form.int_evaluator(field), form.degree
+    # s^deg = a / b in integers, b = 1 over F_p
+    a, b = (pow(s.value, deg, p), 1) if p is not None else (s.numerator**deg, s.denominator**deg)
     if policy == "symbolic":
         refs = _lattice_reference(form, field)
         if emb is not None:
             rows = _int_matmul(rows, emb, p)
-        values = simplex_lattice(fn, list(zip(*rows)), form.degree, p, PreserverError)
-        return PreservationVerdict(all(map(same, values, refs)), "symbolic")
+        if b != 1:
+            refs = [b * r for r in refs]
+        values = simplex_lattice(fn, list(zip(*rows)), deg, p, PreserverError, a)
+        return PreservationVerdict(values == refs, "symbolic")
     if trials is None:
-        trials = sz_trial_count(field, form.degree)
-    bound = Fraction(form.degree, field.sz_set_size)
+        trials = sz_trial_count(field, deg)
+    bound = Fraction(deg, field.sz_set_size)
     # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
     matvec = _matvec_kernel(rows, p)
     point = (lambda c: c) if emb is None else _matvec_kernel(emb, p)
     for t in range(1, trials + 1):
         x = point(uniform_ints(rng, lo, hi, size))
-        if not same(fn(matvec(x)), fn(x)):
+        diff = a * fn(matvec(x)) - b * fn(x)
+        if (diff if p is None else diff % p) != 0:
             return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v) for v in x])
     return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
 

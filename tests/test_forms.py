@@ -830,6 +830,44 @@ def test_simplex_lattice_order_matches_a_reference_walk():
             assert simplex_lattice(fn, cols, d, None, FormError) == want, (n, d)
 
 
+def test_simplex_lattice_walks_degrees_past_the_nesting_limit():
+    # Python refuses more than 20 statically nested blocks, so the walk cannot
+    # open one loop per index at these degrees; d = 15-30 spans the depth at
+    # which it starts from built levels instead
+    rng = random.Random(5)
+
+    def fn(x):
+        return x[0] * x[0] - 3 * x[1] + x[0] * x[1] * x[1]
+
+    for n in (1, 2):
+        cols = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(n)]
+        for d in range(15, 31):
+            want = [
+                fn([sum(cols[i][t] for i in pt) for t in range(2)])
+                for pt in itertools.combinations_with_replacement(range(n), d)
+            ]
+            assert simplex_lattice(fn, cols, d, None, FormError) == want, (n, d)
+            modular = simplex_lattice(lambda x: fn(x) % 10007, cols, d, 10007, FormError)
+            assert modular == [v % 10007 for v in want], (n, d)
+
+
+def test_simplex_lattice_scales_each_value():
+    rng = random.Random(9)
+
+    def fn(x):
+        return sum(a * a * b - 5 * b for a, b in zip(x, x[1:] + x[:1])) - 2
+
+    for n in (1, 2, 3, 5):
+        cols = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(n)]
+        for d in range(5):
+            over_q = simplex_lattice(fn, cols, d, None, FormError)
+            over_f7 = simplex_lattice(fn, cols, d, 7, FormError)
+            assert over_f7 == [v % 7 for v in over_q], (n, d)
+            for a in (2, -3, 6):
+                assert simplex_lattice(fn, cols, d, None, FormError, scale=a) == [a * v for v in over_q], (n, d)
+                assert simplex_lattice(fn, cols, d, 7, FormError, scale=a) == [a * v % 7 for v in over_f7], (n, d)
+
+
 def test_simplex_lattice_refuses_just_above_the_point_bound():
     # C(29, 5) = 118,755 points on 25 coordinates: refused before any walk,
     # so a looser bound shows up as a walk that returns instead of an error

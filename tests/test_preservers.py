@@ -481,6 +481,19 @@ def test_lattice_check_refuses_characteristic_equal_to_degree():
         simplex_lattice(sum, [[1]], 5, 5, PreserverError)
 
 
+@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.descriptor)
+def test_symbolic_check_scales_by_a_power_with_a_denominator(field):
+    # X -> r P X P^t on symmetric 2 x 2 matrices scales det by r^2 det(P)^2:
+    # 1 at r = 1/2 and det P = 2, 4/9 at r = 1/3; s^deg = 1/4 over Q has a
+    # denominator the reference values must be multiplied by
+    form = parse_form("symm-det:2")
+    p = Matrix.from_ints(field, [[1, 1], [0, 2]])
+    half = Congruence(form.space, field.of(Fraction(1, 2)), p)
+    third = Congruence(form.space, field.of(Fraction(1, 3)), p)
+    assert preserves_form(half, form, policy="symbolic").ok
+    assert not preserves_form(third, form, policy="symbolic").ok
+
+
 @pytest.mark.parametrize("which", ["first", "last"])
 @pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.descriptor)
 def test_symbolic_check_compares_every_lattice_point(which, field, monkeypatch):

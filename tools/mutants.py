@@ -76,8 +76,8 @@ MUTANTS = [
     (
         "M12",
         "preservers.py",
-        'return PreservationVerdict(all(map(same, values, refs)), "symbolic")',
-        'return PreservationVerdict(all(map(same, values[:-1], refs[:-1])), "symbolic")',
+        'return PreservationVerdict(values == refs, "symbolic")',
+        'return PreservationVerdict(values[:-1] == refs[:-1], "symbolic")',
         "the symbolic policy skips the last lattice point",
     ),
     (
@@ -139,16 +139,37 @@ MUTANTS = [
     (
         "lattice-last-index",
         "forms.py",
-        "for c in cols[i:]]",
-        "for c in cols[i + 1 :]]",
-        "the lattice walk never repeats a point's last index",
+        '"for %s in cols[i%d:]:"',
+        '"for %s in cols[i%d + 1 :]:"',
+        "the compiled lattice walk never repeats a point's last index",
     ),
     (
         "lattice-level",
         "forms.py",
+        '"for i%d, (%s) in enumerate(cols[i%d:], i%d):"',
+        '"for i%d, (%s) in enumerate(cols[i%d + 1 :], i%d + 1):"',
+        "the compiled lattice walk's outer loops never repeat an index",
+    ),
+    (
+        "lattice-outer-level",
+        "forms.py",
         "for j in range(i, n)]",
         "for j in range(i + 1, n)]",
-        "the lattice walk's levels never repeat an index",
+        "the levels built past the compiled depth never repeat an index",
+    ),
+    (
+        "symbolic-denominator",
+        "preservers.py",
+        "refs = [b * r for r in refs]",
+        "refs = refs",
+        "the symbolic policy over Q drops the denominator of s^deg",
+    ),
+    (
+        "symbolic-scale-fp",
+        "preservers.py",
+        "(pow(s.value, deg, p), 1)",
+        "(1, 1)",
+        "both policies over F_p compare f(R x) with f(x), dropping s^deg",
     ),
     (
         "congruence-sign",
