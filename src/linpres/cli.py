@@ -24,32 +24,17 @@ import sys
 import time
 
 from .bruteforce import BruteForceError, CASES, run_case
-from .fields import FieldError, parse_field
+from .fields import parse_field
 from .forms import FormError, form_descriptors, parse_form
-from .linalg import LinAlgError
 from .minimality import MinimalityError, minimal_by_radical, minimal_by_rank, minimal_by_rrs
 from .multilinear import RepVector, SpaceError, polarize4
-from .preservers import (
-    COROLLARY_IDS,
-    PreserverError,
-    canonical_corollary,
-    verify_corollary,
-)
+from .preservers import COROLLARY_IDS, canonical_corollary, verify_corollary
 from .sampling import SamplingError
 
 OUT_OF_SCOPE = {"e6"}
 
-_USER_ERRORS = (
-    BruteForceError,
-    FieldError,
-    FormError,
-    LinAlgError,
-    MinimalityError,
-    PreserverError,
-    SamplingError,
-    SpaceError,
-    ValueError,
-)
+# every other error class of the package is a ValueError
+_USER_ERRORS = (BruteForceError, SamplingError, ValueError)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -266,10 +251,7 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print("error: bad JSON input: %s" % exc, file=sys.stderr)
         return 2
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except _USER_ERRORS as exc:
+    except (OSError, *_USER_ERRORS) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

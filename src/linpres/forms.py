@@ -145,14 +145,15 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     column to the sums of the loop around it, and each point the list display
     of those sums plus its last index's column.  Past WALK_DEPTH_MAX indices
     the sums of the first d - WALK_DEPTH_MAX are built level by level and the
-    walk starts from each of them.
+    walk starts from each of them; those levels hold C(n + d - k, d - k)
+    sums in all for k = WALK_DEPTH_MAX.
 
     A homogeneous polynomial of degree d that vanishes on this lattice is
     zero in characteristic 0 or above d (the lattice is unisolvent for
     degree d; Nicolaides 1972, Chung & Yao 1977), so an identity of degree d
     checked at these points holds exactly.  Raises `error` when the
-    characteristic (modulus, None for 0) is at most d or the lattice has
-    more than LATTICE_POINT_LIMIT points."""
+    characteristic (modulus, None for 0) is at most d, or the lattice or its
+    levels hold more than LATTICE_POINT_LIMIT points or sums."""
     if modulus is not None and modulus <= d:
         raise error("the lattice check needs characteristic above the degree %d" % d)
     n = len(cols)
@@ -163,6 +164,9 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
             % (d, n, count, LATTICE_POINT_LIMIT)
         )
     m, k = len(cols[0]), min(d, WALK_DEPTH_MAX)
+    sums = comb(n + d - k, d - k)  # in the levels built before the walk
+    if sums > LATTICE_POINT_LIMIT:
+        raise error("the degree-%d lattice's levels hold %d sums, above the bound of %d" % (d, sums, LATTICE_POINT_LIMIT))
     # (i, the column sum) for each sorted tuple of the first d - k indices, i its last
     level = [(0, (0,) * m)]
     for _ in range(d - k):
@@ -192,6 +196,12 @@ class InvariantForm:
 
     def _check_field(self, field):
         """Raise if f is not defined over the field."""
+
+    def raw_embedding(self, field):
+        """E: f is read at the raw points E c for integer coefficient vectors
+        c (residues over F_p), E an integer matrix with one column per
+        coefficient; None where E is the identity."""
+        return None
 
     @cached_property
     def _int_fns(self):
@@ -374,8 +384,7 @@ class _GramForm(InvariantForm):
     def __eq__(self, other):
         return super().__eq__(other) and other.s_entries == self.s_entries
 
-    def __hash__(self):
-        return hash((self.descriptor(), self.s_entries))
+    __hash__ = InvariantForm.__hash__  # defining __eq__ drops the inherited hash
 
     def _pairing(self, a, b):
         """Source text of u^t (D S) w for u, w the n coordinates from offsets a, b."""
@@ -428,6 +437,7 @@ class CubicDisc(InvariantForm):
         return params["c"] ** 4 * params["g"].det() ** 6
 
 
+@cache
 def _wedge36_formula():
     """The quartic as the Freudenthal quartic of wedge^3 k^6 = k + M3 + M3 + k
     (Brown 1969): with a = e012, b = e345, A[i][j] = e_{i+1, i+2, 3+j} and
@@ -468,9 +478,6 @@ class Wedge36(InvariantForm):
     line = "wedge36"
     degree = 4
 
-    _formula = None
-    _c0: Fraction | None = None
-
     def __init__(self):
         self.space = Space("wedge", d=3, n=6)
 
@@ -488,16 +495,12 @@ class Wedge36(InvariantForm):
     @property
     def formula(self):
         """tr(K_v^2) as the Freudenthal quartic, compiled once."""
-        if Wedge36._formula is None:
-            Wedge36._formula = _wedge36_formula()
-        return Wedge36._formula
+        return _wedge36_formula()
 
-    @property
+    @cached_property
     def constant(self) -> Fraction:
-        """c0, computed once over the integers."""
-        if Wedge36._c0 is None:
-            Wedge36._c0 = Fraction(4, self.formula(self._reference_coords()))
-        return Wedge36._c0
+        """c0, computed over the integers."""
+        return Fraction(4, self.formula(self._reference_coords()))
 
     def scaling_factor(self, params):
         return params["c"] ** 4 * params["g"].det() ** 2
@@ -531,10 +534,6 @@ class Sp6Quartic(Wedge36):
     line = "sp6"
     intrinsic_dim = 14
 
-    def __init__(self):
-        super().__init__()
-        self._kernel_cache: dict = {}
-
     @cached_property
     def _contraction_ints(self):
         """The 6 x 20 integer matrix of contraction by b, the same for every
@@ -547,16 +546,19 @@ class Sp6Quartic(Wedge36):
             rows[i][a] += b[j][k]
         return rows
 
+    @cache
     def kernel_basis(self, field) -> Matrix:
         """20 x 14 matrix whose columns span the contraction kernel over the
-        field; its integer form (Matrix.ints) is sp6's raw-point embedding for
-        sampling, the lattice check and the radical oracle."""
-        if field not in self._kernel_cache:
-            ker = Matrix._exact(field, self._contraction_ints).kernel()
-            if len(ker) != self.intrinsic_dim:
-                raise FormError("contraction kernel has unexpected dimension")
-            self._kernel_cache[field] = Matrix(field, list(zip(*ker)))
-        return self._kernel_cache[field]
+        field, built once per field."""
+        ker = Matrix._exact(field, self._contraction_ints).kernel()
+        if len(ker) != self.intrinsic_dim:
+            raise FormError("contraction kernel has unexpected dimension")
+        return Matrix(field, list(zip(*ker)))
+
+    def raw_embedding(self, field):
+        """The integer form (Matrix.ints) of the kernel basis: sp6's raw points
+        for sampling, the lattice check and the radical oracle."""
+        return self.kernel_basis(field).ints()[0]
 
     def contracts_to_zero(self, x, p) -> bool:
         """Contraction by b kills the vector with integer coordinates x

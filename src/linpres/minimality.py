@@ -219,8 +219,9 @@ RADICAL_LINES = {"cubic-disc", "wedge36", "sp6", "mat2n", "hyperdet"}
 
 def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
     """Radical oracle for the quartic lines: rad(b_v) has dimension dim - 1
-    exactly on the minimal cone, dim the number of raw-point columns: the
-    unit vectors, or for sp6 the 14 integer columns of its kernel basis.
+    exactly on the minimal cone, dim the number of raw-point columns
+    (InvariantForm.raw_embedding: the unit vectors, or for sp6 the 14
+    integer columns of its kernel basis, where v must lie in the kernel).
     The radical is dim - rank G for the integer Gram G of b_v on those
     columns (multilinear.bx_int_gram), a nonzero multiple of b_v's Gram."""
     base = _base_line(form)
@@ -230,14 +231,11 @@ def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
         raise MinimalityError("vector in %r, form on %r" % (v.space, form.space))
     if v.is_zero():
         return MinimalityVerdict(False, "radical", None)
-    field, cols = v.field, None
-    if base == "sp6":
-        if not form.in_kernel(v):
-            raise MinimalityError("vector has nonzero contraction")
-        cols = list(zip(*form.kernel_basis(field).ints()[0]))
-    gram, _ = bx_int_gram(form, v, cols)
+    if base == "sp6" and not form.in_kernel(v):
+        raise MinimalityError("vector has nonzero contraction")
+    gram, _ = bx_int_gram(form, v)
     dim = len(gram)
-    rad = dim - int_rank(gram, field.modulus)
+    rad = dim - int_rank(gram, v.field.modulus)
     return MinimalityVerdict(rad == dim - 1, "radical", {"radical_dimension": rad})
 
 

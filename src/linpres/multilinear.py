@@ -407,10 +407,11 @@ def polarize4(f, x1: RepVector, x2: RepVector, x3: RepVector, x4: RepVector):
     return field.of(acc) * field.of(f.constant / (24 * den**4))
 
 
-def bx_int_gram(f, x: RepVector, cols=None):
+def bx_int_gram(f, x: RepVector):
     """(G, s): s G is the Gram matrix of b_x(u, w) = polarize4(f, x, x, u, w)
-    on the integer columns cols (the unit vectors by default), G integer
-    (residues over F_p).
+    on the integer columns of f.raw_embedding(x.field) (the unit vectors
+    where it is None; for sp6, the kernel basis), G integer (residues over
+    F_p).
 
     For quartic f the t^2 coefficient of f(u + t D x), D x the integer
     multiple of x from clear_denominators, is 6 D^2 b_x(u, u).  With c_2 / den
@@ -426,8 +427,8 @@ def bx_int_gram(f, x: RepVector, cols=None):
     field, p = x.field, x.field.modulus
     dx, big_d = x.ints()
     coefficients, den = f.line_coefficients(field, dx)
-    if cols is None:
-        cols = [[int(i == j) for j in range(len(dx))] for i in range(len(dx))]
+    emb = f.raw_embedding(field)
+    cols = [[int(i == j) for j in range(len(dx))] for i in range(len(dx))] if emb is None else list(zip(*emb))
     diag = [coefficients(u)[2] for u in cols]
     gram = [[2 * c if i == j else 0 for j in range(len(cols))] for i, c in enumerate(diag)]
     for i, j in combinations(range(len(cols)), 2):

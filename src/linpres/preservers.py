@@ -14,8 +14,8 @@ Families (the involution or factor permutation always acts first):
 - generic           an arbitrary coordinate matrix
 
 Each element builds its action once, as integer rows R and one field scalar
-s with coordinate matrix s R; apply, matrix_on_space, both preservation
-policies and the censuses read it.
+s with coordinate matrix s R, and packs x -> R x once (matvec); apply,
+matrix_on_space, both preservation policies and the censuses read them.
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -28,10 +28,10 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import mul
 
-from .forms import InvariantForm, Sp6Quartic, parse_form, simplex_lattice
+from .forms import InvariantForm, parse_form, simplex_lattice
 from .linalg import Matrix, scaled
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
@@ -195,11 +195,15 @@ class PreserverElement:
             self._action = self._build_action()
         return self._action
 
+    @cached_property
+    def matvec(self):
+        """x -> R x on integer coordinates x (residues in [0, p) over F_p),
+        packed once per element (_matvec_kernel)."""
+        return _matvec_kernel(self.action()[0], self.field.modulus)
+
     def apply(self, v: RepVector) -> RepVector:
-        rows, s = self.action()
-        field = self.field
         x, den = v.ints()
-        return RepVector._raw(self.space, field, scaled(field, s, den, _int_matvec(rows, x, field.modulus)))
+        return RepVector._raw(self.space, self.field, scaled(self.field, self.action()[1], den, self.matvec(x)))
 
     def matrix_on_space(self) -> Matrix:
         if self._matrix is None:
@@ -561,40 +565,41 @@ def sz_trial_count(field, degree: int) -> int:
     return t
 
 
+@cache
 def _raw_points(form, field):
-    """(k, E): a raw point of the form's space is E c for k integer
-    coefficients c (residues in [0, p) over F_p when E c goes through
-    _matvec_kernel), or c itself where E is None.  For sp6, E is the integer
-    form of the kernel basis and k = 14."""
-    if isinstance(form, Sp6Quartic):
-        return form.intrinsic_dim, form.kernel_basis(field).ints()[0]
-    return form.space.dim, None
+    """(k, point): point(c) = E c is the raw point of k integer coefficients
+    c (residues in [0, p) over F_p), E = form.raw_embedding(field) packed
+    once (_matvec_kernel); point(c) = c where E is None.  sp6 has k = 14."""
+    emb = form.raw_embedding(field)
+    if emb is None:
+        return form.space.dim, lambda c: c
+    return len(emb[0]), _matvec_kernel(emb, field.modulus)
 
 
+@cache
 def _lattice_reference(form: InvariantForm, field):
     """f(E alpha) at each point alpha of the degree-deg simplex lattice on the
-    raw coefficients (_raw_points; E alpha is alpha where E is None), in
-    lattice order, kept on the form per field."""
-    cache = form.__dict__.setdefault("_lattice_cache", {})
-    if field not in cache:
-        k, emb = _raw_points(form, field)
-        cols = [[int(i == j) for j in range(k)] for i in range(k)] if emb is None else list(zip(*emb))
-        cache[field] = simplex_lattice(form.int_evaluator(field), cols, form.degree, field.modulus, PreserverError)
-    return cache[field]
+    raw coefficients (E = form.raw_embedding(field); E alpha is alpha where E
+    is None), in lattice order, built once per (form, field)."""
+    emb, k = form.raw_embedding(field), form.space.dim
+    cols = [[int(i == j) for j in range(k)] for i in range(k)] if emb is None else list(zip(*emb))
+    return simplex_lattice(form.int_evaluator(field), cols, form.degree, field.modulus, PreserverError)
 
 
 def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto", rng=None, trials=None) -> PreservationVerdict:
     """Does f(T x) == f(x) identically?
 
     Both policies compare a f(R x) with b f(x) for T = s R, s^deg = a / b
-    (b = 1 over F_p).  The symbolic policy is exact: at raw points E c
-    (_raw_points) it walks the simplex lattice of the raw coefficients once
-    with the columns of R E and the scale a (forms.simplex_lattice), and
-    compares that list with the form's cached reference values f(E alpha),
-    times b where b is not 1; it needs characteristic 0 or above the degree
-    and at most forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel
-    policy samples; a failure verdict is certain, a success verdict carries
-    the exact error bound (degree / set size)^trials.  auto is symbolic up to
+    (b = 1 over F_p), at raw points x = E c for E = form.raw_embedding(field)
+    (x = c where E is None).  The symbolic policy is exact: it walks the
+    simplex lattice of the raw coefficients once with the columns of R E and
+    the scale a (forms.simplex_lattice), and compares that list with the
+    cached reference values f(E alpha), times b where b is not 1; it needs
+    characteristic 0 or above the degree and at most
+    forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy samples
+    points through _raw_points and maps them with element.matvec, each
+    packed once; a failure verdict is certain, a success verdict carries the
+    exact error bound (degree / set size)^trials.  auto is symbolic up to
     dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel above.  A trials count
     below 1 is rejected under either policy.
     """
@@ -611,13 +616,12 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     if policy == "schwartz-zippel" and rng is None:
         raise PreserverError("schwartz-zippel policy needs a seeded rng")
     rows, s = element.action()
-    size, emb = _raw_points(form, field)
     fn, deg = form.int_evaluator(field), form.degree
     # s^deg = a / b in integers, b = 1 over F_p
     a, b = (pow(s.value, deg, p), 1) if p is not None else (s.numerator**deg, s.denominator**deg)
     if policy == "symbolic":
         refs = _lattice_reference(form, field)
-        if emb is not None:
+        if (emb := form.raw_embedding(field)) is not None:
             rows = _int_matmul(rows, emb, p)
         if b != 1:
             refs = [b * r for r in refs]
@@ -628,8 +632,8 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     bound = Fraction(deg, field.sz_set_size)
     # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
-    matvec = _matvec_kernel(rows, p)
-    point = (lambda c: c) if emb is None else _matvec_kernel(emb, p)
+    size, point = _raw_points(form, field)
+    matvec = element.matvec
     for t in range(1, trials + 1):
         x = point(uniform_ints(rng, lo, hi, size))
         diff = a * fn(matvec(x)) - b * fn(x)
@@ -641,21 +645,21 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
 def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
     """The field element c with f(T x) = c f(x): s^deg fn(R x) / fn(x) for
     the element's integer action (R, s) and the form's integer evaluator fn,
-    at `points` points where f is nonzero.  A point draws its coordinates (sp6:
-    its 14 kernel coefficients) uniformly from [-9, 9] with uniform_ints,
-    reduced mod p over F_p, the same draws and points as a loop over field
-    vectors.  PreserverError if two ratios differ or 64 * points draws give
-    too few nonzero values."""
+    at `points` points where f is nonzero, R x read through element.matvec.
+    A point draws its raw coefficients (_raw_points; sp6: its 14 kernel
+    coefficients) uniformly from [-9, 9] with uniform_ints, reduced mod p
+    over F_p, the same draws and points as a loop over field vectors.
+    PreserverError if two ratios differ or 64 * points draws give too few
+    nonzero values."""
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
     if points < 1:
         raise PreserverError("points must be at least 1, got %d" % points)
     field = element.field
     p = field.modulus
-    rows, s = element.action()
-    matvec = _matvec_kernel(rows, p)
-    size, emb = _raw_points(form, field)
-    point = (lambda c: c) if emb is None else _matvec_kernel(emb, p)
+    _, s = element.action()
+    matvec = element.matvec
+    size, point = _raw_points(form, field)
     fn = form.int_evaluator(field)
     first = None
     checked = 0
@@ -682,19 +686,17 @@ def preserves_minimals(element: PreserverElement, target, rng, samples=100):
     """Check that the element maps sampled minimal vectors to minimal vectors.
 
     The image of v = x / D under s R is (s / D) R x, so the target's
-    structure rule reads R x, for v's integer form x (RepVector.ints) and
-    one _matvec_kernel of R.  Returns (ok, counterexample_coords_or_None)."""
+    structure rule reads R x, for v's integer form x (RepVector.ints),
+    through element.matvec.  Returns (ok, counterexample_coords_or_None)."""
     if samples < 1:
         raise PreserverError("samples must be at least 1, got %d" % samples)
     if element.space != (target if isinstance(target, Space) else target.space):
         raise PreserverError("element and target act on different spaces")
     field = element.field
-    rows, _ = element.action()
-    matvec = _matvec_kernel(rows, field.modulus)
     is_minimal = structure_rule(target, field)
     for _ in range(samples):
         v = sample_minimal(target, field, rng)
-        if not is_minimal(matvec(v.ints()[0])):
+        if not is_minimal(element.matvec(v.ints()[0])):
             return False, [field.format(c) for c in v.coords]
     return True, None
 

@@ -1,7 +1,9 @@
 """Invariant forms: frozen values, classical identities, scaling laws."""
 
 import itertools
+import operator
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -814,6 +816,23 @@ def test_bilinear_bx_matches_polarization():
                 assert gram.entry(i, j) == polarize4(f, x, x, ei, ej)
 
 
+def test_sp6_bx_gram_matches_polarization_on_its_kernel_columns():
+    # sp6's Gram is taken on the integer columns E_i of its kernel basis
+    # (raw_embedding), where x must lie: G[i][j] s = b_x(E_i, E_j)
+    rng = random.Random(29)
+    f = Sp6Quartic()
+    for field in (QQ, F7):
+        emb = f.raw_embedding(field)
+        assert emb == f.kernel_basis(field).ints()[0]
+        cols = [RepVector(f.space, field, col) for col in zip(*emb)]
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in cols]
+        x = RepVector(f.space, field, [sum(map(operator.mul, coeffs, row)) for row in emb])
+        ints, s = bx_int_gram(f, x)
+        assert len(ints) == len(cols) == 14
+        for i, j in [(0, 0), (13, 13), (0, 13)] + [(rng.randrange(14), rng.randrange(14)) for _ in range(5)]:
+            assert field.of(ints[i][j]) * s == polarize4(f, x, x, cols[i], cols[j]), (field.descriptor, i, j)
+
+
 def test_simplex_lattice_order_matches_a_reference_walk():
     rng = random.Random(3)
 
@@ -849,6 +868,33 @@ def test_simplex_lattice_walks_degrees_past_the_nesting_limit():
             assert simplex_lattice(fn, cols, d, None, FormError) == want, (n, d)
             modular = simplex_lattice(lambda x: fn(x) % 10007, cols, d, 10007, FormError)
             assert modular == [v % 10007 for v in want], (n, d)
+
+
+def test_simplex_lattice_bounds_the_levels_it_builds():
+    # past WALK_DEPTH_MAX the walk starts from levels holding C(n + D, D)
+    # sums, D = d - WALK_DEPTH_MAX: on two columns C(447, 2) = 99,681 at
+    # d = 461 and C(448, 2) = 100,128 at d = 462, against 10^5
+    assert simplex_lattice(lambda x: x[0], [[1], [2]], 461, None, FormError) == list(range(461, 923))
+    with pytest.raises(FormError, match="100128 sums, above the bound of 100000"):
+        simplex_lattice(lambda x: x[0], [[1], [2]], 462, None, FormError)
+
+
+def test_simplex_lattice_refuses_deep_levels_in_bounded_time():
+    # d = 99,999 on two columns is a lattice of 10^5 points, within the point
+    # bound, whose levels would hold about 5 * 10^9 sums
+    raised = []
+
+    def call():
+        try:
+            simplex_lattice(lambda x: x[0], [[1], [2]], 99_999, None, FormError)
+        except FormError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=call, daemon=True)
+    worker.start()
+    worker.join(5)
+    assert not worker.is_alive(), "simplex_lattice did not return within 5 s at d = 99,999"
+    assert raised
 
 
 def test_simplex_lattice_scales_each_value():

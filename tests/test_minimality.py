@@ -234,6 +234,15 @@ def test_sp6_radical_agreement():
             assert minimal_by_radical(form, v).is_minimal
 
 
+def test_sp6_radical_refuses_a_vector_outside_the_kernel():
+    # e0 ^ e1 ^ e2 contracts to e2; its Gram on the kernel columns would not
+    # describe it
+    form = Sp6Quartic()
+    for field in (QQ, F7):
+        with pytest.raises(MinimalityError, match="nonzero contraction"):
+            minimal_by_radical(form, RepVector.basis(form.space, field, 0))
+
+
 # randomized root-spread policy
 
 

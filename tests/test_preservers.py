@@ -11,6 +11,7 @@ from fractions import Fraction
 
 import pytest
 
+from linpres import preservers
 from linpres.fields import QQ, PrimeField
 from linpres.forms import CubicDisc, InvariantForm, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form, simplex_lattice
 from linpres.linalg import Matrix
@@ -665,6 +666,28 @@ def test_matvec_kernel_at_slot_boundaries(n, p, code):
             for x in ([p - 1] * n, [0] * n, [rng.randrange(p) for _ in range(n)]):
                 want = [v % p for v in _int_matvec(rows, x, None)]
                 assert matvec(x) == want, (n, p, m)
+
+
+def test_each_integer_map_is_packed_once(monkeypatch):
+    # an element packs R once for all its readers (two SZ checks, scales_form,
+    # preserves_minimals, apply), and sp6's embedding E once per field
+    built = []
+    real = preservers._matvec_kernel
+    monkeypatch.setattr(preservers, "_matvec_kernel", lambda rows, p: built.append(len(rows[0])) or real(rows, p))
+    preservers._raw_points.cache_clear()
+    form = parse_form("sp6")
+    rng = rnd(31)
+    for field in (QQ, F7):
+        built.clear()
+        v = RepVector(form.space, field, next(zip(*form.raw_embedding(field))))
+        for _ in range(2):
+            el = sample_free_element("Sp6", form, field, rng)
+            for _ in range(2):
+                preserves_form(el, form, policy="schwartz-zippel", rng=rng)
+            scales_form(el, form, rng)
+            preserves_minimals(el, form, rng, samples=2)
+            el.apply(v)
+        assert built == [14, 20, 20], field.descriptor
 
 
 def test_matvec_kernel_over_q_is_exact():

@@ -178,6 +178,27 @@ MUTANTS = [
         '"v%d*v%d - v%d*v%d"',
         "the symmetric congruence kernel subtracts its cross term",
     ),
+    (
+        "sp6-raw-embedding",
+        "forms.py",
+        "return self.kernel_basis(field).ints()[0]",
+        "return None",
+        "sp6 reads f at the 20 unit vectors, not at its 14 kernel columns",
+    ),
+    (
+        "radical-sp6-kernel",
+        "minimality.py",
+        'if base == "sp6" and not form.in_kernel(v):',
+        "if False:",
+        "the radical oracle reads sp6 vectors outside the contraction kernel",
+    ),
+    (
+        "lattice-level-bound",
+        "forms.py",
+        "if sums > LATTICE_POINT_LIMIT:",
+        "if False:",
+        "the lattice walk builds its levels past the point bound",
+    ),
 ]
 
 
