@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field as dc_field
+from itertools import product
 
 from .fields import PrimeField
 from .forms import CubicDisc
@@ -52,7 +53,7 @@ def enumerate_invertible(field, dim: int):
         raise BruteForceError(
             "search space %d^%d exceeds the enumeration limit" % (p, dim * dim)
         )
-    rows_pool = _lex_vectors(p, dim)
+    rows_pool = list(product(range(p), repeat=dim))
 
     def recurse(chosen):
         if len(chosen) == dim:
@@ -64,17 +65,6 @@ def enumerate_invertible(field, dim: int):
                 yield from recurse(grown)
 
     yield from recurse([])
-
-
-def _lex_vectors(p: int, dim: int):
-    out = []
-    for code in range(p**dim):
-        vec = []
-        for _ in range(dim):
-            vec.append(code % p)
-            code //= p
-        out.append(tuple(reversed(vec)))
-    return out
 
 
 @dataclass(frozen=True)
@@ -161,9 +151,8 @@ def case_cubic_oracles_f5() -> CensusReport:
     minimal = 0
     disagreements = 0
     points = 0
-    for code in range(625):
-        coords = [(code // 5**k) % 5 for k in (3, 2, 1, 0)]
-        v = RepVector(space, f5, [f5.of(c) for c in coords])
+    for coords in product(range(5), repeat=4):
+        v = RepVector(space, f5, coords)
         points += 1
         a = minimal_by_rank(form, v).is_minimal
         b = minimal_by_rrs(form, v, policy="exact").is_minimal
@@ -194,19 +183,16 @@ def case_cubic_census_f5() -> CensusReport:
     mismatches = 0
     maps = set()
     for g in enumerate_invertible(f5, 2):
-        det2 = (g.det().value ** 2) % 5
         for c in range(1, 5):
             checked += 1
             el = CubicSubstitution(f5.of(c), g)
             keeps = preserves_form(el, form, "symbolic").ok
-            # scaling character c^4 det(g)^6 reduces to det(g)^2 over F_5
-            chi_one = (pow(c, 4, 5) * pow(det2, 3, 5)) % 5 == 1
+            chi_one = el.constraint_satisfied(form)
             if chi_one:
                 character_one += 1
             if keeps:
                 preserving += 1
-                rows, s = el.action()
-                maps.add(tuple(s.value * x % 5 for row in rows for x in row))
+                maps.add(el.matrix_on_space())
             if keeps != chi_one:
                 mismatches += 1
     ok = (

@@ -30,7 +30,7 @@ from operator import add, mul
 from types import SimpleNamespace
 
 from .fields import QQ
-from .linalg import Matrix, clear_denominators, det_expansion, pfaffian
+from .linalg import Matrix, canonical, clear_denominators, det_expansion, pfaffian
 from .multilinear import (
     RepVector,
     Space,
@@ -174,6 +174,14 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     return _lattice_walk(m, k, modulus is not None)(fn, cols, level, scale, modulus)
 
 
+@cache
+def _vandermonde_inverse(field, degree):
+    """The integer form of the inverse of the Vandermonde matrix (t^k) for
+    t, k = 0 .. degree, built once per (field, degree)."""
+    nodes = range(degree + 1)
+    return Matrix(field, [[field.of(t**k) for k in nodes] for t in nodes]).inv().ints()
+
+
 class InvariantForm:
     """Base: a homogeneous invariant polynomial on one representation space.
 
@@ -244,16 +252,15 @@ class InvariantForm:
         along the integer direction d (residues over F_p, where den = 1).
 
         The c_k come from f's integer formula at t = 0 .. deg through the
-        inverse Vandermonde matrix with its denominators cleared: integers
-        over Q, residues mod p over F_p, which needs p > deg."""
+        integer form of the inverse Vandermonde matrix (_vandermonde_inverse):
+        integers over Q, residues mod p over F_p, which needs p > deg."""
         nodes = range(self.degree + 1)
-        rows, den = Matrix(field, [[field.of(t**k) for k in nodes] for t in nodes]).inv().ints()
-        fn, p = self.int_evaluator(field), field.modulus
+        rows, den = _vandermonde_inverse(field, self.degree)
+        fn = self.int_evaluator(field)
 
         def coefficients(w):
             values = [fn([a + t * b for a, b in zip(w, d)]) for t in nodes]
-            cs = [sum(map(mul, row, values)) for row in rows]
-            return cs if p is None else [c % p for c in cs]
+            return canonical(field, [[sum(map(mul, row, values)) for row in rows]])[0][0]
 
         return coefficients, den
 

@@ -1,12 +1,19 @@
 """Exact dense linear algebra over scalar fields and polynomial rings.
 
+A field value is read as an integer form (X, D), and four functions here
+define that encoding: `clear_denominators` (field values to the form),
+`canonical` (integers over a denominator to the form), `scaled` (the form
+back to field values) and `ratio` (a scalar as integers a / b).  Over F_p,
+X holds residues in [0, p) and D = 1; over Q, X holds numerators over their
+least common denominator D > 0.  A `Matrix` holds only its integer form;
+its entries are a view of it.
+
 Over a field, determinant, rank, inverse and kernel all read one row
-reduction (`_reduce`) of the integer rows that `clear_denominators` returns:
-residues mod p over F_p, fraction-free Bareiss elimination over the
-rationals (every division exact, no coefficient swell), kept on the matrix
-(`Matrix.ints`) beside its determinant.  Ring algorithms
-(polynomial entries) are division-free: memoized minor expansion for the
-determinant and the recursive Pfaffian expansion.
+reduction (`_reduce`) of the integer form: residues mod p over F_p,
+fraction-free Bareiss elimination over the rationals (every division exact,
+no coefficient swell).  Ring algorithms (polynomial entries) are
+division-free: memoized minor expansion for the determinant and the
+recursive Pfaffian expansion.
 """
 
 from __future__ import annotations
@@ -14,30 +21,32 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .fields import Residue
-
 
 class LinAlgError(ValueError):
     """Shape mismatch, singular input, or unsupported element domain."""
 
 
 class Matrix:
-    """Immutable dense matrix over a field.  The determinant and the integer
-    form are computed at most once per matrix, and not at all where the
-    caller passes their exact values.  A matrix made from its integer form
-    builds its entries when they are first read."""
+    """Immutable dense matrix over a field, held as its integer form (X, D)
+    (`canonical`): the entries are X / D, built on first read.  The
+    determinant is computed at most once, and not at all where the caller
+    passes its exact value."""
 
-    __slots__ = ("ring", "_rows", "_det", "_ints")
+    __slots__ = ("ring", "_ints", "_det", "_rows")
 
-    def __init__(self, ring, rows, _det=None, _ints=None):
-        if rows is not None:
-            rows = tuple(tuple(r) for r in rows)
-            if rows and any(len(r) != len(rows[0]) for r in rows):
-                raise LinAlgError("ragged rows")
+    def __init__(self, ring, rows):
+        rows = tuple(map(tuple, rows))
+        if rows and any(len(r) != len(rows[0]) for r in rows):
+            raise LinAlgError("ragged rows")
+        ints, den = clear_denominators(ring, rows)
+        self._hold(ring, (tuple(map(tuple, ints)), den), None, rows)
+
+    def _hold(self, ring, ints, det, rows=None):
         object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_det", det)
         object.__setattr__(self, "_rows", rows)
-        object.__setattr__(self, "_det", _det)
-        object.__setattr__(self, "_ints", _ints)
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("Matrix is immutable")
@@ -53,39 +62,31 @@ class Matrix:
 
     @classmethod
     def _exact(cls, ring, ints, den=1, det=None):
-        """The matrix ints / den over a field (den = 1 over F_p) for integer
-        rows ints, with its integer form set and, when given, its determinant."""
-        p = ring.modulus
-        if p is not None:
-            ints = [[x % p for x in r] for r in ints]
-        elif den != 1:
-            g = gcd(den, *(x for r in ints for x in r))
-            ints, den = [[x // g for x in r] for r in ints], den // g
-        return cls(ring, None, det, (tuple(map(tuple, ints)), den))
+        """The matrix ints / den over a field for integer rows ints, with its
+        determinant set when given."""
+        return object.__new__(cls)._hold(ring, canonical(ring, ints, den), det)
 
     @property
     def rows(self):
         """The entries, as row tuples; built on first read from the integer form."""
         if self._rows is None:
             ints, den = self._ints
-            object.__setattr__(self, "_rows", tuple(tuple(scaled(self.ring, self.ring.one, den, r)) for r in ints))
+            object.__setattr__(self, "_rows", tuple([tuple(scaled(self.ring, self.ring.one, den, r)) for r in ints]))
         return self._rows
 
     def ints(self):
-        """clear_denominators(ring, rows), as tuples, computed at most once."""
-        if self._ints is None:
-            rows, den = clear_denominators(self.ring, self.rows)
-            object.__setattr__(self, "_ints", (tuple(map(tuple, rows)), den))
+        """The integer form (X, D), X a tuple of row tuples: clear_denominators
+        of the entries."""
         return self._ints
 
     @property
     def nrows(self):
-        return len(self._ints[0] if self._rows is None else self._rows)
+        return len(self._ints[0])
 
     @property
     def ncols(self):
-        rows = self._ints[0] if self._rows is None else self._rows
-        return len(rows[0]) if rows else 0
+        ints = self._ints[0]
+        return len(ints[0]) if ints else 0
 
     @property
     def is_square(self):
@@ -133,9 +134,10 @@ class Matrix:
         return Matrix(self.ring, [[c * a for a in r] for r in self.rows])
 
     def transpose(self):
-        """The transpose, keeping a known determinant and integer form."""
-        ints = self._ints and (tuple(zip(*self._ints[0])), self._ints[1])
-        return Matrix(self.ring, self._rows and list(zip(*self._rows)), self._det, ints)
+        """The transpose, keeping a known determinant; the integer form of a
+        matrix is canonical, and so is its transpose."""
+        ints, den = self._ints
+        return object.__new__(Matrix)._hold(self.ring, (tuple(zip(*ints)), den), self._det)
 
     def apply(self, vec):
         """Matrix-vector product; vec entries may live in a larger ring."""
@@ -154,51 +156,51 @@ class Matrix:
         if self._det is None:
             if not self.is_square:
                 raise LinAlgError("determinant of a non-square matrix")
-            ints, den = self.ints()
-            d = _quotient(self.ring, _reduce(list(ints), self.ring.modulus)[2], den**self.nrows)
+            ints, den = self._ints
+            (d,) = scaled(self.ring, self.ring.one, den**self.nrows, [_reduce(list(ints), self.ring.modulus)[2]])
             object.__setattr__(self, "_det", d)
         return self._det
 
     def rank(self):
-        return int_rank(list(self.ints()[0]), self.ring.modulus)
+        return int_rank(list(self._ints[0]), self.ring.modulus)
 
     def inv(self):
-        """A^-1 from the reduced echelon form of the integer rows [D A | D I]."""
+        """A^-1 from the reduced echelon form [pv I | R] of the integer rows
+        [D A | D I]: every pivot entry is the last pivot pv (1 over F_p), and
+        A^-1 = R / pv."""
         if not self.is_square:
             raise LinAlgError("inverse of a non-square matrix")
         ring, n = self.ring, self.nrows
-        ints, den = self.ints()
+        ints, den = self._ints
         aug = [list(r) + [den * (i == j) for j in range(n)] for i, r in enumerate(ints)]
         red, pivots, _ = _reduce(aug, ring.modulus, n, clear_above=True)
         if len(pivots) < n:
             raise LinAlgError("singular matrix")
-        return Matrix(ring, [[_quotient(ring, x, row[pc]) for x in row[n:]] for row, pc in zip(red, pivots)])
+        return Matrix._exact(ring, [row[n:] for row in red], red[n - 1][n - 1] if n else 1)
 
     def kernel(self):
-        """Basis of the right null space {v : self @ v = 0}."""
-        ring = self.ring
-        n = self.ncols
-        red, pivots, _ = _reduce(list(self.ints()[0]), ring.modulus, clear_above=True)
+        """Basis of the right null space {v : self @ v = 0}: for each free
+        column j, x / pv with x[j] = pv and x[c] = -row[j] for each reduced
+        row and its pivot column c; every pivot entry is the last pivot pv
+        (1 over F_p)."""
+        ring, n = self.ring, self.ncols
+        red, pivots, _ = _reduce(list(self._ints[0]), ring.modulus, clear_above=True)
+        pv = red[len(pivots) - 1][pivots[-1]] if pivots else 1
         basis = []
         for j in range(n):
-            if j in pivots:
-                continue
-            v = [ring.zero] * n
-            v[j] = ring.one
-            for row, pc in zip(red, pivots):
-                v[pc] = _quotient(ring, -row[j], row[pc])
-            basis.append(v)
+            if j not in pivots:
+                x = [0] * n
+                x[j] = pv
+                for row, pc in zip(red, pivots):
+                    x[pc] = -row[j]
+                basis.append(scaled(ring, ring.one, pv, x))
         return basis
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and other.ring == self.ring
-            and other.rows == self.rows
-        )
+        return isinstance(other, Matrix) and other.ring == self.ring and other._ints == self._ints
 
     def __hash__(self):
-        return hash((self.ring, self.rows))
+        return hash((self.ring, self._ints))
 
     def __repr__(self):
         return "Matrix(%r)" % (list(list(r) for r in self.rows),)
@@ -220,9 +222,33 @@ def scaled(field, s, den, ints):
     if field.modulus is not None:
         sv = s.value
         return [field.of(sv * x) for x in ints]
-    scale = s / den
-    num, den = scale.numerator, scale.denominator
+    num, den = s.numerator, s.denominator * den
     return [Fraction(num * x, den) for x in ints]
+
+
+def canonical(field, rows, den=1):
+    """The integer form (X, D) of the field values rows / den for integer
+    rows, X a tuple of row tuples: clear_denominators of those values.  Over
+    F_p (den prime to p), X holds residues in [0, p) and D = 1; over Q,
+    D > 0 and gcd(D, X) = 1."""
+    p = field.modulus
+    if p is not None:
+        if den != 1:
+            k = pow(den, -1, p)
+            rows = [[x * k for x in r] for r in rows]
+        return tuple([tuple([x % p for x in r]) for r in rows]), 1
+    if den == 1:
+        return tuple(map(tuple, rows)), 1
+    g = gcd(den, *[x for r in rows for x in r])
+    if den < 0:
+        g = -g
+    return tuple([tuple([x // g for x in r]) for r in rows]), den // g
+
+
+def ratio(field, c):
+    """Integers (a, b) with c = a / b: over Q in lowest terms with b > 0, over
+    F_p the residue a and b = 1."""
+    return (c.value, 1) if field.modulus is not None else (c.numerator, c.denominator)
 
 
 def int_rank(m, p):
@@ -290,15 +316,6 @@ def _reduce(m, p, width=None, clear_above=False):
     if len(pivots) < nr or width != nr:
         return m, pivots, 0
     return m, pivots, sign * acc
-
-
-def _quotient(field, a, b):
-    """a / b as a field element for integers a, b.  Over F_p, b is 1 at every
-    call: D = 1 there, and _reduce scales each pivot to 1 when it clears
-    above it."""
-    if field.modulus is None:
-        return Fraction(a, b)
-    return Residue(a, field.modulus)
 
 
 def det_expansion(ring, rows):

@@ -27,7 +27,7 @@ from functools import cache
 from operator import mul
 
 from .forms import InvariantForm, simplex_lattice
-from .linalg import clear_denominators, int_rank
+from .linalg import canonical, clear_denominators, int_rank
 from .multilinear import RepVector, Space, _alt_pairs, _symm_pairs, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
 from .sampling import gsp6_element, isotropic_vector, rand_unit
 
@@ -242,15 +242,11 @@ def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
 # minimal-orbit samplers
 
 
-def _reduced(ints, p):
-    return ints if p is None else [x % p for x in ints]
-
-
-def _rand_nonzero_ints(rng, k, p, lo=-4, hi=4):
+def _rand_nonzero_ints(rng, k, field, lo=-4, hi=4):
     """k integers from [lo, hi], drawn again until one is nonzero in the
     field; residues mod p over F_p."""
     while True:
-        v = _reduced([rng.randint(lo, hi) for _ in range(k)], p)
+        (v,), _ = canonical(field, [[rng.randint(lo, hi) for _ in range(k)]])
         if any(v):
             return v
 
@@ -262,7 +258,6 @@ def sample_minimal(target, field, rng) -> RepVector:
     space = target.space if form is not None else target
     base = _base_line(form) if form is not None else None
     kind = space.kind
-    p = field.modulus
     c = rand_unit(field, rng, 4)
     one = field.one
 
@@ -275,7 +270,7 @@ def sample_minimal(target, field, rng) -> RepVector:
     if base == "mat2n":
         n = space.params["n"]
         (w,), den = clear_denominators(field, [isotropic_vector(field, rng, form.gram(field))])
-        u = _rand_nonzero_ints(rng, 2, p)
+        u = _rand_nonzero_ints(rng, 2, field)
         return vector(one, [u[i] * w[j] for i in range(2) for j in range(n)], den)
     if base == "sp6":
         # Lambda^3(g) e_024 = g e_0 wedge g e_2 wedge g e_4, for g = G / D
@@ -284,36 +279,36 @@ def sample_minimal(target, field, rng) -> RepVector:
         cols = list(zip(*ints))
         return wedge_of_vectors(field, 6, [cols[0], cols[2], cols[4]], c / field.of(den**3))
     if kind == "vector":
-        return vector(one, _rand_nonzero_ints(rng, space.dim, p))
+        return vector(one, _rand_nonzero_ints(rng, space.dim, field))
     if kind == "symm":
         n = space.params["n"]
-        u = _rand_nonzero_ints(rng, n, p)
+        u = _rand_nonzero_ints(rng, n, field)
         return vector(c, [u[i] * u[j] for i, j in _symm_pairs(n)])
     if kind == "alt":
         n = space.params["n"]
         while True:
-            u, w = _rand_nonzero_ints(rng, n, p), _rand_nonzero_ints(rng, n, p)
-            ints = _reduced([u[i] * w[j] - u[j] * w[i] for i, j in _alt_pairs(n)], p)
-            if any(ints):
-                return vector(c, ints)
+            u, w = _rand_nonzero_ints(rng, n, field), _rand_nonzero_ints(rng, n, field)
+            v = vector(c, [u[i] * w[j] - u[j] * w[i] for i, j in _alt_pairs(n)])
+            if not v.is_zero():
+                return v
     if kind in ("square", "rect"):
         m = space.params.get("m", space.params["n"])
         n = space.params["n"]
-        u, w = _rand_nonzero_ints(rng, m, p), _rand_nonzero_ints(rng, n, p)
+        u, w = _rand_nonzero_ints(rng, m, field), _rand_nonzero_ints(rng, n, field)
         return vector(c, [u[i] * w[j] for i in range(m) for j in range(n)])
     if kind == "wedge":
         d, n = space.params["d"], space.params["n"]
         while True:
             # the wedge is nonzero exactly when the d vectors are independent
-            v = wedge_of_vectors(field, n, [_rand_nonzero_ints(rng, n, p) for _ in range(d)], c)
+            v = wedge_of_vectors(field, n, [_rand_nonzero_ints(rng, n, field) for _ in range(d)], c)
             if not v.is_zero():
                 return v
     if kind == "cubic":
-        s, t = _reduced([rng.randint(-3, 3), rng.randint(-3, 3)], p)
+        ((s, t),), _ = canonical(field, [[rng.randint(-3, 3), rng.randint(-3, 3)]])
         if not s and not t:
             s = 1
         return vector(c, [s * s * s, 3 * s * s * t, 3 * s * t * t, t * t * t])
     if kind == "tritensor":
-        u, w, x = (_rand_nonzero_ints(rng, 2, p) for _ in range(3))
+        u, w, x = (_rand_nonzero_ints(rng, 2, field) for _ in range(3))
         return vector(one, [u[i] * w[j] * x[k] for i in range(2) for j in range(2) for k in range(2)])
     raise MinimalityError("no minimal-orbit sampler for %r" % space)

@@ -11,11 +11,10 @@ coordinate tuples in a canonical basis per space:
 - cubic: (a0, a1, a2, a3) for a0*x^3 + a1*x^2*y + a2*x*y^2 + a3*y^3;
 - tritensor: 2x2x2 entries, index (i,j,k) -> 4i + 2j + k.
 
-A vector keeps its integer form once computed (RepVector.ints, as
-clear_denominators returns it); one built from that form (RepVector._exact)
-builds its coordinates on first read.  Every wedge product on a command's
-path runs through one compiled integer step r ^ w (_wedge_step), behind
-wedge_ints and exterior_power_ints.
+A vector holds only its integer form (RepVector.ints, as linalg.canonical
+returns it); its coordinates are a view of it, built on first read.  Every
+wedge product on a command's path runs through one compiled integer step
+r ^ w (_wedge_step), behind wedge_ints and exterior_power_ints.
 
 Also here: degree-4 polarization and the Gram of the bilinear form b_x,
 both read off the form's integer formula on cleared integer coordinates
@@ -29,10 +28,10 @@ from __future__ import annotations
 import json
 from functools import cache
 from itertools import combinations
-from math import comb, gcd
+from math import comb
 
 from .fields import FieldError
-from .linalg import Matrix, clear_denominators, scaled
+from .linalg import Matrix, canonical, clear_denominators, ratio, scaled
 
 
 class SpaceError(ValueError):
@@ -165,10 +164,11 @@ def _alt_pairs(n):
 
 
 class RepVector:
-    """Immutable element of a representation space over one field; its
-    integer form is computed at most once."""
+    """Immutable element of a representation space over one field, held as
+    its integer form (x, D) (linalg.canonical): the coordinates are x / D,
+    built on first read."""
 
-    __slots__ = ("space", "field", "_coords", "_ints")
+    __slots__ = ("space", "field", "_ints", "_coords")
 
     def __init__(self, space: Space, field, coords):
         coords = tuple(field.of(c) for c in coords)
@@ -176,40 +176,32 @@ class RepVector:
             raise SpaceError(
                 "expected %d coordinates for %r, got %d" % (space.dim, space, len(coords))
             )
-        self._set(space, field, coords, None)
+        self._hold(space, field, coords)
 
-    def _set(self, space, field, coords, ints):
+    def _hold(self, space, field, coords, ints=None):
+        """Set the slots; the integer form is cleared from coords unless given."""
+        if ints is None:
+            (x,), den = clear_denominators(field, [coords])
+            ints = tuple(x), den
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_coords", coords)
+        return self
 
     def __setattr__(self, name, val):
         raise AttributeError("RepVector is immutable")
 
     @classmethod
     def _raw(cls, space, field, coords):
-        v = object.__new__(cls)
-        v._set(space, field, tuple(coords), None)
-        return v
+        return object.__new__(cls)._hold(space, field, tuple(coords))
 
     @classmethod
     def _exact(cls, space, field, s, den, ints):
-        """The vector (s / den) x for integers x, with its integer form set to
-        clear_denominators(field, [coords]): over Q, s / den = a / b in lowest
-        terms gives D = b / g and a x / g for g = gcd(b, x)."""
-        p = field.modulus
-        if p is not None:
-            sv = s.value
-            ints, den = tuple(sv * x % p for x in ints), 1
-        else:
-            s = s / den
-            a, b = s.numerator, s.denominator
-            g = gcd(b, *ints)
-            ints, den = tuple(a * (x // g) for x in ints), b // g
-        v = object.__new__(cls)
-        v._set(space, field, None, (ints, den))
-        return v
+        """The vector (s / den) x for integers x and a field element s."""
+        a, b = ratio(field, s)
+        (x,), d = canonical(field, [[a * v for v in ints]], den * b)
+        return object.__new__(cls)._hold(space, field, None, (x, d))
 
     @property
     def coords(self):
@@ -220,11 +212,8 @@ class RepVector:
         return self._coords
 
     def ints(self):
-        """(x, D) = clear_denominators(field, [coords]), x a tuple: residues
-        in [0, p) over F_p, where D = 1; computed at most once."""
-        if self._ints is None:
-            (x,), den = clear_denominators(self.field, [self._coords])
-            object.__setattr__(self, "_ints", (tuple(x), den))
+        """The integer form (x, D) = clear_denominators(field, [coords]), x a
+        tuple: residues in [0, p) over F_p, where D = 1."""
         return self._ints
 
     @classmethod
@@ -263,18 +252,18 @@ class RepVector:
         return RepVector._raw(self.space, self.field, (c * a for a in self.coords))
 
     def is_zero(self) -> bool:
-        return not any(self._ints[0] if self._coords is None else self._coords)
+        return not any(self._ints[0])
 
     def __eq__(self, other):
         return (
             isinstance(other, RepVector)
             and other.space == self.space
             and other.field == self.field
-            and other.coords == self.coords
+            and other._ints == self._ints
         )
 
     def __hash__(self):
-        return hash((self.space, self.field, self.coords))
+        return hash((self.space, self.field, self._ints))
 
     def __repr__(self):
         return "RepVector(%r, [%s])" % (
@@ -424,7 +413,7 @@ def bx_int_gram(f, x: RepVector):
         raise SpaceError("b_x defined for degree-4 forms only")
     if x.space != f.space:
         raise SpaceError("vector outside the form's space")
-    field, p = x.field, x.field.modulus
+    field = x.field
     dx, big_d = x.ints()
     coefficients, den = f.line_coefficients(field, dx)
     emb = f.raw_embedding(field)
@@ -434,9 +423,8 @@ def bx_int_gram(f, x: RepVector):
     for i, j in combinations(range(len(cols)), 2):
         c2 = coefficients([a + b for a, b in zip(cols[i], cols[j])])[2]
         gram[i][j] = gram[j][i] = c2 - diag[i] - diag[j]
-    if p is not None:
-        gram = [[g % p for g in row] for row in gram]
-    return gram, field.of(f.constant / (12 * den * big_d**2))
+    gram, _ = canonical(field, gram)
+    return list(gram), field.of(f.constant / (12 * den * big_d**2))
 
 
 def symplectic_pair(space: Space, x: RepVector, y: RepVector):

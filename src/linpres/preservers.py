@@ -32,7 +32,7 @@ from functools import cache, cached_property
 from operator import mul
 
 from .forms import InvariantForm, parse_form, simplex_lattice
-from .linalg import Matrix, scaled
+from .linalg import Matrix, canonical, ratio
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
     RepVector,
@@ -180,10 +180,7 @@ class PreserverElement:
     family: str
     space: Space
     field = None
-
-    def __init__(self):
-        self._action = None
-        self._matrix = None
+    _action = _matrix = None  # built on first use
 
     def _build_action(self):
         raise NotImplementedError
@@ -203,12 +200,13 @@ class PreserverElement:
 
     def apply(self, v: RepVector) -> RepVector:
         x, den = v.ints()
-        return RepVector._raw(self.space, self.field, scaled(self.field, self.action()[1], den, self.matvec(x)))
+        return RepVector._exact(self.space, self.field, self.action()[1], den, self.matvec(x))
 
     def matrix_on_space(self) -> Matrix:
         if self._matrix is None:
             rows, s = self.action()
-            self._matrix = Matrix(self.field, [scaled(self.field, s, 1, row) for row in rows])
+            a, b = ratio(self.field, s)
+            self._matrix = Matrix._exact(self.field, [[a * x for x in row] for row in rows], b)
         return self._matrix
 
     def char_params(self) -> dict | None:
@@ -245,7 +243,6 @@ class Congruence(PreserverElement):
     family = "congruence"
 
     def __init__(self, space: Space, r, p: Matrix, star: bool = False):
-        super().__init__()
         if space.kind not in ("symm", "alt"):
             raise PreserverError("congruence acts on symmetric or alternating matrices")
         if star and space != Space("alt", n=4):
@@ -288,7 +285,6 @@ class Sandwich(PreserverElement):
     family = "sandwich"
 
     def __init__(self, space: Space, a: Matrix, b: Matrix):
-        super().__init__()
         if space.kind not in ("square", "rect"):
             raise PreserverError("sandwich acts on matrix spaces")
         m = space.params.get("m", space.params.get("n"))
@@ -316,7 +312,6 @@ class TransposeSandwich(PreserverElement):
     family = "transpose-sandwich"
 
     def __init__(self, space: Space, a: Matrix, b: Matrix):
-        super().__init__()
         if space.kind != "square":
             raise PreserverError("transpose-sandwich needs a square matrix space")
         n = space.params["n"]
@@ -346,7 +341,6 @@ class CubicSubstitution(PreserverElement):
     family = "cubic-substitution"
 
     def __init__(self, c, g: Matrix):
-        super().__init__()
         if (g.nrows, g.ncols) != (2, 2):
             raise PreserverError("g must be 2x2")
         field = g.ring
@@ -385,7 +379,6 @@ class WedgePush(PreserverElement):
     family = "wedge-push"
 
     def __init__(self, c, g: Matrix, star: bool = False):
-        super().__init__()
         if (g.nrows, g.ncols) != (6, 6):
             raise PreserverError("g must be 6x6")
         field = g.ring
@@ -422,14 +415,13 @@ class GSp6Push(WedgePush):
     def __init__(self, c, g: Matrix):
         field, b = g.ring, standard_symplectic_ints(6)
         p = field.modulus
-        # g^t b g = mu b for g = G / D reads G^t b G = mu D^2 b: with mu = a / m
-        # (m = 1 over F_p), m G^t b G = a D^2 b in integers, mod p over F_p
-        gi, den = g.ints()
+        # g^t b g = mu b (mu nonzero) for g = G / D reads G^t b G = k b in
+        # integers, mod p over F_p, with k = mu D^2 = (G^t b G)[0][1]
+        gi, _ = g.ints()
         lhs = _int_matmul(_int_matmul([list(c) for c in zip(*gi)], b, p), gi, p)
-        mu = field.of(lhs[0][1]) / field.of(den * den)
-        a, m = (mu.value, 1) if p is not None else (mu.numerator * den * den, mu.denominator)
-        diffs = (m * x - a * y for lrow, brow in zip(lhs, b) for x, y in zip(lrow, brow))
-        if mu == field.zero or any(e % p if p is not None else e for e in diffs):
+        k = lhs[0][1]
+        (diffs,), _ = canonical(field, [[x - k * y for lrow, brow in zip(lhs, b) for x, y in zip(lrow, brow)]])
+        if not k or any(diffs):
             raise PreserverError("g is not a symplectic similitude")
         super().__init__(c, g, star=False)
 
@@ -447,7 +439,6 @@ class TriplePush(PreserverElement):
     family = "triple-push"
 
     def __init__(self, g1: Matrix, g2: Matrix, g3: Matrix, perm=(0, 1, 2)):
-        super().__init__()
         for g in (g1, g2, g3):
             if (g.nrows, g.ncols) != (2, 2):
                 raise PreserverError("factors must be 2x2")
@@ -486,7 +477,6 @@ class OrthogonalPair(PreserverElement):
     family = "orthogonal-pair"
 
     def __init__(self, space: Space, g1: Matrix, g2: Matrix, mu):
-        super().__init__()
         if space.kind != "rect" or space.params["m"] != 2:
             raise PreserverError("orthogonal-pair acts on 2 x n matrices")
         n = space.params["n"]
@@ -518,7 +508,6 @@ class GenericMap(PreserverElement):
     family = "generic"
 
     def __init__(self, space: Space, field, matrix: Matrix):
-        super().__init__()
         if (matrix.nrows, matrix.ncols) != (space.dim, space.dim):
             raise PreserverError("matrix does not match the space dimension")
         self.space = space
@@ -617,8 +606,7 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
         raise PreserverError("schwartz-zippel policy needs a seeded rng")
     rows, s = element.action()
     fn, deg = form.int_evaluator(field), form.degree
-    # s^deg = a / b in integers, b = 1 over F_p
-    a, b = (pow(s.value, deg, p), 1) if p is not None else (s.numerator**deg, s.denominator**deg)
+    a, b = ratio(field, s**deg)
     if policy == "symbolic":
         refs = _lattice_reference(form, field)
         if (emb := form.raw_embedding(field)) is not None:

@@ -22,7 +22,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .fields import PrimeField, RationalField
-from .linalg import Matrix
+from .linalg import Matrix, ratio
 from .multilinear import RepVector, Space, standard_symplectic_ints
 
 
@@ -109,15 +109,10 @@ def unimodular_matrix(field, rng, n: int) -> Matrix:
     return Matrix._exact(field, rows, det=field.one)
 
 
-def _ratio(field, c):
-    """Integers (a, b) with c = a / b; b = 1 over F_p."""
-    return (c.value, 1) if field.modulus is not None else (c.numerator, c.denominator)
-
-
 def _times_column(field, m: Matrix, j: int, c) -> Matrix:
     """m with column j times the field element c, built on m's integer form;
     its determinant is c det(m)."""
-    a, b = _ratio(field, c)
+    a, b = ratio(field, c)
     rows, den = m.ints()
     return Matrix._exact(field, [[x * a if k == j else x * b for k, x in enumerate(r)] for r in rows],
                          den * b, c * m.det())
@@ -148,7 +143,7 @@ def forced_det_matrix(field, rng, n: int, target) -> Matrix:
 
 def _rank_one_update(field, g, den, u, coef, v):
     """g + (a / b) (g u) v^T for g = rows / den, as new (integer rows, den): u
-    and v are integer vectors, coef = (a, b) as _ratio gives it.  Over F_p
+    and v are integer vectors, coef = (a, b) as linalg.ratio gives it.  Over F_p
     the rows are residues and den stays 1."""
     gu = [sum(map(mul, row, u)) for row in g]
     p = field.modulus
@@ -162,7 +157,7 @@ def _rank_one_update(field, g, den, u, coef, v):
 def _similitude_times(field, d, g, den):
     """diag(d) (g / den) as a Matrix, for g / den of determinant one: its
     determinant is prod(d)."""
-    ratios = [_ratio(field, di) for di in d]
+    ratios = [ratio(field, di) for di in d]
     m = lcm(*(b for _, b in ratios))
     rows = [[x * a * (m // b) for x in row] for (a, b), row in zip(ratios, g)]
     return Matrix._exact(field, rows, den * m, prod(d, start=field.one))
@@ -189,7 +184,7 @@ def gsp6_element(field, rng):
         lam = field.sample(rng, 2)
         if lam == field.zero:
             continue
-        g, den = _rank_one_update(field, g, den, u, _ratio(field, lam), [sum(map(mul, row, u)) for row in b])
+        g, den = _rank_one_update(field, g, den, u, ratio(field, lam), [sum(map(mul, row, u)) for row in b])
     mu = field.one if isinstance(field, RationalField) else rand_unit(field, rng)
     d = [mu, field.one, mu, field.one, mu, field.one]
     return _similitude_times(field, d, g, den), mu

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from linpres.fields import PrimeField, QQ
-from linpres.linalg import LinAlgError, Matrix, det_expansion, pfaffian
+from linpres.linalg import LinAlgError, Matrix, _reduce, canonical, clear_denominators, det_expansion, pfaffian, ratio
 from linpres.polynomials import PolyRing
 
 F7 = PrimeField(7)
@@ -352,3 +352,73 @@ def test_elimination_matches_reference(ring):
             continue
         assert A.inv() == Matrix(ring, expected)
     assert singular > 0
+
+
+ONE_FORM_FIELDS = [QQ, PrimeField(5), F7, PrimeField(10007)]
+
+
+def _den(ring, rng):
+    """A denominator in +-[1, 30], prime to p over F_p."""
+    while True:
+        den = rng.choice([-1, 1]) * rng.randint(1, 30)
+        if ring.modulus is None or den % ring.modulus:
+            return den
+
+
+@pytest.mark.parametrize("ring", ONE_FORM_FIELDS, ids=lambda r: r.descriptor)
+def test_exact_matrix_matches_entries_and_clear_denominators(ring):
+    rng = random.Random(65 + (ring.modulus or 0))
+    for trial in range(200):
+        m, n = rng.randint(1, 4), rng.randint(1, 4)
+        ints = [[rng.randint(-30, 30) * (rng.randrange(3) > 0) for _ in range(n)] for _ in range(m)]
+        if trial % 10 == 0:
+            ints = [[0] * n for _ in range(m)]
+        den = _den(ring, rng)
+        entries = [[ring.of(Fraction(x, den)) for x in r] for r in ints]
+        A, B = Matrix._exact(ring, ints, den), Matrix(ring, entries)
+        assert A == B and hash(A) == hash(B)
+        rows, big_d = clear_denominators(ring, entries)
+        assert A.ints() == B.ints() == (tuple(map(tuple, rows)), big_d)
+        assert A.ints() == canonical(ring, ints, den)
+        assert A.rows == tuple(map(tuple, entries))
+        assert (A.nrows, A.ncols) == (m, n)
+        assert A.transpose() == Matrix(ring, list(zip(*entries)))
+        assert A.transpose().ints() == Matrix(ring, list(zip(*entries))).ints()
+
+
+def _last_pivot(ring, rows):
+    red, pivots, _ = _reduce(list(Matrix(ring, rows).ints()[0]), ring.modulus, clear_above=True)
+    return red[len(pivots) - 1][pivots[-1]] if pivots else 1
+
+
+def test_inverse_and_kernel_with_a_negative_last_pivot():
+    rng = random.Random(66)
+    inverted = kernels = 0
+    while inverted < 40 or kernels < 40:
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        rows = [[QQ.of(Fraction(rng.randint(-9, 9), rng.randint(1, 6))) for _ in range(n)] for _ in range(m)]
+        if _last_pivot(QQ, rows) >= 0:
+            continue
+        A = Matrix(QQ, rows)
+        assert A.kernel() == _ref_kernel(QQ, rows)
+        kernels += 1
+        if m == n and A.rank() == n:
+            inv = A.inv()
+            assert inv == Matrix(QQ, _ref_inv(QQ, rows))
+            assert inv.ints()[1] > 0
+            inverted += 1
+
+
+@pytest.mark.parametrize("ring", ONE_FORM_FIELDS, ids=lambda r: r.descriptor)
+def test_ratio_round_trips(ring):
+    rng = random.Random(67)
+    for _ in range(200):
+        c = ring.of(Fraction(rng.randint(-40, 40), _den(ring, rng)))
+        a, b = ratio(ring, c)
+        assert ring.of(a) / ring.of(b) == c
+        (x,), d = clear_denominators(ring, [[c]])
+        assert canonical(ring, [[a]], b) == ((tuple(x),), d)
+        if ring.modulus is None:
+            assert b > 0 and gcd(a, b) == 1
+        else:
+            assert b == 1 and 0 <= a < ring.modulus

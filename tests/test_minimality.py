@@ -504,3 +504,21 @@ def test_mat2n_structure_rule_refuses_a_singular_gram():
     with pytest.raises(FormError, match="singular"):
         rule([0, 0, 0, 1, 0, 0, 0, 2])
     assert structure_rule(form, QQ)([0, 1, 0, 0, 0, 0, 0, 0]) is False
+
+
+def test_vandermonde_inverse_is_built_once_per_field_and_degree(monkeypatch):
+    from linpres import forms
+    from linpres.linalg import Matrix
+
+    calls = []
+    real_inv = Matrix.inv
+    monkeypatch.setattr(Matrix, "inv", lambda self: calls.append(self.nrows) or real_inv(self))
+    forms._vandermonde_inverse.cache_clear()
+    rng = random.Random(69)
+    cases = [(CubicDisc(), minimal_by_rrs), (SymmDet(3), minimal_by_rrs), (parse_form("hyperdet"), minimal_by_radical)]
+    for field in (QQ, F7):
+        for form, oracle in cases:
+            for _ in range(5):
+                oracle(form, sample_minimal(form, field, rng))
+    # degrees 4 and 3 over two fields: one inverse each, however many calls
+    assert sorted(calls) == [4, 4, 5, 5]

@@ -424,3 +424,31 @@ def test_bx_int_gram_returns_residues_over_prime_fields():
                 x = RepVector(form.space, field, [rng.randint(-9, 9) for _ in range(form.space.dim)])
                 gram, _ = bx_int_gram(form, x)
                 assert all(0 <= g < p for row in gram for g in row), (line, p)
+
+
+@pytest.mark.parametrize("field", (QQ, PrimeField(5), F7, F10007), ids=lambda f: f.descriptor)
+def test_vectors_from_coordinates_raw_and_exact_are_one_form(field):
+    rng = random.Random(68)
+    p = field.modulus
+    space = Space("symm", n=3)
+    for trial in range(200):
+        ints = [rng.randint(-30, 30) * (rng.randrange(3) > 0) for _ in range(space.dim)]
+        if trial % 10 == 0:
+            ints = [0] * space.dim
+        while True:
+            den = rng.choice([-1, 1]) * rng.randint(1, 30)
+            if p is None or den % p:
+                break
+        coords = [field.of(Fraction(x, den)) for x in ints]
+        vs = [
+            RepVector(space, field, coords),
+            RepVector._raw(space, field, coords),
+            RepVector._exact(space, field, field.one, den, ints),
+            RepVector._exact(space, field, field.of(Fraction(1, den)), 1, ints),
+        ]
+        (x,), big_d = clear_denominators(field, [coords])
+        for v in vs:
+            assert v == vs[0] and hash(v) == hash(vs[0])
+            assert v.ints() == (tuple(x), big_d)
+            assert v.coords == tuple(coords)
+            assert v.is_zero() == (not any(x))

@@ -47,10 +47,10 @@ MUTANTS = [
     ),
     (
         "M2",
-        "multilinear.py",
-        "gram = [[g % p for g in row] for row in gram]",
-        "gram = [[g for g in row] for row in gram]",
-        "bx_int_gram hands int_rank entries outside [0, p)",
+        "linalg.py",
+        "return tuple([tuple([x % p for x in r]) for r in rows]), 1",
+        "return tuple([tuple(r) for r in rows]), 1",
+        "canonical leaves integer forms over F_p unreduced (bx_int_gram hands int_rank entries outside [0, p))",
     ),
     (
         "M7",
@@ -117,10 +117,17 @@ MUTANTS = [
     ),
     (
         "exact-vector-gcd",
-        "multilinear.py",
-        "g = gcd(b, *ints)",
+        "linalg.py",
+        "g = gcd(den, *[x for r in rows for x in r])",
         "g = 1",
-        "RepVector._exact keeps a non-canonical integer form over Q",
+        "canonical keeps a non-canonical integer form over Q",
+    ),
+    (
+        "canonical-sign",
+        "linalg.py",
+        "    if den < 0:\n        g = -g\n",
+        "",
+        "canonical keeps a negative denominator over Q (inv's last Bareiss pivot)",
     ),
     (
         "hyperdet-four",
@@ -167,9 +174,9 @@ MUTANTS = [
     (
         "symbolic-scale-fp",
         "preservers.py",
-        "(pow(s.value, deg, p), 1)",
-        "(1, 1)",
-        "both policies over F_p compare f(R x) with f(x), dropping s^deg",
+        "a, b = ratio(field, s**deg)",
+        "a, b = ratio(field, s)",
+        "both policies compare a f(R x) with b f(x) for s = a / b, not s^deg",
     ),
     (
         "congruence-sign",
