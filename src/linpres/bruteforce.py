@@ -18,11 +18,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import mul
 
 from .fields import PrimeField
 from .forms import CubicDisc
 from .linalg import Matrix, int_rank
-from .minimality import minimal_by_radical, minimal_by_rank, minimal_by_rrs
+from .minimality import minimal_by_radical, minimal_by_rank, minimal_by_rrs, structure_rule
 from .multilinear import RepVector, Space
 from .preservers import CubicSubstitution, preserves_form
 
@@ -91,37 +92,18 @@ class CensusReport:
 # rank-one line fixers on symmetric 2x2 matrices over F_3
 
 
-def _rank_one_cone_f3():
-    # coordinates (a, b, c) for [[a, b], [b, c]]; rank one means ac = b^2, not all zero
-    pts = []
-    for a in range(3):
-        for b in range(3):
-            for c in range(3):
-                if (a, b, c) != (0, 0, 0) and (a * c - b * b) % 3 == 0:
-                    pts.append((a, b, c))
-    return pts
-
-
 def case_rank_one_fixers_f3() -> CensusReport:
     f3 = PrimeField(3, allow_small=True)
-    cone = _rank_one_cone_f3()
+    # coordinates (a, b, c) for [[a, b], [b, c]]: the nonzero rank-one points
+    cone = [v for v in product(range(3), repeat=3) if structure_rule(Space("symm", n=2), f3)(v)]
     fixers = []
     maps = 0
     for m in enumerate_invertible(f3, 3):
         maps += 1
         rows = m.ints()[0]
-        good = True
-        for v in cone:
-            w = [sum(rows[i][k] * v[k] for k in range(3)) % 3 for i in range(3)]
-            lam = None
-            for k in range(3):
-                if v[k]:
-                    lam = (w[k] * v[k]) % 3  # v[k] is its own inverse mod 3
-                    break
-            if any((lam * v[k] - w[k]) % 3 for k in range(3)):
-                good = False
-                break
-        if good:
+        # m fixes the line through v when v and m v have rank one; int_rank
+        # takes entries strictly between -3 and 3, so m v is reduced first
+        if all(int_rank([v, [sum(map(mul, row, v)) % 3 for row in rows]], 3) == 1 for v in cone):
             fixers.append([list(r) for r in rows])
     expected = [
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
@@ -223,6 +205,4 @@ CASES = {
 
 
 def run_case(name: str) -> CensusReport:
-    if name not in CASES:
-        raise KeyError(name)
     return CASES[name]()

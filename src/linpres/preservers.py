@@ -148,9 +148,20 @@ def _kron_action(field, factors, moves=None):
     return _action(field, rows, field.one, den)
 
 
-def _check_invertible(m: Matrix, what: str):
+def _invertible(m: Matrix, n: int, what: str) -> Matrix:
+    """m, once it is n x n and invertible; PreserverError naming it if not."""
+    if (m.nrows, m.ncols) != (n, n):
+        raise PreserverError("%s must be %dx%d" % (what, n, n))
     if m.det() == m.ring.zero:
         raise PreserverError("%s must be invertible" % what)
+    return m
+
+
+def _nonzero(c, field, what: str):
+    """c, once it is not the field's zero; PreserverError naming it if it is."""
+    if c == field.zero:
+        raise PreserverError("%s must be nonzero" % what)
+    return c
 
 
 # star operators
@@ -178,9 +189,11 @@ class PreserverElement:
     each family defines its action once, in _build_action."""
 
     family: str
-    space: Space
-    field = None
     _action = _matrix = None  # built on first use
+
+    def __init__(self, space: Space, field):
+        self.space = space
+        self.field = field
 
     def _build_action(self):
         raise NotImplementedError
@@ -247,17 +260,9 @@ class Congruence(PreserverElement):
             raise PreserverError("congruence acts on symmetric or alternating matrices")
         if star and space != Space("alt", n=4):
             raise PreserverError("the star component exists only on alternating 4x4 matrices")
-        n = space.params["n"]
-        if p.nrows != n or p.ncols != n:
-            raise PreserverError("P has the wrong size")
-        field = p.ring
-        if r == field.zero:
-            raise PreserverError("r must be nonzero")
-        _check_invertible(p, "P")
-        self.space = space
-        self.field = field
-        self.r = r
-        self.p = p
+        super().__init__(space, p.ring)
+        self.r = _nonzero(r, self.field, "r")
+        self.p = _invertible(p, space.params["n"], "P")
         self.star = bool(star)
 
     def _build_action(self):
@@ -279,50 +284,40 @@ class Congruence(PreserverElement):
         return {"r": self.r, "P": self.p, "star": self.star}
 
 
-class Sandwich(PreserverElement):
-    """X -> A X B on square or rectangular matrices."""
+class _FrobeniusForm(PreserverElement):
+    """X -> A X B or A X^t B on m x n matrices, A m x m and B n x n: the
+    two sandwiches share their parameters and differ in the space kinds
+    they accept and in their action."""
 
-    family = "sandwich"
+    kinds: tuple
 
     def __init__(self, space: Space, a: Matrix, b: Matrix):
-        if space.kind not in ("square", "rect"):
-            raise PreserverError("sandwich acts on matrix spaces")
-        m = space.params.get("m", space.params.get("n"))
-        n = space.params["n"]
-        if (a.nrows, a.ncols) != (m, m) or (b.nrows, b.ncols) != (n, n):
-            raise PreserverError("factor sizes do not match the space")
-        _check_invertible(a, "A")
-        _check_invertible(b, "B")
-        self.space = space
-        self.field = a.ring
-        self.a = a
-        self.b = b
-
-    def _build_action(self):
-        # A X B has (a, b) entry sum A[a][i] X[i][j] B^t[b][j]: the action is A x B^t
-        return _kron_action(self.field, (self.a, self.b.transpose()))
+        if space.kind not in self.kinds:
+            raise PreserverError("%s cannot act on the %s space" % (self.family, space.kind))
+        super().__init__(space, a.ring)
+        self.a = _invertible(a, space.params.get("m", space.params["n"]), "A")
+        self.b = _invertible(b, space.params["n"], "B")
 
     def char_params(self):
         return {"A": self.a, "B": self.b}
 
 
-class TransposeSandwich(PreserverElement):
+class Sandwich(_FrobeniusForm):
+    """X -> A X B on square or rectangular matrices."""
+
+    family = "sandwich"
+    kinds = ("square", "rect")
+
+    def _build_action(self):
+        # A X B has (a, b) entry sum A[a][i] X[i][j] B^t[b][j]: the action is A x B^t
+        return _kron_action(self.field, (self.a, self.b.transpose()))
+
+
+class TransposeSandwich(_FrobeniusForm):
     """X -> A X^t B on square matrices."""
 
     family = "transpose-sandwich"
-
-    def __init__(self, space: Space, a: Matrix, b: Matrix):
-        if space.kind != "square":
-            raise PreserverError("transpose-sandwich needs a square matrix space")
-        n = space.params["n"]
-        if (a.nrows, a.ncols) != (n, n) or (b.nrows, b.ncols) != (n, n):
-            raise PreserverError("factor sizes do not match the space")
-        _check_invertible(a, "A")
-        _check_invertible(b, "B")
-        self.space = space
-        self.field = a.ring
-        self.a = a
-        self.b = b
+    kinds = ("square",)
 
     def _build_action(self):
         # A X^t B is A x B^t applied to X^t: column (j, i) of the product
@@ -331,9 +326,6 @@ class TransposeSandwich(PreserverElement):
         moves = [i * n + j for j in range(n) for i in range(n)]
         return _kron_action(self.field, (self.a, self.b.transpose()), moves)
 
-    def char_params(self):
-        return {"A": self.a, "B": self.b}
-
 
 class CubicSubstitution(PreserverElement):
     """q -> c (q o g) on binary cubic coefficient vectors."""
@@ -341,16 +333,9 @@ class CubicSubstitution(PreserverElement):
     family = "cubic-substitution"
 
     def __init__(self, c, g: Matrix):
-        if (g.nrows, g.ncols) != (2, 2):
-            raise PreserverError("g must be 2x2")
-        field = g.ring
-        if c == field.zero:
-            raise PreserverError("c must be nonzero")
-        _check_invertible(g, "g")
-        self.space = Space("cubic")
-        self.field = field
-        self.c = c
-        self.g = g
+        super().__init__(Space("cubic"), g.ring)
+        self.g = _invertible(g, 2, "g")
+        self.c = _nonzero(c, self.field, "c")
 
     def _build_action(self):
         # g = G / D: every coefficient of q o g is a cubic in G over D^3
@@ -379,16 +364,9 @@ class WedgePush(PreserverElement):
     family = "wedge-push"
 
     def __init__(self, c, g: Matrix, star: bool = False):
-        if (g.nrows, g.ncols) != (6, 6):
-            raise PreserverError("g must be 6x6")
-        field = g.ring
-        if c == field.zero:
-            raise PreserverError("c must be nonzero")
-        _check_invertible(g, "g")
-        self.space = Space("wedge", d=3, n=6)
-        self.field = field
-        self.c = c
-        self.g = g
+        super().__init__(Space("wedge", d=3, n=6), g.ring)
+        self.g = _invertible(g, 6, "g")
+        self.c = _nonzero(c, self.field, "c")
         self.star = bool(star)
 
     def _build_action(self):
@@ -413,17 +391,16 @@ class GSp6Push(WedgePush):
     family = "sp6-push"
 
     def __init__(self, c, g: Matrix):
-        field, b = g.ring, standard_symplectic_ints(6)
-        p = field.modulus
+        super().__init__(c, g, star=False)
+        b, p = standard_symplectic_ints(6), self.field.modulus
         # g^t b g = mu b (mu nonzero) for g = G / D reads G^t b G = k b in
         # integers, mod p over F_p, with k = mu D^2 = (G^t b G)[0][1]
         gi, _ = g.ints()
         lhs = _int_matmul(_int_matmul([list(c) for c in zip(*gi)], b, p), gi, p)
         k = lhs[0][1]
-        (diffs,), _ = canonical(field, [[x - k * y for lrow, brow in zip(lhs, b) for x, y in zip(lrow, brow)]])
+        (diffs,), _ = canonical(self.field, [[x - k * y for lrow, brow in zip(lhs, b) for x, y in zip(lrow, brow)]])
         if not k or any(diffs):
             raise PreserverError("g is not a symplectic similitude")
-        super().__init__(c, g, star=False)
 
     def char_params(self):
         return {"c": self.c, "g": self.g}
@@ -439,17 +416,11 @@ class TriplePush(PreserverElement):
     family = "triple-push"
 
     def __init__(self, g1: Matrix, g2: Matrix, g3: Matrix, perm=(0, 1, 2)):
-        for g in (g1, g2, g3):
-            if (g.nrows, g.ncols) != (2, 2):
-                raise PreserverError("factors must be 2x2")
-            _check_invertible(g, "factor")
-        perm = tuple(perm)
-        if sorted(perm) != [0, 1, 2]:
+        super().__init__(Space("tritensor"), g1.ring)
+        self.gs = tuple(_invertible(g, 2, "g%d" % i) for i, g in enumerate((g1, g2, g3), 1))
+        self.perm = tuple(perm)
+        if sorted(self.perm) != [0, 1, 2]:
             raise PreserverError("perm must be a permutation of (0, 1, 2)")
-        self.space = Space("tritensor")
-        self.field = g1.ring
-        self.gs = (g1, g2, g3)
-        self.perm = perm
 
     def _build_action(self):
         # g1 x g2 x g3 has entry g1[i][a] g2[j][b] g3[k][c] at (ijk, abc);
@@ -479,19 +450,10 @@ class OrthogonalPair(PreserverElement):
     def __init__(self, space: Space, g1: Matrix, g2: Matrix, mu):
         if space.kind != "rect" or space.params["m"] != 2:
             raise PreserverError("orthogonal-pair acts on 2 x n matrices")
-        n = space.params["n"]
-        if (g1.nrows, g1.ncols) != (2, 2) or (g2.nrows, g2.ncols) != (n, n):
-            raise PreserverError("factor sizes do not match the space")
-        _check_invertible(g1, "g1")
-        _check_invertible(g2, "g2")
-        field = g1.ring
-        if mu == field.zero:
-            raise PreserverError("mu must be nonzero")
-        self.space = space
-        self.field = field
-        self.g1 = g1
-        self.g2 = g2
-        self.mu = mu
+        super().__init__(space, g1.ring)
+        self.g1 = _invertible(g1, 2, "g1")
+        self.g2 = _invertible(g2, space.params["n"], "g2")
+        self.mu = _nonzero(mu, self.field, "mu")
 
     def _build_action(self):
         # g1 X g2^t has (a, b) entry sum g1[a][i] X[i][j] g2[b][j]
@@ -510,8 +472,7 @@ class GenericMap(PreserverElement):
     def __init__(self, space: Space, field, matrix: Matrix):
         if (matrix.nrows, matrix.ncols) != (space.dim, space.dim):
             raise PreserverError("matrix does not match the space dimension")
-        self.space = space
-        self.field = field
+        super().__init__(space, field)
         self._matrix = matrix
 
     def _build_action(self):
@@ -823,21 +784,15 @@ def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -
     rng = _random.Random(seed)
     per_cell = elements // len(forms)
     cells = []
-    all_ok = True
     for form in forms:
-        checked = 0
         failures = 0
-        cell_policy = None
         error_bound = None
         counterexample = None
         for _ in range(per_cell):
             el = sample_group_element(cid, form, field, rng)
             verdict = preserves_form(el, form, policy=policy, rng=rng)
-            cell_policy = verdict.policy
-            checked += 1
             if not verdict.ok:
                 failures += 1
-                all_ok = False
                 if counterexample is None:
                     counterexample = {
                         "element": el.to_json_obj(),
@@ -845,10 +800,11 @@ def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -
                     }
             if verdict.error_bound is not None:
                 error_bound = verdict.error_bound
+        # per_cell >= 1, and the policy is fixed per form: the last verdict's names it
         cell = {
             "form": form.descriptor(),
-            "elements": checked,
-            "policy": cell_policy,
+            "elements": per_cell,
+            "policy": verdict.policy,
             "failures": failures,
         }
         if error_bound is not None:
@@ -865,5 +821,5 @@ def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -
         "elements_per_form": per_cell,
         "conventions": CONVENTIONS,
         "cells": cells,
-        "ok": all_ok,
+        "ok": not any(cell["failures"] for cell in cells),
     }

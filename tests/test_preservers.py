@@ -327,6 +327,60 @@ def test_gsp6_rejects_non_similitude():
         GSp6Push(F7.one, m + Matrix.from_ints(F7, [[0] * 6] * 5 + [[1, 0, 0, 0, 0, 0]]))
 
 
+def _bad_constructions(field):
+    """Every family built once per kind of bad parameter: a factor of the
+    wrong size, a singular factor, a zero scalar or a space it cannot act on."""
+    one, zero = field.one, field.zero
+
+    def eye(n):
+        return Matrix.identity(field, n)
+
+    def singular(n):
+        return Matrix.from_ints(field, [[1] * n] * n)
+
+    symm3, alt4, sq2, sq3 = Space("symm", n=3), Space("alt", n=4), Space("square", n=2), Space("square", n=3)
+    rect23, rect33 = Space("rect", m=2, n=3), Space("rect", m=3, n=3)
+    return {
+        "congruence-size": lambda: Congruence(symm3, one, eye(2)),
+        "congruence-singular": lambda: Congruence(alt4, one, singular(4)),
+        "congruence-zero-r": lambda: Congruence(symm3, zero, eye(3)),
+        "congruence-space": lambda: Congruence(sq2, one, eye(2)),
+        "sandwich-size-a": lambda: Sandwich(rect23, eye(3), eye(3)),
+        "sandwich-size-b": lambda: Sandwich(rect23, eye(2), eye(2)),
+        "sandwich-singular-a": lambda: Sandwich(sq2, singular(2), eye(2)),
+        "sandwich-singular-b": lambda: Sandwich(rect23, eye(2), singular(3)),
+        "sandwich-space": lambda: Sandwich(Space("symm", n=2), eye(2), eye(2)),
+        "transpose-sandwich-rect": lambda: TransposeSandwich(rect23, eye(2), eye(3)),
+        "transpose-sandwich-size": lambda: TransposeSandwich(sq3, eye(2), eye(3)),
+        "transpose-sandwich-singular": lambda: TransposeSandwich(sq3, eye(3), singular(3)),
+        "cubic-size": lambda: CubicSubstitution(one, eye(3)),
+        "cubic-singular": lambda: CubicSubstitution(one, singular(2)),
+        "cubic-zero-c": lambda: CubicSubstitution(zero, eye(2)),
+        "wedge-size": lambda: WedgePush(one, eye(5)),
+        "wedge-singular": lambda: WedgePush(one, singular(6), star=True),
+        "wedge-zero-c": lambda: WedgePush(zero, eye(6)),
+        "sp6-size": lambda: GSp6Push(one, eye(5)),
+        "sp6-singular": lambda: GSp6Push(one, singular(6)),
+        "sp6-zero-c": lambda: GSp6Push(zero, eye(6)),
+        "triple-size": lambda: TriplePush(eye(2), eye(2), eye(3)),
+        "triple-singular": lambda: TriplePush(eye(2), singular(2), eye(2)),
+        "orthogonal-space": lambda: OrthogonalPair(rect33, eye(3), eye(3), one),
+        "orthogonal-square": lambda: OrthogonalPair(sq2, eye(2), eye(2), one),
+        "orthogonal-size-g1": lambda: OrthogonalPair(rect23, eye(3), eye(3), one),
+        "orthogonal-size-g2": lambda: OrthogonalPair(rect23, eye(2), eye(2), one),
+        "orthogonal-singular-g2": lambda: OrthogonalPair(rect23, eye(2), singular(3), one),
+        "orthogonal-zero-mu": lambda: OrthogonalPair(rect23, eye(2), eye(3), zero),
+        "generic-dimension": lambda: GenericMap(Space("cubic"), field, eye(3)),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_bad_constructions(QQ)))
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_every_family_rejects_bad_parameters(field, case):
+    with pytest.raises(PreserverError):
+        _bad_constructions(field)[case]()
+
+
 # json output
 
 

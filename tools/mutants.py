@@ -206,6 +206,27 @@ MUTANTS = [
         "if False:",
         "the lattice walk builds its levels past the point bound",
     ),
+    (
+        "invertible-shape",
+        "preservers.py",
+        "if (m.nrows, m.ncols) != (n, n):",
+        "if False:",
+        "family constructors accept a factor of the wrong size",
+    ),
+    (
+        "invertible-det",
+        "preservers.py",
+        "if m.det() == m.ring.zero:",
+        "if False:",
+        "family constructors accept a singular factor",
+    ),
+    (
+        "nonzero-scalar",
+        "preservers.py",
+        "if c == field.zero:",
+        "if False:",
+        "family constructors accept a zero r, c or mu",
+    ),
 ]
 
 
