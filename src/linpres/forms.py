@@ -216,8 +216,8 @@ class InvariantForm:
         return {}
 
     def int_evaluator(self, field):
-        """f / constant on raw coordinates, built once per field: residues in,
-        value mod p out over F_p; integers in, an exact integer out over Q."""
+        """f / constant on integer coordinates, built once per field: mod p over
+        F_p, where any representatives may stand for the residues; exact over Q."""
         fn = self._int_fns.get(field)
         if fn is None:
             self._check_field(field)

@@ -15,7 +15,9 @@ Families (the involution or factor permutation always acts first):
 
 Each element builds its action once, as integer rows R and one field scalar
 s with coordinate matrix s R, and packs x -> R x once (matvec); apply,
-matrix_on_space, both preservation policies and the censuses read them.
+matrix_on_space, both preservation policies and the censuses read them.  A
+Schwartz-Zippel check maps trial 1 through matvec and packs the points of
+trials 2..T instead, for one product with R (_batch_matvec).
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -84,10 +86,11 @@ def _int_matvec(rows, x, p):
     return [sum(map(mul, row, x)) % p for row in rows]
 
 
-def _slot_code(n, p):
-    """The narrowest slot type that holds n (p - 1)^2, the largest entry of
-    R x for n columns (sampling.slot_code), or None over Q or above 2^64."""
-    return None if p is None else slot_code(n * (p - 1) ** 2)
+def _slot_code(n, p, top=None):
+    """The narrowest slot type that holds n (p - 1) top, the largest entry of
+    R x for n columns and inputs in [0, top] (top = p - 1 unless given;
+    sampling.slot_code), or None over Q or above 2^64."""
+    return None if p is None else slot_code(n * (p - 1) * (p - 1 if top is None else top))
 
 
 def _matvec_kernel(rows, p):
@@ -112,6 +115,24 @@ def _matvec_kernel(rows, p):
         return [v % p for v in memoryview(packed).cast(code).tolist()]
 
     return matvec
+
+
+def _batch_matvec(rows, xs, p, top):
+    """[R x for x in xs], exact, for integer rows R (residues over F_p) and
+    n inputs x with entries in [0, top].  Over F_p, coordinate j of every x
+    is packed into one int of fixed-width slots, x number t in slot t, so
+    each row of R is one big-int sum over the packed columns; the rows' bytes
+    are cast once and x number t's image is flat[t::n].  A slot holds
+    m (p - 1) top for m columns; over Q, or where no slot width holds that,
+    each x is multiplied on its own."""
+    code = None if p is None else _slot_code(len(rows[0]), p, top)
+    if code is None:
+        return [_int_matvec(rows, x, None) for x in xs]
+    order, n = sys.byteorder, len(xs)
+    cols = [int.from_bytes(array(code, col), order) for col in zip(*xs)]
+    size = n * array(code).itemsize
+    flat = memoryview(b"".join([sum(map(mul, row, cols)).to_bytes(size, order) for row in rows])).cast(code).tolist()
+    return [flat[t::n] for t in range(n)]
 
 
 def _int_matmul(a, b, p):
@@ -148,8 +169,11 @@ def _kron_action(field, factors, moves=None):
     return _action(field, rows, field.one, den)
 
 
-def _invertible(m: Matrix, n: int, what: str) -> Matrix:
-    """m, once it is n x n and invertible; PreserverError naming it if not."""
+def _invertible(m: Matrix, field, n: int, what: str) -> Matrix:
+    """m, once it is an invertible n x n matrix over the field;
+    PreserverError naming it if not."""
+    if m.ring != field:
+        raise PreserverError("%s must be over %s" % (what, field.descriptor))
     if (m.nrows, m.ncols) != (n, n):
         raise PreserverError("%s must be %dx%d" % (what, n, n))
     if m.det() == m.ring.zero:
@@ -158,7 +182,10 @@ def _invertible(m: Matrix, n: int, what: str) -> Matrix:
 
 
 def _nonzero(c, field, what: str):
-    """c, once it is not the field's zero; PreserverError naming it if it is."""
+    """c, once it is a nonzero element of the field (a Fraction over Q, a
+    residue mod p over F_p); PreserverError naming it if not."""
+    if type(c) is not type(field.zero) or getattr(c, "modulus", None) != field.modulus:
+        raise PreserverError("%s must be in %s" % (what, field.descriptor))
     if c == field.zero:
         raise PreserverError("%s must be nonzero" % what)
     return c
@@ -262,7 +289,7 @@ class Congruence(PreserverElement):
             raise PreserverError("the star component exists only on alternating 4x4 matrices")
         super().__init__(space, p.ring)
         self.r = _nonzero(r, self.field, "r")
-        self.p = _invertible(p, space.params["n"], "P")
+        self.p = _invertible(p, self.field, space.params["n"], "P")
         self.star = bool(star)
 
     def _build_action(self):
@@ -295,8 +322,8 @@ class _FrobeniusForm(PreserverElement):
         if space.kind not in self.kinds:
             raise PreserverError("%s cannot act on the %s space" % (self.family, space.kind))
         super().__init__(space, a.ring)
-        self.a = _invertible(a, space.params.get("m", space.params["n"]), "A")
-        self.b = _invertible(b, space.params["n"], "B")
+        self.a = _invertible(a, self.field, space.params.get("m", space.params["n"]), "A")
+        self.b = _invertible(b, self.field, space.params["n"], "B")
 
     def char_params(self):
         return {"A": self.a, "B": self.b}
@@ -334,7 +361,7 @@ class CubicSubstitution(PreserverElement):
 
     def __init__(self, c, g: Matrix):
         super().__init__(Space("cubic"), g.ring)
-        self.g = _invertible(g, 2, "g")
+        self.g = _invertible(g, self.field, 2, "g")
         self.c = _nonzero(c, self.field, "c")
 
     def _build_action(self):
@@ -365,7 +392,7 @@ class WedgePush(PreserverElement):
 
     def __init__(self, c, g: Matrix, star: bool = False):
         super().__init__(Space("wedge", d=3, n=6), g.ring)
-        self.g = _invertible(g, 6, "g")
+        self.g = _invertible(g, self.field, 6, "g")
         self.c = _nonzero(c, self.field, "c")
         self.star = bool(star)
 
@@ -417,7 +444,7 @@ class TriplePush(PreserverElement):
 
     def __init__(self, g1: Matrix, g2: Matrix, g3: Matrix, perm=(0, 1, 2)):
         super().__init__(Space("tritensor"), g1.ring)
-        self.gs = tuple(_invertible(g, 2, "g%d" % i) for i, g in enumerate((g1, g2, g3), 1))
+        self.gs = tuple(_invertible(g, self.field, 2, "g%d" % i) for i, g in enumerate((g1, g2, g3), 1))
         self.perm = tuple(perm)
         if sorted(self.perm) != [0, 1, 2]:
             raise PreserverError("perm must be a permutation of (0, 1, 2)")
@@ -451,8 +478,8 @@ class OrthogonalPair(PreserverElement):
         if space.kind != "rect" or space.params["m"] != 2:
             raise PreserverError("orthogonal-pair acts on 2 x n matrices")
         super().__init__(space, g1.ring)
-        self.g1 = _invertible(g1, 2, "g1")
-        self.g2 = _invertible(g2, space.params["n"], "g2")
+        self.g1 = _invertible(g1, self.field, 2, "g1")
+        self.g2 = _invertible(g2, self.field, space.params["n"], "g2")
         self.mu = _nonzero(mu, self.field, "mu")
 
     def _build_action(self):
@@ -470,6 +497,8 @@ class GenericMap(PreserverElement):
     family = "generic"
 
     def __init__(self, space: Space, field, matrix: Matrix):
+        if matrix.ring != field:
+            raise PreserverError("matrix must be over %s" % field.descriptor)
         if (matrix.nrows, matrix.ncols) != (space.dim, space.dim):
             raise PreserverError("matrix does not match the space dimension")
         super().__init__(space, field)
@@ -517,13 +546,16 @@ def sz_trial_count(field, degree: int) -> int:
 
 @cache
 def _raw_points(form, field):
-    """(k, point): point(c) = E c is the raw point of k integer coefficients
-    c (residues in [0, p) over F_p), E = form.raw_embedding(field) packed
-    once (_matvec_kernel); point(c) = c where E is None.  sp6 has k = 14."""
-    emb = form.raw_embedding(field)
+    """(k, top, point, points) for E = form.raw_embedding(field) and k integer
+    coefficients c (residues over F_p): point(c) = E c reduced, E packed once
+    (_matvec_kernel); points(cs) = [E c for c in cs] unreduced, in [0, top]
+    (top None over Q), by one trial-packed product (_batch_matvec).  Where E
+    is None both return c and top = p - 1; sp6 has k = 14, top = 14 (p - 1)^2."""
+    emb, p = form.raw_embedding(field), field.modulus
     if emb is None:
-        return form.space.dim, lambda c: c
-    return len(emb[0]), _matvec_kernel(emb, field.modulus)
+        return form.space.dim, p and p - 1, lambda c: c, lambda cs: cs
+    k = len(emb[0])
+    return k, p and k * (p - 1) ** 2, _matvec_kernel(emb, p), lambda cs: _batch_matvec(emb, cs, p, p and p - 1)
 
 
 @cache
@@ -546,9 +578,13 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     the scale a (forms.simplex_lattice), and compares that list with the
     cached reference values f(E alpha), times b where b is not 1; it needs
     characteristic 0 or above the degree and at most
-    forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy samples
-    points through _raw_points and maps them with element.matvec, each
-    packed once; a failure verdict is certain, a success verdict carries the
+    forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy makes one
+    uniform_ints call per trial, in order; trial 1 maps its point through
+    _raw_points and element.matvec, trials 2..T through one trial-packed
+    product for E and one for R (_batch_matvec), unreduced.  If trial t < T
+    fails, trials 2..t are drawn again from the rng state before trial 2, so
+    the stream ends where a per-trial loop's does.  A failure verdict is
+    certain and prints the reduced point; a success verdict carries the
     exact error bound (degree / set size)^trials.  auto is symbolic up to
     dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel above.  A trials count
     below 1 is rejected under either policy.
@@ -578,17 +614,27 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
         return PreservationVerdict(values == refs, "symbolic")
     if trials is None:
         trials = sz_trial_count(field, deg)
-    bound = Fraction(deg, field.sz_set_size)
     # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
-    size, point = _raw_points(form, field)
-    matvec = element.matvec
-    for t in range(1, trials + 1):
-        x = point(uniform_ints(rng, lo, hi, size))
-        diff = a * fn(matvec(x)) - b * fn(x)
-        if (diff if p is None else diff % p) != 0:
-            return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v) for v in x])
-    return PreservationVerdict(True, "schwartz-zippel", trials, bound**trials)
+    size, top, point, points = _raw_points(form, field)
+
+    def failure(t, x, y):
+        if (diff := a * fn(y) - b * fn(x)) and (p is None or diff % p):
+            return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v if p is None else v % p) for v in x])
+
+    x = point(uniform_ints(rng, lo, hi, size))
+    if verdict := failure(1, x, element.matvec(x)):
+        return verdict
+    state = rng.getstate() if trials > 2 else None
+    xs = points([uniform_ints(rng, lo, hi, size) for _ in range(trials - 1)])
+    for t, x, y in zip(range(2, trials + 1), xs, _batch_matvec(rows, xs, p, top)):
+        if verdict := failure(t, x, y):
+            if t < trials:  # replay: the stream ends after trial t's draw
+                rng.setstate(state)
+                for _ in range(t - 1):
+                    uniform_ints(rng, lo, hi, size)
+            return verdict
+    return PreservationVerdict(True, "schwartz-zippel", trials, Fraction(deg, field.sz_set_size) ** trials)
 
 
 def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
@@ -608,7 +654,7 @@ def scales_form(element: PreserverElement, form: InvariantForm, rng, points=4):
     p = field.modulus
     _, s = element.action()
     matvec = element.matvec
-    size, point = _raw_points(form, field)
+    size, _, point, _ = _raw_points(form, field)
     fn = form.int_evaluator(field)
     first = None
     checked = 0
@@ -785,9 +831,7 @@ def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -
     per_cell = elements // len(forms)
     cells = []
     for form in forms:
-        failures = 0
-        error_bound = None
-        counterexample = None
+        failures, error_bound, counterexample = 0, None, None
         for _ in range(per_cell):
             el = sample_group_element(cid, form, field, rng)
             verdict = preserves_form(el, form, policy=policy, rng=rng)

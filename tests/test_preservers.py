@@ -30,6 +30,7 @@ from linpres.preservers import (
     TriplePush,
     TransposeSandwich,
     WedgePush,
+    _batch_matvec,
     _int_matvec,
     _matvec_kernel,
     _slot_code,
@@ -379,6 +380,51 @@ def _bad_constructions(field):
 def test_every_family_rejects_bad_parameters(field, case):
     with pytest.raises(PreserverError):
         _bad_constructions(field)[case]()
+
+
+def _mixed_constructions(field, other):
+    """Every family built over `field` with one factor or scalar from
+    `other`, as (family, the parameter the error must name, build).  The
+    stray values are units of `other`, so only the field check refuses them."""
+    one = field.one
+
+    def eye(n, ring=field):
+        return Matrix.identity(ring, n)
+
+    def flip(n):  # diag(1, .., 1, -1) over `other`: its last entry is 6 over F_7
+        return Matrix.from_ints(other, [[(i == j) * (1 - 2 * (i == n - 1)) for j in range(n)] for i in range(n)])
+
+    stray = other.of(2)
+    sq2, rect23 = Space("square", n=2), Space("rect", m=2, n=3)
+    return [
+        (Congruence, "r", lambda: Congruence(Space("symm", n=2), stray, eye(2))),
+        (Sandwich, "B", lambda: Sandwich(sq2, eye(2), flip(2))),
+        (TransposeSandwich, "B", lambda: TransposeSandwich(sq2, eye(2), flip(2))),
+        (CubicSubstitution, "c", lambda: CubicSubstitution(stray, eye(2))),
+        (WedgePush, "c", lambda: WedgePush(stray, eye(6), star=True)),
+        (GSp6Push, "c", lambda: GSp6Push(stray, eye(6))),
+        (TriplePush, "g2", lambda: TriplePush(eye(2), flip(2), eye(2))),
+        (TriplePush, "g3", lambda: TriplePush(eye(2), eye(2), eye(2, other), perm=(1, 0, 2))),
+        (OrthogonalPair, "g2", lambda: OrthogonalPair(rect23, eye(2), flip(3), one)),
+        (OrthogonalPair, "mu", lambda: OrthogonalPair(rect23, eye(2), eye(3), stray)),
+        (GenericMap, "matrix", lambda: GenericMap(Space("cubic"), field, eye(4, other))),
+    ]
+
+
+@pytest.mark.parametrize("field,other", [(QQ, F7), (F7, QQ), (F7, F5)], ids=["Q-F7", "F7-Q", "F7-F5"])
+def test_every_family_rejects_factors_and_scalars_from_another_field(field, other):
+    # the first factor (or GenericMap's field argument) names the element's
+    # field, and every other factor and scalar must lie in it: a factor read
+    # over the wrong field would build a wrong action, diag(1, -1) over F_7
+    # holding 6 in an element over Q
+    cases = _mixed_constructions(field, other)
+    assert len({family for family, _, _ in cases}) == 9
+    for family, what, build in cases:
+        with pytest.raises(PreserverError, match="^%s must be (over|in) %s$" % (what, field.descriptor)):
+            build()
+    # the same values drawn from the element's own field build every family
+    for family, what, build in _mixed_constructions(field, field):
+        assert type(build()) is family, what
 
 
 # json output
@@ -752,6 +798,35 @@ def test_matvec_kernel_over_q_is_exact():
     assert _matvec_kernel(rows, None)(x) == _int_matvec(rows, x, None)
 
 
+# (columns m, modulus p, input bound top, expected slot type code): one slot
+# of the trial-packed product holds m (p - 1) top; the cases sit on either
+# side of 2^16, 2^32 and 2^64, plus the corollaries' own bounds (top = p - 1
+# for residues, 14 (p - 1)^2 for sp6's raw points E c)
+BATCH_SLOT_CASES = [
+    (28, 7, 6, "H"), (20, 7, 14 * 6**2, "H"), (1, 257, 255, "H"), (1, 257, 256, "I"),
+    (20, 10007, 10006, "I"), (1, 65537, 65535, "I"), (1, 65537, 65536, "Q"), (20, 10007, 14 * 10006**2, "Q"),
+    (1, 2**32 + 1, 2**32 - 1, "Q"), (1, 2**32 + 1, 2**32, None), (20, 2**61 - 1, 2**61 - 2, None),
+]
+
+
+@pytest.mark.parametrize("m,p,top,code", BATCH_SLOT_CASES)
+def test_batch_matvec_at_slot_boundaries(m, p, top, code):
+    assert _slot_code(m, p, top) == code
+    rng = rnd(m * p % 100003 + top % 997)
+    for n in (m, 20, 1):  # rows of R
+        worst = [[p - 1] * m for _ in range(n)]  # every slot at m (p - 1) top
+        mixed = [[rng.choice((0, 1, p - 2, p - 1, rng.randrange(p))) for _ in range(m)] for _ in range(n)]
+        for rows in (worst, mixed):
+            for count in (1, 2, 31, 74):  # trials in one product
+                xs = [[top] * m] + [[rng.choice((0, top, rng.randint(0, top))) for _ in range(m)] for _ in range(count - 1)]
+                got = _batch_matvec(rows, xs, p, top)
+                # the images are exact products, unreduced; reduced mod p they are R x over F_p
+                exact = [_int_matvec(rows, x, None) for x in xs]
+                assert got == exact, (m, p, top, n, count)
+                assert [[v % p for v in y] for y in got] == [_int_matvec(rows, x, p) for x in xs]
+            assert _batch_matvec(rows, [], p, top) == []
+
+
 def row_by_row_sz(el, form, rng, trials):
     """The Schwartz-Zippel loop with one field evaluation per trial: the same
     draws as preserves_form (one uniform_ints call per trial), and
@@ -793,6 +868,98 @@ def test_sz_matches_row_by_row_loop_and_rng_stream(field):
                 assert (verdict.ok, verdict.trials, verdict.counterexample, verdict.error_bound) == want, (
                     cid, desc, sampler.__name__, field.descriptor)
                 assert rng.getstate() == after
+
+
+def _sz_like_row_by_row(el, form, rng, trials):
+    """preserves_form's Schwartz-Zippel verdict, once it equals
+    row_by_row_sz's on the same stream and leaves the rng where it does."""
+    count = sz_trial_count(el.field, form.degree) if trials is None else trials
+    state = rng.getstate()
+    verdict = preserves_form(el, form, policy="schwartz-zippel", rng=rng, trials=trials)
+    after = rng.getstate()
+    rng.setstate(state)
+    assert (verdict.ok, verdict.trials, verdict.counterexample, verdict.error_bound) == row_by_row_sz(el, form, rng, count)
+    assert rng.getstate() == after
+    return verdict
+
+
+F_FALLBACK = PrimeField(2**61 - 1)  # m (p - 1)^2 > 2^64 for every m: no slot holds a batch
+SZ_BATCH_FIELDS = [QQ, F7, PrimeField(10007), F_FALLBACK]
+
+
+@pytest.mark.parametrize("field", SZ_BATCH_FIELDS, ids=lambda f: f.descriptor)
+def test_sz_batch_passes_group_elements_like_row_by_row_loop(field):
+    # trial 1 through element.matvec, trials 2..T through one trial-packed
+    # product: 'H' slots over F_7, 'I' over F_10007 ('Q' for sp6's raw
+    # points), products vector by vector over Q and the fallback prime
+    for cid, desc in ALL_CELLS:
+        form = parse_form(desc)
+        rng = rnd(stable_seed(cid, desc, "batch"))
+        for _ in range(2):
+            el = sample_group_element(cid, form, field, rng)
+            verdict = _sz_like_row_by_row(el, form, rng, None)
+            assert verdict.ok and verdict.trials == sz_trial_count(field, form.degree), (cid, desc)
+
+
+# (field, corollary, form, seed, trials, failing trial): violators sampled
+# from rnd(seed) whose check on the same stream fails on trial 1, in mid-batch
+# (trial t < T, so the stream is replayed from trial 2) or on the last trial
+# T; the seeds were found by searching upward from 0.  Over Q and the fallback
+# prime a violator passes a trial with probability at most deg / |S|, so only
+# trial-1 failures occur there.
+SZ_FAILURE_CASES = [
+    (F7, "SL6", "wedge36", 0, None, 1),
+    (F7, "SL6", "wedge36", 40, None, 3),
+    (F7, "SL6", "wedge36", 1829, 4, 4),
+    (F7, "Sp6", "sp6", 0, None, 1),
+    (F7, "Sp6", "sp6", 53, None, 3),
+    (F7, "Sp6", "sp6", 1091, 4, 4),
+    (F7, "skew.f", "skew-pf:8", 0, None, 1),
+    (F7, "skew.f", "skew-pf:8", 105, None, 3),
+    (F7, "skew.f", "skew-pf:8", 64, 4, 4),
+    (F7, "square.f", "square-det:4", 0, None, 1),
+    (F7, "square.f", "square-det:4", 45, None, 3),
+    (F7, "square.f", "square-det:4", 252, 4, 4),
+    (F7, "blackholes", "mat2n:6", 0, None, 1),
+    (F7, "blackholes", "mat2n:6", 5, None, 3),
+    (F7, "blackholes", "mat2n:6", 831, 4, 4),
+    (F7, "cubics", "cubic-disc", 47, None, 3),
+    (F7, "cubics", "cubic-disc", 61, 4, 4),
+    (F7, "hyperdet", "hyperdet", 14, None, 3),
+    (F7, "hyperdet", "hyperdet", 271, 4, 4),
+    (F7, "symm.f", "symm-det:3", 46, None, 3),
+    (F7, "symm.f", "symm-det:3", 122, 4, 4),
+    (F7, "skew.f4", "skew-pf:4", 25, None, 3),
+    (F7, "skew.f4", "skew-pf:4", 147, 4, 4),
+    (PrimeField(10007), "SL6", "wedge36", 0, None, 1),
+    (PrimeField(10007), "SL6", "wedge36", 14120, None, 2),
+    (PrimeField(10007), "SL6", "wedge36", 14120, 2, 2),
+    (PrimeField(10007), "Sp6", "sp6", 0, None, 1),
+    (PrimeField(10007), "Sp6", "sp6", 1405, None, 2),
+    (PrimeField(10007), "Sp6", "sp6", 1405, 2, 2),
+    (PrimeField(10007), "skew.f", "skew-pf:8", 0, None, 1),
+    (PrimeField(10007), "skew.f", "skew-pf:8", 2844, None, 2),
+    (PrimeField(10007), "skew.f", "skew-pf:8", 2844, 2, 2),
+    (F_FALLBACK, "SL6", "wedge36", 0, None, 1),
+    (F_FALLBACK, "Sp6", "sp6", 0, None, 1),
+    (F_FALLBACK, "skew.f", "skew-pf:8", 0, None, 1),
+    (QQ, "SL6", "wedge36", 0, None, 1),
+    (QQ, "Sp6", "sp6", 0, None, 1),
+    (QQ, "skew.f", "skew-pf:8", 0, None, 1),
+]
+
+
+@pytest.mark.parametrize("field,cid,desc,seed,trials,fails", SZ_FAILURE_CASES,
+                         ids=lambda v: getattr(v, "descriptor", None) or str(v))
+def test_sz_batch_catches_violators_like_row_by_row_loop(field, cid, desc, seed, trials, fails):
+    form = parse_form(desc)
+    rng = rnd(seed)
+    el = sample_violator(cid, form, field, rng)
+    verdict = _sz_like_row_by_row(el, form, rng, trials)
+    assert not verdict.ok and verdict.trials == fails
+    # the counterexample is the reduced raw point, as the per-trial loop prints it
+    if field.modulus is not None:
+        assert all(0 <= int(v) < field.modulus for v in verdict.counterexample)
 
 
 # the character law on integers

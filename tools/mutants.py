@@ -227,6 +227,34 @@ MUTANTS = [
         "if False:",
         "family constructors accept a zero r, c or mu",
     ),
+    (
+        "mixed-field-factor",
+        "preservers.py",
+        "if m.ring != field:",
+        "if False:",
+        "family constructors read a factor from another field as if over the element's",
+    ),
+    (
+        "mixed-field-scalar",
+        "preservers.py",
+        'if type(c) is not type(field.zero) or getattr(c, "modulus", None) != field.modulus:',
+        "if False:",
+        "family constructors accept an r, c or mu from another field",
+    ),
+    (
+        "sz-replay",
+        "preservers.py",
+        "rng.setstate(state)\n                for _ in range(t - 1):\n                    uniform_ints(rng, lo, hi, size)\n",
+        "pass\n",
+        "a Schwartz-Zippel failure in mid-batch leaves the rng after trial T's draw, not trial t's",
+    ),
+    (
+        "batch-slot-bound",
+        "preservers.py",
+        "_slot_code(len(rows[0]), p, top)",
+        "_slot_code(len(rows[0]), p, top - 1)",
+        "the trial-packed product sizes its slots for inputs below top, so a slot at the bound carries",
+    ),
 ]
 
 
