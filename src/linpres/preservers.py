@@ -14,10 +14,12 @@ Families (the involution or factor permutation always acts first):
 - generic           an arbitrary coordinate matrix
 
 Each element builds its action once, as integer rows R and one field scalar
-s with coordinate matrix s R, and packs x -> R x once (matvec); apply,
-matrix_on_space, both preservation policies and the censuses read them.  A
-Schwartz-Zippel check maps trial 1 through matvec and packs the points of
-trials 2..T instead, for one product with R (_batch_matvec).
+s with coordinate matrix s R; apply, matrix_on_space, both preservation
+policies and the censuses read them.  Every integer product with R goes
+through one packer (_packed), and each reader packs one side once: R per
+element (matvec, for apply, scales_form and preserves_minimals), sp6's
+embedding E per (form, field), the points of each Schwartz-Zippel batch,
+and E's columns for the symbolic policy's R E.
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -86,52 +88,37 @@ def _int_matvec(rows, x, p):
     return [sum(map(mul, row, x)) % p for row in rows]
 
 
-def _slot_code(n, p, top=None):
-    """The narrowest slot type that holds n (p - 1) top, the largest entry of
-    R x for n columns and inputs in [0, top] (top = p - 1 unless given;
-    sampling.slot_code), or None over Q or above 2^64."""
-    return None if p is None else slot_code(n * (p - 1) * (p - 1 if top is None else top))
-
-
-def _matvec_kernel(rows, p):
-    """x -> R x for the integer rows R: residues mod p over F_p, exact
-    integers over Q (p None).
-
-    Over F_p, R and x must hold residues in [0, p).  Each column of R is then
-    packed once into one int of fixed-width slots, row i in slot i, so R x is
-    one big-int sum of x_j times column j, read back slot by slot.  A slot
-    holds at most n (p - 1)^2 for n columns; an entry outside [0, p) can
-    exceed that and carry silently into the next slot.  Where no slot width
-    holds the bound, the rows are multiplied one by one."""
-    code = _slot_code(len(rows[0]), p)
-    if code is None:
-        return lambda x: _int_matvec(rows, x, p)
+def _packed(rows, p, top):
+    """vs -> [rows v for v in vs], exact, as one flat list (entry i of
+    rows v_t at t len(rows) + i), for entries of rows in [0, p) and of each
+    v in [0, top], or the other way round.  Over F_p each column of rows is
+    packed once into one int of fixed-width slots, row i in slot i, so
+    rows v is one big-int sum of v_j times column j, and the sums' bytes are
+    cast once.  A slot holds m (p - 1) top for m columns (sampling.slot_code);
+    an entry past its bound carries silently into the next slot.  Over Q
+    (p None), where no slot holds the bound, or for one row (one slot packs
+    nothing), the rows are multiplied one by one."""
+    code = None if p is None else slot_code(len(rows[0]) * (p - 1) * top)
+    if code is None or len(rows) == 1:
+        return lambda vs: [sum(map(mul, row, v)) for v in vs for row in rows]
     order = sys.byteorder
     cols = [int.from_bytes(array(code, col), order) for col in zip(*rows)]
     size = len(rows) * array(code).itemsize
-
-    def matvec(x):
-        packed = sum(map(mul, x, cols)).to_bytes(size, order)
-        return [v % p for v in memoryview(packed).cast(code).tolist()]
-
-    return matvec
+    return lambda vs: memoryview(b"".join([sum(map(mul, v, cols)).to_bytes(size, order) for v in vs])).cast(code).tolist()
 
 
-def _batch_matvec(rows, xs, p, top):
-    """[R x for x in xs], exact, for integer rows R (residues over F_p) and
-    n inputs x with entries in [0, top].  Over F_p, coordinate j of every x
-    is packed into one int of fixed-width slots, x number t in slot t, so
-    each row of R is one big-int sum over the packed columns; the rows' bytes
-    are cast once and x number t's image is flat[t::n].  A slot holds
-    m (p - 1) top for m columns; over Q, or where no slot width holds that,
-    each x is multiplied on its own."""
-    code = None if p is None else _slot_code(len(rows[0]), p, top)
-    if code is None:
-        return [_int_matvec(rows, x, None) for x in xs]
-    order, n = sys.byteorder, len(xs)
-    cols = [int.from_bytes(array(code, col), order) for col in zip(*xs)]
-    size = n * array(code).itemsize
-    flat = memoryview(b"".join([sum(map(mul, row, cols)).to_bytes(size, order) for row in rows])).cast(code).tolist()
+def _matvec(rows, p):
+    """x -> rows x for x in [0, p): reduced mod p over F_p, exact over Q;
+    rows packed once (_packed)."""
+    product = _packed(rows, p, p and p - 1)
+    return (lambda x: product([x])) if p is None else lambda x: [v % p for v in product([x])]
+
+
+def _images(xs, rows, p, top):
+    """[rows x for x in xs], exact, for xs in [0, top]: the points packed
+    once (_packed), x number t's image read as flat[t::len(xs)]."""
+    n = len(xs)
+    flat = _packed(xs, p, top)(rows)
     return [flat[t::n] for t in range(n)]
 
 
@@ -234,9 +221,10 @@ class PreserverElement:
 
     @cached_property
     def matvec(self):
-        """x -> R x on integer coordinates x (residues in [0, p) over F_p),
-        packed once per element (_matvec_kernel)."""
-        return _matvec_kernel(self.action()[0], self.field.modulus)
+        """x -> R x on integer coordinates x (residues in [0, p) over F_p,
+        the image reduced), R packed once per element (_matvec); apply,
+        scales_form and preserves_minimals read it."""
+        return _matvec(self.action()[0], self.field.modulus)
 
     def apply(self, v: RepVector) -> RepVector:
         x, den = v.ints()
@@ -548,14 +536,15 @@ def sz_trial_count(field, degree: int) -> int:
 def _raw_points(form, field):
     """(k, top, point, points) for E = form.raw_embedding(field) and k integer
     coefficients c (residues over F_p): point(c) = E c reduced, E packed once
-    (_matvec_kernel); points(cs) = [E c for c in cs] unreduced, in [0, top]
-    (top None over Q), by one trial-packed product (_batch_matvec).  Where E
-    is None both return c and top = p - 1; sp6 has k = 14, top = 14 (p - 1)^2."""
+    (_matvec), for scales_form; points(cs) = [E c for c in cs] unreduced, in
+    [0, top] (top None over Q), the coefficients packed once per batch
+    (_images), for preserves_form.  Where E is None both return c and
+    top = p - 1; sp6 has k = 14, top = 14 (p - 1)^2."""
     emb, p = form.raw_embedding(field), field.modulus
     if emb is None:
         return form.space.dim, p and p - 1, lambda c: c, lambda cs: cs
     k = len(emb[0])
-    return k, p and k * (p - 1) ** 2, _matvec_kernel(emb, p), lambda cs: _batch_matvec(emb, cs, p, p and p - 1)
+    return k, p and k * (p - 1) ** 2, _matvec(emb, p), lambda cs: _images(cs, emb, p, p and p - 1)
 
 
 @cache
@@ -574,20 +563,22 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     Both policies compare a f(R x) with b f(x) for T = s R, s^deg = a / b
     (b = 1 over F_p), at raw points x = E c for E = form.raw_embedding(field)
     (x = c where E is None).  The symbolic policy is exact: it walks the
-    simplex lattice of the raw coefficients once with the columns of R E and
-    the scale a (forms.simplex_lattice), and compares that list with the
-    cached reference values f(E alpha), times b where b is not 1; it needs
+    simplex lattice of the raw coefficients once with the columns of R E
+    (E's columns packed once, _images) and the scale a
+    (forms.simplex_lattice), and compares that list with the cached
+    reference values f(E alpha), times b where b is not 1; it needs
     characteristic 0 or above the degree and at most
-    forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy makes one
-    uniform_ints call per trial, in order; trial 1 maps its point through
-    _raw_points and element.matvec, trials 2..T through one trial-packed
-    product for E and one for R (_batch_matvec), unreduced.  If trial t < T
-    fails, trials 2..t are drawn again from the rng state before trial 2, so
-    the stream ends where a per-trial loop's does.  A failure verdict is
-    certain and prints the reduced point; a success verdict carries the
-    exact error bound (degree / set size)^trials.  auto is symbolic up to
-    dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel above.  A trials count
-    below 1 is rejected under either policy.
+    forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy runs its
+    trials in two batches, trial 1 and trials 2..T: each batch makes one
+    uniform_ints call per trial, in order, maps its points through
+    _raw_points and R with the points packed once (_images), unreduced, and
+    checks them in order.  If trial t of a batch fails before the batch's
+    last, the batch's draws up to trial t are made again from the rng state
+    before the batch, so the stream ends where a per-trial loop's does.  A
+    failure verdict is certain and prints the reduced point; a success
+    verdict carries the exact error bound (degree / set size)^trials.  auto
+    is symbolic up to dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel
+    above.  A trials count below 1 is rejected under either policy.
     """
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
@@ -606,34 +597,27 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     a, b = ratio(field, s**deg)
     if policy == "symbolic":
         refs = _lattice_reference(form, field)
-        if (emb := form.raw_embedding(field)) is not None:
-            rows = _int_matmul(rows, emb, p)
+        emb = form.raw_embedding(field)
+        cols = list(zip(*rows)) if emb is None else _images(list(zip(*emb)), rows, p, p and p - 1)
         if b != 1:
             refs = [b * r for r in refs]
-        values = simplex_lattice(fn, list(zip(*rows)), deg, p, PreserverError, a)
+        values = simplex_lattice(fn, cols, deg, p, PreserverError, a)
         return PreservationVerdict(values == refs, "symbolic")
     if trials is None:
         trials = sz_trial_count(field, deg)
     # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
-    size, top, point, points = _raw_points(form, field)
-
-    def failure(t, x, y):
-        if (diff := a * fn(y) - b * fn(x)) and (p is None or diff % p):
-            return PreservationVerdict(False, "schwartz-zippel", t, None, [str(v if p is None else v % p) for v in x])
-
-    x = point(uniform_ints(rng, lo, hi, size))
-    if verdict := failure(1, x, element.matvec(x)):
-        return verdict
-    state = rng.getstate() if trials > 2 else None
-    xs = points([uniform_ints(rng, lo, hi, size) for _ in range(trials - 1)])
-    for t, x, y in zip(range(2, trials + 1), xs, _batch_matvec(rows, xs, p, top)):
-        if verdict := failure(t, x, y):
-            if t < trials:  # replay: the stream ends after trial t's draw
-                rng.setstate(state)
-                for _ in range(t - 1):
-                    uniform_ints(rng, lo, hi, size)
-            return verdict
+    size, top, _, points = _raw_points(form, field)
+    for first, n in ((1, 1), (2, trials - 1))[:trials]:  # the batches: trial 1, trials 2..T
+        state = rng.getstate() if n > 1 else None
+        xs = points([uniform_ints(rng, lo, hi, size) for _ in range(n)])
+        for t, x, y in zip(range(n), xs, _images(xs, rows, p, top)):
+            if (diff := a * fn(y) - b * fn(x)) and (p is None or diff % p):
+                if t < n - 1:  # replay: the stream ends after this trial's draw
+                    rng.setstate(state)
+                    for _ in range(t + 1):
+                        uniform_ints(rng, lo, hi, size)
+                return PreservationVerdict(False, "schwartz-zippel", first + t, None, [str(v if p is None else v % p) for v in x])
     return PreservationVerdict(True, "schwartz-zippel", trials, Fraction(deg, field.sz_set_size) ** trials)
 
 

@@ -30,10 +30,8 @@ from linpres.preservers import (
     TriplePush,
     TransposeSandwich,
     WedgePush,
-    _batch_matvec,
     _int_matvec,
-    _matvec_kernel,
-    _slot_code,
+    _packed,
     corollary_forms,
     canonical_corollary,
     factor_permutation,
@@ -48,7 +46,7 @@ from linpres.preservers import (
     verify_corollary,
 )
 from linpres.polynomials import PolyRing
-from linpres.sampling import invertible_matrix, rand_vector, unimodular_matrix, uniform_ints
+from linpres.sampling import invertible_matrix, rand_vector, slot_code, unimodular_matrix, uniform_ints
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -736,13 +734,13 @@ def test_sampling_budgets_below_one_are_rejected():
             preserves_minimals(group, cubic, rng, samples=count)
 
 
-# the Schwartz-Zippel matrix-vector kernel
+# the packed integer product
 
-# (columns n, modulus p, expected slot type code): the largest entry of R x is
-# n (p - 1)^2, which must stay below 2^16, 2^32 or 2^64 for 'H', 'I' or 'Q';
-# the moduli around each bound are primes for n = 28 (skew-pf:8), plus the
-# points where n (p - 1)^2 equals the bound exactly (the moduli need not be
-# prime there)
+# (columns n, modulus p, expected slot type code) for inputs in [0, p): the
+# largest entry of R x is n (p - 1)^2, which must stay below 2^16, 2^32 or
+# 2^64 for 'H', 'I' or 'Q'; the moduli around each bound are primes for
+# n = 28 (skew-pf:8), plus the points where n (p - 1)^2 equals the bound
+# exactly (the moduli need not be prime there)
 SLOT_CASES = [
     (28, 47, "H"), (28, 53, "I"),
     (4, 128, "H"), (4, 129, "I"), (1, 256, "H"), (1, 257, "I"),
@@ -753,55 +751,10 @@ SLOT_CASES = [
     (28, 2**31 - 1, None),
 ]
 
-
-@pytest.mark.parametrize("n,p,code", SLOT_CASES)
-def test_matvec_kernel_at_slot_boundaries(n, p, code):
-    assert _slot_code(n, p) == code
-    rng = rnd(n * p % 100003)
-    for m in (n, 20, 1) if n > 1 else (3, 1):  # rows of R
-        worst = [[p - 1] * n for _ in range(m)]  # every slot at n (p - 1)^2
-        mixed = [[rng.choice((0, 1, p - 2, p - 1, rng.randrange(p))) for _ in range(n)] for _ in range(m)]
-        for rows in (worst, mixed):
-            matvec = _matvec_kernel(rows, p)
-            for x in ([p - 1] * n, [0] * n, [rng.randrange(p) for _ in range(n)]):
-                want = [v % p for v in _int_matvec(rows, x, None)]
-                assert matvec(x) == want, (n, p, m)
-
-
-def test_each_integer_map_is_packed_once(monkeypatch):
-    # an element packs R once for all its readers (two SZ checks, scales_form,
-    # preserves_minimals, apply), and sp6's embedding E once per field
-    built = []
-    real = preservers._matvec_kernel
-    monkeypatch.setattr(preservers, "_matvec_kernel", lambda rows, p: built.append(len(rows[0])) or real(rows, p))
-    preservers._raw_points.cache_clear()
-    form = parse_form("sp6")
-    rng = rnd(31)
-    for field in (QQ, F7):
-        built.clear()
-        v = RepVector(form.space, field, next(zip(*form.raw_embedding(field))))
-        for _ in range(2):
-            el = sample_free_element("Sp6", form, field, rng)
-            for _ in range(2):
-                preserves_form(el, form, policy="schwartz-zippel", rng=rng)
-            scales_form(el, form, rng)
-            preserves_minimals(el, form, rng, samples=2)
-            el.apply(v)
-        assert built == [14, 20, 20], field.descriptor
-
-
-def test_matvec_kernel_over_q_is_exact():
-    assert _slot_code(28, None) is None
-    rng = rnd(16)
-    rows = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(28)] for _ in range(20)]
-    x = [rng.randint(-(1 << 31), 1 << 31) for _ in range(28)]
-    assert _matvec_kernel(rows, None)(x) == _int_matvec(rows, x, None)
-
-
 # (columns m, modulus p, input bound top, expected slot type code): one slot
-# of the trial-packed product holds m (p - 1) top; the cases sit on either
-# side of 2^16, 2^32 and 2^64, plus the corollaries' own bounds (top = p - 1
-# for residues, 14 (p - 1)^2 for sp6's raw points E c)
+# holds m (p - 1) top; the cases sit on either side of 2^16, 2^32 and 2^64,
+# plus the corollaries' own bounds (top = p - 1 for residues, 14 (p - 1)^2
+# for sp6's raw points E c)
 BATCH_SLOT_CASES = [
     (28, 7, 6, "H"), (20, 7, 14 * 6**2, "H"), (1, 257, 255, "H"), (1, 257, 256, "I"),
     (20, 10007, 10006, "I"), (1, 65537, 65535, "I"), (1, 65537, 65536, "Q"), (20, 10007, 14 * 10006**2, "Q"),
@@ -809,22 +762,62 @@ BATCH_SLOT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("m,p,top,code", BATCH_SLOT_CASES)
-def test_batch_matvec_at_slot_boundaries(m, p, top, code):
-    assert _slot_code(m, p, top) == code
+@pytest.mark.parametrize("m,p,top,code", [(n, p, p - 1, code) for n, p, code in SLOT_CASES] + BATCH_SLOT_CASES)
+def test_packed_product_at_slot_boundaries(m, p, top, code):
+    # both sides of a product: R's columns packed for points x in [0, top],
+    # and the points' coordinates packed for R's rows; every slot of the
+    # worst-case rows (all p - 1) at the point [top] * m holds m (p - 1) top
+    assert slot_code(m * (p - 1) * top) == code
     rng = rnd(m * p % 100003 + top % 997)
     for n in (m, 20, 1):  # rows of R
-        worst = [[p - 1] * m for _ in range(n)]  # every slot at m (p - 1) top
+        worst = [[p - 1] * m for _ in range(n)]
         mixed = [[rng.choice((0, 1, p - 2, p - 1, rng.randrange(p))) for _ in range(m)] for _ in range(n)]
         for rows in (worst, mixed):
-            for count in (1, 2, 31, 74):  # trials in one product
+            product = _packed(rows, p, top)
+            for count in (1, 2, 31, 74):  # points in one product
                 xs = [[top] * m] + [[rng.choice((0, top, rng.randint(0, top))) for _ in range(m)] for _ in range(count - 1)]
-                got = _batch_matvec(rows, xs, p, top)
                 # the images are exact products, unreduced; reduced mod p they are R x over F_p
                 exact = [_int_matvec(rows, x, None) for x in xs]
-                assert got == exact, (m, p, top, n, count)
-                assert [[v % p for v in y] for y in got] == [_int_matvec(rows, x, p) for x in xs]
-            assert _batch_matvec(rows, [], p, top) == []
+                assert product(xs) == [v for y in exact for v in y], (m, p, top, n, count)
+                assert _packed(xs, p, top)(rows) == [y[i] for i in range(n) for y in exact], (m, p, top, n, count)
+                assert [[v % p for v in y] for y in exact] == [_int_matvec(rows, x, p) for x in xs]
+            assert product([]) == []
+
+
+def test_packed_product_over_q_is_exact():
+    # no slots over Q: negative and wide entries on both sides
+    rng = rnd(16)
+    rows = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(28)] for _ in range(20)]
+    xs = [[rng.randint(-(1 << 31), 1 << 31) for _ in range(28)] for _ in range(3)]
+    exact = [_int_matvec(rows, x, None) for x in xs]
+    assert _packed(rows, None, None)(xs) == [v for y in exact for v in y]
+    assert _packed(xs, None, None)(rows) == [y[i] for i in range(20) for y in exact]
+
+
+def test_each_integer_map_is_packed_once(monkeypatch):
+    # an element packs R once for all its readers (scales_form,
+    # preserves_minimals, apply), and sp6's embedding E once per field; the
+    # Schwartz-Zippel checks pack their trial points per batch instead
+    built = []
+    real = preservers._packed
+    monkeypatch.setattr(preservers, "_packed", lambda rows, p, top: built.append(rows) or real(rows, p, top))
+    preservers._raw_points.cache_clear()
+    form = parse_form("sp6")
+    rng = rnd(31)
+    for field in (QQ, F7):
+        built.clear()
+        emb = form.raw_embedding(field)
+        v = RepVector(form.space, field, next(zip(*emb)))
+        maps = [emb]
+        for _ in range(2):
+            el = sample_free_element("Sp6", form, field, rng)
+            maps.append(el.action()[0])
+            for _ in range(2):
+                preserves_form(el, form, policy="schwartz-zippel", rng=rng)
+            scales_form(el, form, rng)
+            preserves_minimals(el, form, rng, samples=2)
+            el.apply(v)
+        assert [len(rows[0]) for rows in built if any(rows is m for m in maps)] == [14, 20, 20], field.descriptor
 
 
 def row_by_row_sz(el, form, rng, trials):
@@ -858,7 +851,7 @@ def test_sz_matches_row_by_row_loop_and_rng_stream(field):
         rng = rnd(stable_seed(cid, desc, "stream"))
         for sampler in (sample_free_element, sample_violator, sample_group_element):
             el = sampler(cid, form, field, rng)
-            for trials in (None, 32):
+            for trials in (None, 1, 2, 32):
                 count = sz_trial_count(field, form.degree) if trials is None else trials
                 state = rng.getstate()
                 verdict = preserves_form(el, form, policy="schwartz-zippel", rng=rng, trials=trials)
@@ -889,9 +882,9 @@ SZ_BATCH_FIELDS = [QQ, F7, PrimeField(10007), F_FALLBACK]
 
 @pytest.mark.parametrize("field", SZ_BATCH_FIELDS, ids=lambda f: f.descriptor)
 def test_sz_batch_passes_group_elements_like_row_by_row_loop(field):
-    # trial 1 through element.matvec, trials 2..T through one trial-packed
-    # product: 'H' slots over F_7, 'I' over F_10007 ('Q' for sp6's raw
-    # points), products vector by vector over Q and the fallback prime
+    # trial 1 row by row, trials 2..T through one packed product: 'H' slots
+    # over F_7, 'I' over F_10007 ('Q' for sp6's raw points), products vector
+    # by vector over Q and the fallback prime
     for cid, desc in ALL_CELLS:
         form = parse_form(desc)
         rng = rnd(stable_seed(cid, desc, "batch"))

@@ -244,16 +244,23 @@ MUTANTS = [
     (
         "sz-replay",
         "preservers.py",
-        "rng.setstate(state)\n                for _ in range(t - 1):\n                    uniform_ints(rng, lo, hi, size)\n",
+        "rng.setstate(state)\n                    for _ in range(t + 1):\n                        uniform_ints(rng, lo, hi, size)\n",
         "pass\n",
-        "a Schwartz-Zippel failure in mid-batch leaves the rng after trial T's draw, not trial t's",
+        "a Schwartz-Zippel failure in mid-batch leaves the rng after the batch's last draw, not the failing trial's",
+    ),
+    (
+        "sz-replay-count",
+        "preservers.py",
+        "for _ in range(t + 1):",
+        "for _ in range(t):",
+        "a Schwartz-Zippel failure in mid-batch redraws one trial too few, so the stream ends before the failing trial's draw",
     ),
     (
         "batch-slot-bound",
         "preservers.py",
-        "_slot_code(len(rows[0]), p, top)",
-        "_slot_code(len(rows[0]), p, top - 1)",
-        "the trial-packed product sizes its slots for inputs below top, so a slot at the bound carries",
+        "slot_code(len(rows[0]) * (p - 1) * top)",
+        "slot_code(len(rows[0]) * (p - 1) * (top - 1))",
+        "the packed product sizes its slots for inputs below top, so a slot at the bound carries",
     ),
 ]
 
