@@ -762,8 +762,7 @@ BATCH_SLOT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("m,p,top,code", [(n, p, p - 1, code) for n, p, code in SLOT_CASES] + BATCH_SLOT_CASES)
-def test_packed_product_at_slot_boundaries(m, p, top, code):
+def check_packed_product(m, p, top, code):
     # both sides of a product: R's columns packed for points x in [0, top],
     # and the points' coordinates packed for R's rows; every slot of the
     # worst-case rows (all p - 1) at the point [top] * m holds m (p - 1) top
@@ -784,7 +783,19 @@ def test_packed_product_at_slot_boundaries(m, p, top, code):
             assert product([]) == []
 
 
-def test_packed_product_over_q_is_exact():
+@pytest.mark.parametrize("n,p,code", SLOT_CASES)
+def test_matvec_kernel_at_slot_boundaries(n, p, code):
+    # the packed product for residues (top = p - 1), the bound of an
+    # element's R x
+    check_packed_product(n, p, p - 1, code)
+
+
+@pytest.mark.parametrize("m,p,top,code", BATCH_SLOT_CASES)
+def test_batch_matvec_at_slot_boundaries(m, p, top, code):
+    check_packed_product(m, p, top, code)
+
+
+def test_matvec_kernel_over_q_is_exact():
     # no slots over Q: negative and wide entries on both sides
     rng = rnd(16)
     rows = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(28)] for _ in range(20)]
