@@ -29,7 +29,7 @@ from operator import mul
 from .forms import InvariantForm, simplex_lattice
 from .linalg import canonical, clear_denominators, int_rank
 from .multilinear import RepVector, Space, _alt_pairs, _symm_pairs, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
-from .sampling import gsp6_element, isotropic_vector, rand_unit
+from .sampling import gsp6_word, isotropic_vector, rand_unit, word_columns
 
 
 class MinimalityError(ValueError):
@@ -273,11 +273,11 @@ def sample_minimal(target, field, rng) -> RepVector:
         u = _rand_nonzero_ints(rng, 2, field)
         return vector(one, [u[i] * w[j] for i in range(2) for j in range(n)], den)
     if base == "sp6":
-        # Lambda^3(g) e_024 = g e_0 wedge g e_2 wedge g e_4, for g = G / D
-        g, _ = gsp6_element(field, rng)
-        ints, den = g.ints()
-        cols = list(zip(*ints))
-        return wedge_of_vectors(field, 6, [cols[0], cols[2], cols[4]], c / field.of(den**3))
+        # Lambda^3(g) e_024 = g e_0 wedge g e_2 wedge g e_4, for g = G / D:
+        # only those three columns of G are built
+        word, d, _ = gsp6_word(field, rng)
+        ints, den = word_columns(field, word, d, (0, 2, 4))
+        return wedge_of_vectors(field, 6, list(zip(*ints)), c / field.of(den**3))
     if kind == "vector":
         return vector(one, _rand_nonzero_ints(rng, space.dim, field))
     if kind == "symm":

@@ -33,6 +33,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from itertools import combinations
 from operator import mul
 
 from .forms import InvariantForm, parse_form, simplex_lattice
@@ -82,12 +83,6 @@ def _param_json(field, v):
     return field.format(v)
 
 
-def _int_matvec(rows, x, p):
-    if p is None:
-        return [sum(map(mul, row, x)) for row in rows]
-    return [sum(map(mul, row, x)) % p for row in rows]
-
-
 def _packed(rows, p, top):
     """vs -> [rows v for v in vs], exact, as one flat list (entry i of
     rows v_t at t len(rows) + i), for entries of rows in [0, p) and of each
@@ -120,11 +115,6 @@ def _images(xs, rows, p, top):
     n = len(xs)
     flat = _packed(xs, p, top)(rows)
     return [flat[t::n] for t in range(n)]
-
-
-def _int_matmul(a, b, p):
-    cols = list(zip(*b))
-    return [_int_matvec(cols, row, p) for row in a]
 
 
 def _action(field, rows, c, den=1):
@@ -399,6 +389,9 @@ class WedgePush(PreserverElement):
         return {"c": self.c, "g": self.g, "star": self.star}
 
 
+_UPPER6 = list(combinations(range(6), 2))
+
+
 class GSp6Push(WedgePush):
     """Wedge push by a symplectic similitude; validated against the standard
     pairing, no star component."""
@@ -407,13 +400,15 @@ class GSp6Push(WedgePush):
 
     def __init__(self, c, g: Matrix):
         super().__init__(c, g, star=False)
-        b, p = standard_symplectic_ints(6), self.field.modulus
         # g^t b g = mu b (mu nonzero) for g = G / D reads G^t b G = k b in
-        # integers, mod p over F_p, with k = mu D^2 = (G^t b G)[0][1]
-        gi, _ = g.ints()
-        lhs = _int_matmul(_int_matmul([list(c) for c in zip(*gi)], b, p), gi, p)
-        k = lhs[0][1]
-        (diffs,), _ = canonical(self.field, [[x - k * y for lrow, brow in zip(lhs, b) for x, y in zip(lrow, brow)]])
+        # integers, mod p over F_p, with k = mu D^2 = (G^t b G)[0][1].  b G
+        # swaps G's rows in pairs (x, y) to (y, -x), so entry (r, c) sums
+        # x_r y_c - y_r x_c; both sides are alternating, so r < c decides.
+        b, (gi, _) = standard_symplectic_ints(6), g.ints()
+        pairs = list(zip(gi[0::2], gi[1::2]))
+        lhs = [sum(x[r] * y[c] - y[r] * x[c] for x, y in pairs) for r, c in _UPPER6]
+        k = lhs[0]
+        ((k, *diffs),), _ = canonical(self.field, [[k] + [x - k * b[r][c] for x, (r, c) in zip(lhs, _UPPER6)]])
         if not k or any(diffs):
             raise PreserverError("g is not a symplectic similitude")
 

@@ -10,6 +10,10 @@ m with one column times c (-1 in invertible_matrix, the target in
 forced_det_matrix), prod(d) for diag(d) g with g a word of symplectic
 transvections (det 1) or of 2n reflections (det -1 each).  A dense F_p
 draw's determinant comes from the one reduction that tests it.
+
+The isometry samplers draw a whole word of rank-one factors, each vector
+from one getrandbits block read as rng.randint reads it (_randints), and
+then build it once on rows packed as signed digits (word_columns).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from operator import mul
 
 from .fields import PrimeField, RationalField
 from .linalg import Matrix, ratio
-from .multilinear import RepVector, Space, standard_symplectic_ints
+from .multilinear import RepVector, Space
 
 
 class SamplingError(RuntimeError):
@@ -78,6 +82,23 @@ def uniform_ints(rng, lo: int, hi: int, size: int) -> list:
     return out
 
 
+def _randints(rng, lo: int, hi: int, n: int) -> list:
+    """[rng.randint(lo, hi) for _ in range(n)], and the same rng state after,
+    for a width hi - lo + 1 below 2^32: randint keeps the top k bits of each
+    32-bit word until they fall below the width, k = width.bit_length(), and
+    getrandbits(32 n) holds the next n words, word i at bits 32 i."""
+    width = hi - lo + 1
+    k = width.bit_length()
+    mask = (1 << k) - 1
+    block = rng.getrandbits(32 * n)
+    out = [x + lo for x in [block >> s & mask for s in range(32 - k, 32 * n, 32)] if x < width]
+    while len(out) < n:
+        x = rng.getrandbits(k)
+        if x < width:
+            out.append(x + lo)
+    return out
+
+
 def rand_vector(space: Space, field, rng, bound=9, nonzero=False) -> RepVector:
     while True:
         v = RepVector(space, field, [field.sample(rng, bound) for _ in range(space.dim)])
@@ -92,13 +113,9 @@ def rand_unit(field, rng, bound=9):
             return x
 
 
-def _int_identity(n):
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
 def unimodular_matrix(field, rng, n: int) -> Matrix:
     """Product of 3n elementary transvections; determinant exactly one."""
-    rows = _int_identity(n)
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
     for _ in range(3 * n):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -141,53 +158,68 @@ def forced_det_matrix(field, rng, n: int, target) -> Matrix:
     return _times_column(field, m, rng.randrange(n), target / m.det())
 
 
-def _rank_one_update(field, g, den, u, coef, v):
-    """g + (a / b) (g u) v^T for g = rows / den, as new (integer rows, den): u
-    and v are integer vectors, coef = (a, b) as linalg.ratio gives it.  Over F_p
-    the rows are residues and den stays 1."""
-    gu = [sum(map(mul, row, u)) for row in g]
-    p = field.modulus
-    num, cden = coef
-    w = [num * x for x in v]
-    if p is not None:
-        return [[(a + s * b) % p for a, b in zip(row, w)] for row, s in zip(g, gu)], 1
-    return [[cden * a + s * b for a, b in zip(row, w)] for row, s in zip(g, gu)], den * cden
+def word_columns(field, word, d, cols):
+    """(X, D), X / D the columns cols of diag(d) F_1 ... F_m for factors
+    F = I + (a / b) u v^T given as (u, (a, b), v), integer u and v, (a, b) as
+    linalg.ratio gives it; over F_p, D = 1 and X is read through canonical.
+    M = F_j ... F_m is built from the right, each row one int of signed w-bit
+    digits, so b M + a u (v^T M) is one packed sum and one multiply-add per
+    row.  Its entries are at most (b + |a| max|u| sum|v|) times M's, and w is
+    one bit longer than the product of those factors and max|diag(d)|."""
+    n = len(d)
+    ratios = [ratio(field, x) for x in d]
+    den = lcm(*(b for _, b in ratios))
+    scale = [a * (den // b) for a, b in ratios]
+    bound = max(map(abs, scale))
+    for u, (a, b), v in word:
+        bound *= b + abs(a) * max(map(abs, u)) * sum(map(abs, v))
+    w = bound.bit_length() + 1
+    at = {j: w * t for t, j in enumerate(cols)}
+    rows = [1 << at[i] if i in at else 0 for i in range(n)]
+    for u, (a, b), v in reversed(word):
+        s = a * sum(map(mul, v, rows))
+        rows = [b * r + x * s for r, x in zip(rows, u)]
+        den *= b
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    shifts = range(0, w * len(cols), w)
+    off = sum(half << t for t in shifts)  # each digit + half lies in [0, 2^w)
+    return [[(x >> t & mask) - half for t in shifts] for x in [c * r + off for c, r in zip(scale, rows)]], den
 
 
-def _similitude_times(field, d, g, den):
-    """diag(d) (g / den) as a Matrix, for g / den of determinant one: its
-    determinant is prod(d)."""
-    ratios = [ratio(field, di) for di in d]
-    m = lcm(*(b for _, b in ratios))
-    rows = [[x * a * (m // b) for x in row] for (a, b), row in zip(ratios, g)]
-    return Matrix._exact(field, rows, den * m, prod(d, start=field.one))
+def _similitude_times(field, d, word):
+    """diag(d) times the product of a word of determinant one, as a Matrix:
+    its determinant is prod(d)."""
+    rows, den = word_columns(field, word, d, range(len(d)))
+    return Matrix._exact(field, rows, den, prod(d, start=field.one))
 
 
 GSP6_TRANSVECTIONS = 8
 ISOTROPIC_TRIES = 512
 
 
-def gsp6_element(field, rng):
-    """(g, mu) with g^t b g = mu b for the standard pairing on k^6.
-
-    Over the rationals mu is one; over a prime field a random unit.  g is a
-    product of GSP6_TRANSVECTIONS symplectic transvections
-    v -> v + lam b(v, u) u, each applied as the rank-one update
-    g + lam (g u)(b u)^T, then a diagonal similitude.
-    """
-    b = standard_symplectic_ints(6)
-    g, den = _int_identity(6), 1
+def gsp6_word(field, rng):
+    """(word, d, mu) for gsp6_element: GSP6_TRANSVECTIONS tries of a symplectic
+    transvection I + lam u (b u)^T (skipped for u or lam zero), then diag(d),
+    with mu one over the rationals and a random unit over a prime field."""
+    p = field.modulus
+    word = []
     for _ in range(GSP6_TRANSVECTIONS):
-        u = [rng.randint(-2, 2) for _ in range(6)]
-        if all(field.of(x) == field.zero for x in u):
+        u = _randints(rng, -2, 2, 6)
+        if not any(u if p is None else [x % p for x in u]):
             continue
         lam = field.sample(rng, 2)
         if lam == field.zero:
             continue
-        g, den = _rank_one_update(field, g, den, u, ratio(field, lam), [sum(map(mul, row, u)) for row in b])
+        # b u for the standard pairing: row i of b holds (-1)^i at column i ^ 1
+        word.append((u, ratio(field, lam), [u[1], -u[0], u[3], -u[2], u[5], -u[4]]))
     mu = field.one if isinstance(field, RationalField) else rand_unit(field, rng)
-    d = [mu, field.one, mu, field.one, mu, field.one]
-    return _similitude_times(field, d, g, den), mu
+    return word, [mu, field.one, mu, field.one, mu, field.one], mu
+
+
+def gsp6_element(field, rng):
+    """(g, mu) with g^t b g = mu b for the standard pairing on k^6."""
+    word, d, mu = gsp6_word(field, rng)
+    return _similitude_times(field, d, word), mu
 
 
 def go_element(field, rng, s: Matrix):
@@ -198,29 +230,23 @@ def go_element(field, rng, s: Matrix):
     reflections = 2 * n
     # s = s_int / D; the reflection in u only needs s_int u and u^T s_int u
     s_int, _ = s.ints()
-    g, den = _int_identity(n), 1
-    done = 0
+    word = []
     budget = 64 * reflections
-    while done < reflections:
+    while len(word) < reflections:
         budget -= 1
         if budget < 0:
             raise SamplingError("reflection sampling stalled")
-        u = [rng.randint(-3, 3) for _ in range(n)]
+        u = _randints(rng, -3, 3, n)
         su = [sum(map(mul, row, u)) for row in s_int]
         q = sum(map(mul, u, su))
         if (q if p is None else q % p) == 0:
             continue
-        # g (I - 2 u (s u)^T / (u^T s u)) as a rank-one update, -2 / q in
-        # lowest terms with a positive denominator (a residue over F_p)
-        if p is None:
-            k = gcd(2, q) if q > 0 else -gcd(2, q)
-            coef = (-2 // k, q // k)
-        else:
-            coef = (-2 * pow(q, -1, p) % p, 1)
-        g, den = _rank_one_update(field, g, den, u, coef, su)
-        done += 1
+        # the reflection I - 2 u (s u)^T / (u^T s u), -2 / q in lowest terms
+        # with a positive denominator (a residue over F_p)
+        k = gcd(2, q) if q > 0 else -gcd(2, q)
+        word.append((u, (-2 // k, q // k) if p is None else (-2 * pow(q, -1, p) % p, 1), su))
     if any(x for i, row in enumerate(s_int) for j, x in enumerate(row) if i + j != n - 1):
-        return _similitude_times(field, [field.one] * n, g, den), field.one
+        return _similitude_times(field, [field.one] * n, word), field.one
     root = field.one  # the middle entry for odd n, with root^2 = mu
     if isinstance(field, RationalField):
         mu = field.of(rng.choice([1, -1])) if n % 2 == 0 else field.one
@@ -238,7 +264,7 @@ def go_element(field, rng, s: Matrix):
         d[n - 1 - i] = mu / d[i]
     if n % 2:
         d[n // 2] = root
-    return _similitude_times(field, d, g, den), mu
+    return _similitude_times(field, d, word), mu
 
 
 def isotropic_vector(field, rng, s: Matrix):

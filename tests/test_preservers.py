@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import random
 import threading
 import zlib
@@ -30,7 +31,6 @@ from linpres.preservers import (
     TriplePush,
     TransposeSandwich,
     WedgePush,
-    _int_matvec,
     _packed,
     corollary_forms,
     canonical_corollary,
@@ -46,7 +46,7 @@ from linpres.preservers import (
     verify_corollary,
 )
 from linpres.polynomials import PolyRing
-from linpres.sampling import invertible_matrix, rand_vector, slot_code, unimodular_matrix, uniform_ints
+from linpres.sampling import gsp6_element, invertible_matrix, rand_vector, slot_code, unimodular_matrix, uniform_ints
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -321,9 +321,19 @@ def test_family_validation_errors():
 
 
 def test_gsp6_rejects_non_similitude():
-    m = Matrix.identity(F7, 6)
-    with pytest.raises(PreserverError):
-        GSp6Push(F7.one, m + Matrix.from_ints(F7, [[0] * 6] * 5 + [[1, 0, 0, 0, 0, 0]]))
+    for field in (F7, QQ):
+        m = Matrix.identity(field, 6)
+        with pytest.raises(PreserverError):
+            GSp6Push(field.one, m + Matrix.from_ints(field, [[0] * 6] * 5 + [[1, 0, 0, 0, 0, 0]]))
+        # a sampled similitude passes; moving one of its entries by one breaks
+        # it (entries where g stays invertible over F_7 as well)
+        g, _ = gsp6_element(field, rnd(5))
+        GSp6Push(field.one, g)
+        for i, j in ((0, 0), (2, 4), (5, 1)):
+            rows = [list(r) for r in g.rows]
+            rows[i][j] += field.one
+            with pytest.raises(PreserverError, match="not a symplectic similitude"):
+                GSp6Push(field.one, Matrix(field, rows))
 
 
 def _bad_constructions(field):
@@ -760,6 +770,13 @@ BATCH_SLOT_CASES = [
     (20, 10007, 10006, "I"), (1, 65537, 65535, "I"), (1, 65537, 65536, "Q"), (20, 10007, 14 * 10006**2, "Q"),
     (1, 2**32 + 1, 2**32 - 1, "Q"), (1, 2**32 + 1, 2**32, None), (20, 2**61 - 1, 2**61 - 2, None),
 ]
+
+
+def _int_matvec(rows, x, p):
+    """rows x row by row: the reference product, reduced mod p unless p is None."""
+    if p is None:
+        return [sum(map(operator.mul, row, x)) for row in rows]
+    return [sum(map(operator.mul, row, x)) % p for row in rows]
 
 
 def check_packed_product(m, p, top, code):

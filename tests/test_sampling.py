@@ -9,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from linpres import minimality, sampling
 from linpres.fields import QQ, PrimeField
-from linpres.forms import Mat2n, Quadric
-from linpres.linalg import Matrix, clear_denominators
+from linpres.forms import Mat2n, Quadric, parse_form
+from linpres.linalg import Matrix, canonical, clear_denominators, ratio
 from linpres.multilinear import standard_symplectic_ints
 from linpres.sampling import (
     SamplingError,
+    _randints,
     forced_det_matrix,
     go_element,
     gsp6_element,
@@ -25,6 +27,7 @@ from linpres.sampling import (
     solve_power,
     unimodular_matrix,
     uniform_ints,
+    word_columns,
 )
 
 F7 = PrimeField(7)
@@ -291,3 +294,124 @@ def test_uniform_ints_beyond_64_bits_fall_back_to_randrange():
     a, b = random.Random(5), random.Random(5)
     assert uniform_ints(a, -3, 1 << 70, 6) == [b.randrange(-3, 1 << 70) for _ in range(6)]
     assert uniform_ints(a, 0, 7, 0) == [] and a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 7, 8, 9, 16, 17, 256, 257])
+def test_batched_draws_equal_per_coordinate_randint(width):
+    # one getrandbits block read as randint reads it: the same values in the
+    # same order, rejected words skipped, and the same rng state after
+    lo = -(width // 2)
+    hi = lo + width - 1
+    for seed in range(12):
+        a, b = random.Random(seed), random.Random(seed)
+        for n in range(13):
+            assert _randints(a, lo, hi, n) == [b.randint(lo, hi) for _ in range(n)], (width, seed, n)
+            assert a.getstate() == b.getstate(), (width, seed, n)
+
+
+WORD_FIELDS = [QQ, PrimeField(5), F7, PrimeField(10007), PrimeField(2**61 - 1)]
+
+
+def rank_one_reference(field, word, d):
+    """diag(d) F_1 ... F_m as field values, by one rank-one update
+    g + (a / b) (g u) v^T per factor."""
+    n = len(d)
+    g = [[field.of(int(i == j)) for j in range(n)] for i in range(n)]
+    for u, (a, b), v in word:
+        c = field.of(a) / field.of(b)
+        gu = [sum((x * field.of(y) for x, y in zip(row, u)), field.zero) for row in g]
+        g = [[x + c * t * field.of(y) for x, y in zip(row, v)] for row, t in zip(g, gu)]
+    return [[di * x for x in row] for di, row in zip(d, g)]
+
+
+def reference_columns(field, word, d, cols):
+    g = rank_one_reference(field, word, d)
+    return clear_denominators(field, [[row[j] for j in cols] for row in g])
+
+
+def random_word(field, rng, n, length):
+    word = []
+    while len(word) < length:
+        u = [rng.randint(-3, 3) for _ in range(n)]
+        if any(u):
+            word.append((u, ratio(field, rand_unit(field, rng)), [rng.randint(-3, 3) for _ in range(n)]))
+    return word
+
+
+@pytest.mark.parametrize("field", WORD_FIELDS, ids=lambda f: f.descriptor)
+def test_word_kernel_matches_rank_one_updates(field):
+    rng = random.Random(21)
+    for n in range(1, 7):
+        for length in (0, 1, 2, 5, 12):  # 0: the empty word, 1: a single factor
+            word = random_word(field, rng, n, length)
+            d = [rand_unit(field, rng) for _ in range(n)]
+            for cols in (range(n), (0,), tuple(range(n - 1, -1, -2)), ()):
+                got = word_columns(field, word, d, cols)
+                assert canonical(field, *got) == canonical(field, *reference_columns(field, word, d, cols)), (n, length, cols)
+
+
+@pytest.mark.parametrize("field", WORD_FIELDS, ids=lambda f: f.descriptor)
+def test_word_kernel_digits_hold_an_entry_at_the_bound(field):
+    # u all 3 and v = 3 e_0 with a, b > 0: entry (0, 0) of column 0 is the
+    # product of b + |a| max|u| sum|v| over the factors, the digit bound itself
+    (a, b) = (5, 2) if field.modulus is None else (field.modulus - 1, 1)
+    n = 4
+    word = [([3] * n, (a, b), [3] + [0] * (n - 1))] * 5
+    d = [field.one] * n
+    bound = (b + 9 * a) ** 5
+    for cols in ((0,), (0, 2), range(n)):
+        rows, den = word_columns(field, word, d, cols)
+        assert rows[0][0] == bound and max(abs(x) for row in rows for x in row) == bound
+        assert canonical(field, rows, den) == canonical(field, *reference_columns(field, word, d, cols))
+
+
+@pytest.mark.parametrize("field", WORD_FIELDS, ids=lambda f: f.descriptor)
+def test_isometry_samplers_equal_per_coordinate_draws_and_rank_one_updates(field, monkeypatch):
+    # the same matrices, mu, sp6 minimal vectors and rng state as drawing each
+    # coordinate with rng.randint and building the word by rank-one updates
+    def draw(seed):
+        rng = random.Random(seed)
+        out = [gsp6_element(field, rng)]
+        out += [go_element(field, rng, Mat2n(n).gram(field)) for n in (4, 5, 6)]
+        out.append(minimality.sample_minimal(parse_form("sp6"), field, rng))
+        return [(x.ints(), x.det(), mu) for x, mu in out[:4]], out[4].ints(), rng.getstate()
+
+    fast = [draw(seed) for seed in range(8)]
+    monkeypatch.setattr(sampling, "_randints", lambda rng, lo, hi, n: [rng.randint(lo, hi) for _ in range(n)])
+    monkeypatch.setattr(sampling, "word_columns", reference_columns)
+    monkeypatch.setattr(minimality, "word_columns", reference_columns)
+    assert [draw(seed) for seed in range(8)] == fast
+
+
+class CountingRandom(random.Random):
+    randint_calls = 0
+
+    def randint(self, a, b):
+        self.randint_calls += 1
+        return super().randint(a, b)
+
+
+def test_isometry_samplers_call_no_randint_per_coordinate():
+    # over F_p no randint is left at all; over Q only gsp6's lam = a / b
+    # (two per transvection) calls it
+    rng = CountingRandom(3)
+    gsp6_element(F7, rng)
+    go_element(F7, rng, Mat2n(6).gram(F7))
+    go_element(QQ, rng, Mat2n(6).gram(QQ))
+    assert rng.randint_calls == 0
+    gsp6_element(QQ, rng)
+    assert rng.randint_calls <= 2 * 8
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.descriptor)
+def test_go_element_gives_up_after_its_budget_with_the_same_stream(field):
+    # every u is isotropic for an alternating s: 64 tries per reflection,
+    # 2n reflections, n coordinates each, then SamplingError
+    n = 4
+    s = Matrix.from_ints(field, standard_symplectic_ints(n))
+    a, b = random.Random(17), random.Random(17)
+    with pytest.raises(SamplingError, match="reflection sampling stalled"):
+        go_element(field, a, s)
+    for _ in range(64 * 2 * n * n):
+        b.randint(-3, 3)
+    assert a.getstate() == b.getstate()

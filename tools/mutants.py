@@ -262,6 +262,27 @@ MUTANTS = [
         "slot_code(len(rows[0]) * (p - 1) * (top - 1))",
         "the packed product sizes its slots for inputs below top, so a slot at the bound carries",
     ),
+    (
+        "word-digit-width",
+        "sampling.py",
+        "w = bound.bit_length() + 1",
+        "w = bound.bit_length()",
+        "the isometry word's signed digits are one bit short, so an entry at the bound carries into the next digit",
+    ),
+    (
+        "draw-retry-in-place",
+        "sampling.py",
+        "out = [x + lo for x in [block >> s & mask for s in range(32 - k, 32 * n, 32)] if x < width]",
+        "out = [x + lo if x < width else rng.randint(lo, hi) for x in [block >> s & mask for s in range(32 - k, 32 * n, 32)]]",
+        "a batched draw replaces a rejected word by a retry drawn after the block, in the rejected word's place",
+    ),
+    (
+        "gsp6-diffs-dropped",
+        "preservers.py",
+        "if not k or any(diffs):",
+        "if not k:",
+        "the sp6-push similitude check reads only k = (G^t b G)[0][1], not the other entries",
+    ),
 ]
 
 
