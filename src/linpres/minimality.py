@@ -29,7 +29,7 @@ from operator import mul
 from .forms import InvariantForm, simplex_lattice
 from .linalg import canonical, clear_denominators, int_rank
 from .multilinear import RepVector, Space, _alt_pairs, _symm_pairs, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
-from .sampling import gsp6_word, isotropic_vector, rand_unit, word_columns
+from .sampling import _randints, gsp6_word, isotropic_vector, rand_unit, word_columns
 
 
 class MinimalityError(ValueError):
@@ -202,7 +202,7 @@ def minimal_by_rrs(form: InvariantForm, v: RepVector, policy="exact", rng=None, 
             raise MinimalityError("trials must be at least 1, got %d" % trials)
         coefficients, _ = form.line_coefficients(field, dv)
         for trial in range(1, trials + 1):
-            w = [rng.randint(-99, 99) for _ in range(dim)]
+            w = _randints(rng, -99, 99, dim)
             cs = coefficients(w)
             for k in range(threshold + 1, deg + 1):
                 if cs[k]:
@@ -246,7 +246,7 @@ def _rand_nonzero_ints(rng, k, field, lo=-4, hi=4):
     """k integers from [lo, hi], drawn again until one is nonzero in the
     field; residues mod p over F_p."""
     while True:
-        (v,), _ = canonical(field, [[rng.randint(lo, hi) for _ in range(k)]])
+        (v,), _ = canonical(field, [_randints(rng, lo, hi, k)])
         if any(v):
             return v
 
@@ -304,7 +304,7 @@ def sample_minimal(target, field, rng) -> RepVector:
             if not v.is_zero():
                 return v
     if kind == "cubic":
-        ((s, t),), _ = canonical(field, [[rng.randint(-3, 3), rng.randint(-3, 3)]])
+        ((s, t),), _ = canonical(field, [_randints(rng, -3, 3, 2)])
         if not s and not t:
             s = 1
         return vector(c, [s * s * s, 3 * s * s * t, 3 * s * t * t, t * t * t])

@@ -1,7 +1,8 @@
 """Representation spaces, their vectors, and multilinear scaffolding.
 
 Spaces: symmetric/alternating/square/rectangular matrices, plain vectors,
-wedge powers, binary cubic forms, 2x2x2 tensors.  Vectors are stored as flat
+wedge powers, binary cubic forms, 2x2x2 tensors.  One table (_KINDS) gives
+each kind's parameter names and its dimension.  Vectors are stored as flat
 coordinate tuples in a canonical basis per space:
 
 - symm(n): upper-triangle entries (i <= j), lexicographic;
@@ -61,27 +62,29 @@ def _signed_sum(terms):
     return " ".join(parts).lstrip("+ ") or "0"
 
 
-_KINDS = ("symm", "alt", "square", "rect", "vector", "wedge", "cubic", "tritensor")
+# kind -> (parameter names, dimension as a function of those parameters)
+_KINDS = {
+    "symm": (("n",), lambda n: n * (n + 1) // 2),
+    "alt": (("n",), lambda n: n * (n - 1) // 2),
+    "square": (("n",), lambda n: n * n),
+    "rect": (("m", "n"), lambda m, n: m * n),
+    "vector": (("n",), lambda n: n),
+    "wedge": (("d", "n"), lambda d, n: comb(n, d)),
+    "cubic": ((), lambda: 4),
+    "tritensor": ((), lambda: 8),
+}
 
 
 class Space:
-    """Immutable representation-space descriptor."""
+    """Immutable representation-space descriptor: a kind of _KINDS, its
+    parameters and the dimension they give."""
 
-    __slots__ = ("kind", "params")
+    __slots__ = ("kind", "params", "dim")
 
     def __init__(self, kind: str, **params):
         if kind not in _KINDS:
             raise SpaceError("unknown space kind %r" % kind)
-        need = {
-            "symm": ("n",),
-            "alt": ("n",),
-            "square": ("n",),
-            "rect": ("m", "n"),
-            "vector": ("n",),
-            "wedge": ("d", "n"),
-            "cubic": (),
-            "tritensor": (),
-        }[kind]
+        need, dim = _KINDS[kind]
         if set(params) != set(need):
             raise SpaceError("space %r needs params %r" % (kind, need))
         for k, v in params.items():
@@ -93,29 +96,10 @@ class Space:
             raise SpaceError("wedge degree out of range")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", dict(params))
+        object.__setattr__(self, "dim", dim(**params))
 
     def __setattr__(self, name, val):
         raise AttributeError("Space is immutable")
-
-    @property
-    def dim(self) -> int:
-        p = self.params
-        kind = self.kind
-        if kind == "symm":
-            return p["n"] * (p["n"] + 1) // 2
-        if kind == "alt":
-            return p["n"] * (p["n"] - 1) // 2
-        if kind == "square":
-            return p["n"] * p["n"]
-        if kind == "rect":
-            return p["m"] * p["n"]
-        if kind == "vector":
-            return p["n"]
-        if kind == "wedge":
-            return comb(p["n"], p["d"])
-        if kind == "cubic":
-            return 4
-        return 8
 
     def _key(self):
         return (self.kind, tuple(sorted(self.params.items())))

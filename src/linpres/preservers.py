@@ -677,8 +677,6 @@ def preserves_minimals(element: PreserverElement, target, rng, samples=100):
 
 # corollary registry and samplers
 
-COROLLARY_IDS = ["symm.f", "skew.f", "skew.f4", "square.f", "cubics", "SL6", "Sp6", "hyperdet", "blackholes"]
-
 _COROLLARY_FORMS = {
     "symm.f": ["symm-det:2", "symm-det:3", "symm-det:4"],
     "skew.f": ["skew-pf:6", "skew-pf:8"],
@@ -690,6 +688,7 @@ _COROLLARY_FORMS = {
     "hyperdet": ["hyperdet"],
     "blackholes": ["mat2n:4", "mat2n:5", "mat2n:6"],
 }
+COROLLARY_IDS = list(_COROLLARY_FORMS)
 
 
 def canonical_corollary(name: str) -> str:
@@ -796,8 +795,9 @@ CONVENTIONS = {
 
 def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -> dict:
     """Check sampled scaling-character-one elements against every form of the
-    corollary; `elements` is the total budget, split evenly across the forms,
-    so it must be at least the number of forms.
+    corollary, and their predicted character (scaling_factor) against 1; a
+    failure of either counts.  `elements` is the total budget, split evenly
+    across the forms, so it must be at least the number of forms.
     Deterministic report for a fixed (configuration, seed)."""
     import random as _random
 
@@ -813,14 +813,16 @@ def verify_corollary(cid: str, field, seed: int, elements: int, policy="auto") -
         failures, error_bound, counterexample = 0, None, None
         for _ in range(per_cell):
             el = sample_group_element(cid, form, field, rng)
+            chi = el.scaling_factor(form)
             verdict = preserves_form(el, form, policy=policy, rng=rng)
-            if not verdict.ok:
+            if not verdict.ok or chi != field.one:
                 failures += 1
                 if counterexample is None:
-                    counterexample = {
-                        "element": el.to_json_obj(),
-                        "point": verdict.counterexample,
-                    }
+                    counterexample = {"element": el.to_json_obj()}
+                    if not verdict.ok:
+                        counterexample["point"] = verdict.counterexample
+                    if chi != field.one:
+                        counterexample["scaling_factor"] = field.format(chi)
             if verdict.error_bound is not None:
                 error_bound = verdict.error_bound
         # per_cell >= 1, and the policy is fixed per form: the last verdict's names it

@@ -276,7 +276,7 @@ def isotropic_vector(field, rng, s: Matrix):
     free = [i for i in range(n) if not s_int[i][i]]
     for _ in range(ISOTROPIC_TRIES):
         last = rng.choice(free) if free else None
-        v = [rng.randint(-4, 4) for _ in range(n)]
+        v = _randints(rng, -4, 4, n)
         if last is not None:
             v[last] = 0
         sv = [sum(map(mul, row, v)) for row in s_int]

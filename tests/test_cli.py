@@ -592,3 +592,120 @@ def test_cli_paths_do_not_load_the_polynomial_ring():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split() == ["linpres"] + ["linpres." + m for m in (
         "bruteforce", "cli", "fields", "forms", "linalg", "minimality", "multilinear", "preservers", "sampling")]
+
+
+# failure reports: paths that pass only when the library is at fault, forced
+# here by swapping in elements, verdicts or characters that disagree
+
+@pytest.mark.parametrize("policy", ["auto", "schwartz-zippel"])
+@pytest.mark.parametrize("field_desc", ["Fp:7", "Q"])
+def test_verify_reports_violators_as_failures(capsys, monkeypatch, field_desc, policy):
+    from linpres import preservers
+    from linpres.fields import parse_field
+
+    # every drawn element is a violator: each fails, and each cell captures
+    # its first one with the point that rejected it and its character
+    monkeypatch.setattr(preservers, "sample_group_element", preservers.sample_violator)
+    code, out, _ = run(capsys, "verify", "--corollary", "symm.f", "--field", field_desc, "--seed", "5",
+                       "--elements", "6", "--policy", policy)
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    field = parse_field(field_desc)
+    rng = random.Random(5)
+    for cell, form in zip(report["cells"], preservers.corollary_forms("symm.f"), strict=True):
+        assert (cell["form"], cell["elements"], cell["failures"]) == (form.descriptor(), 2, 2)
+        first = preservers.sample_violator("symm.f", form, field, rng)
+        verdict = preservers.preserves_form(first, form, policy=policy, rng=rng)
+        second = preservers.sample_violator("symm.f", form, field, rng)
+        preservers.preserves_form(second, form, policy=policy, rng=rng)
+        # the symbolic policy names no point; a sampled trial names its own
+        assert not verdict.ok
+        assert (verdict.counterexample is None) == (verdict.policy == "symbolic")
+        element = first.to_json_obj()
+        assert element["family"] == "congruence" and set(element["params"]) == {"r", "P", "star"}
+        assert cell["counterexample"] == {
+            "element": element,
+            "point": verdict.counterexample,
+            "scaling_factor": field.format(first.scaling_factor(form)),
+        }
+        assert cell["counterexample"]["scaling_factor"] != "1"
+
+
+@pytest.mark.parametrize("field_desc", ["Fp:7", "Q"])
+def test_verify_counts_an_element_off_the_predicted_character(capsys, monkeypatch, field_desc):
+    from linpres import preservers
+    from linpres.fields import parse_field
+
+    # the elements preserve every form, but their predicted character reads 2:
+    # the two disagree, so each element fails, with no rejecting point
+    code, clean, _ = run(capsys, "verify", "--corollary", "cubics", "--field", field_desc, "--seed", "4",
+                         "--elements", "3")
+    assert code == 0 and json.loads(clean)["cells"][0]["failures"] == 0
+    monkeypatch.setattr(preservers.PreserverElement, "scaling_factor", lambda self, form: self.field.of(2))
+    code, out, _ = run(capsys, "verify", "--corollary", "cubics", "--field", field_desc, "--seed", "4",
+                       "--elements", "3")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    (cell,) = report["cells"]
+    assert (cell["elements"], cell["failures"]) == (3, 3)
+    form = parse_form("cubic-disc")
+    first = preservers.sample_group_element("cubics", form, parse_field(field_desc), random.Random(4))
+    assert cell["counterexample"] == {"element": first.to_json_obj(), "scaling_factor": "2"}
+    assert first.to_json_obj()["family"] == "cubic-substitution"
+    # only the cell's failure count, its counterexample and ok differ
+    expected = json.loads(clean)
+    expected["cells"][0].update(failures=3, counterexample=cell["counterexample"])
+    expected["ok"] = False
+    assert report == expected
+
+
+def test_bruteforce_oracle_census_counts_disagreements(capsys, monkeypatch):
+    import dataclasses
+
+    from linpres import bruteforce
+
+    # the radical oracle's verdict flips at the 125 cubics with a0 = 1; 5 of
+    # the 24 minimal cubics (s x + t y)^3 have a0 = s^3 = 1, at s = 1
+    real = bruteforce.minimal_by_radical
+
+    def flipped(form, v):
+        verdict = real(form, v)
+        return dataclasses.replace(verdict, is_minimal=not verdict.is_minimal) if v.coords[0].value == 1 else verdict
+
+    monkeypatch.setattr(bruteforce, "minimal_by_radical", flipped)
+    code, out, _ = run(capsys, "bruteforce", "--case", "cubic-oracles-f5")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["counts"] == {"disagreements": 125, "minimal": 19, "points": 625}
+
+
+def test_bruteforce_discriminant_census_counts_mismatches(capsys, monkeypatch):
+    import dataclasses
+
+    from linpres import bruteforce
+
+    # every pair with c = 1 is reported as not preserving: the 240 such pairs
+    # with trivial character become mismatches.  A map c (q o g) is met by
+    # the 4 pairs (c l^-3, l g), one per c since cubing permutes F_5^*, so
+    # the pairs left still reach all 240 maps
+    real = bruteforce.preserves_form
+
+    def flipped(el, form, policy):
+        verdict = real(el, form, policy)
+        return dataclasses.replace(verdict, ok=False) if el.c.value == 1 else verdict
+
+    monkeypatch.setattr(bruteforce, "preserves_form", flipped)
+    code, out, _ = run(capsys, "bruteforce", "--case", "cubic-census-f5")
+    assert code == 1
+    report = json.loads(out)
+    assert report["ok"] is False
+    assert report["counts"] == {
+        "character_one_pairs": 960,
+        "distinct_preserving_maps": 240,
+        "mismatches": 240,
+        "pairs_checked": 1920,
+        "preserving_pairs": 720,
+    }

@@ -415,3 +415,50 @@ def test_go_element_gives_up_after_its_budget_with_the_same_stream(field):
     for _ in range(64 * 2 * n * n):
         b.randint(-3, 3)
     assert a.getstate() == b.getstate()
+
+
+CONE_LINES = ["symm-det:3", "skew-pf:6", "square-det:3", "quadric:4", "cubic-disc", "wedge36", "mat2n:5", "hyperdet"]
+
+
+def _cone_and_direction_draws(seed):
+    """The minimal-cone samples of every line (the nonzero integer vectors,
+    the isotropic vectors and the cubic root) over F_7 and Q, then root-spread
+    directions over Q, each followed by the rng state."""
+    from linpres.multilinear import RepVector
+
+    out = []
+    for field in (F7, QQ):
+        rng = random.Random(seed)
+        out += [minimality.sample_minimal(parse_form(line), field, rng).ints() for line in CONE_LINES]
+        out += [isotropic_vector(field, rng, Mat2n(6).gram(field)), rng.getstate()]
+    cubic = parse_form("cubic-disc")
+    for coords in ([1, 3, 3, 1], [0, 1, -1, 0]):
+        rng = random.Random(seed)
+        v = RepVector(cubic.space, QQ, coords)
+        out += [minimality.minimal_by_rrs(cubic, v, policy="randomized", rng=rng, trials=8).to_json_obj(), rng.getstate()]
+    return out
+
+
+def test_cone_and_direction_draws_equal_per_coordinate_randint(monkeypatch):
+    # _rand_nonzero_ints, isotropic_vector, the root-spread directions and the
+    # cubic root read one getrandbits block per vector: the same values and
+    # rng state as one randint per coordinate
+    fast = [_cone_and_direction_draws(seed) for seed in range(6)]
+    per_coordinate = lambda rng, lo, hi, n: [rng.randint(lo, hi) for _ in range(n)]
+    monkeypatch.setattr(sampling, "_randints", per_coordinate)
+    monkeypatch.setattr(minimality, "_randints", per_coordinate)
+    assert [_cone_and_direction_draws(seed) for seed in range(6)] == fast
+
+
+def test_cone_and_direction_draws_call_no_randint():
+    # over F_7 the cone samplers draw no randint at all; over Q the
+    # root-spread directions draw none either
+    from linpres.multilinear import RepVector
+
+    rng = CountingRandom(5)
+    for line in CONE_LINES:
+        minimality.sample_minimal(parse_form(line), F7, rng)
+    isotropic_vector(F7, rng, Mat2n(6).gram(F7))
+    cubic = parse_form("cubic-disc")
+    minimality.minimal_by_rrs(cubic, RepVector(cubic.space, QQ, [1, 3, 3, 1]), policy="randomized", rng=rng, trials=8)
+    assert rng.randint_calls == 0

@@ -283,6 +283,20 @@ MUTANTS = [
         "if not k:",
         "the sp6-push similitude check reads only k = (G^t b G)[0][1], not the other entries",
     ),
+    (
+        "verify-character",
+        "preservers.py",
+        "if not verdict.ok or chi != field.one:",
+        "if not verdict.ok:",
+        "verify counts no failure for an element whose predicted character is not one",
+    ),
+    (
+        "verify-counterexample",
+        "preservers.py",
+        "if counterexample is None:",
+        "if False:",
+        "verify counts its failures but reports no counterexample",
+    ),
 ]
 
 
