@@ -18,6 +18,9 @@ nonzero scalar): Pf of the standard pairing matrix is +1; the wedge36
 quartic is calibrated once so that its value on the chosen reference point
 is 4; the hyperdeterminant's sign makes the all-diagonal tensor evaluate
 to +1.  Every reported value depends on these conventions.
+
+Each determinant and the Pfaffian has one expansion plan, compiled up to
+COMPILED_DET_MAX and COMPILED_PF_MAX and interpreted above them.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ from functools import cache, cached_property
 from itertools import product
 from math import comb
 from operator import add, mul
-from types import SimpleNamespace
 
 from .fields import QQ
-from .linalg import Matrix, canonical, clear_denominators, det_expansion, pfaffian
+from .linalg import Matrix, canonical, clear_denominators
 from .multilinear import (
     RepVector,
     Space,
@@ -47,19 +49,44 @@ class FormError(ValueError):
     """Unsupported form parameters or a vector outside the form's space."""
 
 
-COMPILED_DET_MAX = 6  # larger determinants go through division-free expansion
+COMPILED_DET_MAX = 6  # larger determinants run their plan interpreted
 # Larger Pfaffians, too: compiling the memoized expansion took 1.0 ms at
 # n = 10, 2.5 ms at n = 12 and 7.6 ms at n = 14, where one interpreted
 # evaluation took 0.9 and 2.7 ms, so above 10 a compile costs more than an
 # evaluation (Python 3.11, 2-core x86).
 COMPILED_PF_MAX = 10
-_INTS = SimpleNamespace(zero=0, one=1)  # the ring linalg.pfaffian reads
 
 
-def _expansion_formula(dim, top, expand):
-    """Compile a recursive expansion: expand(key) is the coordinate index of
-    a leaf, else its (sign, coordinate, subkey) terms; each subkey's value is
-    named once and reused wherever it recurs."""
+def _expansion_formula(dim, top, expand, compiled):
+    """The value of a recursive expansion plan: expand(key) is the coordinate
+    index of a leaf, else its (sign, coordinate, subkey) terms.  Compiled,
+    each subkey's value is named once and reused wherever it recurs;
+    interpreted, a memoized walk of the same plan computes each once per
+    call.  Either way only +, - and * touch the coordinates, so ints and
+    polynomials both run through it."""
+    if not compiled:
+
+        def fn(vals):
+            memo: dict = {}
+
+            def value(key):
+                terms = expand(key)
+                if isinstance(terms, int):
+                    return vals[terms]
+                total = None
+                for s, c, sub in terms:
+                    t = memo.get(sub)
+                    if t is None:
+                        t = memo[sub] = value(sub)
+                    t = vals[c] * t
+                    if s < 0:
+                        t = -t
+                    total = t if total is None else total + t
+                return total
+
+            return value(top)
+
+        return fn
     assignments = []
     names: dict = {}
 
@@ -81,23 +108,19 @@ def _expansion_formula(dim, top, expand):
 def _det_formula(n, coord):
     """det of the n x n matrix whose (i, j) entry is coordinate coord(i, j) of
     the input: Laplace expansion along the top row with every minor on the
-    bottom rows named once, compiled, for n <= COMPILED_DET_MAX."""
-    if n > COMPILED_DET_MAX:
-
-        def fn(vals):
-            # the ring argument only supplies the empty determinant; n > 0 here
-            return det_expansion(None, [[vals[coord(i, j)] for j in range(n)] for i in range(n)])
-
-        return fn
+    bottom rows computed once, keyed by the bit mask of its columns (an int
+    hashes faster than a tuple), compiled for n <= COMPILED_DET_MAX."""
+    table = [[coord(i, j) for j in range(n)] for i in range(n)]
 
     def expand(cols):
-        r = n - len(cols)
-        if len(cols) == 1:
-            return coord(r, cols[0])
-        return [((-1) ** k, coord(r, c), cols[:k] + cols[k + 1 :]) for k, c in enumerate(cols)]
+        left = [c for c in range(n) if cols >> c & 1]
+        row = table[n - len(left)]
+        if len(left) == 1:
+            return row[left[0]]
+        return [((-1) ** k, row[c], cols ^ 1 << c) for k, c in enumerate(left)]
 
-    dim = 1 + max(coord(i, j) for i in range(n) for j in range(n))
-    return _expansion_formula(dim, tuple(range(n)), expand)
+    dim = 1 + max(map(max, table))
+    return _expansion_formula(dim, (1 << n) - 1, expand, n <= COMPILED_DET_MAX)
 
 
 LATTICE_POINT_LIMIT = 10**5
@@ -333,29 +356,18 @@ class SkewPf(InvariantForm):
 
     @cached_property
     def formula(self):
-        """For n <= COMPILED_PF_MAX, the expansion along the first index with
-        each sub-Pfaffian on the remaining indices named once, compiled:
+        """The expansion along the first index with each sub-Pfaffian on the
+        remaining indices computed once, compiled for n <= COMPILED_PF_MAX:
         pairing the first index with the k-th remaining one contributes the
-        sign (-1)^(k+1).  Above it, linalg.pfaffian's division-free expansion."""
-        n = self.n
-        pairs = _alt_pairs(n)
-        if n <= COMPILED_PF_MAX:
-            coord = {ij: k for k, ij in enumerate(pairs)}
+        sign (-1)^(k+1)."""
+        coord = {ij: k for k, ij in enumerate(_alt_pairs(self.n))}
 
-            def expand(idx):
-                if len(idx) == 2:
-                    return coord[idx]
-                return [((-1) ** (k + 1), coord[idx[0], idx[k]], idx[1:k] + idx[k + 1 :]) for k in range(1, len(idx))]
+        def expand(idx):
+            if len(idx) == 2:
+                return coord[idx]
+            return [((-1) ** (k + 1), coord[idx[0], idx[k]], idx[1:k] + idx[k + 1 :]) for k in range(1, len(idx))]
 
-            return _expansion_formula(self.space.dim, tuple(range(n)), expand)
-
-        def fn(vals):
-            rows = [[0] * n for _ in range(n)]
-            for x, (i, j) in zip(vals, pairs):
-                rows[i][j], rows[j][i] = x, -x
-            return pfaffian(_INTS, rows)
-
-        return fn
+        return _expansion_formula(self.space.dim, tuple(range(self.n)), expand, self.n <= COMPILED_PF_MAX)
 
     def scaling_factor(self, params):
         r = params["r"]
@@ -511,22 +523,6 @@ class Wedge36(InvariantForm):
 
     def scaling_factor(self, params):
         return params["c"] ** 4 * params["g"].det() ** 2
-
-
-def wedge36_pair_point(x: RepVector, y: RepVector) -> RepVector:
-    """e_1 wedge x + e_2 wedge y in wedge^3 of k^6, for x, y alternating 4x4
-    on the last four basis vectors.  The wedge36 quartic takes the value
-    <x, y>^2 - 4 Pf(x) Pf(y) on such points."""
-    alt4 = Space("alt", n=4)
-    if x.space != alt4 or y.space != alt4 or x.field != y.field:
-        raise FormError("expected two alternating 4x4 vectors over one field")
-    field = x.field
-    idx3, _ = subset_index(6, 3)
-    coords = [field.zero] * 20
-    for k, (i, j) in enumerate(_alt_pairs(4)):
-        coords[idx3[(0, i + 2, j + 2)]] = x.coords[k]
-        coords[idx3[(1, i + 2, j + 2)]] = y.coords[k]
-    return RepVector._raw(Space("wedge", d=3, n=6), field, coords)
 
 
 class Sp6Quartic(Wedge36):

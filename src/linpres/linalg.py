@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over scalar fields and polynomial rings.
+"""Exact dense linear algebra over the scalar fields.
 
 A field value is read as an integer form (X, D), and four functions here
 define that encoding: `clear_denominators` (field values to the form),
@@ -11,9 +11,8 @@ its entries are a view of it.
 Over a field, determinant, rank, inverse and kernel all read one row
 reduction (`_reduce`) of the integer form: residues mod p over F_p,
 fraction-free Bareiss elimination over the rationals (every division exact,
-no coefficient swell).  Ring algorithms (polynomial entries) are
-division-free: memoized minor expansion for the determinant and the
-recursive Pfaffian expansion.
+no coefficient swell).  Determinants and Pfaffians of polynomial entries
+are the forms' expansions (forms.SymmDet, SquareDet, SkewPf).
 """
 
 from __future__ import annotations
@@ -316,73 +315,3 @@ def _reduce(m, p, width=None, clear_above=False):
     if len(pivots) < nr or width != nr:
         return m, pivots, 0
     return m, pivots, sign * acc
-
-
-def det_expansion(ring, rows):
-    """Division-free determinant by memoized minor expansion (any commutative ring)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise LinAlgError("determinant of a non-square matrix")
-    if n == 0:
-        return ring.one
-    cache: dict = {}
-
-    def minor(cols):
-        if cols in cache:
-            return cache[cols]
-        r = n - len(cols)
-        if len(cols) == 1:
-            val = rows[r][cols[0]]
-        else:
-            val = None
-            for idx, c in enumerate(cols):
-                rest = cols[:idx] + cols[idx + 1 :]
-                term = rows[r][c] * minor(rest)
-                if idx % 2:
-                    term = -term
-                val = term if val is None else val + term
-        cache[cols] = val
-        return val
-
-    return minor(tuple(range(n)))
-
-
-def pfaffian(ring, rows):
-    """Pfaffian of an alternating matrix by recursive expansion.
-
-    Division-free; works for field and polynomial entries.  Normalization:
-    the standard block-diagonal pairing matrix has Pfaffian +1.
-    """
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise LinAlgError("Pfaffian of a non-square matrix")
-    if n % 2:
-        raise LinAlgError("Pfaffian needs even dimension")
-    z = ring.zero
-    for i in range(n):
-        if rows[i][i] != z:
-            raise LinAlgError("nonzero diagonal in alternating matrix")
-        for j in range(i + 1, n):
-            if rows[i][j] != -rows[j][i]:
-                raise LinAlgError("matrix is not alternating")
-    if n == 0:
-        return ring.one
-    cache: dict = {}
-
-    def pf(idx):
-        if len(idx) == 0:
-            return ring.one
-        if idx in cache:
-            return cache[idx]
-        s0 = idx[0]
-        val = None
-        for k in range(1, len(idx)):
-            rest = tuple(x for x in idx[1:] if x != idx[k])
-            term = rows[s0][idx[k]] * pf(rest)
-            if k % 2 == 0:
-                term = -term
-            val = term if val is None else val + term
-        cache[idx] = val
-        return val
-
-    return pf(tuple(range(n)))

@@ -19,9 +19,8 @@ r ^ w (_wedge_step), behind wedge_ints and exterior_power_ints.
 
 Also here: degree-4 polarization and the Gram of the bilinear form b_x,
 both read off the form's integer formula on cleared integer coordinates
-(InvariantForm.int_evaluator, line_coefficients), the Pfaffian's polar
-pairing on alternating 4x4 matrices, wedge products, and the symplectic
-contraction of 3-vectors.
+(InvariantForm.int_evaluator, line_coefficients), wedge products, and the
+complement star's table.
 """
 
 from __future__ import annotations
@@ -411,18 +410,6 @@ def bx_int_gram(f, x: RepVector):
     return list(gram), field.of(f.constant / (12 * den * big_d**2))
 
 
-def symplectic_pair(space: Space, x: RepVector, y: RepVector):
-    """The invariant pairing on alternating 4x4 matrices, the polar form of
-    the Pfaffian: the coefficient of t in Pf(x + t y),
-    x1 y6 + x6 y1 - x2 y5 - x5 y2 + x3 y4 + x4 y3."""
-    if space != Space("alt", n=4):
-        raise SpaceError("no pairing registered for %r" % space)
-    if x.space != space or y.space != space:
-        raise SpaceError("vectors outside the pairing's space")
-    a, b = x.coords, y.coords
-    return a[0] * b[5] + a[5] * b[0] - a[1] * b[4] - a[4] * b[1] + a[2] * b[3] + a[3] * b[2]
-
-
 # wedge machinery
 
 
@@ -530,35 +517,3 @@ def complement_star_table(n: int, d: int):
         comp = tuple(i for i in range(n) if i not in A)
         table.append((idx_c[comp], merge_sign(A, comp)))
     return tuple(table)
-
-
-def wedge_complement_star_matrix(field, n: int, d: int) -> Matrix:
-    """Duality star on wedge(d, n): e_A -> sign(A, complement) * e_complement."""
-    rows = [[field.zero] * comb(n, d) for _ in range(comb(n, n - d))]
-    for a, (c, s) in enumerate(complement_star_table(n, d)):
-        rows[c][a] = field.of(s)
-    return Matrix(field, rows)
-
-
-def sp6_contract(v: RepVector, b: Matrix) -> list:
-    """Contraction of a 3-vector on k^6 by a nondegenerate skew form b."""
-    space = v.space
-    if space != Space("wedge", d=3, n=6):
-        raise SpaceError("contraction defined on wedge(3, 6)")
-    field = v.field
-    if b.nrows != 6 or b.ncols != 6:
-        raise SpaceError("b must be 6x6")
-    if b.transpose() != -b:
-        raise SpaceError("b must be skew")
-    if b.rank() != 6:
-        raise SpaceError("b must be nondegenerate")
-    _, subs = subset_index(6, 3)
-    out = [field.zero] * 6
-    for a, (i, j, k) in enumerate(subs):
-        va = v.coords[a]
-        if va == field.zero:
-            continue
-        out[k] = out[k] + b.entry(i, j) * va
-        out[j] = out[j] - b.entry(i, k) * va
-        out[i] = out[i] + b.entry(j, k) * va
-    return out

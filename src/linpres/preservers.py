@@ -11,7 +11,6 @@ Families (the involution or factor permutation always acts first):
 - sp6-push          wedge-push with g a symplectic similitude, no star
 - triple-push       T -> (g1 x g2 x g3) (sigma T) on 2x2x2 tensors
 - orthogonal-pair   X -> g1 X g2^t with g2^t S g2 = mu S on 2 x n matrices
-- generic           an arbitrary coordinate matrix
 
 Each element builds its action once, as integer rows R and one field scalar
 s with coordinate matrix s R; apply, matrix_on_space, both preservation
@@ -33,7 +32,7 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, islice
 from operator import mul
 
 from .forms import InvariantForm, parse_form, simplex_lattice
@@ -176,15 +175,6 @@ def _nonzero(c, field, what: str):
 _STAR4 = ((0, 1), (1, -1), (3, -1), (2, -1), (4, -1), (5, 1))
 
 
-def hodge_star4_matrix(field) -> Matrix:
-    """Pfaffian-fixing involution on alternating 4x4 coordinates:
-    (x1..x6) -> (x1, -x2, -x4, -x3, -x5, x6)."""
-    rows = [[field.zero] * 6 for _ in range(6)]
-    for i, (j, s) in enumerate(_STAR4):
-        rows[i][j] = field.of(s)
-    return Matrix(field, rows)
-
-
 # families
 
 
@@ -228,7 +218,8 @@ class PreserverElement:
         return self._matrix
 
     def char_params(self) -> dict | None:
-        """Parameters consumed by the form's scaling_factor; None for generic maps."""
+        """Parameters consumed by the form's scaling_factor; None for a map
+        with no closed scaling character."""
         return None
 
     def scaling_factor(self, form: InvariantForm):
@@ -445,12 +436,6 @@ class TriplePush(PreserverElement):
         return {"g1": self.gs[0], "g2": self.gs[1], "g3": self.gs[2], "perm": self.perm}
 
 
-def factor_permutation(field, perm) -> TriplePush:
-    """Pure factor permutation of a 2x2x2 tensor."""
-    i2 = Matrix.identity(field, 2)
-    return TriplePush(i2, i2, i2, perm=perm)
-
-
 class OrthogonalPair(PreserverElement):
     """X -> g1 X g2^t on 2 x n matrices, g2 a similitude of the reference
     pairing: g2^t S g2 = mu S."""
@@ -471,28 +456,6 @@ class OrthogonalPair(PreserverElement):
 
     def char_params(self):
         return {"g1": self.g1, "g2": self.g2, "mu": self.mu}
-
-
-class GenericMap(PreserverElement):
-    """An arbitrary linear coordinate map; no closed scaling character.  The
-    one family whose action comes from its matrix."""
-
-    family = "generic"
-
-    def __init__(self, space: Space, field, matrix: Matrix):
-        if matrix.ring != field:
-            raise PreserverError("matrix must be over %s" % field.descriptor)
-        if (matrix.nrows, matrix.ncols) != (space.dim, space.dim):
-            raise PreserverError("matrix does not match the space dimension")
-        super().__init__(space, field)
-        self._matrix = matrix
-
-    def _build_action(self):
-        rows, den = self._matrix.ints()
-        return _action(self.field, rows, self.field.one, den)
-
-    def params_json(self):
-        return {"matrix": _param_json(self.field, self._matrix)}
 
 
 # preservation policies
@@ -552,6 +515,11 @@ def _lattice_reference(form: InvariantForm, field):
     return simplex_lattice(form.int_evaluator(field), cols, form.degree, field.modulus, PreserverError)
 
 
+def _printed(x, p):
+    """A raw point as a counterexample: its coordinates as text, reduced over F_p."""
+    return [str(v if p is None else v % p) for v in x]
+
+
 def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto", rng=None, trials=None) -> PreservationVerdict:
     """Does f(T x) == f(x) identically?
 
@@ -570,8 +538,10 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     checks them in order.  If trial t of a batch fails before the batch's
     last, the batch's draws up to trial t are made again from the rng state
     before the batch, so the stream ends where a per-trial loop's does.  A
-    failure verdict is certain and prints the reduced point; a success
-    verdict carries the exact error bound (degree / set size)^trials.  auto
+    failure verdict is certain and prints the reduced raw point that
+    rejected the element: the symbolic policy's first lattice point in
+    lattice order, the failing trial's point.  A sampled success verdict
+    carries the exact error bound (degree / set size)^trials.  auto
     is symbolic up to dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel
     above.  A trials count below 1 is rejected under either policy.
     """
@@ -597,7 +567,13 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
         if b != 1:
             refs = [b * r for r in refs]
         values = simplex_lattice(fn, cols, deg, p, PreserverError, a)
-        return PreservationVerdict(values == refs, "symbolic")
+        if values == refs:
+            return PreservationVerdict(True, "symbolic")
+        # name the first lattice point alpha where the two differ, as E alpha
+        first = next(i for i, (u, v) in enumerate(zip(values, refs)) if u != v)
+        combo = next(islice(combinations_with_replacement(range(len(cols)), deg), first, None))
+        alpha = [combo.count(j) for j in range(len(cols))]
+        return PreservationVerdict(False, "symbolic", counterexample=_printed(_raw_points(form, field)[2](alpha), p))
     if trials is None:
         trials = sz_trial_count(field, deg)
     # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
@@ -612,7 +588,7 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
                     rng.setstate(state)
                     for _ in range(t + 1):
                         uniform_ints(rng, lo, hi, size)
-                return PreservationVerdict(False, "schwartz-zippel", first + t, None, [str(v if p is None else v % p) for v in x])
+                return PreservationVerdict(False, "schwartz-zippel", first + t, None, _printed(x, p))
     return PreservationVerdict(True, "schwartz-zippel", trials, Fraction(deg, field.sz_set_size) ** trials)
 
 

@@ -27,7 +27,6 @@ from operator import mul
 
 from .fields import PrimeField, RationalField
 from .linalg import Matrix, ratio
-from .multilinear import RepVector, Space
 
 
 class SamplingError(RuntimeError):
@@ -97,13 +96,6 @@ def _randints(rng, lo: int, hi: int, n: int) -> list:
         if x < width:
             out.append(x + lo)
     return out
-
-
-def rand_vector(space: Space, field, rng, bound=9, nonzero=False) -> RepVector:
-    while True:
-        v = RepVector(space, field, [field.sample(rng, bound) for _ in range(space.dim)])
-        if not nonzero or not v.is_zero():
-            return v
 
 
 def rand_unit(field, rng, bound=9):

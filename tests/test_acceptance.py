@@ -11,17 +11,15 @@ import time
 
 from linpres.bruteforce import run_case
 from linpres.fields import QQ, PrimeField
-from linpres.forms import Hyperdet, Mat2n, SkewPf, Wedge36, wedge36_pair_point
+from linpres.forms import Hyperdet, Mat2n, SkewPf, Wedge36
 from linpres.linalg import Matrix
-from linpres.multilinear import RepVector, Space, symplectic_pair
+from linpres.multilinear import RepVector, Space
 from linpres.polynomials import PolyRing
 from linpres.preservers import (
     COROLLARY_IDS,
     PERMS3,
     Sandwich,
     corollary_forms,
-    factor_permutation,
-    hodge_star4_matrix,
     preserves_form,
     preserves_minimals,
     sample_free_element,
@@ -29,7 +27,8 @@ from linpres.preservers import (
     sample_violator,
     scales_form,
 )
-from linpres.sampling import invertible_matrix, rand_vector
+from linpres.sampling import invertible_matrix
+from reference import factor_permutation, hodge_star4_matrix, rand_vector, symplectic_pair, wedge36_pair_point
 
 F7 = PrimeField(7)
 FIELDS = (F7, QQ)

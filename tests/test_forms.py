@@ -24,7 +24,6 @@ from linpres.forms import (
     form_descriptors,
     parse_form,
     simplex_lattice,
-    wedge36_pair_point,
 )
 from linpres.linalg import Matrix, scaled
 from linpres.multilinear import (
@@ -34,16 +33,16 @@ from linpres.multilinear import (
     _signed_sum,
     _straight_line,
     bx_int_gram,
+    full_rows,
     lambda_power_matrix,
     merge_sign,
     polarize4,
-    sp6_contract,
     standard_symplectic_ints,
     subset_index,
-    symplectic_pair,
     wedge_of_vectors,
 )
 from linpres.polynomials import PolyRing
+from reference import pfaffian, sp6_contract, symplectic_pair, wedge36_pair_point
 
 F7 = PrimeField(7)
 F5 = PrimeField(5)
@@ -204,8 +203,6 @@ def lattice_points(dim, d):
 
 
 def test_pfaffian_plan_matches_polynomial_expansion():
-    from linpres.linalg import pfaffian
-
     for n in (4, 6, 8, 10):
         f = SkewPf(n)
         ring = PolyRing(QQ, tuple("x%d" % i for i in range(f.space.dim)))
@@ -235,8 +232,6 @@ def test_pfaffian_formula_equals_the_monomial_plan_on_the_simplex_lattice():
 
 
 def test_pfaffian_formula_matches_linalg_pfaffian_at_n_10():
-    from linpres.linalg import pfaffian
-
     rng = random.Random(10)
     f = SkewPf(10)
     pairs = _alt_pairs(10)
@@ -576,6 +571,40 @@ def test_determinant_expands_over_polynomials_beyond_compiled_sizes():
             for _ in range(3):
                 v = rand_vec(rng, f.space, field)
                 assert sym.evaluate(list(v.coords)) == f.evaluate(v)
+
+
+@pytest.mark.parametrize("line", ["symm-det:15", "square-det:15", "skew-pf:20"])
+def test_interpreted_expansions_at_the_largest_sizes(line):
+    # the largest sizes run the expansion plan interpreted: each value equals
+    # Bareiss elimination's determinant, and the Pfaffian the reference
+    # recursion and Pf^2 = det, over Q and F_10007
+    rng = random.Random(line)
+    f = parse_form(line)
+    for _ in range(2):
+        ints = [rng.randint(-9, 9) for _ in range(f.space.dim)]
+        for field in (QQ, PrimeField(10007)):
+            v = RepVector(f.space, field, [field.of(x) for x in ints])
+            value, det = f.evaluate(v), v.to_matrix().det()
+            if not isinstance(f, SkewPf):
+                assert value == det
+                continue
+            assert value * value == det
+            if field is QQ:
+                assert value == pfaffian(QQ, full_rows(f.space, ints, 0))
+
+
+def test_pfaffian_expands_over_polynomials_beyond_compiled_sizes():
+    # n = 12 runs the interpreted Pfaffian, which must stay division-free;
+    # it has one monomial per perfect matching of 12 indices, 11!! = 10395
+    rng = random.Random(28)
+    f = SkewPf(12)
+    for field in (QQ, F7):
+        ring = PolyRing(field, tuple("x%d" % i for i in range(f.space.dim)))
+        sym = f.eval_entries(ring, list(ring.gens()))
+        assert len(sym.terms) == 10395
+        for _ in range(3):
+            v = rand_vec(rng, f.space, field)
+            assert sym.evaluate(list(v.coords)) == f.evaluate(v)
 
 
 def test_gram_forms_compare_their_s():

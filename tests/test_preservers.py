@@ -16,13 +16,12 @@ from linpres import preservers
 from linpres.fields import QQ, PrimeField
 from linpres.forms import CubicDisc, InvariantForm, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form, simplex_lattice
 from linpres.linalg import Matrix
-from linpres.multilinear import RepVector, Space, lambda_power_matrix, wedge_complement_star_matrix
+from linpres.multilinear import RepVector, Space, lambda_power_matrix
 from linpres.preservers import (
     COROLLARY_IDS,
     Congruence,
     CubicSubstitution,
     GSp6Push,
-    GenericMap,
     OrthogonalPair,
     PERMS3,
     PreservationVerdict,
@@ -34,8 +33,6 @@ from linpres.preservers import (
     _packed,
     corollary_forms,
     canonical_corollary,
-    factor_permutation,
-    hodge_star4_matrix,
     preserves_form,
     preserves_minimals,
     sample_free_element,
@@ -46,7 +43,8 @@ from linpres.preservers import (
     verify_corollary,
 )
 from linpres.polynomials import PolyRing
-from linpres.sampling import gsp6_element, invertible_matrix, rand_vector, slot_code, unimodular_matrix, uniform_ints
+from linpres.sampling import gsp6_element, invertible_matrix, slot_code, unimodular_matrix, uniform_ints
+from reference import GenericMap, factor_permutation, hodge_star4_matrix, rand_vector, wedge_complement_star_matrix
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -535,6 +533,30 @@ def test_sz_counterexample_is_a_witness(cid, desc):
         x = RepVector(form.space, field, [field.parse(c) for c in verdict.counterexample])
         assert [field.format(c) for c in x.coords] == verdict.counterexample
         assert form.evaluate(el.apply(x)) != form.evaluate(x)  # sp6: x is a kernel point
+
+
+@pytest.mark.parametrize("cid,desc", ALL_CELLS)
+def test_symbolic_rejection_names_the_first_rejecting_lattice_point(cid, desc):
+    # the point is E alpha for the first alpha of the degree-deg lattice on
+    # the raw coefficients, in combinations_with_replacement order, where
+    # f(T E alpha) differs from f(E alpha), read here through field vectors
+    form = parse_form(desc)
+    for field in (QQ, F7):
+        rng = rnd(stable_seed(cid, desc, "s"))
+        el = sample_violator(cid, form, field, rng)
+        verdict = preserves_form(el, form, policy="symbolic")
+        assert not verdict.ok and verdict.policy == "symbolic"
+        emb = form.raw_embedding(field)
+        k = form.space.dim if emb is None else len(emb[0])
+        for combo in itertools.combinations_with_replacement(range(k), form.degree):
+            alpha = [combo.count(j) for j in range(k)]
+            coords = alpha if emb is None else [sum(map(operator.mul, row, alpha)) for row in emb]
+            x = RepVector(form.space, field, [field.of(c) for c in coords])
+            if form.evaluate(el.apply(x)) != form.evaluate(x):
+                break
+        else:
+            pytest.fail("no lattice point rejects the violator")
+        assert verdict.counterexample == [field.format(c) for c in x.coords], (cid, desc, field)
 
 
 def _expanded_preserves(el, form, field):

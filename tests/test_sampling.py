@@ -23,12 +23,12 @@ from linpres.sampling import (
     invertible_matrix,
     isotropic_vector,
     rand_unit,
-    rand_vector,
     solve_power,
     unimodular_matrix,
     uniform_ints,
     word_columns,
 )
+from reference import rand_vector
 
 F7 = PrimeField(7)
 

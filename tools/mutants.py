@@ -76,8 +76,8 @@ MUTANTS = [
     (
         "M12",
         "preservers.py",
-        'return PreservationVerdict(values == refs, "symbolic")',
-        'return PreservationVerdict(values[:-1] == refs[:-1], "symbolic")',
+        "if values == refs:",
+        "if values[:-1] == refs[:-1]:",
         "the symbolic policy skips the last lattice point",
     ),
     (
@@ -142,6 +142,13 @@ MUTANTS = [
         "((-1) ** (k + 1), coord[idx[0], idx[k]]",
         "((-1) ** k, coord[idx[0], idx[k]]",
         "the memoized Pfaffian expansion flips every term's sign",
+    ),
+    (
+        "expansion-interpreted-sign",
+        "forms.py",
+        "if s < 0:",
+        "if False:",
+        "the interpreted expansion above the compiled sizes ignores each term's sign",
     ),
     (
         "lattice-last-index",
