@@ -118,9 +118,7 @@ def structure_rule(target, field):
             return lagrangian
         return structure_rule(space, field)
     space, kind = target, target.kind
-    if kind == "vector":
-        return any
-    if kind in ("symm", "square", "rect", "alt"):
+    if space.shape is not None:
         rank = 2 if kind == "alt" else 1
         return lambda x: any(x) and int_rank(full_rows(space, x, 0), p) == rank
     if kind == "wedge":
@@ -242,11 +240,11 @@ def minimal_by_radical(form: InvariantForm, v: RepVector) -> MinimalityVerdict:
 # minimal-orbit samplers
 
 
-def _rand_nonzero_ints(rng, k, field, lo=-4, hi=4):
-    """k integers from [lo, hi], drawn again until one is nonzero in the
+def _rand_nonzero_ints(rng, k, field):
+    """k integers from [-4, 4], drawn again until one is nonzero in the
     field; residues mod p over F_p."""
     while True:
-        (v,), _ = canonical(field, [_randints(rng, lo, hi, k)])
+        (v,), _ = canonical(field, [_randints(rng, -4, 4, k)])
         if any(v):
             return v
 
@@ -278,8 +276,6 @@ def sample_minimal(target, field, rng) -> RepVector:
         word, d, _ = gsp6_word(field, rng)
         ints, den = word_columns(field, word, d, (0, 2, 4))
         return wedge_of_vectors(field, 6, list(zip(*ints)), c / field.of(den**3))
-    if kind == "vector":
-        return vector(one, _rand_nonzero_ints(rng, space.dim, field))
     if kind == "symm":
         n = space.params["n"]
         u = _rand_nonzero_ints(rng, n, field)
@@ -292,8 +288,7 @@ def sample_minimal(target, field, rng) -> RepVector:
             if not v.is_zero():
                 return v
     if kind in ("square", "rect"):
-        m = space.params.get("m", space.params["n"])
-        n = space.params["n"]
+        m, n = space.shape
         u, w = _rand_nonzero_ints(rng, m, field), _rand_nonzero_ints(rng, n, field)
         return vector(c, [u[i] * w[j] for i in range(m) for j in range(n)])
     if kind == "wedge":

@@ -2,8 +2,9 @@
 
 Spaces: symmetric/alternating/square/rectangular matrices, plain vectors,
 wedge powers, binary cubic forms, 2x2x2 tensors.  One table (_KINDS) gives
-each kind's parameter names and its dimension.  Vectors are stored as flat
-coordinate tuples in a canonical basis per space:
+each kind's parameter names, its dimension and its matrix shape (Space.shape:
+(n, n), (m, n), or None for a kind that is not a matrix).  Vectors are stored
+as flat coordinate tuples in a canonical basis per space:
 
 - symm(n): upper-triangle entries (i <= j), lexicographic;
 - alt(n): above-diagonal entries (i < j), lexicographic;
@@ -14,8 +15,8 @@ coordinate tuples in a canonical basis per space:
 
 A vector holds only its integer form (RepVector.ints, as linalg.canonical
 returns it); its coordinates are a view of it, built on first read.  Every
-wedge product on a command's path runs through one compiled integer step
-r ^ w (_wedge_step), behind wedge_ints and exterior_power_ints.
+colex wedge product runs through one compiled integer step r ^ w
+(_wedge_step), behind wedge_ints and exterior_power_ints.
 
 Also here: degree-4 polarization and the Gram of the bilinear form b_x,
 both read off the form's integer formula on cleared integer coordinates
@@ -61,29 +62,31 @@ def _signed_sum(terms):
     return " ".join(parts).lstrip("+ ") or "0"
 
 
-# kind -> (parameter names, dimension as a function of those parameters)
+# kind -> (parameter names, those parameters -> (dimension, matrix shape or
+# None for a kind that is not a matrix))
 _KINDS = {
-    "symm": (("n",), lambda n: n * (n + 1) // 2),
-    "alt": (("n",), lambda n: n * (n - 1) // 2),
-    "square": (("n",), lambda n: n * n),
-    "rect": (("m", "n"), lambda m, n: m * n),
-    "vector": (("n",), lambda n: n),
-    "wedge": (("d", "n"), lambda d, n: comb(n, d)),
-    "cubic": ((), lambda: 4),
-    "tritensor": ((), lambda: 8),
+    "symm": (("n",), lambda n: (n * (n + 1) // 2, (n, n))),
+    "alt": (("n",), lambda n: (n * (n - 1) // 2, (n, n))),
+    "square": (("n",), lambda n: (n * n, (n, n))),
+    "rect": (("m", "n"), lambda m, n: (m * n, (m, n))),
+    "vector": (("n",), lambda n: (n, None)),
+    "wedge": (("d", "n"), lambda d, n: (comb(n, d), None)),
+    "cubic": ((), lambda: (4, None)),
+    "tritensor": ((), lambda: (8, None)),
 }
 
 
 class Space:
     """Immutable representation-space descriptor: a kind of _KINDS, its
-    parameters and the dimension they give."""
+    parameters, and the dimension and matrix shape ((n, n), (m, n) or None)
+    they give."""
 
-    __slots__ = ("kind", "params", "dim")
+    __slots__ = ("kind", "params", "dim", "shape")
 
     def __init__(self, kind: str, **params):
         if kind not in _KINDS:
             raise SpaceError("unknown space kind %r" % kind)
-        need, dim = _KINDS[kind]
+        need, size = _KINDS[kind]
         if set(params) != set(need):
             raise SpaceError("space %r needs params %r" % (kind, need))
         for k, v in params.items():
@@ -95,7 +98,9 @@ class Space:
             raise SpaceError("wedge degree out of range")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", dict(params))
-        object.__setattr__(self, "dim", dim(**params))
+        dim, shape = size(**params)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "shape", shape)
 
     def __setattr__(self, name, val):
         raise AttributeError("Space is immutable")
@@ -265,9 +270,9 @@ class RepVector:
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise SpaceError("ragged matrix")
-        if kind not in ("symm", "alt", "square", "rect"):
+        if space.shape is None:
             raise SpaceError("space %r is not a matrix kind" % kind)
-        if (len(rows), n) != (space.params.get("m", space.params["n"]), space.params["n"]):
+        if (len(rows), n) != space.shape:
             raise SpaceError("matrix shape mismatch")
         if kind in ("square", "rect"):
             return cls._raw(space, field, [x for r in rows for x in r])
@@ -283,13 +288,10 @@ class RepVector:
     # JSON round trip
 
     def to_json_obj(self) -> dict:
-        kind = self.space.kind
-        field = self.field
-        if kind in ("symm", "alt", "square", "rect"):
-            entries = [field.format(x) for r in self.to_matrix().rows for x in r]
-        else:
-            entries = [field.format(x) for x in self.coords]
-        return {"space": kind, "params": dict(sorted(self.space.params.items())), "entries": entries}
+        space, field = self.space, self.field
+        coords = self.coords if space.shape is None else [x for r in full_rows(space, self.coords, field.zero) for x in r]
+        entries = [field.format(x) for x in coords]
+        return {"space": space.kind, "params": dict(sorted(space.params.items())), "entries": entries}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
@@ -310,9 +312,8 @@ class RepVector:
         if not isinstance(params, dict) or any(type(v) is not int for v in params.values()):
             raise SpaceError("bad vector object: params must map names to integers, got %s" % json.dumps(params))
         space = Space(kind, **params)
-        if kind in ("symm", "alt", "square", "rect"):
-            m = params.get("m", params.get("n"))
-            n = params["n"]
+        if space.shape is not None:
+            m, n = space.shape
             if len(entries) != m * n:
                 raise SpaceError("expected %d matrix entries" % (m * n))
             rows = [entries[i * n : (i + 1) * n] for i in range(m)]
@@ -414,17 +415,11 @@ def bx_int_gram(f, x: RepVector):
 
 
 @cache
-def _wedge_step(n: int, k: int, lex: bool = False):
+def _wedge_step(n: int, k: int):
     """fn((*r, *w)) = r ^ w on integers, for a vector r and w in wedge^(k-1)
     of k^n: sum_t (-1)^t r[B[t]] w[B - B[t]] for each k-subset B in colex
-    order, the Laplace expansion along r of the minor on columns B.  With
-    lex the subsets come in lexicographic order, which for k = 2 is the
-    coordinate order of alternating matrices."""
-    table = _wedge_map_table(n, k - 1)
-    if lex:
-        subs = subset_index(n, k)[1]
-        table = [table[t] for t in sorted(range(len(subs)), key=subs.__getitem__)]
-    rows = [[(-1 if neg else 1, (i, n + a)) for i, a, neg in row] for row in table]
+    order, the Laplace expansion along r of the minor on columns B."""
+    rows = [[(-1 if neg else 1, (i, n + a)) for i, a, neg in row] for row in _wedge_map_table(n, k - 1)]
     return _straight_line(n + comb(n, k - 1), [], "[%s]" % ", ".join(map(_signed_sum, rows)))
 
 

@@ -1,7 +1,8 @@
 """Transformation families that scale each invariant, and randomized or
 symbolic verification that a map preserves a form.
 
-Families (the involution or factor permutation always acts first):
+Families (the involution or factor permutation always acts first, as one
+signed column gather of the action's rows, _gather):
 
 - congruence        X -> r P (star^s X) P^t on symmetric or alternating matrices
 - sandwich          X -> A X B on square or rectangular matrices
@@ -44,7 +45,6 @@ from .multilinear import (
     _alt_pairs,
     _straight_line,
     _symm_pairs,
-    _wedge_step,
     complement_star_table,
     exterior_power_ints,
     standard_symplectic_ints,
@@ -125,24 +125,22 @@ def _action(field, rows, c, den=1):
     return rows, c / den
 
 
-def _kron_action(field, factors, moves=None):
+def _kron_action(field, factors):
     """Action of the Kronecker product of the factor matrices: row (a, b, ..)
-    and column (i, j, ..) hold f1[a][i] f2[b][j] ..; with moves, column k of
-    the product lands at column moves[k]."""
+    and column (i, j, ..) hold f1[a][i] f2[b][j] .."""
     rows, den = [[1]], 1
     for f in factors:
         ints, d = f.ints()
         rows = [[x * y for x in r1 for y in r2] for r1 in rows for r2 in ints]
         den *= d
-    if moves is not None:
-        moved = []
-        for row in rows:
-            out = [0] * len(row)
-            for k, x in zip(moves, row):
-                out[k] = x
-            moved.append(out)
-        rows = moved
     return _action(field, rows, field.one, den)
+
+
+def _gather(rows, table):
+    """The rows with their columns permuted and signed: column k holds s
+    times column src of rows, for (src, s) = table[k].  Every involution and
+    factor permutation acts on the right of an action this way."""
+    return [[s * row[src] for src, s in table] for row in rows]
 
 
 def _invertible(m: Matrix, field, n: int, what: str) -> Matrix:
@@ -239,10 +237,13 @@ class PreserverElement:
 
 
 @cache
-def _symm_square_step(n: int):
-    """fn((*a, *b)) = [a_i b_j + a_j b_i for i < j, a_i b_i for i = j] on
-    integers, in the coordinate order of symmetric matrices, compiled."""
-    terms = ("v%d*v%d" % (i, n + i) if i == j else "v%d*v%d + v%d*v%d" % (i, n + j, j, n + i) for i, j in _symm_pairs(n))
+def _pair_step(n: int, symm: bool):
+    """fn((*a, *b)) on integers, compiled: [a_i b_j + a_j b_i for i < j,
+    a_i b_i for i = j] in the coordinate order of symmetric matrices, or
+    [a_i b_j - a_j b_i for i < j] in that of alternating ones."""
+    cross = "v%d*v%d + v%d*v%d" if symm else "v%d*v%d - v%d*v%d"
+    pairs = _symm_pairs(n) if symm else _alt_pairs(n)
+    terms = ("v%d*v%d" % (i, n + i) if i == j else cross % (i, n + j, j, n + i) for i, j in pairs)
     return _straight_line(2 * n, [], "[%s]" % ", ".join(terms))
 
 
@@ -264,16 +265,13 @@ class Congruence(PreserverElement):
     def _build_action(self):
         # row (a, b) is the symmetric square or the wedge of rows a and b of
         # P = E / D in integers, so every entry is r / D^2 times an integer
-        n = self.p.nrows
+        n, symm = self.p.nrows, self.space.kind == "symm"
         e, den = self.p.ints()
-        if self.space.kind == "symm":
-            step, pairs = _symm_square_step(n), _symm_pairs(n)
-        else:
-            step, pairs = _wedge_step(n, 2, lex=True), _alt_pairs(n)
-        out = [step((*e[a], *e[b])) for a, b in pairs]
+        step = _pair_step(n, symm)
+        out = [step((*e[a], *e[b])) for a, b in (_symm_pairs(n) if symm else _alt_pairs(n))]
         if self.star:
             # times the star on the right: a signed column permutation
-            out = [[s * row[src] for src, s in _STAR4] for row in out]
+            out = _gather(out, _STAR4)
         return _action(self.field, out, self.r, den**2)
 
     def char_params(self):
@@ -291,8 +289,8 @@ class _FrobeniusForm(PreserverElement):
         if space.kind not in self.kinds:
             raise PreserverError("%s cannot act on the %s space" % (self.family, space.kind))
         super().__init__(space, a.ring)
-        self.a = _invertible(a, self.field, space.params.get("m", space.params["n"]), "A")
-        self.b = _invertible(b, self.field, space.params["n"], "B")
+        self.a = _invertible(a, self.field, space.shape[0], "A")
+        self.b = _invertible(b, self.field, space.shape[1], "B")
 
     def char_params(self):
         return {"A": self.a, "B": self.b}
@@ -317,10 +315,10 @@ class TransposeSandwich(_FrobeniusForm):
 
     def _build_action(self):
         # A X^t B is A x B^t applied to X^t: column (j, i) of the product
-        # multiplies X[i][j], so it moves to column (i, j)
+        # multiplies X[i][j], so column (i, j) gathers it
         n = self.a.nrows
-        moves = [i * n + j for j in range(n) for i in range(n)]
-        return _kron_action(self.field, (self.a, self.b.transpose()), moves)
+        rows, s = _kron_action(self.field, (self.a, self.b.transpose()))
+        return _gather(rows, [(j * n + i, 1) for i in range(n) for j in range(n)]), s
 
 
 class CubicSubstitution(PreserverElement):
@@ -372,8 +370,7 @@ class WedgePush(PreserverElement):
         # integer 3x3 minors, then the star as a signed column permutation
         out = exterior_power_ints(vals, 3)
         if self.star:
-            star = complement_star_table(6, 3)
-            out = [[s * row[src] for src, s in star] for row in out]
+            out = _gather(out, complement_star_table(6, 3))
         return _action(field, out, self.c, den**3)
 
     def char_params(self):
@@ -425,12 +422,12 @@ class TriplePush(PreserverElement):
 
     def _build_action(self):
         # g1 x g2 x g3 has entry g1[i][a] g2[j][b] g3[k][c] at (ijk, abc);
-        # coordinate abc of sigma T is coordinate src(abc) of T, so that
-        # column of the Kronecker product moves there
-        s = self.perm
-        slots = [(a, b, c) for a in range(2) for b in range(2) for c in range(2)]
-        moves = [4 * t[s[0]] + 2 * t[s[1]] + t[s[2]] for t in slots]
-        return _kron_action(self.field, self.gs, moves)
+        # column d = (a, b, c) of the action gathers the product's column t
+        # with t[sigma(i)] = d[i], whose index weighs d[i] by 4 >> sigma(i)
+        w = [4 >> i for i in self.perm]
+        rows, s = _kron_action(self.field, self.gs)
+        table = [(a * w[0] + b * w[1] + c * w[2], 1) for a in range(2) for b in range(2) for c in range(2)]
+        return _gather(rows, table), s
 
     def char_params(self):
         return {"g1": self.gs[0], "g2": self.gs[1], "g3": self.gs[2], "perm": self.perm}
@@ -443,11 +440,11 @@ class OrthogonalPair(PreserverElement):
     family = "orthogonal-pair"
 
     def __init__(self, space: Space, g1: Matrix, g2: Matrix, mu):
-        if space.kind != "rect" or space.params["m"] != 2:
+        if space.kind != "rect" or space.shape[0] != 2:
             raise PreserverError("orthogonal-pair acts on 2 x n matrices")
         super().__init__(space, g1.ring)
         self.g1 = _invertible(g1, self.field, 2, "g1")
-        self.g2 = _invertible(g2, self.field, space.params["n"], "g2")
+        self.g2 = _invertible(g2, self.field, space.shape[1], "g2")
         self.mu = _nonzero(mu, self.field, "mu")
 
     def _build_action(self):

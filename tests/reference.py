@@ -84,7 +84,7 @@ def pfaffian(ring, rows):
         s0 = idx[0]
         val = None
         for k in range(1, len(idx)):
-            rest = tuple(x for x in idx[1:] if x != idx[k])
+            rest = idx[1:k] + idx[k + 1 :]
             term = rows[s0][idx[k]] * pf(rest)
             if k % 2 == 0:
                 term = -term

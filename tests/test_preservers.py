@@ -747,6 +747,23 @@ def test_sz_error_bound_recorded():
     assert obj["ok"] and "error_bound" in obj
 
 
+def test_verdict_json_emits_the_rejecting_point_and_the_error_bound():
+    # a rejection by either policy emits its point, a witness f(T x) != f(x);
+    # a sampled success emits its error bound as "a/b" and no point
+    form = parse_form("cubic-disc")
+    rng = rnd(16)
+    bad = sample_violator("cubics", form, F7, rng)
+    for policy, trials in (("symbolic", 0), ("schwartz-zippel", 1)):
+        obj = preserves_form(bad, form, policy=policy, rng=rng).to_json_obj()
+        assert sorted(obj) == ["counterexample", "ok", "policy", "trials"]
+        assert (obj["ok"], obj["policy"], obj["trials"]) == (False, policy, trials)
+        x = RepVector(form.space, F7, [F7.parse(c) for c in obj["counterexample"]])
+        assert form.evaluate(bad.apply(x)) != form.evaluate(x)
+    good = sample_group_element("cubics", form, F7, rng)
+    obj = preserves_form(good, form, policy="schwartz-zippel", rng=rng).to_json_obj()
+    assert obj == {"ok": True, "policy": "schwartz-zippel", "trials": 75, "error_bound": "%d/%d" % (4**75, 7**75)}
+
+
 def test_sampling_budgets_below_one_are_rejected():
     # a verdict from no samples would be vacuous
     form = parse_form("skew-pf:8")

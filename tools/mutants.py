@@ -190,7 +190,21 @@ MUTANTS = [
         "preservers.py",
         '"v%d*v%d + v%d*v%d"',
         '"v%d*v%d - v%d*v%d"',
-        "the symmetric congruence kernel subtracts its cross term",
+        "the symmetric pair step subtracts its cross term",
+    ),
+    (
+        "pair-step-alt-sign",
+        "preservers.py",
+        '"v%d*v%d - v%d*v%d"',
+        '"v%d*v%d + v%d*v%d"',
+        "the alternating pair step adds its cross term, so congruences on alternating matrices lose their sign",
+    ),
+    (
+        "gather-sign",
+        "preservers.py",
+        "[[s * row[src] for src, s in table] for row in rows]",
+        "[[row[src] for src, s in table] for row in rows]",
+        "the signed column gather drops its signs, so both stars permute without them",
     ),
     (
         "sp6-raw-embedding",
