@@ -20,13 +20,14 @@ is 4; the hyperdeterminant's sign makes the all-diagonal tensor evaluate
 to +1.  Every reported value depends on these conventions.
 
 Each determinant and the Pfaffian has one expansion plan, compiled up to
-COMPILED_DET_MAX and COMPILED_PF_MAX and interpreted above them.
+COMPILED_DET_MAX and COMPILED_PF_MAX and interpreted above them; compiled
+formulas are straight-line source, which simplex_lattice runs inline.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, wraps
 from itertools import product
 from math import comb
 from operator import add, mul
@@ -36,10 +37,8 @@ from .linalg import Matrix, canonical, clear_denominators
 from .multilinear import (
     RepVector,
     Space,
-    _alt_pairs,
     _signed_sum,
     _straight_line,
-    _symm_pairs,
     standard_symplectic_ints,
     subset_index,
 )
@@ -131,28 +130,33 @@ WALK_DEPTH_MAX = 16
 
 
 @cache
-def _lattice_walk(m, k, modular):
+def _lattice_walk(m, k, modular, source):
     """Compile walk(fn, cols, level, scale, p) for columns of width m: for each
-    (i, base) in level, in order, scale * fn(base + the columns of each sorted
+    (i, base) in level, in order, scale * f(base + the columns of each sorted
     k-tuple of indices from i on), reduced mod p when modular.  One nested
-    loop per index keeps the column sums of its depth in locals; the point is
-    a list display of the inline sums with the last index's column."""
-    cs = "".join("c%d, " % t for t in range(m))
-    sums = lambda depth: "".join("s%d_%d, " % (depth, t) for t in range(m))
-    value = lambda point: "scale * fn([%s])%s" % (point, " % p" if modular else "")
-    lines = ["def walk(fn, cols, level, scale, p):"]
-    if k == 0:
-        lines.append("    return [%s for i0, (%s) in level]" % (value(sums(0)), sums(0)))
+    loop per index keeps the column sums of its depth in locals.  f is fn,
+    called on the point's list display, or, given a formula's source (m,
+    assignments, result), that formula run inline on the point bound to
+    v0 .. v{m-1}; the walk's own names start with "_", and no formula's may."""
+    cs = "".join("_c%d, " % t for t in range(m))
+    point = ["_s0_%d" % t for t in range(m)]
+    lines = ["def walk(_fn, _cols, _level, _scale, _p):", "    _out = []", "    _push = _out.append"]
+    lines.append("    for _i0, (%s,) in _level:" % ", ".join(point))
+    for depth in range(1, k):
+        pad = "    " * (depth + 1)
+        lines.append(pad + "for _i%d, (%s) in enumerate(_cols[_i%d:], _i%d):" % (depth, cs, depth - 1, depth - 1))
+        lines += [pad + "    _s%d_%d = _s%d_%d + _c%d" % (depth, t, depth - 1, t, t) for t in range(m)]
+    if k:  # the last index's loop adds its column to the point
+        lines.append("    " * (k + 1) + "for %s in _cols[_i%d:]:" % (cs, k - 1))
+        point = ["_s%d_%d + _c%d" % (k - 1, t, t) for t in range(m)]
+    pad = "    " * (k + 2)
+    if source is None or source[0] != m:
+        value = "_fn([%s])" % ", ".join(point)
     else:
-        lines += ["    out = []", "    push = out.append", "    for i0, (%s) in level:" % sums(0)]
-        for depth in range(1, k):
-            pad = "    " * (depth + 1)
-            lines.append(pad + "for i%d, (%s) in enumerate(cols[i%d:], i%d):" % (depth, cs, depth - 1, depth - 1))
-            lines += [pad + "    s%d_%d = s%d_%d + c%d" % (depth, t, depth - 1, t, t) for t in range(m)]
-        point = "".join("s%d_%d + c%d, " % (k - 1, t, t) for t in range(m))
-        lines.append("    " * (k + 1) + "for %s in cols[i%d:]:" % (cs, k - 1))
-        lines.append("    " * (k + 2) + "push(%s)" % value(point))
-        lines.append("    return out")
+        lines += [pad + "v%d = %s" % v for v in enumerate(point)]
+        lines += [pad + line for line in source[1].split("\n") if line]
+        value = "(%s)" % source[2]
+    lines += [pad + "_push(_scale * %s%s)" % (value, " % _p" if modular else ""), "    return _out"]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
     return namespace["walk"]
@@ -164,12 +168,14 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     lexicographic order, the sums in integers and each value reduced mod the
     modulus when there is one.  Walked as the sorted tuples of the indices
     alpha counts with multiplicity, by one walk compiled per (column width,
-    depth, modulus or not) and cached: a loop per index, each adding its
-    column to the sums of the loop around it, and each point the list display
-    of those sums plus its last index's column.  Past WALK_DEPTH_MAX indices
-    the sums of the first d - WALK_DEPTH_MAX are built level by level and the
-    walk starts from each of them; those levels hold C(n + d - k, d - k)
-    sums in all for k = WALK_DEPTH_MAX.
+    depth, modulus or not, fn's formula source) and cached: a loop per
+    index, each adding its column to the sums of the loop around it.  Each
+    point runs the straight-line source fn carries (fn.source, from
+    multilinear._straight_line) inline where its dimension is the column
+    width, and calls fn on the point's list display otherwise.  Past
+    WALK_DEPTH_MAX indices the sums of the first d - WALK_DEPTH_MAX are built
+    level by level and the walk starts from each of them; those levels hold
+    C(n + d - k, d - k) sums in all for k = WALK_DEPTH_MAX.
 
     A homogeneous polynomial of degree d that vanishes on this lattice is
     zero in characteristic 0 or above d (the lattice is unisolvent for
@@ -194,7 +200,8 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     level = [(0, (0,) * m)]
     for _ in range(d - k):
         level = [(j, tuple(map(add, v, cols[j]))) for i, v in level for j in range(i, n)]
-    return _lattice_walk(m, k, modulus is not None)(fn, cols, level, scale, modulus)
+    # the evaluator's own source, so that a replaced evaluator is the one run
+    return _lattice_walk(m, k, modulus is not None, getattr(fn, "source", None))(fn, cols, level, scale, modulus)
 
 
 @cache
@@ -245,8 +252,8 @@ class InvariantForm:
         if fn is None:
             self._check_field(field)
             fn, p = self.formula, field.modulus
-            if p is not None:
-                fn = lambda vals, f=fn: f(vals) % p
+            if p is not None:  # keeping the formula's source (wraps copies fn.source)
+                fn = wraps(fn)(lambda vals, f=fn: f(vals) % p)
             self._int_fns[field] = fn
         return fn
 
@@ -315,7 +322,7 @@ class SymmDet(InvariantForm):
     @cached_property
     def formula(self):
         index = {}
-        for k, (i, j) in enumerate(_symm_pairs(self.n)):
+        for k, (i, j) in enumerate(self.space.pairs):
             index[i, j] = index[j, i] = k
         return _det_formula(self.n, lambda i, j: index[i, j])
 
@@ -360,7 +367,7 @@ class SkewPf(InvariantForm):
         remaining indices computed once, compiled for n <= COMPILED_PF_MAX:
         pairing the first index with the k-th remaining one contributes the
         sign (-1)^(k+1)."""
-        coord = {ij: k for k, ij in enumerate(_alt_pairs(self.n))}
+        coord = {ij: k for k, ij in enumerate(self.space.pairs)}
 
         def expand(idx):
             if len(idx) == 2:
@@ -433,7 +440,7 @@ class Quadric(_GramForm):
 
 
 class CubicDisc(InvariantForm):
-    """Discriminant of a0 x^3 + a1 x^2 y + a2 x y^2 + a3 y^3."""
+    """Discriminant of a0 x^3 + a1 x^2 y + a2 x y^2 + a3 y^3, a_i the coordinate v_i."""
 
     line = "cubic-disc"
     degree = 4
@@ -441,16 +448,9 @@ class CubicDisc(InvariantForm):
     def __init__(self):
         self.space = Space("cubic")
 
-    @staticmethod
-    def formula(vals):
-        a0, a1, a2, a3 = vals
-        return (
-            a1 * a1 * a2 * a2
-            + 18 * a0 * a1 * a2 * a3
-            - 4 * a0 * a2**3
-            - 4 * a1**3 * a3
-            - 27 * a0 * a0 * a3 * a3
-        )
+    formula = staticmethod(
+        _straight_line(4, [], "v1*v1*v2*v2 + 18*v0*v1*v2*v3 - 4*v0*v2*v2*v2 - 4*v1*v1*v1*v3 - 27*v0*v0*v3*v3")
+    )
 
     def scaling_factor(self, params):
         return params["c"] ** 4 * params["g"].det() ** 6
@@ -616,13 +616,11 @@ class Hyperdet(InvariantForm):
     def __init__(self):
         self.space = Space("tritensor")
 
-    @staticmethod
-    def formula(t):
-        """m^2 - 4 det A det B, the discriminant of det(A + t B) = det A +
-        m t + det B t^2."""
-        t000, t001, t010, t011, t100, t101, t110, t111 = t
-        m = t000 * t111 + t100 * t011 - t001 * t110 - t101 * t010
-        return m * m - 4 * (t000 * t011 - t001 * t010) * (t100 * t111 - t101 * t110)
+    # m^2 - 4 det A det B, the discriminant of det(A + t B) = det A + m t +
+    # det B t^2, with t_ijk = v(4i + 2j + k)
+    formula = staticmethod(
+        _straight_line(8, [("m", "v0*v7 + v4*v3 - v1*v6 - v5*v2")], "m*m - 4*(v0*v3 - v1*v2)*(v4*v7 - v5*v6)")
+    )
 
     def scaling_factor(self, params):
         return (params["g1"].det() * params["g2"].det() * params["g3"].det()) ** 2

@@ -28,7 +28,7 @@ from operator import mul
 
 from .forms import InvariantForm, simplex_lattice
 from .linalg import canonical, clear_denominators, int_rank
-from .multilinear import RepVector, Space, _alt_pairs, _symm_pairs, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
+from .multilinear import RepVector, Space, bx_int_gram, full_rows, wedge_map_rows, wedge_of_vectors
 from .sampling import _randints, gsp6_word, isotropic_vector, rand_unit, word_columns
 
 
@@ -277,14 +277,13 @@ def sample_minimal(target, field, rng) -> RepVector:
         ints, den = word_columns(field, word, d, (0, 2, 4))
         return wedge_of_vectors(field, 6, list(zip(*ints)), c / field.of(den**3))
     if kind == "symm":
-        n = space.params["n"]
-        u = _rand_nonzero_ints(rng, n, field)
-        return vector(c, [u[i] * u[j] for i, j in _symm_pairs(n)])
+        u = _rand_nonzero_ints(rng, space.shape[0], field)
+        return vector(c, [u[i] * u[j] for i, j in space.pairs])
     if kind == "alt":
         n = space.params["n"]
         while True:
             u, w = _rand_nonzero_ints(rng, n, field), _rand_nonzero_ints(rng, n, field)
-            v = vector(c, [u[i] * w[j] - u[j] * w[i] for i, j in _alt_pairs(n)])
+            v = vector(c, [u[i] * w[j] - u[j] * w[i] for i, j in space.pairs])
             if not v.is_zero():
                 return v
     if kind in ("square", "rect"):

@@ -2,9 +2,10 @@
 
 Spaces: symmetric/alternating/square/rectangular matrices, plain vectors,
 wedge powers, binary cubic forms, 2x2x2 tensors.  One table (_KINDS) gives
-each kind's parameter names, its dimension and its matrix shape (Space.shape:
-(n, n), (m, n), or None for a kind that is not a matrix).  Vectors are stored
-as flat coordinate tuples in a canonical basis per space:
+each kind's parameter names, its dimension, its matrix shape (Space.shape:
+(n, n), (m, n), or None for a kind that is not a matrix) and, for symmetric
+and alternating matrices, the (i, j) entry of each coordinate (Space.pairs).
+Vectors are stored as flat coordinate tuples in a canonical basis per space:
 
 - symm(n): upper-triangle entries (i <= j), lexicographic;
 - alt(n): above-diagonal entries (i < j), lexicographic;
@@ -42,12 +43,17 @@ class SpaceError(ValueError):
 def _straight_line(dim, assignments, result):
     """Compile vals -> result over the locals v0 .. v{dim-1}, after the
     (name, expression) assignments.  Straight-line code from a fixed term
-    plan runs several times faster than a loop over the same plan."""
+    plan runs several times faster than a loop over the same plan.  fn keeps
+    its source (dim, the assignment lines, result) as fn.source, for
+    forms.simplex_lattice to inline; a name starting with "_" is refused."""
+    if any(name.startswith("_") for name, _ in assignments):
+        raise ValueError("straight-line names may not start with an underscore")
+    body = ["%s = %s" % a for a in assignments]
     lines = ["def fn(vals):", "    %s, = vals" % ", ".join("v%d" % i for i in range(dim))]
-    lines += ["    %s = %s" % a for a in assignments]
-    lines.append("    return " + result)
+    lines += ["    " + line for line in body] + ["    return " + result]
     namespace: dict = {}
     exec("\n".join(lines), namespace)
+    namespace["fn"].source = (dim, "\n".join(body), result)
     return namespace["fn"]
 
 
@@ -62,26 +68,38 @@ def _signed_sum(terms):
     return " ".join(parts).lstrip("+ ") or "0"
 
 
+def _alt_pairs(n):
+    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+
+
+def _square(n):
+    if n < 2:
+        raise SpaceError("matrix spaces need n >= 2")
+    return n, n
+
+
 # kind -> (parameter names, those parameters -> (dimension, matrix shape or
-# None for a kind that is not a matrix))
+# None for a kind that is not a matrix, the (i, j) entry of each coordinate
+# of a symmetric or alternating matrix or None))
 _KINDS = {
-    "symm": (("n",), lambda n: (n * (n + 1) // 2, (n, n))),
-    "alt": (("n",), lambda n: (n * (n - 1) // 2, (n, n))),
-    "square": (("n",), lambda n: (n * n, (n, n))),
-    "rect": (("m", "n"), lambda m, n: (m * n, (m, n))),
-    "vector": (("n",), lambda n: (n, None)),
-    "wedge": (("d", "n"), lambda d, n: (comb(n, d), None)),
-    "cubic": ((), lambda: (4, None)),
-    "tritensor": ((), lambda: (8, None)),
+    "symm": (("n",), lambda n: (n * (n + 1) // 2, _square(n), [(i, j) for i in range(n) for j in range(i, n)])),
+    "alt": (("n",), lambda n: (n * (n - 1) // 2, _square(n), _alt_pairs(n))),
+    "square": (("n",), lambda n: (n * n, _square(n), None)),
+    "rect": (("m", "n"), lambda m, n: (m * n, (m, n), None)),
+    "vector": (("n",), lambda n: (n, None, None)),
+    "wedge": (("d", "n"), lambda d, n: (comb(n, d), None, None)),
+    "cubic": ((), lambda: (4, None, None)),
+    "tritensor": ((), lambda: (8, None, None)),
 }
 
 
 class Space:
     """Immutable representation-space descriptor: a kind of _KINDS, its
-    parameters, and the dimension and matrix shape ((n, n), (m, n) or None)
-    they give."""
+    parameters, and the dimension, matrix shape ((n, n), (m, n) or None) and
+    coordinate pairs (the (i, j) entry of each coordinate of a symmetric or
+    alternating matrix, None for other kinds) they give."""
 
-    __slots__ = ("kind", "params", "dim", "shape")
+    __slots__ = ("kind", "params", "dim", "shape", "pairs")
 
     def __init__(self, kind: str, **params):
         if kind not in _KINDS:
@@ -92,15 +110,12 @@ class Space:
         for k, v in params.items():
             if not isinstance(v, int) or v < 1:
                 raise SpaceError("space parameter %s must be a positive integer" % k)
-        if kind in ("symm", "alt", "square") and params["n"] < 2:
-            raise SpaceError("matrix spaces need n >= 2")
         if kind == "wedge" and not 1 <= params["d"] <= params["n"]:
             raise SpaceError("wedge degree out of range")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "params", dict(params))
-        dim, shape = size(**params)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "shape", shape)
+        for name, value in zip(("dim", "shape", "pairs"), size(**params)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, val):
         raise AttributeError("Space is immutable")
@@ -141,14 +156,6 @@ def merge_sign(a, b) -> int:
             if x > y:
                 inv += 1
     return -1 if inv % 2 else 1
-
-
-def _symm_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i, n)]
-
-
-def _alt_pairs(n):
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
 
 
 class RepVector:
@@ -265,20 +272,19 @@ class RepVector:
     def from_matrix(cls, space, field, rows):
         """Build from full matrix entries, validating the symmetry tag: the
         rows must be the full matrix of their own coordinates."""
-        kind = space.kind
         rows = [[field.of(x) for x in r] for r in rows]
         n = len(rows[0]) if rows else 0
         if any(len(r) != n for r in rows):
             raise SpaceError("ragged matrix")
         if space.shape is None:
-            raise SpaceError("space %r is not a matrix kind" % kind)
+            raise SpaceError("space %r is not a matrix kind" % space.kind)
         if (len(rows), n) != space.shape:
             raise SpaceError("matrix shape mismatch")
-        if kind in ("square", "rect"):
+        if space.pairs is None:  # row-major
             return cls._raw(space, field, [x for r in rows for x in r])
-        coords = [rows[i][j] for i, j in (_symm_pairs(n) if kind == "symm" else _alt_pairs(n))]
+        coords = [rows[i][j] for i, j in space.pairs]
         if full_rows(space, coords, field.zero) != rows:
-            raise SpaceError("matrix is not %s" % ("symmetric" if kind == "symm" else "alternating"))
+            raise SpaceError("matrix is not %s" % ("symmetric" if space.kind == "symm" else "alternating"))
         return cls._raw(space, field, coords)
 
     def to_matrix(self) -> Matrix:
@@ -324,17 +330,15 @@ class RepVector:
 def full_rows(space: Space, coords, zero):
     """Rows of the full matrix of a matrix-kind vector from its coordinates:
     field elements, or integers with zero = 0."""
-    kind = space.kind
-    if kind in ("square", "rect"):
-        n = space.params["n"]
+    if space.shape is None:
+        raise SpaceError("space %r is not a matrix kind" % space.kind)
+    n = space.shape[1]
+    if space.pairs is None:  # row-major
         return [list(coords[i : i + n]) for i in range(0, len(coords), n)]
-    if kind not in ("symm", "alt"):
-        raise SpaceError("space %r is not a matrix kind" % kind)
-    n = space.params["n"]
     rows = [[zero] * n for _ in range(n)]
-    for c, (i, j) in zip(coords, _symm_pairs(n) if kind == "symm" else _alt_pairs(n)):
+    for c, (i, j) in zip(coords, space.pairs):
         rows[i][j] = c
-        rows[j][i] = c if kind == "symm" else -c
+        rows[j][i] = c if space.kind == "symm" else -c
     return rows
 
 

@@ -42,9 +42,7 @@ from .minimality import sample_minimal, structure_rule
 from .multilinear import (
     RepVector,
     Space,
-    _alt_pairs,
     _straight_line,
-    _symm_pairs,
     complement_star_table,
     exterior_power_ints,
     standard_symplectic_ints,
@@ -237,13 +235,14 @@ class PreserverElement:
 
 
 @cache
-def _pair_step(n: int, symm: bool):
-    """fn((*a, *b)) on integers, compiled: [a_i b_j + a_j b_i for i < j,
-    a_i b_i for i = j] in the coordinate order of symmetric matrices, or
-    [a_i b_j - a_j b_i for i < j] in that of alternating ones."""
-    cross = "v%d*v%d + v%d*v%d" if symm else "v%d*v%d - v%d*v%d"
-    pairs = _symm_pairs(n) if symm else _alt_pairs(n)
-    terms = ("v%d*v%d" % (i, n + i) if i == j else cross % (i, n + j, j, n + i) for i, j in pairs)
+def _pair_step(space: Space):
+    """fn((*a, *b)) on integers for a, b of length n, compiled, one entry per
+    coordinate (i, j) of the space (Space.pairs): a_i b_j + a_j b_i for i < j
+    and a_i b_i for i = j on symmetric n x n matrices, a_i b_j - a_j b_i on
+    alternating ones."""
+    n = space.shape[0]
+    cross = "v%d*v%d + v%d*v%d" if space.kind == "symm" else "v%d*v%d - v%d*v%d"
+    terms = ("v%d*v%d" % (i, n + i) if i == j else cross % (i, n + j, j, n + i) for i, j in space.pairs)
     return _straight_line(2 * n, [], "[%s]" % ", ".join(terms))
 
 
@@ -253,7 +252,7 @@ class Congruence(PreserverElement):
     family = "congruence"
 
     def __init__(self, space: Space, r, p: Matrix, star: bool = False):
-        if space.kind not in ("symm", "alt"):
+        if space.pairs is None:
             raise PreserverError("congruence acts on symmetric or alternating matrices")
         if star and space != Space("alt", n=4):
             raise PreserverError("the star component exists only on alternating 4x4 matrices")
@@ -265,10 +264,9 @@ class Congruence(PreserverElement):
     def _build_action(self):
         # row (a, b) is the symmetric square or the wedge of rows a and b of
         # P = E / D in integers, so every entry is r / D^2 times an integer
-        n, symm = self.p.nrows, self.space.kind == "symm"
         e, den = self.p.ints()
-        step = _pair_step(n, symm)
-        out = [step((*e[a], *e[b])) for a, b in (_symm_pairs(n) if symm else _alt_pairs(n))]
+        step = _pair_step(self.space)
+        out = [step((*e[a], *e[b])) for a, b in self.space.pairs]
         if self.star:
             # times the star on the right: a signed column permutation
             out = _gather(out, _STAR4)

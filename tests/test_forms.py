@@ -21,6 +21,7 @@ from linpres.forms import (
     SymmDet,
     Wedge36,
     LATTICE_POINT_LIMIT,
+    WALK_DEPTH_MAX,
     form_descriptors,
     parse_form,
     simplex_lattice,
@@ -950,3 +951,90 @@ def test_simplex_lattice_refuses_just_above_the_point_bound():
     assert LATTICE_POINT_LIMIT < 118755 < 2 * LATTICE_POINT_LIMIT
     with pytest.raises(FormError, match="118755 points"):
         simplex_lattice(lambda x: 0, units, 5, None, FormError)
+
+
+# every form of a compiled size that a command walks: the 16 corollary forms,
+# then the quadrics and the determinants and Pfaffian at the compiled bounds
+_WALKED_FORMS = [
+    "symm-det:2", "symm-det:3", "symm-det:4", "skew-pf:6", "skew-pf:8", "skew-pf:4",
+    "square-det:2", "square-det:3", "square-det:4", "cubic-disc", "wedge36", "sp6",
+    "hyperdet", "mat2n:4", "mat2n:5", "mat2n:6",
+    "quadric:3", "quadric:4", "quadric:5", "quadric:6",
+    "symm-det:5", "symm-det:6", "square-det:5", "square-det:6", "skew-pf:10",
+]
+
+
+@pytest.mark.parametrize("desc", _WALKED_FORMS)
+def test_inlined_walk_equals_the_called_evaluator(desc):
+    # the walk runs each form's straight-line source inline; a wrapper that
+    # carries no source is called per point, and both must give the same list
+    form = parse_form(desc)
+    rng = random.Random(desc)
+    m = form.space.dim
+    for field, lo, hi in ((QQ, -(1 << 40), 1 << 40), (QQ, -9, 9), (F7, 0, 6), (PrimeField(10007), 0, 10006)):
+        fn = form.int_evaluator(field)
+        assert fn.source[0] == m, (desc, field.descriptor)
+        cols = [[rng.randint(lo, hi) for _ in range(m)] for _ in range(3)]
+        for scale in (1, -5, 3):
+            got = simplex_lattice(fn, cols, form.degree, field.modulus, FormError, scale)
+            want = simplex_lattice(lambda x: fn(x), cols, form.degree, field.modulus, FormError, scale)
+            assert got == want, (desc, field.descriptor, scale)
+
+
+def test_inlined_walk_runs_the_source_without_calling_the_evaluator():
+    # an evaluator that carries a source is never called: its source runs
+    # inline, also past WALK_DEPTH_MAX, where the walk starts from built levels
+    fn = parse_form("quadric:3").formula
+    rng = random.Random(17)
+
+    def refuse(x):
+        raise AssertionError("an evaluator with a source was called")
+
+    refuse.source = fn.source
+    cols = [[rng.randint(-(1 << 40), 1 << 40) for _ in range(3)] for _ in range(3)]
+    for d in (2, WALK_DEPTH_MAX + 1):
+        values = [
+            fn([sum(cols[i][t] for i in pt) for t in range(3)])
+            for pt in itertools.combinations_with_replacement(range(3), d)
+        ]
+        for a in (1, -7):
+            assert simplex_lattice(refuse, cols, d, None, FormError, a) == [a * v for v in values], d
+            assert simplex_lattice(refuse, cols, d, 10007, FormError, a) == [a * v % 10007 for v in values], d
+
+
+def test_walk_calls_an_evaluator_whose_source_has_another_width():
+    # a source on 2 coordinates cannot run on columns of width 3: the walk
+    # calls the evaluator on each point instead, and a formula on 4
+    # coordinates raises on a 3-coordinate point as a direct call does
+    calls = []
+
+    def spy(x):
+        calls.append(list(x))
+        return sum(x)
+
+    spy.source = _straight_line(2, [], "v0*v1").source
+    cols = [[1, 2, 3], [-4, 5, 6]]
+    assert simplex_lattice(spy, cols, 2, None, FormError) == [12, 13, 14]
+    assert calls == [[2, 4, 6], [-3, 7, 9], [-8, 10, 12]]
+    fn = CubicDisc().int_evaluator(QQ)
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        fn([1, 2, 3])
+    with pytest.raises(ValueError, match="not enough values to unpack"):
+        simplex_lattice(fn, cols, 2, None, FormError)
+
+
+def test_straight_line_names_cannot_clash_with_the_walk():
+    # the walk's own names start with "_", and a straight-line name that does
+    # is refused; the names the walk used before it took that prefix run
+    # inline as ordinary formula names
+    for name in ("_p", "_scale", "_push", "_c0", "_s1_0", "_i0"):
+        with pytest.raises(ValueError, match="underscore"):
+            _straight_line(2, [(name, "v0")], "v1")
+    names = ["p", "scale", "out", "push", "fn", "cols", "level", "c0", "c1", "s0_0", "s1_1", "i0", "i1"]
+    fn = _straight_line(2, [(x, "v%d + %d" % (k % 2, k)) for k, x in enumerate(names)], " * ".join(names[::3]) + " - c1")
+    rng = random.Random(4)
+    cols = [[rng.randint(-50, 50) for _ in range(2)] for _ in range(3)]
+    for modulus in (None, 7, 10007):
+        for a in (1, 3):
+            want = simplex_lattice(lambda x: fn(x), cols, 4, modulus, FormError, a)
+            assert simplex_lattice(fn, cols, 4, modulus, FormError, a) == want, (modulus, a)

@@ -132,8 +132,8 @@ MUTANTS = [
     (
         "hyperdet-four",
         "forms.py",
-        "return m * m - 4 * (",
-        "return m * m - 2 * (",
+        '"m*m - 4*(v0*v3 - v1*v2)*(v4*v7 - v5*v6)"',
+        '"m*m - 2*(v0*v3 - v1*v2)*(v4*v7 - v5*v6)"',
         "the hyperdeterminant's slice discriminant takes 2 det A det B",
     ),
     (
@@ -153,16 +153,37 @@ MUTANTS = [
     (
         "lattice-last-index",
         "forms.py",
-        '"for %s in cols[i%d:]:"',
-        '"for %s in cols[i%d + 1 :]:"',
+        '"for %s in _cols[_i%d:]:"',
+        '"for %s in _cols[_i%d + 1 :]:"',
         "the compiled lattice walk never repeats a point's last index",
     ),
     (
         "lattice-level",
         "forms.py",
-        '"for i%d, (%s) in enumerate(cols[i%d:], i%d):"',
-        '"for i%d, (%s) in enumerate(cols[i%d + 1 :], i%d + 1):"',
+        '"for _i%d, (%s) in enumerate(_cols[_i%d:], _i%d):"',
+        '"for _i%d, (%s) in enumerate(_cols[_i%d + 1 :], _i%d + 1):"',
         "the compiled lattice walk's outer loops never repeat an index",
+    ),
+    (
+        "lattice-inline-last-column",
+        "forms.py",
+        'lines += [pad + "v%d = %s" % v for v in enumerate(point)]',
+        'lines += [pad + "v%d = %s" % v for v in enumerate(point[:-1] + [point[-1].split(" + ")[0]])]',
+        "the inlined formula binds the last coordinate without the last index's column",
+    ),
+    (
+        "lattice-inline-width",
+        "forms.py",
+        "if source is None or source[0] != m:",
+        "if source is None:",
+        "the walk inlines a formula whose dimension is not the column width",
+    ),
+    (
+        "straight-line-names",
+        "multilinear.py",
+        'if any(name.startswith("_") for name, _ in assignments):',
+        "if False:",
+        "a straight-line assignment may rebind a name of the lattice walk",
     ),
     (
         "lattice-outer-level",
