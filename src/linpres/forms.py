@@ -21,14 +21,17 @@ to +1.  Every reported value depends on these conventions.
 
 Each determinant and the Pfaffian has one expansion plan, compiled up to
 COMPILED_DET_MAX and COMPILED_PF_MAX and interpreted above them; compiled
-formulas are straight-line source, which simplex_lattice runs inline.
+formulas are straight-line source, which simplex_lattice runs inline, or,
+over F_p with p * p <= 256, compiles to a byte-sliced kernel (byte_kernel)
+that evaluates f at every point of a check at once.
 """
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
 from functools import cache, cached_property, wraps
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
 from operator import add, mul
 
@@ -162,6 +165,111 @@ def _lattice_walk(m, k, modular, source):
     return namespace["walk"]
 
 
+@cache
+def byte_table(p, c):
+    """The bytes.translate table of b -> c b mod p on every byte b."""
+    return bytes(c * b % p for b in range(256))
+
+
+def byte_kernel(fn, p, width, top):
+    """fn's byte-sliced kernel over F_p (_byte_kernel) for inputs of width
+    coordinates, each slot at most top; None over Q, for p * p > 256, for
+    top > 255, or when fn carries no straight-line source of that width."""
+    source = getattr(fn, "source", None)
+    if p is None or p * p > 256 or top > 255 or source is None or source[0] != width:
+        return None
+    return _byte_kernel(source, p, top)
+
+
+@cache
+def _byte_kernel(source, p, top):
+    """Compile a straight-line source (dim, assignments, result) to
+    kernel(vals, n): vals are dim ints of n byte slots (slot t is byte t of
+    the n-byte big-endian form), each slot at most top, and byte t of the n
+    bytes returned is congruent mod p to f at the point of slots t (SIMD
+    within a register; Lamport, CACM 18(8), 1975).  Every value has a
+    compile-time bound on its slots, at most 255: + adds; - first adds the
+    least multiple of p at or above the subtrahend's bound, so no slot
+    borrows; a constant multiplies; residues a, b multiply by one translate
+    of slot a p + b through the table of products mod p (p * p <= 256).  A
+    translate by b -> b mod p reduces a value only where a product needs
+    residues or a sum would pass 255."""
+    dim, body, result = source
+    lines, consts, reduced = [], set(), {}
+    env = {"v%d" % i: ("v%d" % i, top) for i in range(dim)}
+
+    def emit(text, bound):
+        lines.append("_t%d = %s" % (len(lines), text))
+        return "_t%d" % (len(lines) - 1), bound
+
+    def value(x):  # a constant c as the value with c in every slot
+        if isinstance(x, int):
+            consts.add(x)
+            return "_k%d" % x, x
+        return x
+
+    def residue(x):  # a named value is reduced once
+        if x[1] >= p and x[0] not in reduced:
+            reduced[x[0]] = emit('_f(%s.to_bytes(_n, "big").translate(_mod), "big")' % x[0], p - 1)
+        return reduced.get(x[0], x)
+
+    def node(e):  # a constant as its residue, a value as (name, bound)
+        if isinstance(e, ast.Constant):
+            return e.value % p
+        if isinstance(e, ast.Name):
+            return env[e.id]
+        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
+            return binary(ast.Sub(), 0, node(e.operand))
+        if isinstance(e, ast.BinOp) and isinstance(e.op, (ast.Add, ast.Sub, ast.Mult)):
+            return binary(e.op, node(e.left), node(e.right))
+        raise ValueError("no byte-sliced kernel for %s" % ast.dump(e))
+
+    def binary(op, x, y):
+        if isinstance(x, int) and isinstance(y, int):
+            return {ast.Add: x + y, ast.Sub: x - y, ast.Mult: x * y}[type(op)] % p
+        if isinstance(op, ast.Mult):
+            c, v = (x, y) if isinstance(x, int) else (y, x)
+            if not isinstance(c, int):
+                (a, _), (b, _) = residue(x), residue(y)
+                return emit('_f((%s * %d + %s).to_bytes(_n, "big").translate(_mul), "big")' % (a, p, b), p - 1)
+            if c < 2:
+                return v if c else 0
+            v = residue(v) if c * v[1] > 255 else v
+            return emit("%d * %s" % (c, v[0]), c * v[1])
+        if y == 0:
+            return x
+        x, y, sub = value(x), value(y), isinstance(op, ast.Sub)
+        # x - y is x + k - y, k the least multiple of p at or above y's bound
+        grow = (lambda y: -(-y[1] // p) * p) if sub else (lambda y: y[1])
+        while x[1] + grow(y) > 255:  # reduce the operand of larger bound
+            x, y = (residue(x), y) if x[1] >= y[1] else (x, residue(y))
+        if sub:
+            return emit("%s + %s - %s" % (x[0], value(grow(y))[0], y[0]), x[1] + grow(y))
+        return emit("%s + %s" % (x[0], y[0]), x[1] + y[1])
+
+    for statement in ast.parse(body).body:
+        env[statement.targets[0].id] = node(statement.value)
+    out = value(node(ast.parse(result, mode="eval").body))[0]
+    head = ["def kernel(_vals, _n):", "    %s, = _vals" % ", ".join("v%d" % i for i in range(dim))]
+    head += ['    _o = _f(b"\\x01" * _n, "big")'] + ["    _k%d = %d * _o" % (c, c) for c in sorted(consts)]
+    namespace = {"_f": int.from_bytes, "_mod": byte_table(p, 1)}
+    namespace["_mul"] = bytes(a * b % p for a in range(p) for b in range(p)).ljust(256, b"\0")
+    exec("\n".join(head + ["    " + line for line in lines] + ['    return %s.to_bytes(_n, "big")' % out]), namespace)
+    return namespace["kernel"]
+
+
+@cache
+def _lattice_alphas(n, d):
+    """For each i < n, the count alpha_i at every point of the degree-d
+    simplex lattice on n coordinates, in lattice order, one byte slot per
+    point as byte_kernel reads them (d <= 255)."""
+    counts = [bytearray(comb(n + d - 1, d)) for _ in range(n)]
+    for t, combo in enumerate(combinations_with_replacement(range(n), d)):
+        for i in combo:
+            counts[i][t] += 1
+    return [int.from_bytes(c, "big") for c in counts]
+
+
 def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     """[scale * fn(sum_i alpha_i cols[i]) for each point alpha of the
     principal simplex lattice of degree d on n = len(cols) coordinates], in
@@ -175,7 +283,11 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     width, and calls fn on the point's list display otherwise.  Past
     WALK_DEPTH_MAX indices the sums of the first d - WALK_DEPTH_MAX are built
     level by level and the walk starts from each of them; those levels hold
-    C(n + d - k, d - k) sums in all for k = WALK_DEPTH_MAX.
+    C(n + d - k, d - k) sums in all for k = WALK_DEPTH_MAX.  Over F_p with
+    p * p <= 256 and d (p - 1) <= 255, where fn carries a source of the
+    column width, no walk runs: coordinate j at every point is one int of
+    byte slots, sum_i (cols[i][j] mod p) alpha_i on alpha columns cached per
+    (n, d), and fn's byte-sliced kernel (byte_kernel) evaluates them all.
 
     A homogeneous polynomial of degree d that vanishes on this lattice is
     zero in characteristic 0 or above d (the lattice is unisolvent for
@@ -196,6 +308,12 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     sums = comb(n + d - k, d - k)  # in the levels built before the walk
     if sums > LATTICE_POINT_LIMIT:
         raise error("the degree-%d lattice's levels hold %d sums, above the bound of %d" % (d, sums, LATTICE_POINT_LIMIT))
+    # slot t of coordinate j is sum_i (cols[i][j] mod p) alpha_i(t) <= d (p - 1)
+    kernel = modulus and byte_kernel(fn, modulus, m, d * (modulus - 1))
+    if kernel:
+        alphas = _lattice_alphas(n, d)
+        vals = [sum([c % modulus * a for c, a in zip(col, alphas)]) for col in zip(*cols)]
+        return list(kernel(vals, count).translate(byte_table(modulus, scale)))
     # (i, the column sum) for each sorted tuple of the first d - k indices, i its last
     level = [(0, (0,) * m)]
     for _ in range(d - k):

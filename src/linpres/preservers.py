@@ -19,7 +19,9 @@ policies and the censuses read them.  Every integer product with R goes
 through one packer (_packed), and each reader packs one side once: R per
 element (matvec, for apply, scales_form and preserves_minimals), sp6's
 embedding E per (form, field), the points of each Schwartz-Zippel batch,
-and E's columns for the symbolic policy's R E.
+and E's columns for the symbolic policy's R E.  A batch over a small field
+reads the packed points and their packed row sums before they are
+unpacked, as byte slots for the form's byte-sliced kernel (_byte_slots).
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -36,7 +38,7 @@ from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, islice
 from operator import mul
 
-from .forms import InvariantForm, parse_form, simplex_lattice
+from .forms import InvariantForm, byte_kernel, byte_table, parse_form, simplex_lattice
 from .linalg import Matrix, canonical, ratio
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
@@ -96,7 +98,18 @@ def _packed(rows, p, top):
     order = sys.byteorder
     cols = [int.from_bytes(array(code, col), order) for col in zip(*rows)]
     size = len(rows) * array(code).itemsize
-    return lambda vs: memoryview(b"".join([sum(map(mul, v, cols)).to_bytes(size, order) for v in vs])).cast(code).tolist()
+    product = lambda vs: memoryview(b"".join([sum(map(mul, v, cols)).to_bytes(size, order) for v in vs])).cast(code).tolist()
+    product.cols, product.sums = cols, lambda vs: [sum(map(mul, v, cols)) for v in vs]
+    return product
+
+
+def _byte_slots(packed, n, p):
+    """Each int of n 'H' slots (_packed) as n byte slots (forms.byte_kernel),
+    slot t congruent mod p to the int's slot t and at most 2 (p - 1): its
+    low byte mod p plus 256 times its high byte, mod p."""
+    low, high = byte_table(p, 1), byte_table(p, 256)
+    raws = [s.to_bytes(2 * n, "little") for s in packed]
+    return [int.from_bytes(r[::2].translate(low), "big") + int.from_bytes(r[1::2].translate(high), "big") for r in raws]
 
 
 def _matvec(rows, p):
@@ -213,16 +226,13 @@ class PreserverElement:
             self._matrix = Matrix._exact(self.field, [[a * x for x in row] for row in rows], b)
         return self._matrix
 
-    def char_params(self) -> dict | None:
-        """Parameters consumed by the form's scaling_factor; None for a map
-        with no closed scaling character."""
-        return None
+    def char_params(self) -> dict:
+        """Parameters consumed by the form's scaling_factor; every family
+        defines them, and a map with no closed scaling character raises."""
+        raise PreserverError("no closed scaling character for %r" % self.family)
 
     def scaling_factor(self, form: InvariantForm):
-        params = self.char_params()
-        if params is None:
-            raise PreserverError("no closed scaling character for %r" % self.family)
-        return form.scaling_factor(params)
+        return form.scaling_factor(self.char_params())
 
     def constraint_satisfied(self, form: InvariantForm) -> bool:
         return self.scaling_factor(form) == self.field.one
@@ -515,6 +525,26 @@ def _printed(x, p):
     return [str(v if p is None else v % p) for v in x]
 
 
+def _first_failure(fn, xs, rows, p, top, a, b):
+    """The index of the first raw point x of xs (entries in [0, top]) with
+    a f(R x) != b f(x), fn f's integer evaluator, or None.  Over F_p, for
+    more than one point whose packed products (_packed) fit 'H' slots, fn's
+    byte-sliced kernel (forms.byte_kernel) evaluates f at every x from the
+    packed points and at every R x from their packed row sums, and one bytes
+    comparison decides; otherwise each point is evaluated in turn."""
+    n, m = len(xs), len(xs[0])
+    kernel = p and n > 1 and slot_code(m * (p - 1) * top) == "H" and byte_kernel(fn, p, m, 2 * (p - 1))
+    if kernel:
+        product = _packed(xs, p, top)
+        fx = kernel(_byte_slots(product.cols, n, p), n).translate(byte_table(p, b))
+        fy = kernel(_byte_slots(product.sums(rows), n, p), n).translate(byte_table(p, a))
+        return None if fx == fy else next(t for t in range(n) if fx[t] != fy[t])
+    for t, x, y in zip(range(n), xs, _images(xs, rows, p, top)):
+        if (diff := a * fn(y) - b * fn(x)) and (p is None or diff % p):
+            return t
+    return None
+
+
 def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto", rng=None, trials=None) -> PreservationVerdict:
     """Does f(T x) == f(x) identically?
 
@@ -530,9 +560,11 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     trials in two batches, trial 1 and trials 2..T: each batch makes one
     uniform_ints call per trial, in order, maps its points through
     _raw_points and R with the points packed once (_images), unreduced, and
-    checks them in order.  If trial t of a batch fails before the batch's
-    last, the batch's draws up to trial t are made again from the rng state
-    before the batch, so the stream ends where a per-trial loop's does.  A
+    checks them in order, or at once by the form's byte-sliced kernel where
+    _first_failure runs it, which finds the same first failing trial.  If
+    trial t of a batch fails before the batch's last, the batch's draws up to
+    trial t are made again from the rng state before the batch, so the
+    stream ends where a per-trial loop's does.  A
     failure verdict is certain and prints the reduced raw point that
     rejected the element: the symbolic policy's first lattice point in
     lattice order, the failing trial's point.  A sampled success verdict
@@ -577,13 +609,13 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     for first, n in ((1, 1), (2, trials - 1))[:trials]:  # the batches: trial 1, trials 2..T
         state = rng.getstate() if n > 1 else None
         xs = points([uniform_ints(rng, lo, hi, size) for _ in range(n)])
-        for t, x, y in zip(range(n), xs, _images(xs, rows, p, top)):
-            if (diff := a * fn(y) - b * fn(x)) and (p is None or diff % p):
-                if t < n - 1:  # replay: the stream ends after this trial's draw
-                    rng.setstate(state)
-                    for _ in range(t + 1):
-                        uniform_ints(rng, lo, hi, size)
-                return PreservationVerdict(False, "schwartz-zippel", first + t, None, _printed(x, p))
+        t = _first_failure(fn, xs, rows, p, top, a, b)
+        if t is not None:
+            if t < n - 1:  # replay: the stream ends after this trial's draw
+                rng.setstate(state)
+                for _ in range(t + 1):
+                    uniform_ints(rng, lo, hi, size)
+            return PreservationVerdict(False, "schwartz-zippel", first + t, None, _printed(xs[t], p))
     return PreservationVerdict(True, "schwartz-zippel", trials, Fraction(deg, field.sz_set_size) ** trials)
 
 

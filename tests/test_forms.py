@@ -22,6 +22,8 @@ from linpres.forms import (
     Wedge36,
     LATTICE_POINT_LIMIT,
     WALK_DEPTH_MAX,
+    byte_kernel,
+    byte_table,
     form_descriptors,
     parse_form,
     simplex_lattice,
@@ -1038,3 +1040,63 @@ def test_straight_line_names_cannot_clash_with_the_walk():
         for a in (1, 3):
             want = simplex_lattice(lambda x: fn(x), cols, 4, modulus, FormError, a)
             assert simplex_lattice(fn, cols, 4, modulus, FormError, a) == want, (modulus, a)
+
+
+# the fields of the byte-sliced kernel (p * p <= 256), F_3 among them
+_BYTE_FIELDS = [PrimeField(3, allow_small=True), F5, F7, PrimeField(11), PrimeField(13)]
+
+
+@pytest.mark.parametrize("desc", _WALKED_FORMS)
+def test_byte_kernel_agrees_with_the_int_evaluator(desc):
+    # one point per slot: all coordinates 0, all p - 1, all at the input
+    # bound top, and random points, for tops from p - 1 to 255; F_3 sends
+    # cubic-disc's 18 and 27 and wedge36's 6 to 0
+    form = parse_form(desc)
+    rng = random.Random(desc)
+    m = form.space.dim
+    for field in _BYTE_FIELDS:
+        p = field.modulus
+        fn = form.int_evaluator(field)
+        for top in (p - 1, 2 * (p - 1), form.degree * (p - 1), 255):
+            points = [[0] * m, [p - 1] * m, [top] * m] + [[rng.randint(0, top) for _ in range(m)] for _ in range(61)]
+            vals = [int.from_bytes(bytes(col), "big") for col in zip(*points)]
+            got = byte_kernel(fn, p, m, top)(vals, len(points)).translate(byte_table(p, 1))
+            assert list(got) == [fn(x) for x in points], (desc, p, top)
+
+
+def test_byte_kernel_needs_a_small_field_and_a_source_of_the_width():
+    # p * p <= 256, a straight-line source of the input width and input
+    # slots of at most one byte; otherwise there is no kernel
+    fn = parse_form("hyperdet").int_evaluator(F7)
+    assert byte_kernel(fn, 13, 8, 255) is not None
+    for p, width, top in ((17, 8, 16), (None, 8, 6), (7, 9, 6), (7, 8, 256)):
+        assert byte_kernel(fn, p, width, top) is None, (p, width, top)
+    assert byte_kernel(lambda x: fn(x), 7, 8, 6) is None
+
+
+def test_byte_kernel_runs_constants_in_sums_and_negations():
+    # homogeneous forms add no constants, but a straight-line source may:
+    # each runs as a slot-wise constant, a negation borrows from no slot
+    fn = _straight_line(2, [("a", "-v0 + 3"), ("b", "-(a - 9*v1) - 4")], "a*b + 2 - v0 - 0*b")
+    points = [[x, y] for x in range(13) for y in range(13)]
+    vals = [int.from_bytes(bytes(col), "big") for col in zip(*points)]
+    for p in (3, 5, 13):
+        got = byte_kernel(fn, p, 2, 12)(vals, len(points)).translate(byte_table(p, 1))
+        assert list(got) == [fn(x) % p for x in points], p
+
+
+@pytest.mark.parametrize("desc", _WALKED_FORMS)
+def test_lattice_kernel_equals_the_called_evaluator(desc):
+    # over F_7 and F_13 the lattice runs the byte-sliced kernel on unreduced
+    # columns, including a column of zeros and one of p - 1; a wrapper with
+    # no source is walked and called, and F_17 (17 * 17 > 256) walks inline
+    form = parse_form(desc)
+    rng = random.Random(desc + "|bytes")
+    m = form.space.dim
+    for p in (7, 13, 17):
+        fn = form.int_evaluator(PrimeField(p))
+        cols = [[0] * m, [p - 1] * m] + [[rng.randint(-50, 50) for _ in range(m)] for _ in range(2)]
+        for scale in (1, -5, 3, p):
+            got = simplex_lattice(fn, cols, form.degree, p, FormError, scale)
+            want = simplex_lattice(lambda x: fn(x), cols, form.degree, p, FormError, scale)
+            assert got == want, (desc, p, scale)

@@ -658,7 +658,8 @@ def test_scales_form_matches_character():
 def test_generic_map_has_no_character():
     form = CubicDisc()
     el = GenericMap(form.space, QQ, Matrix.identity(QQ, 4))
-    assert el.char_params() is None
+    with pytest.raises(PreserverError, match="no closed scaling character"):
+        el.char_params()
     with pytest.raises(PreserverError):
         el.scaling_factor(form)
 
@@ -1326,3 +1327,63 @@ def test_free_elements_scale_by_more_than_a_sign(field):
         rng = rnd(stable_seed(cid, desc, "free"))
         factors = {sample_free_element(cid, form, field, rng).scaling_factor(form) for _ in range(20)}
         assert factors - {field.one, -field.one}, (cid, desc, field.descriptor)
+
+
+@pytest.mark.parametrize("p", [7, 13])
+def test_symbolic_kernel_on_sp6_images_equals_the_called_evaluator(p):
+    # the symbolic policy reads sp6's lattice through the unreduced columns of
+    # R E (entries up to 20 (p - 1)^2); the byte-sliced kernel on them gives
+    # the list a wrapper with no source gives
+    field, form = PrimeField(p), parse_form("sp6")
+    rng = rnd(stable_seed("sp6", "kernel-lattice", field.descriptor))
+    emb, fn = form.raw_embedding(field), form.int_evaluator(field)
+    for sampler in (sample_free_element, sample_group_element):
+        cols = preservers._images(list(zip(*emb)), sampler("Sp6", form, field, rng).action()[0], p, p - 1)
+        assert max(map(max, cols)) >= p
+        for scale in (2, p - 1):
+            want = simplex_lattice(lambda x: fn(x), cols, 4, p, PreserverError, scale)
+            assert simplex_lattice(fn, cols, 4, p, PreserverError, scale) == want, (sampler.__name__, scale)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_sz_kernel_rejects_violators_like_the_scalar_loop(p, monkeypatch):
+    # a violator whose trial 1 passes fails inside the batch of trials 2..T;
+    # the kernel's verdict (first failing trial, counterexample) and the rng
+    # state after it are the scalar loop's, which an evaluator with no
+    # source runs (sp6 runs it over F_11 and F_13 either way)
+    field = PrimeField(p)
+    in_batch = 0
+    for cid, desc in ALL_CELLS:
+        form = parse_form(desc)
+        fn = form.int_evaluator(field)
+        rng = rnd(stable_seed(cid, desc, "kernel-sz", field.descriptor))
+        for _ in range(8):
+            el = sample_violator(cid, form, field, rng)
+            state = rng.getstate()
+            verdict = preserves_form(el, form, policy="schwartz-zippel", rng=rng)
+            after = rng.getstate()
+            rng.setstate(state)
+            with monkeypatch.context() as patch:
+                patch.setattr(form, "int_evaluator", lambda field: lambda x: fn(x))
+                assert preserves_form(el, form, policy="schwartz-zippel", rng=rng) == verdict, (desc, p)
+            assert rng.getstate() == after, (desc, p)
+            in_batch += verdict.trials > 1
+    assert in_batch >= 5
+
+
+def test_sz_kernel_runs_where_the_packed_products_fit_h_slots(monkeypatch):
+    # an 'H' slot holds m (p - 1) top: sp6's raw points (top = 14 (p - 1)^2)
+    # fit it over F_7 only, so its batch runs the scalar loop over F_11 and
+    # F_13; wedge36's raw points (top = p - 1) fit it over all three
+    read = []
+    real = preservers._byte_slots
+    monkeypatch.setattr(preservers, "_byte_slots", lambda *args: read.append(args) or real(*args))
+    for cid, desc, p, kernel in (("Sp6", "sp6", 7, True), ("Sp6", "sp6", 11, False), ("Sp6", "sp6", 13, False),
+                                 ("SL6", "wedge36", 13, True)):
+        field, form = PrimeField(p), parse_form(desc)
+        assert (slot_code(20 * (p - 1) * preservers._raw_points(form, field)[1]) == "H") == kernel
+        rng = rnd(stable_seed(cid, desc, "kernel-slots", field.descriptor))
+        el = sample_group_element(cid, form, field, rng)
+        read.clear()
+        assert _sz_like_row_by_row(el, form, rng, None).ok
+        assert bool(read) == kernel, (desc, p)

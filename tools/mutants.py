@@ -286,7 +286,7 @@ MUTANTS = [
     (
         "sz-replay",
         "preservers.py",
-        "rng.setstate(state)\n                    for _ in range(t + 1):\n                        uniform_ints(rng, lo, hi, size)\n",
+        "rng.setstate(state)\n                for _ in range(t + 1):\n                    uniform_ints(rng, lo, hi, size)\n",
         "pass\n",
         "a Schwartz-Zippel failure in mid-batch leaves the rng after the batch's last draw, not the failing trial's",
     ),
@@ -303,6 +303,34 @@ MUTANTS = [
         "slot_code(len(rows[0]) * (p - 1) * top)",
         "slot_code(len(rows[0]) * (p - 1) * (top - 1))",
         "the packed product sizes its slots for inputs below top, so a slot at the bound carries",
+    ),
+    (
+        "kernel-field-gate",
+        "forms.py",
+        "if p is None or p * p > 256 or",
+        "if p is None or p * p > 289 or",
+        "the byte-sliced kernel runs over F_17, whose products pass a byte slot",
+    ),
+    (
+        "kernel-h-slots",
+        "preservers.py",
+        'slot_code(m * (p - 1) * top) == "H"',
+        'slot_code(m * (p - 1) * top) in "HI"',
+        "a Schwartz-Zippel batch whose packed products need 'I' slots is read as 'H' slots",
+    ),
+    (
+        "kernel-borrow-offset",
+        "forms.py",
+        "(lambda y: -(-y[1] // p) * p)",
+        "(lambda y: y[1] // p * p)",
+        "a kernel subtraction adds a multiple of p below the subtrahend's bound, so a slot borrows",
+    ),
+    (
+        "kernel-first-failure",
+        "preservers.py",
+        "next(t for t in range(n) if fx[t] != fy[t])",
+        "next(t for t in range(n - 1, -1, -1) if fx[t] != fy[t])",
+        "the kernel's Schwartz-Zippel batch reports its last failing trial, not its first",
     ),
     (
         "word-digit-width",
