@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import cache
 
 
 class FieldError(ValueError):
@@ -117,6 +118,12 @@ class Residue:
 
     def __repr__(self):
         return "Residue(%d, %d)" % (self.value, self.modulus)
+
+
+@cache
+def byte_table(p, c):
+    """The bytes.translate table of b -> c b mod p on every byte b."""
+    return bytes(c * b % p for b in range(256))
 
 
 class RationalField:

@@ -21,9 +21,8 @@ to +1.  Every reported value depends on these conventions.
 
 Each determinant and the Pfaffian has one expansion plan, compiled up to
 COMPILED_DET_MAX and COMPILED_PF_MAX and interpreted above them; compiled
-formulas are straight-line source, which simplex_lattice runs inline, or,
-over F_p with p * p <= 256, compiles to a byte-sliced kernel (byte_kernel)
-that evaluates f at every point of a check at once.
+formulas are straight-line source, which simplex_lattice runs inline, or
+over small fields as one byte-sliced kernel for every point (byte_kernel).
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from itertools import combinations_with_replacement, product
 from math import comb
 from operator import add, mul
 
-from .fields import QQ
+from .fields import QQ, byte_table
 from .linalg import Matrix, canonical, clear_denominators
 from .multilinear import (
     RepVector,
@@ -165,12 +164,6 @@ def _lattice_walk(m, k, modular, source):
     return namespace["walk"]
 
 
-@cache
-def byte_table(p, c):
-    """The bytes.translate table of b -> c b mod p on every byte b."""
-    return bytes(c * b % p for b in range(256))
-
-
 def byte_kernel(fn, p, width, top):
     """fn's byte-sliced kernel over F_p (_byte_kernel) for inputs of width
     coordinates, each slot at most top; None over Q, for p * p > 256, for
@@ -184,16 +177,15 @@ def byte_kernel(fn, p, width, top):
 @cache
 def _byte_kernel(source, p, top):
     """Compile a straight-line source (dim, assignments, result) to
-    kernel(vals, n): vals are dim ints of n byte slots (slot t is byte t of
-    the n-byte big-endian form), each slot at most top, and byte t of the n
-    bytes returned is congruent mod p to f at the point of slots t (SIMD
-    within a register; Lamport, CACM 18(8), 1975).  Every value has a
-    compile-time bound on its slots, at most 255: + adds; - first adds the
-    least multiple of p at or above the subtrahend's bound, so no slot
-    borrows; a constant multiplies; residues a, b multiply by one translate
-    of slot a p + b through the table of products mod p (p * p <= 256).  A
-    translate by b -> b mod p reduces a value only where a product needs
-    residues or a sum would pass 255."""
+    kernel(vals, n): vals are dim ints of n byte slots, slot t byte t of the
+    n-byte big-endian form and at most top, and byte t of the bytes returned
+    is f mod p at the point of slots t (SIMD within a register; Lamport,
+    CACM 18(8), 1975).  Each value's slots have a compile-time bound of at
+    most 255: + and a constant factor act on the int, - first adds a
+    multiple of p at or above the subtrahend's bound, and residues a, b
+    multiply by one translate of a p + b through the products mod p.  A
+    value is reduced (b -> b mod p) only where a product needs residues or
+    a sum would pass 255."""
     dim, body, result = source
     lines, consts, reduced = [], set(), {}
     env = {"v%d" % i: ("v%d" % i, top) for i in range(dim)}
@@ -283,11 +275,9 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     width, and calls fn on the point's list display otherwise.  Past
     WALK_DEPTH_MAX indices the sums of the first d - WALK_DEPTH_MAX are built
     level by level and the walk starts from each of them; those levels hold
-    C(n + d - k, d - k) sums in all for k = WALK_DEPTH_MAX.  Over F_p with
-    p * p <= 256 and d (p - 1) <= 255, where fn carries a source of the
-    column width, no walk runs: coordinate j at every point is one int of
-    byte slots, sum_i (cols[i][j] mod p) alpha_i on alpha columns cached per
-    (n, d), and fn's byte-sliced kernel (byte_kernel) evaluates them all.
+    C(n + d - k, d - k) sums in all for k = WALK_DEPTH_MAX.  Where
+    byte_kernel gives fn a kernel for slots up to d (p - 1), no walk runs:
+    that kernel evaluates every point at once from byte-slot columns.
 
     A homogeneous polynomial of degree d that vanishes on this lattice is
     zero in characteristic 0 or above d (the lattice is unisolvent for

@@ -19,9 +19,8 @@ policies and the censuses read them.  Every integer product with R goes
 through one packer (_packed), and each reader packs one side once: R per
 element (matvec, for apply, scales_form and preserves_minimals), sp6's
 embedding E per (form, field), the points of each Schwartz-Zippel batch,
-and E's columns for the symbolic policy's R E.  A batch over a small field
-reads the packed points and their packed row sums before they are
-unpacked, as byte slots for the form's byte-sliced kernel (_byte_slots).
+and E's columns for the symbolic policy's R E; a batch over a small field
+reads its packed points and row sums as byte slots (_byte_slots).
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -38,7 +37,8 @@ from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, islice
 from operator import mul
 
-from .forms import InvariantForm, byte_kernel, byte_table, parse_form, simplex_lattice
+from .fields import byte_table
+from .forms import InvariantForm, byte_kernel, parse_form, simplex_lattice
 from .linalg import Matrix, canonical, ratio
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
@@ -104,12 +104,13 @@ def _packed(rows, p, top):
 
 
 def _byte_slots(packed, n, p):
-    """Each int of n 'H' slots (_packed) as n byte slots (forms.byte_kernel),
-    slot t congruent mod p to the int's slot t and at most 2 (p - 1): its
-    low byte mod p plus 256 times its high byte, mod p."""
+    """Each int of n 'H' slots (_packed, in the host's byte order) as n byte
+    slots (forms.byte_kernel), each at most 2 (p - 1) and congruent mod p to
+    its 'H' slot: the low byte mod p plus 256 times the high byte, mod p."""
     low, high = byte_table(p, 1), byte_table(p, 256)
-    raws = [s.to_bytes(2 * n, "little") for s in packed]
-    return [int.from_bytes(r[::2].translate(low), "big") + int.from_bytes(r[1::2].translate(high), "big") for r in raws]
+    first = sys.byteorder == "big"  # the offset of each slot's low byte
+    raws = [s.to_bytes(2 * n, sys.byteorder) for s in packed]
+    return [int.from_bytes(r[first::2].translate(low), "big") + int.from_bytes(r[1 - first :: 2].translate(high), "big") for r in raws]
 
 
 def _matvec(rows, p):
@@ -527,11 +528,10 @@ def _printed(x, p):
 
 def _first_failure(fn, xs, rows, p, top, a, b):
     """The index of the first raw point x of xs (entries in [0, top]) with
-    a f(R x) != b f(x), fn f's integer evaluator, or None.  Over F_p, for
-    more than one point whose packed products (_packed) fit 'H' slots, fn's
-    byte-sliced kernel (forms.byte_kernel) evaluates f at every x from the
-    packed points and at every R x from their packed row sums, and one bytes
-    comparison decides; otherwise each point is evaluated in turn."""
+    a f(R x) != b f(x), fn f's integer evaluator, or None: over F_p, where
+    the packed products (_packed) of more than one point fit 'H' slots, by
+    fn's byte-sliced kernel on the packed points and row sums at once, and
+    else point by point."""
     n, m = len(xs), len(xs[0])
     kernel = p and n > 1 and slot_code(m * (p - 1) * top) == "H" and byte_kernel(fn, p, m, 2 * (p - 1))
     if kernel:
@@ -559,18 +559,17 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy runs its
     trials in two batches, trial 1 and trials 2..T: each batch makes one
     uniform_ints call per trial, in order, maps its points through
-    _raw_points and R with the points packed once (_images), unreduced, and
-    checks them in order, or at once by the form's byte-sliced kernel where
-    _first_failure runs it, which finds the same first failing trial.  If
-    trial t of a batch fails before the batch's last, the batch's draws up to
-    trial t are made again from the rng state before the batch, so the
-    stream ends where a per-trial loop's does.  A
-    failure verdict is certain and prints the reduced raw point that
-    rejected the element: the symbolic policy's first lattice point in
-    lattice order, the failing trial's point.  A sampled success verdict
-    carries the exact error bound (degree / set size)^trials.  auto
-    is symbolic up to dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel
-    above.  A trials count below 1 is rejected under either policy.
+    _raw_points and R with the points packed once, unreduced, and finds the
+    first failing trial (_first_failure).  If trial t of a batch fails
+    before the batch's last, the batch's draws up to trial t are made again
+    from the rng state before the batch, so the stream ends where a
+    per-trial loop's does.  A failure verdict is certain and prints the
+    reduced raw point that rejected the element: the symbolic policy's
+    first lattice point in lattice order, the failing trial's point.  A
+    sampled success verdict carries the exact error bound (degree / set
+    size)^trials.  auto is symbolic up to dimension SYMBOLIC_DIM_LIMIT and
+    schwartz-zippel above.  A trials count below 1 is rejected under either
+    policy.
     """
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")

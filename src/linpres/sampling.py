@@ -25,7 +25,7 @@ from functools import cache
 from math import gcd, lcm, prod
 from operator import mul
 
-from .fields import PrimeField, RationalField
+from .fields import PrimeField, RationalField, byte_table
 from .linalg import Matrix, ratio
 
 
@@ -48,9 +48,9 @@ def slot_code(top: int):
 @cache
 def _byte_table(width):
     """bytes.translate arguments for a width of at most 256: a byte maps to
-    itself mod width, and bytes at or above the largest multiple of width
-    below 256 are deleted."""
-    return bytes(b % width for b in range(256)), bytes(range(256 // width * width, 256))
+    itself mod width (fields.byte_table), and bytes at or above the largest
+    multiple of width below 256 are deleted."""
+    return byte_table(width, 1), bytes(range(256 // width * width, 256))
 
 
 def uniform_ints(rng, lo: int, hi: int, size: int) -> list:

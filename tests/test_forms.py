@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from linpres.fields import QQ, PrimeField
+from linpres.fields import QQ, PrimeField, byte_table
 from linpres.forms import (
     CubicDisc,
     FormError,
@@ -23,7 +23,6 @@ from linpres.forms import (
     LATTICE_POINT_LIMIT,
     WALK_DEPTH_MAX,
     byte_kernel,
-    byte_table,
     form_descriptors,
     parse_form,
     simplex_lattice,

@@ -658,10 +658,17 @@ def test_scales_form_matches_character():
 def test_generic_map_has_no_character():
     form = CubicDisc()
     el = GenericMap(form.space, QQ, Matrix.identity(QQ, 4))
-    with pytest.raises(PreserverError, match="no closed scaling character"):
-        el.char_params()
     with pytest.raises(PreserverError):
         el.scaling_factor(form)
+
+
+def test_char_params_raises_without_a_closed_character():
+    # the base class raises where no family defines its parameters, and
+    # scaling_factor passes that error on
+    el = GenericMap(Space("cubic"), F7, Matrix.identity(F7, 4))
+    for call in (el.char_params, lambda: el.scaling_factor(CubicDisc())):
+        with pytest.raises(PreserverError, match="no closed scaling character for 'generic'"):
+            call()
 
 
 def test_preserves_minimals_for_group_elements():
@@ -1387,3 +1394,23 @@ def test_sz_kernel_runs_where_the_packed_products_fit_h_slots(monkeypatch):
         read.clear()
         assert _sz_like_row_by_row(el, form, rng, None).ok
         assert bool(read) == kernel, (desc, p)
+
+
+@pytest.mark.parametrize("order", ["little", "big"])
+def test_byte_slots_read_h_slots_in_the_host_byte_order(order, monkeypatch):
+    # _packed lays slot t at array index t in the host's byte order, so slot
+    # 0 is the int's low 16 bits on a little-endian host and its high 16 bits
+    # on a big-endian one; either way byte slot t must be congruent to slot t
+    rng = rnd(stable_seed("byte-slots", order))
+    for p in (5, 7, 11, 13):
+        for n in (2, 3, 9, 74):
+            slots = [rng.randrange(1 << 16) for _ in range(n - 2)] + [0, 0xFFFF]
+            rng.shuffle(slots)
+            at = range(n) if order == "little" else range(n - 1, -1, -1)
+            packed = sum(v << 16 * k for v, k in zip(slots, at))
+            with monkeypatch.context() as patch:
+                patch.setattr(preservers.sys, "byteorder", order)
+                (got,) = preservers._byte_slots([packed], n, p)
+            out = got.to_bytes(n, "big")
+            assert max(out) <= 2 * (p - 1), (p, n)
+            assert [b % p for b in out] == [v % p for v in slots], (p, n)

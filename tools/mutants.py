@@ -333,6 +333,13 @@ MUTANTS = [
         "the kernel's Schwartz-Zippel batch reports its last failing trial, not its first",
     ),
     (
+        "kernel-byte-order",
+        "preservers.py",
+        "raws = [s.to_bytes(2 * n, sys.byteorder) for s in packed]",
+        'raws = [s.to_bytes(2 * n, "little") for s in packed]',
+        "a Schwartz-Zippel batch reads its 'H' slots little-endian on every host, so a big-endian host reverses them",
+    ),
+    (
         "word-digit-width",
         "sampling.py",
         "w = bound.bit_length() + 1",
