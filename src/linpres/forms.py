@@ -184,15 +184,21 @@ def _byte_kernel(source, p, top):
     most 255: + and a constant factor act on the int, - first adds a
     multiple of p at or above the subtrahend's bound, and residues a, b
     multiply by one translate of a p + b through the products mod p.  A
-    value is reduced (b -> b mod p) only where a product needs residues or
-    a sum would pass 255."""
+    value c v (c a constant, else 1) is reduced, or squared, by one translate
+    of v, only where a product needs residues or a sum would pass 255."""
     dim, body, result = source
-    lines, consts, reduced = [], set(), {}
+    lines, consts, reduced, origin, tables = [], set(), {}, {}, set()
     env = {"v%d" % i: ("v%d" % i, top) for i in range(dim)}
 
     def emit(text, bound):
         lines.append("_t%d = %s" % (len(lines), text))
         return "_t%d" % (len(lines) - 1), bound
+
+    def translate(x, c=1, e=1):  # (c x)^e mod p, read from v for x = c0 v
+        c0, v = origin.get(x[0], (1, x))
+        c = (c * c0) ** e % p
+        tables.add((c, e))
+        return emit('_f(%s.to_bytes(_n, "big").translate(_b%d_%d), "big")' % (v[0], c, e), p - 1)
 
     def value(x):  # a constant c as the value with c in every slot
         if isinstance(x, int):
@@ -202,7 +208,7 @@ def _byte_kernel(source, p, top):
 
     def residue(x):  # a named value is reduced once
         if x[1] >= p and x[0] not in reduced:
-            reduced[x[0]] = emit('_f(%s.to_bytes(_n, "big").translate(_mod), "big")' % x[0], p - 1)
+            reduced[x[0]] = translate(x)
         return reduced.get(x[0], x)
 
     def node(e):  # a constant as its residue, a value as (name, bound)
@@ -221,13 +227,17 @@ def _byte_kernel(source, p, top):
             return {ast.Add: x + y, ast.Sub: x - y, ast.Mult: x * y}[type(op)] % p
         if isinstance(op, ast.Mult):
             c, v = (x, y) if isinstance(x, int) else (y, x)
+            if x == y:
+                return translate(x, 1, 2)
             if not isinstance(c, int):
                 (a, _), (b, _) = residue(x), residue(y)
                 return emit('_f((%s * %d + %s).to_bytes(_n, "big").translate(_mul), "big")' % (a, p, b), p - 1)
             if c < 2:
                 return v if c else 0
-            v = residue(v) if c * v[1] > 255 else v
-            return emit("%d * %s" % (c, v[0]), c * v[1])
+            if c * v[1] > 255:
+                return translate(v, c)
+            origin["(%d * %s)" % (c, v[0])] = c, v  # inline: emitted only where a sum reads it
+            return "(%d * %s)" % (c, v[0]), c * v[1]
         if y == 0:
             return x
         x, y, sub = value(x), value(y), isinstance(op, ast.Sub)
@@ -244,7 +254,7 @@ def _byte_kernel(source, p, top):
     out = value(node(ast.parse(result, mode="eval").body))[0]
     head = ["def kernel(_vals, _n):", "    %s, = _vals" % ", ".join("v%d" % i for i in range(dim))]
     head += ['    _o = _f(b"\\x01" * _n, "big")'] + ["    _k%d = %d * _o" % (c, c) for c in sorted(consts)]
-    namespace = {"_f": int.from_bytes, "_mod": byte_table(p, 1)}
+    namespace = {"_f": int.from_bytes, **{"_b%d_%d" % (c, e): bytes(c * b**e % p for b in range(256)) for c, e in tables}}
     namespace["_mul"] = bytes(a * b % p for a in range(p) for b in range(p)).ljust(256, b"\0")
     exec("\n".join(head + ["    " + line for line in lines] + ['    return %s.to_bytes(_n, "big")' % out]), namespace)
     return namespace["kernel"]

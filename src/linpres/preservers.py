@@ -18,9 +18,9 @@ s with coordinate matrix s R; apply, matrix_on_space, both preservation
 policies and the censuses read them.  Every integer product with R goes
 through one packer (_packed), and each reader packs one side once: R per
 element (matvec, for apply, scales_form and preserves_minimals), sp6's
-embedding E per (form, field), the points of each Schwartz-Zippel batch,
-and E's columns for the symbolic policy's R E; a batch over a small field
-reads its packed points and row sums as byte slots (_byte_slots).
+embedding E per (form, field), the points of each Schwartz-Zippel batch
+the scalar loop checks, and E's columns for the symbolic policy's R E; a
+batch over a small field stays in byte slots instead (_byte_failure).
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -58,6 +58,7 @@ from .sampling import (
     slot_code,
     solve_power,
     unimodular_matrix,
+    uniform_bytes,
     uniform_ints,
 )
 
@@ -98,19 +99,23 @@ def _packed(rows, p, top):
     order = sys.byteorder
     cols = [int.from_bytes(array(code, col), order) for col in zip(*rows)]
     size = len(rows) * array(code).itemsize
-    product = lambda vs: memoryview(b"".join([sum(map(mul, v, cols)).to_bytes(size, order) for v in vs])).cast(code).tolist()
-    product.cols, product.sums = cols, lambda vs: [sum(map(mul, v, cols)) for v in vs]
-    return product
+    return lambda vs: memoryview(b"".join([sum(map(mul, v, cols)).to_bytes(size, order) for v in vs])).cast(code).tolist()
 
 
-def _byte_slots(packed, n, p):
-    """Each int of n 'H' slots (_packed, in the host's byte order) as n byte
-    slots (forms.byte_kernel), each at most 2 (p - 1) and congruent mod p to
-    its 'H' slot: the low byte mod p plus 256 times the high byte, mod p."""
-    low, high = byte_table(p, 1), byte_table(p, 256)
-    first = sys.byteorder == "big"  # the offset of each slot's low byte
-    raws = [s.to_bytes(2 * n, sys.byteorder) for s in packed]
-    return [int.from_bytes(r[first::2].translate(low), "big") + int.from_bytes(r[1 - first :: 2].translate(high), "big") for r in raws]
+def _slot_map(rows, xs, p, n):
+    """rows xs mod p, rows residues and xs byte-slot ints (n slots in [0, p),
+    forms.byte_kernel): a row's sum of r x over its nonzero r is reduced by
+    one translate where its slot bound would pass 255, and once at the end."""
+    mod, out = byte_table(p, 1), []
+    for row in rows:
+        s = bound = 0
+        for r, x in zip(row, xs):
+            if r:
+                if bound + r * (p - 1) > 255:
+                    s, bound = int.from_bytes(s.to_bytes(n, "big").translate(mod), "big"), p - 1
+                s, bound = s + r * x, bound + r * (p - 1)
+        out.append(int.from_bytes(s.to_bytes(n, "big").translate(mod), "big") if bound >= p else s)
+    return out
 
 
 def _matvec(rows, p):
@@ -500,10 +505,10 @@ def sz_trial_count(field, degree: int) -> int:
 def _raw_points(form, field):
     """(k, top, point, points) for E = form.raw_embedding(field) and k integer
     coefficients c (residues over F_p): point(c) = E c reduced, E packed once
-    (_matvec), for scales_form; points(cs) = [E c for c in cs] unreduced, in
-    [0, top] (top None over Q), the coefficients packed once per batch
-    (_images), for preserves_form.  Where E is None both return c and
-    top = p - 1; sp6 has k = 14, top = 14 (p - 1)^2."""
+    (_matvec), for scales_form and counterexamples; points(cs) = [E c for c
+    in cs] unreduced, in [0, top] (top None over Q), the coefficients packed
+    once per batch (_images), for the scalar loop.  Where E is None both
+    return c and top = p - 1; sp6 has k = 14, top = 14 (p - 1)^2."""
     emb, p = form.raw_embedding(field), field.modulus
     if emb is None:
         return form.space.dim, p and p - 1, lambda c: c, lambda cs: cs
@@ -528,21 +533,23 @@ def _printed(x, p):
 
 def _first_failure(fn, xs, rows, p, top, a, b):
     """The index of the first raw point x of xs (entries in [0, top]) with
-    a f(R x) != b f(x), fn f's integer evaluator, or None: over F_p, where
-    the packed products (_packed) of more than one point fit 'H' slots, by
-    fn's byte-sliced kernel on the packed points and row sums at once, and
-    else point by point."""
-    n, m = len(xs), len(xs[0])
-    kernel = p and n > 1 and slot_code(m * (p - 1) * top) == "H" and byte_kernel(fn, p, m, 2 * (p - 1))
-    if kernel:
-        product = _packed(xs, p, top)
-        fx = kernel(_byte_slots(product.cols, n, p), n).translate(byte_table(p, b))
-        fy = kernel(_byte_slots(product.sums(rows), n, p), n).translate(byte_table(p, a))
-        return None if fx == fy else next(t for t in range(n) if fx[t] != fy[t])
-    for t, x, y in zip(range(n), xs, _images(xs, rows, p, top)):
+    a f(R x) != b f(x), fn f's integer evaluator, or None, point by point."""
+    for t, x, y in zip(range(len(xs)), xs, _images(xs, rows, p, top)):
         if (diff := a * fn(y) - b * fn(x)) and (p is None or diff % p):
             return t
     return None
+
+
+def _byte_failure(kernel, cs, emb, rows, p, a, b):
+    """The index of the first draw c of cs (bytes) with a f(R x) != b f(x),
+    x = E c (c where emb is None), or None: draw t is slot t of each byte-slot
+    int, and one kernel call reads f(x) and f(R x) as halves of 2 n slots."""
+    n, k, flat = len(cs), len(cs[0]), b"".join(cs)
+    xs = [int.from_bytes(flat[j::k], "big") for j in range(k)]
+    xs = xs if emb is None else _slot_map(emb, xs, p, n)
+    out = kernel([x << 8 * n | y for x, y in zip(xs, _slot_map(rows, xs, p, n))], 2 * n)
+    fx, fy = out[:n].translate(byte_table(p, b)), out[n:].translate(byte_table(p, a))
+    return None if fx == fy else next(t for t in range(n) if fx[t] != fy[t])
 
 
 def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto", rng=None, trials=None) -> PreservationVerdict:
@@ -557,19 +564,18 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     reference values f(E alpha), times b where b is not 1; it needs
     characteristic 0 or above the degree and at most
     forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy runs its
-    trials in two batches, trial 1 and trials 2..T: each batch makes one
-    uniform_ints call per trial, in order, maps its points through
-    _raw_points and R with the points packed once, unreduced, and finds the
-    first failing trial (_first_failure).  If trial t of a batch fails
-    before the batch's last, the batch's draws up to trial t are made again
-    from the rng state before the batch, so the stream ends where a
-    per-trial loop's does.  A failure verdict is certain and prints the
-    reduced raw point that rejected the element: the symbolic policy's
-    first lattice point in lattice order, the failing trial's point.  A
-    sampled success verdict carries the exact error bound (degree / set
-    size)^trials.  auto is symbolic up to dimension SYMBOLIC_DIM_LIMIT and
-    schwartz-zippel above.  A trials count below 1 is rejected under either
-    policy.
+    trials in two batches, trial 1 and trials 2..T, one draw per trial, in
+    order, and finds the first failing trial: trials 2..T in byte slots
+    where fn has a kernel at p - 1 (_byte_failure), else point by point
+    (_first_failure).  If trial t of a batch fails before the batch's last,
+    the batch's draws up to trial t are made again from the rng state
+    before the batch, so the stream ends where a per-trial loop's does.  A
+    failure verdict is certain and prints the reduced raw point that
+    rejected the element: the symbolic policy's first lattice point in
+    lattice order, the failing trial's point.  A sampled success verdict
+    carries the exact error bound (degree / set size)^trials.  auto is
+    symbolic up to dimension SYMBOLIC_DIM_LIMIT and schwartz-zippel above.
+    A trials count below 1 is rejected under either policy.
     """
     if element.space != form.space:
         raise PreserverError("element and form act on different spaces")
@@ -586,9 +592,9 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     rows, s = element.action()
     fn, deg = form.int_evaluator(field), form.degree
     a, b = ratio(field, s**deg)
+    emb = form.raw_embedding(field)  # residues over F_p
     if policy == "symbolic":
         refs = _lattice_reference(form, field)
-        emb = form.raw_embedding(field)
         cols = list(zip(*rows)) if emb is None else _images(list(zip(*emb)), rows, p, p and p - 1)
         if b != 1:
             refs = [b * r for r in refs]
@@ -604,17 +610,18 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
         trials = sz_trial_count(field, deg)
     # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
-    size, top, _, points = _raw_points(form, field)
+    size, top, point, points = _raw_points(form, field)
     for first, n in ((1, 1), (2, trials - 1))[:trials]:  # the batches: trial 1, trials 2..T
         state = rng.getstate() if n > 1 else None
-        xs = points([uniform_ints(rng, lo, hi, size) for _ in range(n)])
-        t = _first_failure(fn, xs, rows, p, top, a, b)
+        kernel = first > 1 and p and byte_kernel(fn, p, len(rows), p - 1)
+        cs = [uniform_bytes(rng, p, size) if kernel else uniform_ints(rng, lo, hi, size) for _ in range(n)]
+        t = _byte_failure(kernel, cs, emb, rows, p, a, b) if kernel else _first_failure(fn, points(cs), rows, p, top, a, b)
         if t is not None:
             if t < n - 1:  # replay: the stream ends after this trial's draw
                 rng.setstate(state)
                 for _ in range(t + 1):
                     uniform_ints(rng, lo, hi, size)
-            return PreservationVerdict(False, "schwartz-zippel", first + t, None, _printed(xs[t], p))
+            return PreservationVerdict(False, "schwartz-zippel", first + t, None, _printed(point(cs[t]), p))
     return PreservationVerdict(True, "schwartz-zippel", trials, Fraction(deg, field.sz_set_size) ** trials)
 
 

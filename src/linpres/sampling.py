@@ -21,7 +21,6 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from functools import cache
 from math import gcd, lcm, prod
 from operator import mul
 
@@ -45,28 +44,31 @@ def slot_code(top: int):
     return None
 
 
-@cache
-def _byte_table(width):
-    """bytes.translate arguments for a width of at most 256: a byte maps to
-    itself mod width (fields.byte_table), and bytes at or above the largest
-    multiple of width below 256 are deleted."""
-    return byte_table(width, 1), bytes(range(256 // width * width, 256))
+# for each width w, the bytes at or above the largest multiple of w below 256
+_REJECTED = [b""] + [bytes(range(256 // w * w, 256)) for w in range(1, 257)]
+
+
+def uniform_bytes(rng, width: int, size: int) -> bytes:
+    """size independent bytes, each exactly uniform on [0, width), for a
+    width of at most 256: uniform_ints' draws of that width, as bytes."""
+    table, delete = byte_table(width, 1), _REJECTED[width]
+    buf = rng.randbytes(size).translate(table, delete)
+    while len(buf) < size:
+        buf += rng.randbytes(size - len(buf)).translate(table, delete)
+    return buf
 
 
 def uniform_ints(rng, lo: int, hi: int, size: int) -> list:
     """size independent integers, each exactly uniform on [lo, hi).
 
-    A width hi - lo of at most 256 reads bytes of rng.randbytes; a width up
+    A width hi - lo of at most 256 reads bytes (uniform_bytes); a width up
     to 2^64 reads 16-, 32- or 64-bit slots of one rng.getrandbits.  A byte or
     slot at or above the largest multiple of the width below its range is
     rejected and drawn again, so every kept value maps to each residue from
     equally many preimages.  Wider ranges call rng.randrange per value."""
     width = hi - lo
     if width <= 256:
-        table, delete = _byte_table(width)
-        buf = b""
-        while len(buf) < size:
-            buf += rng.randbytes(size - len(buf)).translate(table, delete)
+        buf = uniform_bytes(rng, width, size)
         return [b + lo for b in buf] if lo else list(buf)
     code = slot_code(width - 1)
     if code is None:

@@ -1357,7 +1357,7 @@ def test_sz_kernel_rejects_violators_like_the_scalar_loop(p, monkeypatch):
     # a violator whose trial 1 passes fails inside the batch of trials 2..T;
     # the kernel's verdict (first failing trial, counterexample) and the rng
     # state after it are the scalar loop's, which an evaluator with no
-    # source runs (sp6 runs it over F_11 and F_13 either way)
+    # source runs
     field = PrimeField(p)
     in_batch = 0
     for cid, desc in ALL_CELLS:
@@ -1378,39 +1378,45 @@ def test_sz_kernel_rejects_violators_like_the_scalar_loop(p, monkeypatch):
     assert in_batch >= 5
 
 
-def test_sz_kernel_runs_where_the_packed_products_fit_h_slots(monkeypatch):
-    # an 'H' slot holds m (p - 1) top: sp6's raw points (top = 14 (p - 1)^2)
-    # fit it over F_7 only, so its batch runs the scalar loop over F_11 and
-    # F_13; wedge36's raw points (top = p - 1) fit it over all three
-    read = []
-    real = preservers._byte_slots
-    monkeypatch.setattr(preservers, "_byte_slots", lambda *args: read.append(args) or real(*args))
-    for cid, desc, p, kernel in (("Sp6", "sp6", 7, True), ("Sp6", "sp6", 11, False), ("Sp6", "sp6", 13, False),
-                                 ("SL6", "wedge36", 13, True)):
-        field, form = PrimeField(p), parse_form(desc)
-        assert (slot_code(20 * (p - 1) * preservers._raw_points(form, field)[1]) == "H") == kernel
-        rng = rnd(stable_seed(cid, desc, "kernel-slots", field.descriptor))
+def test_sz_byte_batch_runs_where_p_squared_fits_a_byte(monkeypatch):
+    # trials 2..T run in byte slots wherever p * p <= 256 and the evaluator
+    # has a source of the space's width: sp6 (its raw points reduced by E's
+    # byte-slot map) over F_7, F_11 and F_13, and wedge36 over F_13; over F_17
+    # and Q, and for an evaluator with no source, the scalar loop runs them.
+    # Trial 1 runs the scalar loop everywhere.
+    byte, scalar = [], []
+    real_byte, real_scalar = preservers._byte_failure, preservers._first_failure
+    monkeypatch.setattr(preservers, "_byte_failure", lambda *args: byte.append(len(args[1])) or real_byte(*args))
+    monkeypatch.setattr(preservers, "_first_failure", lambda *args: scalar.append(len(args[1])) or real_scalar(*args))
+    cases = [("Sp6", "sp6", p, True) for p in (7, 11, 13)] + [("SL6", "wedge36", 13, True), ("Sp6", "sp6", 17, False),
+                                                             ("Sp6", "sp6", None, False), ("SL6", "wedge36", 7, None)]
+    for cid, desc, p, in_bytes in cases:
+        field, form = QQ if p is None else PrimeField(p), parse_form(desc)
+        rng = rnd(stable_seed(cid, desc, "byte-batch", field.descriptor))
         el = sample_group_element(cid, form, field, rng)
-        read.clear()
-        assert _sz_like_row_by_row(el, form, rng, None).ok
-        assert bool(read) == kernel, (desc, p)
+        byte.clear()
+        scalar.clear()
+        with monkeypatch.context() as patch:
+            if in_bytes is None:  # a wrapper with no source has no kernel
+                fn = form.int_evaluator(field)
+                patch.setattr(form, "int_evaluator", lambda field: lambda x: fn(x))
+            assert _sz_like_row_by_row(el, form, rng, None).ok
+        rest = sz_trial_count(field, form.degree) - 1
+        assert (byte, scalar) == (([rest], [1]) if in_bytes else ([], [1, rest])), (desc, field.descriptor)
 
 
-@pytest.mark.parametrize("order", ["little", "big"])
-def test_byte_slots_read_h_slots_in_the_host_byte_order(order, monkeypatch):
-    # _packed lays slot t at array index t in the host's byte order, so slot
-    # 0 is the int's low 16 bits on a little-endian host and its high 16 bits
-    # on a big-endian one; either way byte slot t must be congruent to slot t
-    rng = rnd(stable_seed("byte-slots", order))
-    for p in (5, 7, 11, 13):
-        for n in (2, 3, 9, 74):
-            slots = [rng.randrange(1 << 16) for _ in range(n - 2)] + [0, 0xFFFF]
-            rng.shuffle(slots)
-            at = range(n) if order == "little" else range(n - 1, -1, -1)
-            packed = sum(v << 16 * k for v, k in zip(slots, at))
-            with monkeypatch.context() as patch:
-                patch.setattr(preservers.sys, "byteorder", order)
-                (got,) = preservers._byte_slots([packed], n, p)
-            out = got.to_bytes(n, "big")
-            assert max(out) <= 2 * (p - 1), (p, n)
-            assert [b % p for b in out] == [v % p for v in slots], (p, n)
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_slot_map_equals_the_row_sums_mod_p(p):
+    # every entry and every input slot p - 1 puts the most into each running
+    # sum, so a dense worst-case row must reduce mid-sum; slot t of each
+    # output is the row sum at the point of slots t, mod p
+    rng = rnd(stable_seed("slot-map", str(p)))
+    for width in (1, 2, 7, 14, 20, 28):
+        worst = [[p - 1] * width for _ in range(3)]
+        mixed = [[rng.choice((0, 1, p - 1, rng.randrange(p))) for _ in range(width)] for _ in range(5)]
+        for n in (1, 2, 74, 255):
+            points = [[p - 1] * width] + [[rng.randrange(p) for _ in range(width)] for _ in range(n - 1)]
+            xs = [int.from_bytes(bytes(col), "big") for col in zip(*points)]
+            for rows in (worst, mixed):
+                got = [list(v.to_bytes(n, "big")) for v in preservers._slot_map(rows, xs, p, n)]
+                assert got == [[sum(map(operator.mul, row, x)) % p for x in points] for row in rows], (p, width, n)

@@ -25,6 +25,7 @@ from linpres.sampling import (
     rand_unit,
     solve_power,
     unimodular_matrix,
+    uniform_bytes,
     uniform_ints,
     word_columns,
 )
@@ -294,6 +295,31 @@ def test_uniform_ints_beyond_64_bits_fall_back_to_randrange():
     a, b = random.Random(5), random.Random(5)
     assert uniform_ints(a, -3, 1 << 70, 6) == [b.randrange(-3, 1 << 70) for _ in range(6)]
     assert uniform_ints(a, 0, 7, 0) == [] and a.getstate() == b.getstate()
+
+
+def reference_bytes(rng, width, size):
+    """size bytes uniform on [0, width): each byte of rng.randbytes at or
+    above the largest multiple of width below 256 is dropped and the shortfall
+    drawn again."""
+    limit = 256 // width * width
+    out = []
+    while len(out) < size:
+        out += [b % width for b in rng.randbytes(size - len(out)) if b < limit]
+    return out
+
+
+def test_uniform_bytes_give_uniform_ints_values_and_stream():
+    # every width of at most 256, including 129, which rejects the most
+    # bytes (127 of 256), and 255, the widest that rejects any; a byte draw
+    # and an int draw of the same width read the same bytes and leave the
+    # rng in the same state
+    for width in range(2, 257):
+        a, b, c = (random.Random(width) for _ in range(3))
+        for size in range(1, 65):
+            want = reference_bytes(c, width, size)
+            assert uniform_bytes(a, width, size) == bytes(want), (width, size)
+            assert uniform_ints(b, -3, width - 3, size) == [v - 3 for v in want], (width, size)
+        assert a.getstate() == b.getstate() == c.getstate(), width
 
 
 @pytest.mark.parametrize("width", [1, 2, 5, 7, 8, 9, 16, 17, 256, 257])

@@ -312,11 +312,25 @@ MUTANTS = [
         "the byte-sliced kernel runs over F_17, whose products pass a byte slot",
     ),
     (
-        "kernel-h-slots",
+        "slot-map-mid-sum",
         "preservers.py",
-        'slot_code(m * (p - 1) * top) == "H"',
-        'slot_code(m * (p - 1) * top) in "HI"',
-        "a Schwartz-Zippel batch whose packed products need 'I' slots is read as 'H' slots",
+        "if bound + r * (p - 1) > 255:",
+        "if bound + r * (p - 1) > 4095:",
+        "the byte-slot linear map never reduces mid-sum, so a dense row's running sum carries out of its byte",
+    ),
+    (
+        "byte-batch-halves-swapped",
+        "preservers.py",
+        "out[:n].translate(byte_table(p, b)), out[n:].translate(byte_table(p, a))",
+        "out[n:].translate(byte_table(p, b)), out[:n].translate(byte_table(p, a))",
+        "the byte batch reads f(x) from the f(R x) half of the merged kernel call and f(R x) from the f(x) half",
+    ),
+    (
+        "byte-batch-halves-shifted",
+        "preservers.py",
+        "[x << 8 * n | y for x, y in",
+        "[x << 8 * (n - 1) | y for x, y in",
+        "the byte batch shifts x one slot short, so its last slot lands on y's first",
     ),
     (
         "kernel-borrow-offset",
@@ -331,13 +345,6 @@ MUTANTS = [
         "next(t for t in range(n) if fx[t] != fy[t])",
         "next(t for t in range(n - 1, -1, -1) if fx[t] != fy[t])",
         "the kernel's Schwartz-Zippel batch reports its last failing trial, not its first",
-    ),
-    (
-        "kernel-byte-order",
-        "preservers.py",
-        "raws = [s.to_bytes(2 * n, sys.byteorder) for s in packed]",
-        'raws = [s.to_bytes(2 * n, "little") for s in packed]',
-        "a Schwartz-Zippel batch reads its 'H' slots little-endian on every host, so a big-endian host reverses them",
     ),
     (
         "word-digit-width",
