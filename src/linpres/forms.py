@@ -19,9 +19,10 @@ quartic is calibrated once so that its value on the chosen reference point
 is 4; the hyperdeterminant's sign makes the all-diagonal tensor evaluate
 to +1.  Every reported value depends on these conventions.
 
-Each determinant and the Pfaffian has one expansion plan, compiled up to
-COMPILED_DET_MAX and COMPILED_PF_MAX and interpreted above them; compiled
-formulas are straight-line source, which simplex_lattice runs inline, or
+Each determinant and the Pfaffian has one expansion plan (linalg), compiled
+up to linalg.COMPILED_DET_MAX and COMPILED_PF_MAX and interpreted above
+them, and Matrix.det shares the square one; compiled formulas are
+straight-line source, which simplex_lattice runs inline, or
 over small fields as one byte-sliced kernel for every point (byte_kernel).
 """
 
@@ -35,93 +36,20 @@ from math import comb
 from operator import add, mul
 
 from .fields import QQ, byte_table
-from .linalg import Matrix, canonical, clear_denominators
-from .multilinear import (
-    RepVector,
-    Space,
-    _signed_sum,
-    _straight_line,
-    standard_symplectic_ints,
-    subset_index,
-)
+from .linalg import Matrix, _det_formula, _expansion_formula, _straight_line, canonical, clear_denominators, square_det
+from .multilinear import RepVector, Space, _signed_sum, standard_symplectic_ints, subset_index
 
 
 class FormError(ValueError):
     """Unsupported form parameters or a vector outside the form's space."""
 
 
-COMPILED_DET_MAX = 6  # larger determinants run their plan interpreted
-# Larger Pfaffians, too: compiling the memoized expansion took 1.0 ms at
-# n = 10, 2.5 ms at n = 12 and 7.6 ms at n = 14, where one interpreted
-# evaluation took 0.9 and 2.7 ms, so above 10 a compile costs more than an
-# evaluation (Python 3.11, 2-core x86).
+# Pfaffians compile up to COMPILED_PF_MAX, and determinants up to
+# linalg.COMPILED_DET_MAX: compiling the memoized Pfaffian expansion took
+# 1.0 ms at n = 10, 2.5 ms at n = 12 and 7.6 ms at n = 14, where one
+# interpreted evaluation took 0.9 and 2.7 ms, so above 10 a compile costs
+# more than an evaluation (Python 3.11, 2-core x86).
 COMPILED_PF_MAX = 10
-
-
-def _expansion_formula(dim, top, expand, compiled):
-    """The value of a recursive expansion plan: expand(key) is the coordinate
-    index of a leaf, else its (sign, coordinate, subkey) terms.  Compiled,
-    each subkey's value is named once and reused wherever it recurs;
-    interpreted, a memoized walk of the same plan computes each once per
-    call.  Either way only +, - and * touch the coordinates, so ints and
-    polynomials both run through it."""
-    if not compiled:
-
-        def fn(vals):
-            memo: dict = {}
-
-            def value(key):
-                terms = expand(key)
-                if isinstance(terms, int):
-                    return vals[terms]
-                total = None
-                for s, c, sub in terms:
-                    t = memo.get(sub)
-                    if t is None:
-                        t = memo[sub] = value(sub)
-                    t = vals[c] * t
-                    if s < 0:
-                        t = -t
-                    total = t if total is None else total + t
-                return total
-
-            return value(top)
-
-        return fn
-    assignments = []
-    names: dict = {}
-
-    def name(key):
-        if key not in names:
-            terms = expand(key)
-            if isinstance(terms, int):
-                names[key] = "v%d" % terms
-            else:
-                text = " ".join("%s v%d*%s" % ("-" if s < 0 else "+", c, name(sub)) for s, c, sub in terms)
-                names[key] = "m%d" % len(assignments)
-                assignments.append((names[key], text.lstrip("+ ")))
-        return names[key]
-
-    result = name(top)
-    return _straight_line(dim, assignments, result)
-
-
-def _det_formula(n, coord):
-    """det of the n x n matrix whose (i, j) entry is coordinate coord(i, j) of
-    the input: Laplace expansion along the top row with every minor on the
-    bottom rows computed once, keyed by the bit mask of its columns (an int
-    hashes faster than a tuple), compiled for n <= COMPILED_DET_MAX."""
-    table = [[coord(i, j) for j in range(n)] for i in range(n)]
-
-    def expand(cols):
-        left = [c for c in range(n) if cols >> c & 1]
-        row = table[n - len(left)]
-        if len(left) == 1:
-            return row[left[0]]
-        return [((-1) ** k, row[c], cols ^ 1 << c) for k, c in enumerate(left)]
-
-    dim = 1 + max(map(max, table))
-    return _expansion_formula(dim, (1 << n) - 1, expand, n <= COMPILED_DET_MAX)
 
 
 LATTICE_POINT_LIMIT = 10**5
@@ -281,7 +209,7 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     depth, modulus or not, fn's formula source) and cached: a loop per
     index, each adding its column to the sums of the loop around it.  Each
     point runs the straight-line source fn carries (fn.source, from
-    multilinear._straight_line) inline where its dimension is the column
+    linalg._straight_line) inline where its dimension is the column
     width, and calls fn on the point's list display otherwise.  Past
     WALK_DEPTH_MAX indices the sums of the first d - WALK_DEPTH_MAX are built
     level by level and the walk starts from each of them; those levels hold
@@ -462,7 +390,7 @@ class SquareDet(InvariantForm):
 
     @cached_property
     def formula(self):
-        return _det_formula(self.n, lambda i, j: i * self.n + j)
+        return square_det(self.n)
 
     def scaling_factor(self, params):
         return params["A"].det() * params["B"].det()

@@ -8,17 +8,21 @@ X holds residues in [0, p) and D = 1; over Q, X holds numerators over their
 least common denominator D > 0.  A `Matrix` holds only its integer form;
 its entries are a view of it.
 
-Over a field, determinant, rank, inverse and kernel all read one row
-reduction (`_reduce`) of the integer form: residues mod p over F_p,
-fraction-free Bareiss elimination over the rationals (every division exact,
-no coefficient swell).  Determinants and Pfaffians of polynomial entries
-are the forms' expansions (forms.SymmDet, SquareDet, SkewPf).
+Over a field, rank, inverse and kernel read one row reduction (`_reduce`)
+of the integer form: residues mod p over F_p, fraction-free Bareiss
+elimination over the rationals (every division exact, no coefficient
+swell).  A determinant up to COMPILED_DET_MAX reads the square expansion
+plan instead (int_det): the plans compiled to straight-line source here
+serve Matrix.det and the forms' determinants and Pfaffian alike.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
+
+COMPILED_DET_MAX = 6  # larger determinant plans run interpreted, and int_det eliminates
 
 
 class LinAlgError(ValueError):
@@ -156,7 +160,7 @@ class Matrix:
             if not self.is_square:
                 raise LinAlgError("determinant of a non-square matrix")
             ints, den = self._ints
-            (d,) = scaled(self.ring, self.ring.one, den**self.nrows, [_reduce(list(ints), self.ring.modulus)[2]])
+            (d,) = scaled(self.ring, self.ring.one, den**self.nrows, [int_det(ints, self.ring.modulus)])
             object.__setattr__(self, "_det", d)
         return self._det
 
@@ -255,8 +259,110 @@ def int_rank(m, p):
     return len(_reduce(m, p)[1])
 
 
+def int_det(rows, p):
+    """Determinant of the square integer rows (residues over F_p), exact
+    over Q (p None) and up to a multiple of p over F_p: the square expansion
+    plan (square_det) for 1 <= n <= COMPILED_DET_MAX, else the row reduction
+    (at n = 8 the interpreted plan took 640 us against 34 us for elimination
+    over F_7, 747 against 79 us over Q; Python 3.11, 2-core x86)."""
+    n = len(rows)
+    if 0 < n <= COMPILED_DET_MAX:
+        return square_det(n)([x for row in rows for x in row])
+    return _reduce(list(rows), p)[2]
+
+
+def _straight_line(dim, assignments, result):
+    """Compile vals -> result over the locals v0 .. v{dim-1}, after the
+    (name, expression) assignments.  Straight-line code from a fixed term
+    plan runs several times faster than a loop over the same plan.  fn keeps
+    its source (dim, the assignment lines, result) as fn.source, for
+    forms.simplex_lattice to inline; a name starting with "_" is refused."""
+    if any(name.startswith("_") for name, _ in assignments):
+        raise ValueError("straight-line names may not start with an underscore")
+    body = ["%s = %s" % a for a in assignments]
+    lines = ["def fn(vals):", "    %s, = vals" % ", ".join("v%d" % i for i in range(dim))]
+    lines += ["    " + line for line in body] + ["    return " + result]
+    namespace: dict = {}
+    exec("\n".join(lines), namespace)
+    namespace["fn"].source = (dim, "\n".join(body), result)
+    return namespace["fn"]
+
+
+def _expansion_formula(dim, top, expand, compiled):
+    """The value of a recursive expansion plan: expand(key) is the coordinate
+    index of a leaf, else its (sign, coordinate, subkey) terms.  Compiled,
+    each subkey's value is named once and reused wherever it recurs;
+    interpreted, a memoized walk of the same plan computes each once per
+    call.  Either way only +, - and * touch the coordinates, so ints and
+    polynomials both run through it."""
+    if not compiled:
+
+        def fn(vals):
+            memo: dict = {}
+
+            def value(key):
+                terms = expand(key)
+                if isinstance(terms, int):
+                    return vals[terms]
+                total = None
+                for s, c, sub in terms:
+                    t = memo.get(sub)
+                    if t is None:
+                        t = memo[sub] = value(sub)
+                    t = vals[c] * t
+                    if s < 0:
+                        t = -t
+                    total = t if total is None else total + t
+                return total
+
+            return value(top)
+
+        return fn
+    assignments = []
+    names: dict = {}
+
+    def name(key):
+        if key not in names:
+            terms = expand(key)
+            if isinstance(terms, int):
+                names[key] = "v%d" % terms
+            else:
+                text = " ".join("%s v%d*%s" % ("-" if s < 0 else "+", c, name(sub)) for s, c, sub in terms)
+                names[key] = "m%d" % len(assignments)
+                assignments.append((names[key], text.lstrip("+ ")))
+        return names[key]
+
+    result = name(top)
+    return _straight_line(dim, assignments, result)
+
+
+def _det_formula(n, coord):
+    """det of the n x n matrix whose (i, j) entry is coordinate coord(i, j) of
+    the input: Laplace expansion along the top row with every minor on the
+    bottom rows computed once, keyed by the bit mask of its columns (an int
+    hashes faster than a tuple), compiled for n <= COMPILED_DET_MAX."""
+    table = [[coord(i, j) for j in range(n)] for i in range(n)]
+
+    def expand(cols):
+        left = [c for c in range(n) if cols >> c & 1]
+        row = table[n - len(left)]
+        if len(left) == 1:
+            return row[left[0]]
+        return [((-1) ** k, row[c], cols ^ 1 << c) for k, c in enumerate(left)]
+
+    dim = 1 + max(map(max, table))
+    return _expansion_formula(dim, (1 << n) - 1, expand, n <= COMPILED_DET_MAX)
+
+
+@cache
+def square_det(n):
+    """det's expansion plan on row-major n x n entries (int_det, forms.SquareDet)."""
+    return _det_formula(n, lambda i, j: i * n + j)
+
+
 def _reduce(m, p, width=None, clear_above=False):
-    """The one row reduction behind det, rank, inv and kernel.
+    """The one row reduction behind rank, inv, kernel and int_det above
+    COMPILED_DET_MAX.
 
     Reduces the integer rows m in place (it rebinds rows of m, never writes
     into one), as clear_denominators returns them:

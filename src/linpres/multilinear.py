@@ -17,7 +17,8 @@ Vectors are stored as flat coordinate tuples in a canonical basis per space:
 A vector holds only its integer form (RepVector.ints, as linalg.canonical
 returns it); its coordinates are a view of it, built on first read.  Every
 colex wedge product runs through one compiled integer step r ^ w
-(_wedge_step), behind wedge_ints and exterior_power_ints.
+(_wedge_step, called as step(r, w, p) and reducing mod p where asked),
+behind wedge_ints and exterior_power_ints.
 
 Also here: degree-4 polarization and the Gram of the bilinear form b_x,
 both read off the form's integer formula on cleared integer coordinates
@@ -38,23 +39,6 @@ from .linalg import Matrix, canonical, clear_denominators, ratio, scaled
 
 class SpaceError(ValueError):
     """Unknown space kind, bad parameters, or a vector outside the space."""
-
-
-def _straight_line(dim, assignments, result):
-    """Compile vals -> result over the locals v0 .. v{dim-1}, after the
-    (name, expression) assignments.  Straight-line code from a fixed term
-    plan runs several times faster than a loop over the same plan.  fn keeps
-    its source (dim, the assignment lines, result) as fn.source, for
-    forms.simplex_lattice to inline; a name starting with "_" is refused."""
-    if any(name.startswith("_") for name, _ in assignments):
-        raise ValueError("straight-line names may not start with an underscore")
-    body = ["%s = %s" % a for a in assignments]
-    lines = ["def fn(vals):", "    %s, = vals" % ", ".join("v%d" % i for i in range(dim))]
-    lines += ["    " + line for line in body] + ["    return " + result]
-    namespace: dict = {}
-    exec("\n".join(lines), namespace)
-    namespace["fn"].source = (dim, "\n".join(body), result)
-    return namespace["fn"]
 
 
 def _signed_sum(terms):
@@ -418,13 +402,24 @@ def bx_int_gram(f, x: RepVector):
 # wedge machinery
 
 
+def _bilinear_step(n, m, terms, modular):
+    """Compile step(a, b, p) -> [each source term], a bound to v0 .. v{n-1}
+    and b to v{n} .. v{n+m-1}, each term reduced mod p when modular."""
+    names, value = ["v%d" % i for i in range(n + m)], "(%s) %% p" if modular else "%s"
+    source = "def step(a, b, p):\n    %s, = a\n    %s, = b\n    return [%s]"
+    namespace: dict = {}
+    exec(source % (", ".join(names[:n]), ", ".join(names[n:]), ", ".join(value % t for t in terms)), namespace)
+    return namespace["step"]
+
+
 @cache
-def _wedge_step(n: int, k: int):
-    """fn((*r, *w)) = r ^ w on integers, for a vector r and w in wedge^(k-1)
-    of k^n: sum_t (-1)^t r[B[t]] w[B - B[t]] for each k-subset B in colex
-    order, the Laplace expansion along r of the minor on columns B."""
+def _wedge_step(n: int, k: int, modular: bool):
+    """step(r, w, p) = r ^ w on integers, for a vector r and w in
+    wedge^(k-1) of k^n, reduced mod p when modular: sum_t (-1)^t r[B[t]]
+    w[B - B[t]] for each k-subset B in colex order, the Laplace expansion
+    along r of the minor on columns B."""
     rows = [[(-1 if neg else 1, (i, n + a)) for i, a, neg in row] for row in _wedge_map_table(n, k - 1)]
-    return _straight_line(n + comb(n, k - 1), [], "[%s]" % ", ".join(map(_signed_sum, rows)))
+    return _bilinear_step(n, comb(n, k - 1), map(_signed_sum, rows), modular)
 
 
 def wedge_ints(n: int, vectors):
@@ -432,23 +427,20 @@ def wedge_ints(n: int, vectors):
     v1 .. vd) for integer vectors of length n, wedged from the last."""
     w = (1,)
     for k, v in enumerate(reversed(vectors), 1):
-        w = _wedge_step(n, k)((*v, *w))
+        w = _wedge_step(n, k, False)(v, w, None)
     return w
 
 
-def exterior_power_ints(rows, d: int):
-    """Integer rows of Lambda^d(g) for the integer rows of g: row I (colex)
-    is g[I[0]] ^ (g[I[1]] ^ ...), each suffix wedge computed once."""
-    n = len(rows)
-    memo = {(): (1,)}
-
-    def wedge(idx):
-        w = memo.get(idx)
-        if w is None:
-            w = memo[idx] = _wedge_step(n, len(idx))((*rows[idx[0]], *wedge(idx[1:])))
-        return w
-
-    return [wedge(I) for I in subset_index(n, d)[1]]
+def exterior_power_ints(rows, d: int, p):
+    """Integer rows of Lambda^d(g) for the integer rows of g, residues mod p
+    over F_p and exact over Q (p None): row S (colex) is g[S[0]] ^ (g[S[1]]
+    ^ ...), walked level by level, level k the wedges of the k-subsets that
+    end a d-subset (S[0] >= d - k), the last level reduced in its step."""
+    n, level = len(rows), {(): (1,)}
+    for k in range(1, d + 1):
+        step = _wedge_step(n, k, p is not None and k == d)
+        level = {S: step(rows[S[0]], level[S[1:]], p) for S in subset_index(n, k)[1] if S[0] >= d - k}
+    return list(level.values())
 
 
 def wedge_of_vectors(field, n: int, vectors, c=None) -> RepVector:

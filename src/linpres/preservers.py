@@ -14,13 +14,15 @@ signed column gather of the action's rows, _gather):
 - orthogonal-pair   X -> g1 X g2^t with g2^t S g2 = mu S on 2 x n matrices
 
 Each element builds its action once, as integer rows R and one field scalar
-s with coordinate matrix s R; apply, matrix_on_space, both preservation
-policies and the censuses read them.  Every integer product with R goes
-through one packer (_packed), and each reader packs one side once: R per
-element (matvec, for apply, scales_form and preserves_minimals), sp6's
-embedding E per (form, field), the points of each Schwartz-Zippel batch
-the scalar loop checks, and E's columns for the symbolic policy's R E; a
-batch over a small field stays in byte slots instead (_byte_failure).
+s with coordinate matrix s R, R reduced mod p over F_p where it is built
+(in a compiled step, in the Kronecker product, after a star's signed
+gather); apply, matrix_on_space, both preservation policies and the
+censuses read them.  Every integer product with R goes through one packer
+(_packed), and each reader packs one side once: R per element (matvec, for
+apply, scales_form and preserves_minimals), sp6's embedding E per (form,
+field), the points of each Schwartz-Zippel batch the scalar loop checks,
+and E's columns for the symbolic policy's R E; a batch over a small field
+stays in byte slots instead (_byte_failure), E a gather of its slots.
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -44,7 +46,7 @@ from .minimality import sample_minimal, structure_rule
 from .multilinear import (
     RepVector,
     Space,
-    _straight_line,
+    _bilinear_step,
     complement_star_table,
     exterior_power_ints,
     standard_symplectic_ints,
@@ -135,29 +137,33 @@ def _images(xs, rows, p, top):
 
 def _action(field, rows, c, den=1):
     """The action (R, s) of the coordinate matrix (c / den) rows, for integer
-    rows: R is reduced mod p over F_p, where den is always 1."""
-    p = field.modulus
-    if p is not None:
-        return [[x % p for x in row] for row in rows], c
-    return rows, c / den
+    rows that each builder has reduced mod p over F_p, where den is always 1."""
+    return (rows, c) if field.modulus is not None else (rows, c / den)
 
 
 def _kron_action(field, factors):
     """Action of the Kronecker product of the factor matrices: row (a, b, ..)
-    and column (i, j, ..) hold f1[a][i] f2[b][j] .."""
-    rows, den = [[1]], 1
+    and column (i, j, ..) hold f1[a][i] f2[b][j] .., each product reduced
+    mod p over F_p."""
+    rows, den, p = [[1]], 1, field.modulus
     for f in factors:
         ints, d = f.ints()
-        rows = [[x * y for x in r1 for y in r2] for r1 in rows for r2 in ints]
+        if p is None:
+            rows = [[x * y for x in r1 for y in r2] for r1 in rows for r2 in ints]
+        else:
+            rows = [[x * y % p for x in r1 for y in r2] for r1 in rows for r2 in ints]
         den *= d
     return _action(field, rows, field.one, den)
 
 
-def _gather(rows, table):
+def _gather(rows, table, p=None):
     """The rows with their columns permuted and signed: column k holds s
-    times column src of rows, for (src, s) = table[k].  Every involution and
-    factor permutation acts on the right of an action this way."""
-    return [[s * row[src] for src, s in table] for row in rows]
+    times column src of rows, for (src, s) = table[k], reduced mod p when p
+    is given (a negated residue is not one).  Every involution and factor
+    permutation acts on the right of an action this way."""
+    if p is None:
+        return [[s * row[src] for src, s in table] for row in rows]
+    return [[s * row[src] % p for src, s in table] for row in rows]
 
 
 def _invertible(m: Matrix, field, n: int, what: str) -> Matrix:
@@ -251,15 +257,15 @@ class PreserverElement:
 
 
 @cache
-def _pair_step(space: Space):
-    """fn((*a, *b)) on integers for a, b of length n, compiled, one entry per
-    coordinate (i, j) of the space (Space.pairs): a_i b_j + a_j b_i for i < j
-    and a_i b_i for i = j on symmetric n x n matrices, a_i b_j - a_j b_i on
-    alternating ones."""
+def _pair_step(space: Space, modular: bool):
+    """step(a, b, p) on integers for a, b of length n, compiled, one entry
+    per coordinate (i, j) of the space (Space.pairs), reduced mod p when
+    modular: a_i b_j + a_j b_i for i < j and a_i b_i for i = j on symmetric
+    n x n matrices, a_i b_j - a_j b_i on alternating ones."""
     n = space.shape[0]
     cross = "v%d*v%d + v%d*v%d" if space.kind == "symm" else "v%d*v%d - v%d*v%d"
     terms = ("v%d*v%d" % (i, n + i) if i == j else cross % (i, n + j, j, n + i) for i, j in space.pairs)
-    return _straight_line(2 * n, [], "[%s]" % ", ".join(terms))
+    return _bilinear_step(n, n, terms, modular)
 
 
 class Congruence(PreserverElement):
@@ -281,11 +287,12 @@ class Congruence(PreserverElement):
         # row (a, b) is the symmetric square or the wedge of rows a and b of
         # P = E / D in integers, so every entry is r / D^2 times an integer
         e, den = self.p.ints()
-        step = _pair_step(self.space)
-        out = [step((*e[a], *e[b])) for a, b in self.space.pairs]
+        p = self.field.modulus
+        step = _pair_step(self.space, p is not None)
+        out = [step(e[a], e[b], p) for a, b in self.space.pairs]
         if self.star:
             # times the star on the right: a signed column permutation
-            out = _gather(out, _STAR4)
+            out = _gather(out, _STAR4, p)
         return _action(self.field, out, self.r, den**2)
 
     def char_params(self):
@@ -360,7 +367,8 @@ class CubicSubstitution(PreserverElement):
 
         # q -> q o g sends x to ax + by and y to cx + dy, u = (a, b), w = (c, d)
         cols = [cubemul(u, u), cubemul(u, w), cubemul(w, u), cubemul(w, w)]
-        return _action(self.field, [list(r) for r in zip(*cols)], self.c, den**3)
+        p = self.field.modulus
+        return _action(self.field, [[x if p is None else x % p for x in r] for r in zip(*cols)], self.c, den**3)
 
     def char_params(self):
         return {"c": self.c, "g": self.g}
@@ -382,9 +390,9 @@ class WedgePush(PreserverElement):
         # Lambda^3(g) = Lambda^3(D g) / D^3 for a common denominator D of g
         vals, den = self.g.ints()
         # integer 3x3 minors, then the star as a signed column permutation
-        out = exterior_power_ints(vals, 3)
+        out = exterior_power_ints(vals, 3, field.modulus)
         if self.star:
-            out = _gather(out, complement_star_table(6, 3))
+            out = _gather(out, complement_star_table(6, 3), field.modulus)
         return _action(field, out, self.c, den**3)
 
     def char_params(self):
@@ -540,13 +548,31 @@ def _first_failure(fn, xs, rows, p, top, a, b):
     return None
 
 
-def _byte_failure(kernel, cs, emb, rows, p, a, b):
+@cache
+def _selection(form, field):
+    """(j, table) for each row of E = form.raw_embedding(field) over F_p: its
+    one nonzero entry e is in column j, and table translates b -> e b mod p
+    (None for e = 1), so E c gathers c's byte slots (sp6's E is a signed
+    selection); None where E is None.  PreserverError for any other row."""
+    emb = form.raw_embedding(field)
+    if emb is None:
+        return None
+    rows = [[(j, e) for j, e in enumerate(row) if e] for row in emb]
+    if any(len(row) != 1 for row in rows):
+        raise PreserverError("the raw embedding of %s is not a scaled selection" % form.line)
+    return [(j, None if e == 1 else byte_table(field.modulus, e)) for ((j, e),) in rows]
+
+
+def _byte_failure(kernel, cs, select, rows, p, a, b):
     """The index of the first draw c of cs (bytes) with a f(R x) != b f(x),
-    x = E c (c where emb is None), or None: draw t is slot t of each byte-slot
-    int, and one kernel call reads f(x) and f(R x) as halves of 2 n slots."""
+    or None, for x = E c gathered from c's slots (_selection; x = c where
+    select is None): draw t is slot t of each byte-slot int, and one kernel
+    call reads f(x) and f(R x) as halves of 2 n slots."""
     n, k, flat = len(cs), len(cs[0]), b"".join(cs)
-    xs = [int.from_bytes(flat[j::k], "big") for j in range(k)]
-    xs = xs if emb is None else _slot_map(emb, xs, p, n)
+    cols = [flat[j::k] for j in range(k)]
+    if select is not None:
+        cols = [cols[j] if table is None else cols[j].translate(table) for j, table in select]
+    xs = [int.from_bytes(col, "big") for col in cols]
     out = kernel([x << 8 * n | y for x, y in zip(xs, _slot_map(rows, xs, p, n))], 2 * n)
     fx, fy = out[:n].translate(byte_table(p, b)), out[n:].translate(byte_table(p, a))
     return None if fx == fy else next(t for t in range(n) if fx[t] != fy[t])
@@ -592,8 +618,8 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     rows, s = element.action()
     fn, deg = form.int_evaluator(field), form.degree
     a, b = ratio(field, s**deg)
-    emb = form.raw_embedding(field)  # residues over F_p
     if policy == "symbolic":
+        emb = form.raw_embedding(field)  # residues over F_p
         refs = _lattice_reference(form, field)
         cols = list(zip(*rows)) if emb is None else _images(list(zip(*emb)), rows, p, p and p - 1)
         if b != 1:
@@ -615,7 +641,7 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
         state = rng.getstate() if n > 1 else None
         kernel = first > 1 and p and byte_kernel(fn, p, len(rows), p - 1)
         cs = [uniform_bytes(rng, p, size) if kernel else uniform_ints(rng, lo, hi, size) for _ in range(n)]
-        t = _byte_failure(kernel, cs, emb, rows, p, a, b) if kernel else _first_failure(fn, points(cs), rows, p, top, a, b)
+        t = _byte_failure(kernel, cs, _selection(form, field), rows, p, a, b) if kernel else _first_failure(fn, points(cs), rows, p, top, a, b)
         if t is not None:
             if t < n - 1:  # replay: the stream ends after this trial's draw
                 rng.setstate(state)

@@ -9,7 +9,7 @@ determinant its construction fixes: 1 for a transvection word, c det(m) for
 m with one column times c (-1 in invertible_matrix, the target in
 forced_det_matrix), prod(d) for diag(d) g with g a word of symplectic
 transvections (det 1) or of 2n reflections (det -1 each).  A dense F_p
-draw's determinant comes from the one reduction that tests it.
+draw's determinant comes from the one det call that tests it (linalg.int_det).
 
 The isometry samplers draw a whole word of rank-one factors, each vector
 from one getrandbits block read as rng.randint reads it (_randints), and

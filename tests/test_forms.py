@@ -27,13 +27,12 @@ from linpres.forms import (
     parse_form,
     simplex_lattice,
 )
-from linpres.linalg import Matrix, scaled
+from linpres.linalg import Matrix, _straight_line, scaled
 from linpres.multilinear import (
     RepVector,
     Space,
     _alt_pairs,
     _signed_sum,
-    _straight_line,
     bx_int_gram,
     full_rows,
     lambda_power_matrix,

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from linpres.fields import PrimeField, QQ
-from linpres.linalg import LinAlgError, Matrix, _reduce, canonical, clear_denominators, ratio
+from linpres.linalg import COMPILED_DET_MAX, LinAlgError, Matrix, _reduce, canonical, clear_denominators, int_det, ratio, scaled
 from linpres.polynomials import PolyRing
 from reference import det_expansion, pfaffian
 
@@ -385,6 +385,49 @@ def test_exact_matrix_matches_entries_and_clear_denominators(ring):
         assert (A.nrows, A.ncols) == (m, n)
         assert A.transpose() == Matrix(ring, list(zip(*entries)))
         assert A.transpose().ints() == Matrix(ring, list(zip(*entries))).ints()
+
+
+def _plan_cases(rng, n):
+    """Random, singular (a repeated or zero row) and rank-deficient (an
+    n x r times an r x n product, r < n) integer rows, entries up to 2^40."""
+
+    def big(m, k):
+        return [[rng.randint(-(1 << 40), 1 << 40) for _ in range(k)] for _ in range(m)]
+
+    for _ in range(3):
+        yield big(n, n)
+        rows = big(n, n)
+        rows[-1] = list(rows[0]) if n > 1 else [0]
+        yield rows
+        r = rng.randrange(n)
+        basis = big(r, n)
+        yield [[sum(rng.randint(-3, 3) * b[j] for b in basis) for j in range(n)] for _ in range(n)]
+
+
+@pytest.mark.parametrize("p", [2, 7, 10007, None], ids=lambda p: "Q" if p is None else "F%d" % p)
+def test_det_plan_matches_the_row_reduction(p):
+    # int_det reads the square expansion plan up to COMPILED_DET_MAX and
+    # eliminates above it; both must agree with _reduce's determinant (mod p
+    # over F_p, on residues, as a Matrix holds them).  Matrix.det
+    # divides by D^n for a denominator D != 1.  F_2 is not an admissible
+    # field, so there int_det alone is checked.
+    rng = random.Random(68 + (p or 0))
+    field = None if p == 2 else QQ if p is None else PrimeField(p)
+    planned = 0
+    for n in range(1, 9):
+        for rows in _plan_cases(rng, n):
+            residues = [list(r) if p is None else [x % p for x in r] for r in rows]
+            got, want = int_det(residues, p), _reduce([list(r) for r in residues], p)[2]
+            assert got == want if p is None else (got - want) % p == 0, (n, rows)
+            planned += n <= COMPILED_DET_MAX
+            if field is None:
+                continue
+            den = rng.choice([-1, 1]) * rng.choice([d for d in range(2, 40) if p is None or d % p])
+            m = Matrix._exact(field, rows, den)
+            ints, big_d = m.ints()
+            (expect,) = scaled(field, field.one, big_d**n, [_reduce([list(r) for r in ints], p)[2]])
+            assert m.det() == expect == _ref_det(field, m.rows), (n, den)
+    assert planned == 6 * 9
 
 
 def _last_pivot(ring, rows):

@@ -364,13 +364,18 @@ def _int_rows(rng, m, n):
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor)
 def test_exterior_power_ints_matches_lambda_power_matrix(field):
+    # over F_p the rows come reduced, and must equal the exact rows mod p
+    p = field.modulus
     rng = random.Random(61)
     for n in range(1, 8):
-        for d in range(1, min(n, 4) + 1):
+        for d in range(1, n + 1):
             for _ in range(2):
                 rows = _int_rows(rng, n, n)
+                exact = exterior_power_ints(rows, d, None)
+                got = exterior_power_ints(rows, d, p)
+                assert got == (exact if p is None else [[x % p for x in r] for r in exact]), (n, d)
                 expect = lambda_power_matrix(Matrix.from_ints(field, rows), d)
-                assert Matrix.from_ints(field, exterior_power_ints(rows, d)) == expect, (n, d)
+                assert Matrix.from_ints(field, got) == expect, (n, d)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=lambda f: f.descriptor)

@@ -1405,6 +1405,49 @@ def test_sz_byte_batch_runs_where_p_squared_fits_a_byte(monkeypatch):
         assert (byte, scalar) == (([rest], [1]) if in_bytes else ([], [1, rest])), (desc, field.descriptor)
 
 
+@pytest.mark.parametrize("field", [F5, F7, PrimeField(13), PrimeField(10007)], ids=lambda f: f.descriptor)
+def test_every_action_is_built_as_residues(field):
+    # _packed carries an entry outside [0, p) silently into the next slot,
+    # so each builder must hand over residues: every corollary form's
+    # family, both stars and all six factor permutations
+    p = field.modulus
+    rng = rnd(stable_seed("residue-actions", field.descriptor))
+    elements = [el for cid, d in ALL_CELLS for el in sample_elements(cid, parse_form(d), field, rng, 2)]
+    c, g6, p4 = field.of(3), invertible_matrix(field, rng, 6), invertible_matrix(field, rng, 4)
+    elements += [WedgePush(c, g6, star) for star in (False, True)]
+    elements += [Congruence(Space("alt", n=4), c, p4, star) for star in (False, True)]
+    a, b = invertible_matrix(field, rng, 3), invertible_matrix(field, rng, 3)
+    elements += [cls(Space("square", n=3), a, b) for cls in (Sandwich, TransposeSandwich)]
+    gs = [invertible_matrix(field, rng, 2) for _ in range(3)]
+    elements += [TriplePush(*gs, perm=perm) for perm in PERMS3]
+    for el in elements:
+        rows, _ = el.action()
+        assert all(0 <= x < p for row in rows for x in row), (el.family, el.space)
+
+
+def test_sp6_embedding_is_read_as_a_signed_selection():
+    # the byte batch gathers E c from c's slots: over every small field each
+    # row of sp6's E has one nonzero entry, 1 or p - 1
+    form = parse_form("sp6")
+    for p in (5, 7, 11, 13):
+        field = PrimeField(p)
+        emb = form.raw_embedding(field)
+        select = preservers._selection(form, field)
+        for row, (j, table) in zip(emb, select):
+            assert [k for k, e in enumerate(row) if e] == [j]
+            assert table is None if row[j] == 1 else row[j] == p - 1 and table == bytes(-b % p for b in range(256))
+    assert preservers._selection(parse_form("wedge36"), F7) is None
+
+    class Dense(Sp6Quartic):
+        line = "sp6-dense"
+
+        def raw_embedding(self, field):
+            return [[1, 1], [0, 1]]
+
+    with pytest.raises(PreserverError, match="not a scaled selection"):
+        preservers._selection(Dense(), F7)
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_slot_map_equals_the_row_sums_mod_p(p):
     # every entry and every input slot p - 1 puts the most into each running

@@ -145,7 +145,7 @@ MUTANTS = [
     ),
     (
         "expansion-interpreted-sign",
-        "forms.py",
+        "linalg.py",
         "if s < 0:",
         "if False:",
         "the interpreted expansion above the compiled sizes ignores each term's sign",
@@ -180,7 +180,7 @@ MUTANTS = [
     ),
     (
         "straight-line-names",
-        "multilinear.py",
+        "linalg.py",
         'if any(name.startswith("_") for name, _ in assignments):',
         "if False:",
         "a straight-line assignment may rebind a name of the lattice walk",
@@ -366,6 +366,27 @@ MUTANTS = [
         "if not k or any(diffs):",
         "if not k:",
         "the sp6-push similitude check reads only k = (G^t b G)[0][1], not the other entries",
+    ),
+    (
+        "exterior-last-level-unreduced",
+        "multilinear.py",
+        "step = _wedge_step(n, k, p is not None and k == d)",
+        "step = _wedge_step(n, k, False)",
+        "the last level of the Lambda^d walk is left unreduced, so a wedge push hands _packed entries past p",
+    ),
+    (
+        "pair-step-unreduced",
+        "preservers.py",
+        "step = _pair_step(self.space, p is not None)",
+        "step = _pair_step(self.space, False)",
+        "the congruence pair step is left unreduced, so its rows hand _packed entries past p",
+    ),
+    (
+        "plan-det-denominator",
+        "linalg.py",
+        "den**self.nrows, [int_det(",
+        "(den**self.nrows if self.nrows > COMPILED_DET_MAX else 1), [int_det(",
+        "a determinant read from the expansion plan is not divided by D^n over Q",
     ),
     (
         "verify-character",
