@@ -120,6 +120,17 @@ class Residue:
         return "Residue(%d, %d)" % (self.value, self.modulus)
 
 
+def below(rng, n: int) -> int:
+    """rng.randrange(n), n >= 1, with the same value and rng state, minus its
+    Python wrappers: k = n.bit_length() bits of rng.getrandbits, drawn again at or
+    above n.  rng.choice(s) reads s[below(rng, len(s))], randint(a, b) a + below(rng, b - a + 1)."""
+    k = n.bit_length()
+    x = rng.getrandbits(k)
+    while x >= n:
+        x = rng.getrandbits(k)
+    return x
+
+
 @cache
 def byte_table(p, c):
     """The bytes.translate table of b -> c b mod p on every byte b."""
@@ -160,7 +171,7 @@ class RationalField:
         """Uniform numerator in [-bound, bound], denominator in [1, bound]."""
         if bound < 1:
             raise FieldError("sample bound must be >= 1")
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+        return Fraction(below(rng, 2 * bound + 1) - bound, below(rng, bound) + 1)
 
     @property
     def sz_set_size(self) -> int:
@@ -233,7 +244,7 @@ class PrimeField:
 
     def sample(self, rng: random.Random, bound: int = 0) -> Residue:
         """Uniform over the whole field; the bound is ignored."""
-        return Residue(rng.randrange(self.modulus), self.modulus)
+        return Residue(below(rng, self.modulus), self.modulus)
 
     @property
     def sz_set_size(self) -> int:

@@ -39,7 +39,7 @@ from functools import cache, cached_property
 from itertools import combinations, combinations_with_replacement, islice
 from operator import mul
 
-from .fields import byte_table
+from .fields import below, byte_table
 from .forms import InvariantForm, byte_kernel, parse_form, simplex_lattice
 from .linalg import Matrix, canonical, ratio
 from .minimality import sample_minimal, structure_rule
@@ -756,14 +756,14 @@ def _draw(cid: str, form: InvariantForm, field, rng):
         else:
             p = invertible_matrix(field, rng, n)
         k, need = (n, field.one / (p.det() ** 2)) if symm else (n // 2, field.one / p.det())
-        return k, need, lambda r: Congruence(space, r, p, cid == "skew.f4" and bool(rng.randrange(2)))
+        return k, need, lambda r: Congruence(space, r, p, cid == "skew.f4" and bool(below(rng, 2)))
     if cid == "square.f":
         n = space.params["n"]
         a = invertible_matrix(field, rng, n)
 
         def build(t):
             b = forced_det_matrix(field, rng, n, t)
-            return (TransposeSandwich if rng.randrange(2) else Sandwich)(space, a, b)
+            return (TransposeSandwich if below(rng, 2) else Sandwich)(space, a, b)
 
         return 1, field.one / a.det(), build
     if cid == "cubics":
@@ -771,19 +771,19 @@ def _draw(cid: str, form: InvariantForm, field, rng):
         return 4, field.one / (g.det() ** 6), lambda c: CubicSubstitution(c, g)
     if cid == "SL6":
         g = invertible_matrix(field, rng, 6)
-        return 4, field.one / (g.det() ** 2), lambda c: WedgePush(c, g, bool(rng.randrange(2)))
+        return 4, field.one / (g.det() ** 2), lambda c: WedgePush(c, g, bool(below(rng, 2)))
     if cid == "Sp6":
         g, _ = gsp6_element(field, rng)
         return 4, field.one / (g.det() ** 2), lambda c: GSp6Push(c, g)
     if cid == "hyperdet":
         g1 = invertible_matrix(field, rng, 2)
         g2 = invertible_matrix(field, rng, 2)
-        sign = field.of(rng.choice([1, -1]))
+        sign = field.of((1, -1)[below(rng, 2)])
         return 1, sign / (g1.det() * g2.det()), lambda t: TriplePush(
-            g1, g2, forced_det_matrix(field, rng, 2, t), perm=PERMS3[rng.randrange(6)])
+            g1, g2, forced_det_matrix(field, rng, 2, t), perm=PERMS3[below(rng, 6)])
     if cid == "blackholes":
         g2, mu = go_element(field, rng, form.gram(field))
-        sign = field.of(rng.choice([1, -1]))
+        sign = field.of((1, -1)[below(rng, 2)])
         return 1, sign / mu, lambda t: OrthogonalPair(space, forced_det_matrix(field, rng, 2, t), g2, mu)
     raise PreserverError("no sampler for corollary %r" % cid)
 

@@ -1,19 +1,18 @@
 """Seeded exact samplers: vectors, invertible matrices, isometry groups.
 
 Every function takes an explicit random.Random; nothing here touches global
-randomness.  Over the rationals, matrix samplers favor small integer entries
-(transvection words) so downstream exact arithmetic stays cheap.
+randomness.  A single draw reads rng.getrandbits as rng.randrange, choice and
+randint read it (fields.below), and a vector reads one getrandbits block as
+randint reads it (_randints): the values and the rng state are theirs.  Over
+the rationals, matrices favor small integer entries (transvection words).
 
-Each matrix is built once from integer rows (Matrix._exact), with the
-determinant its construction fixes: 1 for a transvection word, c det(m) for
-m with one column times c (-1 in invertible_matrix, the target in
-forced_det_matrix), prod(d) for diag(d) g with g a word of symplectic
-transvections (det 1) or of 2n reflections (det -1 each).  A dense F_p
-draw's determinant comes from the one det call that tests it (linalg.int_det).
-
-The isometry samplers draw a whole word of rank-one factors, each vector
-from one getrandbits block read as rng.randint reads it (_randints), and
-then build it once on rows packed as signed digits (word_columns).
+Each matrix is built once from integer rows, with the determinant its
+construction fixes: 1 for a transvection word, c det(m) for m with one column
+times c (-1 in invertible_matrix, the target in forced_det_matrix), prod(d)
+for diag(d) g with g a word of symplectic transvections (det 1) or of 2n
+reflections (det -1 each).  A dense F_p draw's residues are its integer form,
+and the int_det that tests them is its det.  Words are built on rows packed as
+signed digits, one multiply-add per step (_transvection_rows, word_columns).
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import mul
 
-from .fields import PrimeField, RationalField, byte_table
-from .linalg import Matrix, ratio
+from .fields import PrimeField, below, byte_table
+from .linalg import Matrix, int_det, ratio
 
 
 class SamplingError(RuntimeError):
@@ -93,11 +92,7 @@ def _randints(rng, lo: int, hi: int, n: int) -> list:
     mask = (1 << k) - 1
     block = rng.getrandbits(32 * n)
     out = [x + lo for x in [block >> s & mask for s in range(32 - k, 32 * n, 32)] if x < width]
-    while len(out) < n:
-        x = rng.getrandbits(k)
-        if x < width:
-            out.append(x + lo)
-    return out
+    return out + [below(rng, width) + lo for _ in range(n - len(out))]
 
 
 def rand_unit(field, rng, bound=9):
@@ -107,49 +102,68 @@ def rand_unit(field, rng, bound=9):
             return x
 
 
+def _transvection_rows(rng, n: int) -> list:
+    """Integer rows of 3n elementary transvections row_i += c row_j (i != j), with
+    i, j and c in (-2, -1, 1, 2) drawn as randrange(n), randrange(n) and a 4-way
+    choice draw them (fields.below, inline; no c when i == j).  Rows are ints of
+    signed digits, as in word_columns; a step at most triples an entry: |x| <= 3^(3n)."""
+    w = (3 ** (3 * n)).bit_length() + 1
+    rows = [1 << w * i for i in range(n)]
+    bits, k = rng.getrandbits, n.bit_length()
+    for _ in range(3 * n):
+        while (i := bits(k)) >= n:
+            pass
+        while (j := bits(k)) >= n:
+            pass
+        if i != j:
+            while (c := bits(3)) >= 4:
+                pass
+            rows[i] += (-2, -1, 1, 2)[c] * rows[j]
+    return _unpack(rows, w, n)
+
+
 def unimodular_matrix(field, rng, n: int) -> Matrix:
     """Product of 3n elementary transvections; determinant exactly one."""
-    rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    for _ in range(3 * n):
-        i = rng.randrange(n)
-        j = rng.randrange(n)
-        if i == j:
-            continue
-        c = rng.choice([-2, -1, 1, 2])
-        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
-    return Matrix._exact(field, rows, det=field.one)
-
-
-def _times_column(field, m: Matrix, j: int, c) -> Matrix:
-    """m with column j times the field element c, built on m's integer form;
-    its determinant is c det(m)."""
-    a, b = ratio(field, c)
-    rows, den = m.ints()
-    return Matrix._exact(field, [[x * a if k == j else x * b for k, x in enumerate(r)] for r in rows],
-                         den * b, c * m.det())
+    return Matrix._exact(field, _transvection_rows(rng, n), det=field.one)
 
 
 def invertible_matrix(field, rng, n: int) -> Matrix:
-    """Invertible matrix; dense entries over a prime field, a transvection
-    word over the rationals with a column negated half the time."""
-    if isinstance(field, PrimeField):
+    """Invertible matrix: dense residues over F_p (the integer form as drawn, det
+    their one int_det); over Q a transvection word, a column negated half the time."""
+    p = field.modulus
+    if p is not None:
         while True:
-            entries = uniform_ints(rng, 0, field.modulus, n * n)
-            m = Matrix._exact(field, [entries[i : i + n] for i in range(0, n * n, n)])
-            if m.det() != field.zero:
-                return m
-    m = unimodular_matrix(field, rng, n)
-    if rng.randrange(2):
-        m = _times_column(field, m, rng.randrange(n), -field.one)
-    return m
+            entries = uniform_ints(rng, 0, p, n * n)
+            rows = tuple([tuple(entries[i : i + n]) for i in range(0, n * n, n)])
+            det = int_det(rows, p) % p
+            if det:
+                return object.__new__(Matrix)._hold(field, (rows, 1), field.of(det))
+    rows = _transvection_rows(rng, n)
+    if not below(rng, 2):
+        return Matrix._exact(field, rows, det=field.one)
+    j = below(rng, n)
+    for r in rows:
+        r[j] = -r[j]
+    return Matrix._exact(field, rows, det=-field.one)
 
 
 def forced_det_matrix(field, rng, n: int, target) -> Matrix:
-    """Invertible matrix with the exact requested determinant."""
+    """Invertible matrix of determinant target: a column of invertible_matrix times target / its det."""
     if target == field.zero:
         raise SamplingError("determinant target must be nonzero")
     m = invertible_matrix(field, rng, n)
-    return _times_column(field, m, rng.randrange(n), target / m.det())
+    j = below(rng, n)
+    a, b = ratio(field, target / m.det())
+    rows, den = m.ints()
+    return Matrix._exact(field, [[x * a if k == j else x * b for k, x in enumerate(r)] for r in rows], den * b, target)
+
+
+def _unpack(rows, w: int, size: int) -> list:
+    """The first size signed w-bit digits of each packed row, as integer rows."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
+    shifts = range(0, w * size, w)
+    off = sum(half << t for t in shifts)  # each digit + half lies in [0, 2^w)
+    return [[(x >> t & mask) - half for t in shifts] for x in [r + off for r in rows]]
 
 
 def word_columns(field, word, d, cols):
@@ -174,10 +188,7 @@ def word_columns(field, word, d, cols):
         s = a * sum(map(mul, v, rows))
         rows = [b * r + x * s for r, x in zip(rows, u)]
         den *= b
-    half, mask = 1 << (w - 1), (1 << w) - 1
-    shifts = range(0, w * len(cols), w)
-    off = sum(half << t for t in shifts)  # each digit + half lies in [0, 2^w)
-    return [[(x >> t & mask) - half for t in shifts] for x in [c * r + off for c, r in zip(scale, rows)]], den
+    return _unpack([c * r for c, r in zip(scale, rows)], w, len(cols)), den
 
 
 def _similitude_times(field, d, word):
@@ -206,7 +217,7 @@ def gsp6_word(field, rng):
             continue
         # b u for the standard pairing: row i of b holds (-1)^i at column i ^ 1
         word.append((u, ratio(field, lam), [u[1], -u[0], u[3], -u[2], u[5], -u[4]]))
-    mu = field.one if isinstance(field, RationalField) else rand_unit(field, rng)
+    mu = field.one if p is None else rand_unit(field, rng)
     return word, [mu, field.one, mu, field.one, mu, field.one], mu
 
 
@@ -242,8 +253,8 @@ def go_element(field, rng, s: Matrix):
     if any(x for i, row in enumerate(s_int) for j, x in enumerate(row) if i + j != n - 1):
         return _similitude_times(field, [field.one] * n, word), field.one
     root = field.one  # the middle entry for odd n, with root^2 = mu
-    if isinstance(field, RationalField):
-        mu = field.of(rng.choice([1, -1])) if n % 2 == 0 else field.one
+    if p is None:
+        mu = field.of((1, -1)[below(rng, 2)]) if n % 2 == 0 else field.one
     elif n % 2 == 0:
         mu = rand_unit(field, rng)
     else:
@@ -251,10 +262,7 @@ def go_element(field, rng, s: Matrix):
         mu = root * root
     d = [None] * n
     for i in range(n // 2):
-        if isinstance(field, RationalField):
-            d[i] = field.of(rng.choice([1, -1, 2, Fraction(1, 2)]))
-        else:
-            d[i] = rand_unit(field, rng)
+        d[i] = field.of((1, -1, 2, Fraction(1, 2))[below(rng, 4)]) if p is None else rand_unit(field, rng)
         d[n - 1 - i] = mu / d[i]
     if n % 2:
         d[n // 2] = root
@@ -269,7 +277,7 @@ def isotropic_vector(field, rng, s: Matrix):
     s_int, _ = s.ints()
     free = [i for i in range(n) if not s_int[i][i]]
     for _ in range(ISOTROPIC_TRIES):
-        last = rng.choice(free) if free else None
+        last = free[below(rng, len(free))] if free else None
         v = _randints(rng, -4, 4, n)
         if last is not None:
             v[last] = 0
@@ -363,9 +371,12 @@ def _root_mod_p(t: int, k: int, p: int):
 def solve_power(field, rng, k: int, target):
     """Some r with r^k == target, or None if there is none.  Over F_p the
     root is uniform among all k-th roots of target: a fixed root times a
-    root of unity drawn with one rng.randrange when there are several."""
+    root of unity drawn with one rng.randrange when there are several.  Known
+    roots take no search or draw: target for k = 1, one for a rational one."""
     if target == field.zero:
         return None
+    if k == 1:
+        return target
     if isinstance(field, PrimeField):
         p = field.modulus
         found = _root_mod_p(target.value, k, p)
@@ -375,13 +386,13 @@ def solve_power(field, rng, k: int, target):
         if g > 1:
             r = r * pow(omega, rng.randrange(g), p) % p
         return field.of(r)
-    t = Fraction(target)
-    neg = t < 0
+    if target == 1:
+        return field.one
+    neg = target < 0
     if neg and k % 2 == 0:
         return None
-    num = _int_kth_root(abs(t.numerator), k)
-    den = _int_kth_root(t.denominator, k)
+    num = _int_kth_root(abs(target.numerator), k)
+    den = _int_kth_root(target.denominator, k)
     if num is None or den is None:
         return None
-    r = Fraction(num, den)
-    return field.of(-r if neg else r)
+    return Fraction(-num if neg else num, den)

@@ -5,7 +5,9 @@ Pfaffian by their own memoized recursions over any commutative ring
 (field elements or polynomials), the Pfaffian's polar pairing, the
 symplectic contraction and the duality stars as field matrices, a point of
 wedge^3 k^6 built from two alternating 4x4 matrices, a map given by an
-arbitrary coordinate matrix, and uniform field vectors.
+arbitrary coordinate matrix, uniform field vectors, and the rational and
+dense matrix samplers as list-row loops drawing through rng.randrange and
+rng.choice.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from math import comb
 
 from linpres.forms import FormError
-from linpres.linalg import LinAlgError, Matrix
+from linpres.linalg import LinAlgError, Matrix, ratio
 from linpres.multilinear import RepVector, Space, SpaceError, _alt_pairs, complement_star_table, subset_index
 from linpres.preservers import (
     PreserverElement,
@@ -23,6 +25,7 @@ from linpres.preservers import (
     _action,
     _param_json,
 )
+from linpres.sampling import uniform_ints
 
 
 def det_expansion(ring, rows):
@@ -197,3 +200,46 @@ def rand_vector(space: Space, field, rng, bound=9, nonzero=False) -> RepVector:
         v = RepVector(space, field, [field.sample(rng, bound) for _ in range(space.dim)])
         if not nonzero or not v.is_zero():
             return v
+
+
+def unimodular_matrix(field, rng, n: int) -> Matrix:
+    """Product of 3n elementary transvections, one list row updated per step;
+    determinant exactly one."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i = rng.randrange(n)
+        j = rng.randrange(n)
+        if i == j:
+            continue
+        c = rng.choice([-2, -1, 1, 2])
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return Matrix._exact(field, rows, det=field.one)
+
+
+def times_column(field, m: Matrix, j: int, c) -> Matrix:
+    """m with column j times the field element c; its determinant is c det(m)."""
+    a, b = ratio(field, c)
+    rows, den = m.ints()
+    return Matrix._exact(field, [[x * a if k == j else x * b for k, x in enumerate(r)] for r in rows],
+                         den * b, c * m.det())
+
+
+def invertible_matrix(field, rng, n: int) -> Matrix:
+    """Dense residues over a prime field, canonicalized and tested by Matrix.det;
+    over the rationals a transvection word with a column negated half the time."""
+    if field.modulus is not None:
+        while True:
+            entries = uniform_ints(rng, 0, field.modulus, n * n)
+            m = Matrix._exact(field, [entries[i : i + n] for i in range(0, n * n, n)])
+            if m.det() != field.zero:
+                return m
+    m = unimodular_matrix(field, rng, n)
+    if rng.randrange(2):
+        m = times_column(field, m, rng.randrange(n), -field.one)
+    return m
+
+
+def forced_det_matrix(field, rng, n: int, target) -> Matrix:
+    """invertible_matrix with one column scaled to make the determinant target."""
+    m = invertible_matrix(field, rng, n)
+    return times_column(field, m, rng.randrange(n), target / m.det())

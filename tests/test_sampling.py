@@ -9,8 +9,9 @@ from fractions import Fraction
 
 import pytest
 
+import reference
 from linpres import minimality, sampling
-from linpres.fields import QQ, PrimeField
+from linpres.fields import QQ, PrimeField, Residue, below
 from linpres.forms import Mat2n, Quadric, parse_form
 from linpres.linalg import Matrix, canonical, clear_denominators, ratio
 from linpres.multilinear import standard_symplectic_ints
@@ -217,6 +218,58 @@ def test_solve_power_draws_every_root_equally_often(p):
             assert sorted(got) == roots, (p, k, t)
 
 
+def test_solve_power_returns_known_roots_without_a_search_or_a_draw():
+    # k = 1 has the one root target; a rational 1 has the root 1 for every k
+    # (the positive one for even k); neither reads the rng
+    no_draws = object()
+    for field in (QQ, F7, PrimeField(2**61 - 1)):
+        for t in (2, 3, -1, 6):
+            target = field.of(t)
+            assert solve_power(field, no_draws, 1, target) == target, (field, t)
+    assert solve_power(QQ, no_draws, 1, QQ.of(Fraction(-4, 9))) == QQ.of(Fraction(-4, 9))
+    for k in range(1, 9):
+        assert solve_power(QQ, no_draws, k, QQ.one) == QQ.one, k
+    assert solve_power(QQ, no_draws, 1, QQ.zero) is None
+
+
+def test_below_reads_every_draw_as_randrange_reads_it():
+    # the same values as rng.randrange(n), and the same rng state after
+    for seed in range(200):
+        a, b = random.Random(seed), random.Random(seed)
+        assert [below(a, n) for n in range(1, 301)] == [b.randrange(n) for n in range(1, 301)], seed
+        assert a.getstate() == b.getstate(), seed
+
+
+def test_field_samples_read_their_draws_as_randint_and_randrange():
+    for seed in range(40):
+        a, b = random.Random(seed), random.Random(seed)
+        for bound in (1, 2, 3, 9, 100, 2**40):
+            assert QQ.sample(a, bound) == Fraction(b.randint(-bound, bound), b.randint(1, bound)), (seed, bound)
+        for p in (5, 7, 13, 257, 10007, 2**61 - 1):
+            assert PrimeField(p).sample(a) == Residue(b.randrange(p), p), (seed, p)
+        assert a.getstate() == b.getstate(), seed
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.descriptor)
+def test_matrix_samplers_equal_list_row_loops(field):
+    # the packed transvection rows, the negated column read off in the decode
+    # and the dense residues taken as drawn: the integer form, the det and the
+    # rng state of the list-row loops drawing through randrange and choice
+    def draws(sampler, seed):
+        rng = random.Random(seed)
+        out = []
+        for n in range(1, 9):
+            target = field.of(Fraction((-1) ** n * (n % 3 + 1), n % 4 + 1))
+            for m in (sampler.unimodular_matrix(field, rng, n), sampler.invertible_matrix(field, rng, n),
+                      sampler.forced_det_matrix(field, rng, n, target)):
+                out.append((m.ints(), m.det()))
+            out.append(rng.getstate())
+        return out
+
+    for seed in range(300):
+        assert draws(sampling, seed) == draws(reference, seed), seed
+
+
 def test_seeded_determinism():
     a = unimodular_matrix(QQ, random.Random(42), 4)
     b = unimodular_matrix(QQ, random.Random(42), 4)
@@ -418,15 +471,14 @@ class CountingRandom(random.Random):
 
 
 def test_isometry_samplers_call_no_randint_per_coordinate():
-    # over F_p no randint is left at all; over Q only gsp6's lam = a / b
-    # (two per transvection) calls it
+    # no randint is left on either field: gsp6's lam = a / b over Q reads
+    # its two draws through fields.below
     rng = CountingRandom(3)
     gsp6_element(F7, rng)
     go_element(F7, rng, Mat2n(6).gram(F7))
     go_element(QQ, rng, Mat2n(6).gram(QQ))
-    assert rng.randint_calls == 0
     gsp6_element(QQ, rng)
-    assert rng.randint_calls <= 2 * 8
+    assert rng.randint_calls == 0
 
 
 @pytest.mark.parametrize("field", [QQ, F7], ids=lambda f: f.descriptor)

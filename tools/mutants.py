@@ -402,6 +402,27 @@ MUTANTS = [
         "if False:",
         "verify counts its failures but reports no counterexample",
     ),
+    (
+        "transvection-digit-steps",
+        "sampling.py",
+        "w = (3 ** (3 * n)).bit_length() + 1",
+        "w = (3 ** n).bit_length() + 1",
+        "the packed transvection rows' digits are sized for n steps, not 3n, so a large entry carries into the next digit",
+    ),
+    (
+        "below-keeps-n",
+        "fields.py",
+        "while x >= n:",
+        "while x > n:",
+        "fields.below keeps a draw equal to n, so randrange(n)'s stream and range are left",
+    ),
+    (
+        "solve-power-k1-one",
+        "sampling.py",
+        "return target",
+        "return field.one",
+        "solve_power's k = 1 path returns one instead of the target",
+    ),
 ]
 
 
