@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cache, cached_property, wraps
 from itertools import combinations_with_replacement, product
 from math import comb
-from operator import add, mul
+from operator import add, getitem, mul
 
 from .fields import QQ, byte_table
 from .linalg import Matrix, _det_formula, _expansion_formula, _straight_line, canonical, clear_denominators, square_det
@@ -189,15 +189,15 @@ def _byte_kernel(source, p, top):
 
 
 @cache
-def _lattice_alphas(n, d):
-    """For each i < n, the count alpha_i at every point of the degree-d
-    simplex lattice on n coordinates, in lattice order, one byte slot per
-    point as byte_kernel reads them (d <= 255)."""
+def _lattice_multiples(n, d, p):
+    """For each i < n, [c alpha_i for c in range(p)], alpha_i the count
+    alpha_i at every point of the degree-d simplex lattice on n coordinates,
+    in lattice order, one byte slot per point as byte_kernel reads them."""
     counts = [bytearray(comb(n + d - 1, d)) for _ in range(n)]
     for t, combo in enumerate(combinations_with_replacement(range(n), d)):
         for i in combo:
             counts[i][t] += 1
-    return [int.from_bytes(c, "big") for c in counts]
+    return [[c * alpha for c in range(p)] for alpha in [int.from_bytes(c, "big") for c in counts]]
 
 
 def simplex_lattice(fn, cols, d, modulus, error, scale=1):
@@ -215,7 +215,8 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     level by level and the walk starts from each of them; those levels hold
     C(n + d - k, d - k) sums in all for k = WALK_DEPTH_MAX.  Where
     byte_kernel gives fn a kernel for slots up to d (p - 1), no walk runs:
-    that kernel evaluates every point at once from byte-slot columns.
+    that kernel evaluates every point at once from byte-slot columns, sums
+    of cached multiples of the counts alpha_i (_lattice_multiples).
 
     A homogeneous polynomial of degree d that vanishes on this lattice is
     zero in characteristic 0 or above d (the lattice is unisolvent for
@@ -239,8 +240,8 @@ def simplex_lattice(fn, cols, d, modulus, error, scale=1):
     # slot t of coordinate j is sum_i (cols[i][j] mod p) alpha_i(t) <= d (p - 1)
     kernel = modulus and byte_kernel(fn, modulus, m, d * (modulus - 1))
     if kernel:
-        alphas = _lattice_alphas(n, d)
-        vals = [sum([c % modulus * a for c, a in zip(col, alphas)]) for col in zip(*cols)]
+        mults = _lattice_multiples(n, d, modulus)
+        vals = [sum(map(getitem, mults, map(modulus.__rmod__, col))) for col in zip(*cols)]
         return list(kernel(vals, count).translate(byte_table(modulus, scale)))
     # (i, the column sum) for each sorted tuple of the first d - k indices, i its last
     level = [(0, (0,) * m)]

@@ -22,7 +22,8 @@ censuses read them.  Every integer product with R goes through one packer
 apply, scales_form and preserves_minimals), sp6's embedding E per (form,
 field), the points of each Schwartz-Zippel batch the scalar loop checks,
 and E's columns for the symbolic policy's R E; a batch over a small field
-stays in byte slots instead (_byte_failure), E a gather of its slots.
+stays in byte slots instead (_byte_failure), E a gather of its slots, and
+a predicted preserver's trials all run in one such batch.
 
 The alternating 4x4 star fixes the Pfaffian and squares to the identity;
 the top-wedge star fixes the degree-20 quartic and squares to minus the
@@ -40,7 +41,7 @@ from itertools import combinations, combinations_with_replacement, islice
 from operator import mul
 
 from .fields import below, byte_table
-from .forms import InvariantForm, byte_kernel, parse_form, simplex_lattice
+from .forms import FormError, InvariantForm, byte_kernel, parse_form, simplex_lattice
 from .linalg import Matrix, canonical, ratio
 from .minimality import sample_minimal, structure_rule
 from .multilinear import (
@@ -563,12 +564,12 @@ def _selection(form, field):
     return [(j, None if e == 1 else byte_table(field.modulus, e)) for ((j, e),) in rows]
 
 
-def _byte_failure(kernel, cs, select, rows, p, a, b):
-    """The index of the first draw c of cs (bytes) with a f(R x) != b f(x),
-    or None, for x = E c gathered from c's slots (_selection; x = c where
-    select is None): draw t is slot t of each byte-slot int, and one kernel
-    call reads f(x) and f(R x) as halves of 2 n slots."""
-    n, k, flat = len(cs), len(cs[0]), b"".join(cs)
+def _byte_failure(kernel, flat, n, select, rows, p, a, b):
+    """The index of the first of n draws c, joined in flat (bytes), with a
+    f(R x) != b f(x), or None, for x = E c gathered from c's slots
+    (_selection; x = c where select is None): draw t is slot t of each
+    byte-slot int, and one kernel call reads f(x), f(R x) as halves of 2 n slots."""
+    k = len(flat) // n
     cols = [flat[j::k] for j in range(k)]
     if select is not None:
         cols = [cols[j] if table is None else cols[j].translate(table) for j, table in select]
@@ -590,10 +591,13 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     reference values f(E alpha), times b where b is not 1; it needs
     characteristic 0 or above the degree and at most
     forms.LATTICE_POINT_LIMIT points.  The schwartz-zippel policy runs its
-    trials in two batches, trial 1 and trials 2..T, one draw per trial, in
-    order, and finds the first failing trial: trials 2..T in byte slots
-    where fn has a kernel at p - 1 (_byte_failure), else point by point
-    (_first_failure).  If trial t of a batch fails before the batch's last,
+    trials in batches, one draw per trial, in order, and finds the first
+    failing trial: point by point (_first_failure), or in byte slots where
+    fn has a kernel at p - 1 (_byte_failure, the draws one uniform_bytes
+    call).  There trials 1..T are one batch when the element's own
+    constraint_satisfied predicts a preserver; any other element (and every
+    element without a kernel) runs trial 1, where a violator mostly fails,
+    then trials 2..T.  If trial t of a batch fails before the batch's last,
     the batch's draws up to trial t are made again from the rng state
     before the batch, so the stream ends where a per-trial loop's does.  A
     failure verdict is certain and prints the reduced raw point that
@@ -637,17 +641,23 @@ def preserves_form(element: PreserverElement, form: InvariantForm, policy="auto"
     # raw ints through the form's integer evaluator: f(M x) = s^deg f(R x)
     lo, hi = (0, p) if p is not None else (-(1 << 31), 1 << 31)
     size, top, point, points = _raw_points(form, field)
-    for first, n in ((1, 1), (2, trials - 1))[:trials]:  # the batches: trial 1, trials 2..T
+    try:  # the prediction picks the batches, never the verdict
+        predicted = p is not None and element.constraint_satisfied(form)
+    except (PreserverError, FormError, KeyError):  # no closed character, or none the form reads
+        predicted = False
+    merged = predicted and byte_kernel(fn, p, len(rows), p - 1)  # compiled only where a batch runs
+    for first, n in ((1, trials),) if merged else ((1, 1), (2, trials - 1))[:trials]:  # trials 1..T, or 1 and 2..T
         state = rng.getstate() if n > 1 else None
-        kernel = first > 1 and p and byte_kernel(fn, p, len(rows), p - 1)
-        cs = [uniform_bytes(rng, p, size) if kernel else uniform_ints(rng, lo, hi, size) for _ in range(n)]
-        t = _byte_failure(kernel, cs, _selection(form, field), rows, p, a, b) if kernel else _first_failure(fn, points(cs), rows, p, top, a, b)
+        kernel = merged or first > 1 and p and byte_kernel(fn, p, len(rows), p - 1)
+        cs = uniform_bytes(rng, p, size, n) if kernel else [uniform_ints(rng, lo, hi, size) for _ in range(n)]
+        t = _byte_failure(kernel, cs, n, _selection(form, field), rows, p, a, b) if kernel else _first_failure(fn, points(cs), rows, p, top, a, b)
         if t is not None:
             if t < n - 1:  # replay: the stream ends after this trial's draw
                 rng.setstate(state)
                 for _ in range(t + 1):
                     uniform_ints(rng, lo, hi, size)
-            return PreservationVerdict(False, "schwartz-zippel", first + t, None, _printed(point(cs[t]), p))
+            c = cs[size * t : size * (t + 1)] if kernel else cs[t]
+            return PreservationVerdict(False, "schwartz-zippel", first + t, None, _printed(point(c), p))
     return PreservationVerdict(True, "schwartz-zippel", trials, Fraction(deg, field.sz_set_size) ** trials)
 
 

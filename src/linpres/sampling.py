@@ -2,9 +2,11 @@
 
 Every function takes an explicit random.Random; nothing here touches global
 randomness.  A single draw reads rng.getrandbits as rng.randrange, choice and
-randint read it (fields.below), and a vector reads one getrandbits block as
-randint reads it (_randints): the values and the rng state are theirs.  Over
-the rationals, matrices favor small integer entries (transvection words).
+randint read it (fields.below), a vector reads one getrandbits block as
+randint reads it (_randints), and n byte draws read it as n rng.randbytes
+calls do, in one uniform_bytes call: the values and the rng state are
+theirs.  Over the rationals, matrices favor small integer entries
+(transvection words).
 
 Each matrix is built once from integer rows, with the determinant its
 construction fixes: 1 for a transvection word, c det(m) for m with one column
@@ -47,14 +49,17 @@ def slot_code(top: int):
 _REJECTED = [b""] + [bytes(range(256 // w * w, 256)) for w in range(1, 257)]
 
 
-def uniform_bytes(rng, width: int, size: int) -> bytes:
-    """size independent bytes, each exactly uniform on [0, width), for a
-    width of at most 256: uniform_ints' draws of that width, as bytes."""
-    table, delete = byte_table(width, 1), _REJECTED[width]
-    buf = rng.randbytes(size).translate(table, delete)
-    while len(buf) < size:
-        buf += rng.randbytes(size - len(buf)).translate(table, delete)
-    return buf
+def uniform_bytes(rng, width: int, size: int, n: int = 1) -> bytes:
+    """n draws of size bytes, each exactly uniform on [0, width) (width <= 256),
+    joined: n of uniform_ints' draws of that width, in their stream, k bytes
+    read as rng.randbytes(k) reads them: rng.getrandbits(8 k).to_bytes(k, "little")."""
+    table, delete, bits, out = byte_table(width, 1), _REJECTED[width], rng.getrandbits, []
+    for _ in range(n):
+        buf = bits(8 * size).to_bytes(size, "little").translate(table, delete)
+        while (k := size - len(buf)) > 0:
+            buf += bits(8 * k).to_bytes(k, "little").translate(table, delete)
+        out.append(buf)
+    return b"".join(out)
 
 
 def uniform_ints(rng, lo: int, hi: int, size: int) -> list:

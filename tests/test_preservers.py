@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from linpres import preservers
+from linpres import forms, preservers
 from linpres.fields import QQ, PrimeField
 from linpres.forms import CubicDisc, InvariantForm, Mat2n, SkewPf, Sp6Quartic, Wedge36, parse_form, simplex_lattice
 from linpres.linalg import Matrix
@@ -1352,6 +1352,37 @@ def test_symbolic_kernel_on_sp6_images_equals_the_called_evaluator(p):
             assert simplex_lattice(fn, cols, 4, p, PreserverError, scale) == want, (sampler.__name__, scale)
 
 
+def test_lattice_columns_are_sums_of_the_counts_times_residues(monkeypatch):
+    # the kernel's coordinate j holds, at lattice point t, the sum of
+    # cols[i][j] mod p over the indices i of the point's sorted tuple: read
+    # from cached multiples of the counts, for columns with negative and
+    # unreduced entries, and for sp6's R E over F_7 (entries up to 14 (p - 1)^2)
+    seen = []
+    real = forms.byte_kernel
+
+    def spy(*args):
+        kernel = real(*args)
+        return kernel and (lambda vals, n: seen.append(vals) or kernel(vals, n))
+
+    monkeypatch.setattr(forms, "byte_kernel", spy)
+    rng = rnd(stable_seed("lattice-columns"))
+    form = parse_form("sp6")
+    emb = form.raw_embedding(F7)
+    cases = [(parse_form("symm-det:3"), PrimeField(p), [[rng.randint(-40, 40) for _ in range(6)] for _ in range(6)])
+             for p in (5, 7)]
+    el = sample_group_element("Sp6", form, F7, rng)
+    cases.append((form, F7, preservers._images(list(zip(*emb)), el.action()[0], 7, 6)))
+    for form, field, cols in cases:
+        p, d = field.modulus, form.degree
+        seen.clear()
+        simplex_lattice(form.int_evaluator(field), cols, d, p, PreserverError)
+        points = list(itertools.combinations_with_replacement(range(len(cols)), d))
+        want = [int.from_bytes(bytes(sum(cols[i][j] % p for i in combo) for combo in points), "big")
+                for j in range(len(cols[0]))]
+        assert seen == [want], (form.line, p)
+        assert any(x < 0 for col in cols for x in col) or max(map(max, cols)) >= p
+
+
 @pytest.mark.parametrize("p", [7, 11, 13])
 def test_sz_kernel_rejects_violators_like_the_scalar_loop(p, monkeypatch):
     # a violator whose trial 1 passes fails inside the batch of trials 2..T;
@@ -1379,14 +1410,16 @@ def test_sz_kernel_rejects_violators_like_the_scalar_loop(p, monkeypatch):
 
 
 def test_sz_byte_batch_runs_where_p_squared_fits_a_byte(monkeypatch):
-    # trials 2..T run in byte slots wherever p * p <= 256 and the evaluator
-    # has a source of the space's width: sp6 (its raw points reduced by E's
-    # byte-slot map) over F_7, F_11 and F_13, and wedge36 over F_13; over F_17
-    # and Q, and for an evaluator with no source, the scalar loop runs them.
-    # Trial 1 runs the scalar loop everywhere.
+    # batches run in byte slots wherever p * p <= 256 and the evaluator has
+    # a source of the space's width: sp6 (its raw points a gather of the
+    # draws' slots) over F_7, F_11 and F_13, and wedge36 over F_13.  There a
+    # predicted preserver runs trials 1..T as one byte batch, and a map with
+    # no character (the same matrix as a GenericMap) runs trial 1 in the
+    # scalar loop and trials 2..T in bytes; over F_17 and Q, and for an
+    # evaluator with no source, the scalar loop runs trial 1, then 2..T.
     byte, scalar = [], []
     real_byte, real_scalar = preservers._byte_failure, preservers._first_failure
-    monkeypatch.setattr(preservers, "_byte_failure", lambda *args: byte.append(len(args[1])) or real_byte(*args))
+    monkeypatch.setattr(preservers, "_byte_failure", lambda *args: byte.append(args[2]) or real_byte(*args))
     monkeypatch.setattr(preservers, "_first_failure", lambda *args: scalar.append(len(args[1])) or real_scalar(*args))
     cases = [("Sp6", "sp6", p, True) for p in (7, 11, 13)] + [("SL6", "wedge36", 13, True), ("Sp6", "sp6", 17, False),
                                                              ("Sp6", "sp6", None, False), ("SL6", "wedge36", 7, None)]
@@ -1394,15 +1427,61 @@ def test_sz_byte_batch_runs_where_p_squared_fits_a_byte(monkeypatch):
         field, form = QQ if p is None else PrimeField(p), parse_form(desc)
         rng = rnd(stable_seed(cid, desc, "byte-batch", field.descriptor))
         el = sample_group_element(cid, form, field, rng)
-        byte.clear()
-        scalar.clear()
-        with monkeypatch.context() as patch:
-            if in_bytes is None:  # a wrapper with no source has no kernel
-                fn = form.int_evaluator(field)
-                patch.setattr(form, "int_evaluator", lambda field: lambda x: fn(x))
-            assert _sz_like_row_by_row(el, form, rng, None).ok
-        rest = sz_trial_count(field, form.degree) - 1
-        assert (byte, scalar) == (([rest], [1]) if in_bytes else ([], [1, rest])), (desc, field.descriptor)
+        generic = GenericMap(form.space, field, el.matrix_on_space())
+        count = sz_trial_count(field, form.degree)
+        for member, merged in ((el, in_bytes), (generic, False)):
+            byte.clear()
+            scalar.clear()
+            with monkeypatch.context() as patch:
+                if in_bytes is None:  # a wrapper with no source has no kernel
+                    fn = form.int_evaluator(field)
+                    patch.setattr(form, "int_evaluator", lambda field: lambda x: fn(x))
+                assert _sz_like_row_by_row(member, form, rng, None).ok
+            want = ([count], []) if merged else ([count - 1], [1]) if in_bytes else ([], [1, count - 1])
+            assert (byte, scalar) == want, (desc, field.descriptor, member.family)
+
+
+@pytest.mark.parametrize("p", [7, 11, 13])
+def test_sz_prediction_picks_the_batches_never_the_verdict(p):
+    # a violator whose constraint_satisfied is patched to true runs all T
+    # trials as one byte batch; its verdict, failing trial, counterexample
+    # and rng state are those of the two batches it runs unpatched, also
+    # where it fails past trial 1, inside the batch (replayed up to there)
+    field = PrimeField(p)
+    past_first = 0
+    for cid, desc in ALL_CELLS:
+        form = parse_form(desc)
+        rng = rnd(stable_seed(cid, desc, "predicted", field.descriptor))
+        for _ in range(6):
+            el = sample_violator(cid, form, field, rng)
+            state = rng.getstate()
+            want = preserves_form(el, form, policy="schwartz-zippel", rng=rng)
+            after = rng.getstate()
+            rng.setstate(state)
+            el.constraint_satisfied = lambda form: True
+            assert preserves_form(el, form, policy="schwartz-zippel", rng=rng) == want, (desc, p)
+            assert rng.getstate() == after, (desc, p)
+            assert not want.ok
+            past_first += want.trials > 1
+    assert past_first >= 5
+
+
+def test_sz_prediction_reads_no_character_the_form_lacks(monkeypatch):
+    # a sandwich on mat2n's space has a character (A, B) that mat2n's
+    # scaling_factor cannot read (g1, mu): it takes the two batches without
+    # raising, with the scalar loop's verdict (GenericMap, whose char_params
+    # raises, is in test_sz_byte_batch_runs_where_p_squared_fits_a_byte)
+    batches = []
+    real = preservers._byte_failure
+    monkeypatch.setattr(preservers, "_byte_failure", lambda *args: batches.append(args[2]) or real(*args))
+    form, rng = parse_form("mat2n:4"), rnd(stable_seed("prediction-unread"))
+    for _ in range(4):
+        el = Sandwich(form.space, invertible_matrix(F7, rng, 2), invertible_matrix(F7, rng, 4))
+        with pytest.raises(KeyError):
+            el.constraint_satisfied(form)
+        batches.clear()
+        verdict = _sz_like_row_by_row(el, form, rng, None)
+        assert batches == ([] if verdict.trials == 1 else [sz_trial_count(F7, 4) - 1])
 
 
 @pytest.mark.parametrize("field", [F5, F7, PrimeField(13), PrimeField(10007)], ids=lambda f: f.descriptor)

@@ -375,6 +375,21 @@ def test_uniform_bytes_give_uniform_ints_values_and_stream():
         assert a.getstate() == b.getstate() == c.getstate(), width
 
 
+def test_uniform_bytes_batch_equals_one_call_per_draw():
+    # one call for n draws reads the bytes and leaves the rng state of n
+    # calls for one draw each: every width of at most 256 (129 rejects 127
+    # of 256 bytes, so most draws refill; 255 is the widest that rejects
+    # any), sizes 1..33, so that partial last words of the block are hit
+    for width in range(2, 257):
+        a, b, c = (random.Random(width) for _ in range(3))
+        for size in range(1, 34):
+            n = size % 5 + 1
+            want = b"".join(uniform_bytes(b, width, size) for _ in range(n))
+            assert want == b"".join(bytes(reference_bytes(c, width, size)) for _ in range(n))
+            assert uniform_bytes(a, width, size, n) == want, (width, size, n)
+            assert a.getstate() == b.getstate() == c.getstate(), (width, size, n)
+
+
 @pytest.mark.parametrize("width", [1, 2, 5, 7, 8, 9, 16, 17, 256, 257])
 def test_batched_draws_equal_per_coordinate_randint(width):
     # one getrandbits block read as randint reads it: the same values in the

@@ -417,6 +417,27 @@ MUTANTS = [
         "fields.below keeps a draw equal to n, so randrange(n)'s stream and range are left",
     ),
     (
+        "byte-draw-one-refill",
+        "sampling.py",
+        "while (k := size - len(buf)) > 0:",
+        "if (k := size - len(buf)) > 0:",
+        "a byte draw refills its rejected bytes once, not until it holds size bytes, so a batch's draws shift",
+    ),
+    (
+        "lattice-columns-unreduced",
+        "forms.py",
+        "map(getitem, mults, map(modulus.__rmod__, col))",
+        "map(getitem, mults, col)",
+        "the kernel's lattice columns look up the cached multiples by unreduced column entries, not their residues",
+    ),
+    (
+        "sz-one-batch-always",
+        "preservers.py",
+        "predicted = p is not None and element.constraint_satisfied(form)",
+        "predicted = p is not None",
+        "every element with a kernel runs trials 1..T as one byte batch, so a violator pays for the whole batch",
+    ),
+    (
         "solve-power-k1-one",
         "sampling.py",
         "return target",
